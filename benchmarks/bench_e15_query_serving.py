@@ -8,6 +8,13 @@ evaluation, cached answers must stay byte-identical to uncached ones —
 including across an interleaved index commit — and concurrent readers
 must scale against the shared cache.
 
+``MIN_SPEEDUP`` is a ratio whose numerator is the miss path, so making
+a miss cheaper lowers it without the hit getting any slower.  The ratio
+only guards that a hit stays clearly cheaper than evaluation; that a
+hit does *no* engine work is asserted directly (its trace holds only
+the synthetic ``cache`` stage), and the hit's absolute cost is gated by
+``query_p50_ms`` on the ``serve-hot`` workload of ``benchmarks/perf``.
+
 The CI benchmark-regression gate runs this module with
 ``--benchmark-json`` and fails when the cached path stops beating the
 uncached path by ``--min-speedup``.
@@ -21,7 +28,7 @@ from repro.dataset import build_australian_open
 from repro.library import DigitalLibraryEngine, LibraryQuery, LibrarySearchService
 
 N_VIDEOS = 3
-MIN_SPEEDUP = 10.0
+MIN_SPEEDUP = 4.0
 N_READERS = 4
 REQUESTS_PER_READER = 200
 
@@ -74,7 +81,7 @@ def test_e15_cached_query(benchmark):
 
 
 def test_e15_speedup_consistency_and_concurrency():
-    """Cached serving is >= 10x faster, byte-identical, and scales."""
+    """Cached serving is >= MIN_SPEEDUP x faster, byte-identical, and scales."""
     service = _service()
 
     def median_seconds(bypass_cache: bool, rounds: int = 9) -> float:
@@ -86,6 +93,11 @@ def test_e15_speedup_consistency_and_concurrency():
         return sorted(times)[len(times) // 2]
 
     _serve_mix(service, False)  # ensure the cache is warm
+    # A warm request never enters the engine: no evaluation stage ran.
+    for query in MIX:
+        served = service.search(query)
+        assert served.cache_hit
+        assert set(served.trace.stage_seconds) == {"cache"}
     cold = median_seconds(True)
     warm = median_seconds(False)
     speedup = cold / warm

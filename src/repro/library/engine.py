@@ -31,6 +31,7 @@ from repro.library.query import LibraryQuery
 from repro.library.results import SceneResult, fuse_scores
 from repro.library.service import QueryTrace
 from repro.webspace.instances import WebspaceObject
+from repro.webspace.schema import SchemaViolation
 
 __all__ = ["DigitalLibraryEngine"]
 
@@ -140,32 +141,37 @@ class DigitalLibraryEngine:
     # ------------------------------------------------------------------ #
 
     def concept_players(self, constraints: dict[str, object]) -> list[WebspaceObject]:
-        """Players matching the concept constraints."""
-        players = self.dataset.instance.objects("Player")
-        out = []
-        for player in players:
-            if self._player_matches(player, constraints):
-                out.append(player)
-        return out
+        """Players matching the concept constraints, in creation order.
 
-    @staticmethod
-    def _player_matches(player: WebspaceObject, constraints: dict[str, object]) -> bool:
-        for key, wanted in constraints.items():
-            if key == "past_winner":
-                if bool(player.get("titles") > 0) != bool(wanted):
-                    return False
-            elif player.get(key) != wanted:
-                return False
-        return True
+        Equality constraints resolve through the webspace's value index;
+        the virtual ``past_winner`` (``titles > 0``) filters the survivors.
+        """
+        equals = {k: v for k, v in constraints.items() if k != "past_winner"}
+        try:
+            players = self.dataset.instance.objects_where("Player", equals)
+        except SchemaViolation as exc:
+            raise KeyError(str(exc)) from exc
+        if "past_winner" in constraints:
+            wanted = bool(constraints["past_winner"])
+            players = [p for p in players if (p.get("titles") > 0) == wanted]
+        return players
 
     def videos_of_players(self, players: list[WebspaceObject]) -> dict[str, set[str]]:
-        """video name -> names of the given players appearing in it."""
+        """video name -> names of the given players appearing in it.
+
+        Walks back from the recorded videos (only an indexed video has a
+        ``Video`` object), so the cost follows the catalog, not the
+        players' match histories.
+        """
         instance = self.dataset.instance
+        wanted = {player.oid for player in players}
         out: dict[str, set[str]] = {}
-        for player in players:
-            for match in instance.follow("played", player):
-                for video in instance.follow("recorded_in", match):
-                    out.setdefault(video.get("name"), set()).add(player.get("name"))
+        for video in instance.objects("Video"):
+            name = video.get("name")
+            for match in instance.sources_of("recorded_in", video):
+                for player in instance.sources_of("played", match):
+                    if player.oid in wanted:
+                        out.setdefault(name, set()).add(player.get("name"))
         return out
 
     def text_scores(

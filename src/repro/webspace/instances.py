@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.webspace.schema import SchemaViolation, WebspaceSchema
@@ -38,6 +39,14 @@ class WebspaceInstance:
         self._by_class: dict[str, list[int]] = {}
         # association name -> source oid -> [target oids]
         self._links: dict[str, dict[int, list[int]]] = {}
+        # The two access paths, maintained by create() and link() — the only
+        # mutators, and nothing is ever deleted, so they never go stale.
+        # (class, attribute) -> value -> [oids], creation order
+        self._by_value: dict[tuple[str, str], dict[object, list[int]]] = {}
+        # association name -> source oid -> order of its first link
+        self._link_rank: dict[str, dict[int, int]] = {}
+        # association name -> target oid -> [source oids], by link rank
+        self._sources: dict[str, dict[int, list[int]]] = {}
         self._next_oid = 1
 
     # -- population --------------------------------------------------------#
@@ -63,6 +72,8 @@ class WebspaceInstance:
         self._next_oid += 1
         self._objects[obj.oid] = obj
         self._by_class.setdefault(class_name, []).append(obj.oid)
+        for name, value in attributes.items():
+            self._by_value.setdefault((class_name, name), {}).setdefault(value, []).append(obj.oid)
         return obj
 
     def link(self, association: str, source: WebspaceObject, target: WebspaceObject) -> None:
@@ -83,8 +94,13 @@ class WebspaceInstance:
             raise SchemaViolation(
                 f"association {association!r} is to-one and {source.oid} is already linked"
             )
-        if target.oid not in targets:
-            targets.append(target.oid)
+        if target.oid in targets:
+            return
+        targets.append(target.oid)
+        ranks = self._link_rank.setdefault(association, {})
+        ranks.setdefault(source.oid, len(ranks))
+        sources = self._sources.setdefault(association, {}).setdefault(target.oid, [])
+        insort(sources, source.oid, key=ranks.__getitem__)
 
     # -- navigation ----------------------------------------------------------#
 
@@ -96,6 +112,31 @@ class WebspaceInstance:
         self.schema.cls(class_name)  # validates the name
         return [self._objects[oid] for oid in self._by_class.get(class_name, [])]
 
+    def objects_where(self, class_name: str, equals: dict[str, object]) -> list[WebspaceObject]:
+        """Objects of one class whose attributes ``==`` *equals*, in creation order.
+
+        A lookup in the value index: the rarest constraint seeds the
+        candidates and the others filter them, so the cost follows the
+        smallest matching set, not the class.
+        """
+        cls = self.schema.cls(class_name)
+        for name in equals:
+            cls.attribute(name)  # validates the name
+        if not equals:
+            return self.objects(class_name)
+        try:
+            hits = [
+                self._by_value.get((class_name, name), {}).get(value, ())
+                for name, value in equals.items()
+            ]
+        except TypeError:  # an unhashable value equals no attribute value
+            return []
+        return [
+            obj
+            for obj in map(self._objects.__getitem__, min(hits, key=len))
+            if all(obj.attributes[name] == value for name, value in equals.items())
+        ]
+
     def follow(self, association: str, source: WebspaceObject) -> list[WebspaceObject]:
         """Objects linked from *source* along *association*."""
         self.schema.association(association)
@@ -103,13 +144,14 @@ class WebspaceInstance:
         return [self._objects[oid] for oid in oids]
 
     def sources_of(self, association: str, target: WebspaceObject) -> list[WebspaceObject]:
-        """Inverse navigation: objects linking *to* target."""
+        """Inverse navigation: objects linking *to* target.
+
+        A lookup in the reverse-link index; sources come in the order
+        each first linked along *association* (to any target).
+        """
         self.schema.association(association)
-        out = []
-        for source_oid, targets in self._links.get(association, {}).items():
-            if target.oid in targets:
-                out.append(self._objects[source_oid])
-        return out
+        oids = self._sources.get(association, {}).get(target.oid, [])
+        return [self._objects[oid] for oid in oids]
 
     def counts(self) -> dict[str, int]:
         return {name: len(oids) for name, oids in sorted(self._by_class.items())}

@@ -10,6 +10,7 @@ import pytest
 from repro.dataset import build_australian_open
 from repro.library import DigitalLibraryEngine, LibraryQuery
 from repro.storage.query import hash_join
+from repro.streaming import StreamSession, iter_chunks
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,130 @@ class TestConceptPart:
         assert len(videos) == 3  # the indexed ones
         for names in videos.values():
             assert len(names) == 2  # both participants
+
+
+class TestConceptConstraintEdges:
+    """Corner cases of ``concept_players`` that the value index must keep."""
+
+    def test_no_constraint_is_every_player_in_creation_order(self, engine):
+        assert engine.concept_players({}) == engine.dataset.instance.objects("Player")
+
+    def test_unknown_attribute_raises_key_error(self, engine):
+        with pytest.raises(KeyError):
+            engine.concept_players({"gender": "female", "shoe_size": 42})
+
+    def test_value_of_wrong_type_matches_nobody(self, engine):
+        titles = max(p.get("titles") for p in engine.concept_players({}))
+        assert engine.concept_players({"titles": titles})
+        # "3" is what the parser produces for a number; a list is unhashable.
+        assert engine.concept_players({"titles": str(titles)}) == []
+        assert engine.concept_players({"titles": [titles]}) == []
+
+    def test_past_winner_false_alone(self, engine):
+        losers = engine.concept_players({"past_winner": False})
+        everyone = engine.concept_players({})
+        assert losers == [p for p in everyone if p.get("titles") == 0]
+        assert 0 < len(losers) < len(everyone)
+
+
+def walk_from_players(instance, constraints):
+    """The reference the access paths replaced: scan every player, then
+    walk each qualifying player's every match looking for a video."""
+    players = []
+    for player in instance.objects("Player"):
+        for key, wanted in constraints.items():
+            if key == "past_winner":
+                if (player.get("titles") > 0) != bool(wanted):
+                    break
+            elif player.get(key) != wanted:
+                break
+        else:
+            players.append(player)
+    videos: dict[str, set[str]] = {}
+    for player in players:
+        for match in instance.follow("played", player):
+            for video in instance.follow("recorded_in", match):
+                videos.setdefault(video.get("name"), set()).add(player.get("name"))
+    return players, videos
+
+
+CONSTRAINTS = [
+    {},
+    {"gender": "female"},
+    {"handedness": "left", "past_winner": True},
+    {"past_winner": False},
+    {"gender": "male", "country": "NED"},
+    {"name": "Nobody Real"},
+]
+
+
+class TestAccessPaths:
+    """The indexed navigation answers what the walk from players answers,
+    in every state a ``Video`` object can come from, at a cost that
+    follows the recorded videos."""
+
+    @staticmethod
+    def assert_equivalent(engine, n_videos):
+        instance = engine.dataset.instance
+        assert len(instance.objects("Video")) == n_videos < len(instance.objects("Match"))
+        for constraints in CONSTRAINTS:
+            players, videos = walk_from_players(instance, constraints)
+            assert engine.concept_players(constraints) == players
+            assert engine.videos_of_players(players) == videos
+
+    @pytest.fixture()
+    def fresh_engine(self):
+        return DigitalLibraryEngine(build_australian_open(seed=7, video_shots=6))
+
+    def test_before_any_commit(self, fresh_engine):
+        self.assert_equivalent(fresh_engine, 0)
+        assert fresh_engine.videos_of_players(fresh_engine.concept_players({})) == {}
+
+    def test_after_index_plan(self, engine):
+        self.assert_equivalent(engine, 3)
+        assert len(engine.videos_of_players(engine.concept_players({}))) == 3
+
+    def test_after_restore(self, engine, fresh_engine):
+        assert fresh_engine.indexer.restore(engine.indexer.model) == 3
+        self.assert_equivalent(fresh_engine, 3)
+        everyone = fresh_engine.concept_players({})
+        assert fresh_engine.videos_of_players(everyone) == engine.videos_of_players(
+            engine.concept_players({})
+        )
+
+    def test_after_first_chunk_of_a_stream(self, fresh_engine, tmp_path):
+        plan = fresh_engine.dataset.video_plans[0]
+        clip, _truth = plan.materialise()
+        session = StreamSession(fresh_engine.indexer, plan, path=tmp_path / "meta.json")
+        session.push_chunk(next(iter_chunks(clip, 24, stream=plan.name)))
+        assert not session.finalized
+        assert fresh_engine.dataset.instance.objects("Video")[0].get("n_frames") == 0
+        self.assert_equivalent(fresh_engine, 1)
+        videos = fresh_engine.videos_of_players(fresh_engine.concept_players({}))
+        assert list(videos) == [plan.name]
+
+    def test_cost_follows_recorded_videos(self, engine, monkeypatch):
+        instance = engine.dataset.instance
+        calls = {"follow": 0, "sources_of": 0}
+
+        def counted(name):
+            method = getattr(instance, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(instance, name, counted(name))
+        results = engine.search(LibraryQuery(player={"gender": "female"}, event="service"))
+        assert results
+        n_videos = len(instance.objects("Video"))
+        assert calls["follow"] == 0
+        # One recorded_in lookup per video and one played lookup per match found.
+        assert 0 < calls["sources_of"] <= 2 * n_videos
+        assert 2 * n_videos < len(engine.concept_players({"gender": "female"}))
 
 
 class TestContentQueries:
