@@ -16,7 +16,7 @@ import time
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.grammar.runtime import (
     IsolationPolicy,
     PermanentDetectorError,
@@ -53,7 +53,7 @@ def _index_under_faults(clips, rate, error, times, policy):
         error=error,
         times=times,
     )
-    injector = plan.install(fde.registry)
+    injector = FaultInjector(plan, fde.registry).install()
     committed = 0
     start = time.perf_counter()
     for clip in clips:

@@ -15,17 +15,18 @@ bounds, or when any result is unlabeled.
 """
 
 import threading
-import time
 
 from benchmarks.conftest import print_table
 from repro.dataset import build_australian_open
-from repro.faults import QueryFaultPlan
+from repro.faults import FaultPlan, QueryFaultInjector, QueryFaultSpec
 from repro.library import (
     DigitalLibraryEngine,
     LibraryQuery,
     LibrarySearchService,
     ResilienceConfig,
 )
+from repro.library.stats import nearest_rank
+from repro.sim import check_served
 
 N_VIDEOS = 2
 BUDGET_S = 0.050
@@ -77,7 +78,7 @@ def _run_burst() -> dict:
 
     Every request bypasses the cache, so each admitted query really
     evaluates (and really meets the injected fault); ``unlabeled``
-    counts results whose provenance flags contradict ground truth.
+    counts results that break a :func:`repro.sim.check_served` invariant.
     """
     service = _service()
     outcomes = {
@@ -107,11 +108,7 @@ def _run_burst() -> dict:
                     outcomes["degraded"] += 1
                 if served.stale:
                     outcomes["stale"] += 1
-                if (
-                    (served.generation < pre_gen and not served.stale)
-                    or (served.degraded and not served.skipped_stages)
-                    or (served.rejected and served.results)
-                ):
+                if check_served(served, pre_gen):
                     outcomes["unlabeled"] += 1
 
     threads = [
@@ -122,12 +119,7 @@ def _run_burst() -> dict:
     for thread in threads:
         thread.join()
 
-    latencies.sort()
-    if latencies:
-        rank = max(1, -(-len(latencies) * 99 // 100))
-        outcomes["p99_s"] = latencies[rank - 1]
-    else:
-        outcomes["p99_s"] = 0.0
+    outcomes["p99_s"] = nearest_rank(sorted(latencies), 99) or 0.0
     return outcomes
 
 
@@ -146,8 +138,8 @@ def test_e16_overload_burst(benchmark):
         rounds.append(outcome)
         return outcome
 
-    plan = QueryFaultPlan.latency(["text_topn"], FAULT_S)
-    with plan.install(service.engine):
+    plan = FaultPlan([QueryFaultSpec("text_topn", FAULT_S)])
+    with QueryFaultInjector(plan, service.engine).install():
         benchmark.pedantic(run, rounds=3, iterations=1)
     requests = sum(r["requests"] for r in rounds)
     served = sum(r["served"] for r in rounds)
@@ -175,8 +167,8 @@ def test_e16_invariants():
         id(q): {r.scene_key() for r in results} for q, results in zip(MIX, truth.values())
     }
 
-    plan = QueryFaultPlan.latency(["text_topn"], FAULT_S)
-    with plan.install(engine):
+    plan = FaultPlan([QueryFaultSpec("text_topn", FAULT_S)])
+    with QueryFaultInjector(plan, engine).install():
         outcome = _run_burst()
         served_degraded = [
             service.search(q, bypass_cache=True) for q in MIX

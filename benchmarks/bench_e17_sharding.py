@@ -25,13 +25,11 @@ import time
 
 from benchmarks.conftest import print_table
 from repro.dataset import build_australian_open
-from repro.faults import ShardFaultPlan
-from repro.library import (
-    DigitalLibraryEngine,
-    LibraryQuery,
-    LibrarySearchService,
-)
+from repro.faults import FaultPlan, ShardFaultSpec
+from repro.library import DigitalLibraryEngine, LibrarySearchService
 from repro.library.sharding import ShardedSearchService, ShardingConfig
+from repro.library.stats import nearest_rank
+from repro.sim import check_coverage, query_mix
 
 SEED = 4321
 DATASET_ARGS = {"video_shots": 3}  # cheap videos; identical for every service
@@ -40,14 +38,7 @@ N_SHARDS = 4
 BUDGET_S = 2.0
 P99_BOUND_MS = 500.0
 
-MIX = [
-    LibraryQuery(top_n=100),
-    LibraryQuery(event="rally"),
-    LibraryQuery(event="net_play", text="approach the net"),
-    LibraryQuery(player={"gender": "female"}, event="service"),
-    LibraryQuery(sequence=("service", "rally"), within=500),
-    LibraryQuery(text="champion wins in straight sets"),
-]
+MIX = query_mix()
 
 _state: dict = {}
 
@@ -148,17 +139,12 @@ def test_e17_scatter_gather(benchmark):
                 latencies.append(served.seconds)
                 if served.results != reference[id(query)]:
                     counters["mismatches"] += 1
-                coverage = served.coverage
-                if sorted(coverage.responded + coverage.missing) != list(
-                    range(N_SHARDS)
-                ):
+                if check_coverage(served, N_SHARDS):
                     counters["unlabeled"] += 1
 
         benchmark.pedantic(run, rounds=5, iterations=1)
 
-    latencies.sort()
-    rank = max(1, -(-len(latencies) * 99 // 100))
-    p99_ms = latencies[rank - 1] * 1e3
+    p99_ms = nearest_rank(sorted(latencies), 99) * 1e3
     benchmark.extra_info["mismatches"] = counters["mismatches"]
     benchmark.extra_info["unlabeled"] = counters["unlabeled"]
     benchmark.extra_info["fanout_p99_ms"] = round(p99_ms, 2)
@@ -175,7 +161,7 @@ def test_e17_scatter_gather(benchmark):
 
 def test_e17_shard_loss_is_typed():
     """Ground truth: a killed shard degrades to labeled partial, then heals."""
-    plan = ShardFaultPlan.dead(shard=1, after=1)
+    plan = FaultPlan([ShardFaultSpec(shard=1, mode="kill", after=1)])
     config = _config(
         2, quarantine_cooldown=0.2, probe_interval=0.05, budget_seconds=BUDGET_S
     )

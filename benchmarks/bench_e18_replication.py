@@ -23,17 +23,13 @@ The CI gate runs this module with ``--benchmark-json`` and requires
 ``check_regression.py``.
 """
 
-import time
-
 from benchmarks.conftest import print_table
 from repro.dataset import build_australian_open
-from repro.faults import ShardFaultPlan, ShardFaultSpec
-from repro.library import (
-    DigitalLibraryEngine,
-    LibraryQuery,
-    LibrarySearchService,
-)
+from repro.faults import FaultPlan, ShardFaultSpec
+from repro.library import DigitalLibraryEngine, LibrarySearchService
 from repro.library.sharding import ShardedSearchService, ShardingConfig
+from repro.library.stats import nearest_rank
+from repro.sim import check_coverage, out_of_rotation, query_mix, wait_until
 
 SEED = 4321
 DATASET_ARGS = {"video_shots": 3}  # cheap videos; identical for every service
@@ -43,14 +39,7 @@ N_REPLICAS = 2
 BUDGET_S = 5.0
 P99_BOUND_MS = 2000.0  # failover within the budget, far under it
 
-MIX = [
-    LibraryQuery(top_n=100),
-    LibraryQuery(event="rally"),
-    LibraryQuery(event="net_play", text="approach the net"),
-    LibraryQuery(player={"gender": "female"}, event="service"),
-    LibraryQuery(sequence=("service", "rally"), within=500),
-    LibraryQuery(text="champion wins in straight sets"),
-]
+MIX = query_mix()
 
 _state: dict = {}
 
@@ -78,13 +67,13 @@ def _reference() -> dict[int, list]:
     return _state["reference"]
 
 
-def _kill_plan() -> ShardFaultPlan:
+def _kill_plan() -> FaultPlan:
     """One replica killed per group, staggered a few queries apart."""
-    return ShardFaultPlan(
-        specs=(
+    return FaultPlan(
+        [
             ShardFaultSpec(shard=0, replica=1, mode="kill", after=2),
             ShardFaultSpec(shard=1, replica=0, mode="kill", after=4),
-        )
+        ]
     )
 
 
@@ -127,12 +116,9 @@ def test_e18_replica_kill_soak(benchmark):
                 latencies.append(served.seconds)
                 if served.rejected:
                     counters["rejected"] += 1
-                coverage = served.coverage
-                if sorted(coverage.responded + coverage.missing) != list(
-                    range(N_SHARDS)
-                ):
+                if check_coverage(served, N_SHARDS):
                     counters["unlabeled"] += 1
-                if not coverage.complete:
+                if not served.coverage.complete:
                     counters["coverage_loss"] += 1
                 if served.results != reference[id(query)]:
                     counters["mismatches"] += 1
@@ -148,24 +134,11 @@ def test_e18_replica_kill_soak(benchmark):
 
         # Recovery: every killed replica rebuilt, generation-aligned,
         # and back in rotation before the soak ends.
-        deadline = time.monotonic() + 120.0
-        not_rejoined: list[str] = []
-        while time.monotonic() < deadline:
-            rows = service.stats().shards
-            not_rejoined = [
-                f"{row.shard}.{rep.replica}"
-                for row in rows
-                for rep in row.replicas
-                if not (rep.alive and rep.in_rotation)
-            ]
-            if not not_rejoined:
-                break
-            time.sleep(0.1)
+        wait_until(lambda: not out_of_rotation(service.stats()), 120.0, poll=0.1)
         stats = service.stats()
+        not_rejoined = out_of_rotation(stats)
 
-    latencies.sort()
-    rank = max(1, -(-len(latencies) * 99 // 100))
-    p99_ms = latencies[rank - 1] * 1e3
+    p99_ms = nearest_rank(sorted(latencies), 99) * 1e3
     benchmark.extra_info.update(counters)
     benchmark.extra_info["not_rejoined"] = len(not_rejoined)
     benchmark.extra_info["restarts"] = stats.restarts

@@ -16,7 +16,6 @@ The three claims the streaming layer gates in CI:
   and no reader ever errors.
 """
 
-import threading
 import time
 
 import pytest
@@ -138,8 +137,11 @@ def test_e20_kill_matrix(benchmark, batch_control, tmp_path_factory):
 def test_e20_freshness_soak(benchmark, batch_control, tmp_path):
     """Concurrent readers during paced multi-stream ingest: p95 freshness
     within the SLO, zero sheds, zero reader errors, identity preserved."""
+    import itertools
+
     from repro.library import DigitalLibraryEngine, LibrarySearchService, parse_query
-    from repro.streaming import StreamConfig, iter_chunks
+    from repro.sim import check_stream_row, run_clients
+    from repro.streaming import StreamConfig, feed_streams, iter_chunks
 
     path = tmp_path / "soak.json"
     slo_seconds = 2.0
@@ -150,75 +152,58 @@ def test_e20_freshness_soak(benchmark, batch_control, tmp_path):
     ingestor = service.ingestor(
         path=path, journal=IndexingJournal(tmp_path / "soak.journal"), config=config
     )
-
-    stop = threading.Event()
-    reader_errors: list[str] = []
-    served = [0]
-
-    def read_loop():
-        queries = [
+    queries = itertools.cycle(
+        [
             parse_query("SCENES WHERE event = net_play"),
             parse_query("SCENES WHERE player.handedness = left"),
         ]
-        i = 0
-        while not stop.is_set():
-            try:
-                service.search(queries[i % len(queries)])
-            except Exception as exc:  # noqa: BLE001 — any reader error fails the gate
-                reader_errors.append(f"{type(exc).__name__}: {exc}")
-                return
-            served[0] += 1
-            i += 1
-            time.sleep(0.001)
+    )
 
-    readers = [threading.Thread(target=read_loop, daemon=True) for _ in range(2)]
-    for thread in readers:
-        thread.start()
-
-    def run_soak():
+    def ingest(_client: int, n: int):
         # Streams complete one at a time: interleaved chunk commits would
         # interleave shot ids across videos and break byte identity with
         # the sequential batch control.  Readers stay concurrent — the
         # claim under test is ingest-while-queried, not cross-stream
         # commit interleaving (the CLI soak covers that).
-        for plan in dataset.video_plans[:N_VIDEOS]:
-            ingestor.open_stream(plan)
-            clip, _truth = plan.materialise()
-            for chunk in iter_chunks(
-                clip, CHUNK_FRAMES, stream=plan.name, clock=time.monotonic
-            ):
-                while ingestor.backlog(plan.name) >= config.queue_chunks - 1:
-                    time.sleep(0.005)
-                assert ingestor.offer(chunk)
-            assert ingestor.close_stream(plan.name)
-        assert ingestor.drain()
-        return ingestor.health()
+        if n == N_VIDEOS:
+            return None
+        plan = dataset.video_plans[n]
+        ingestor.open_stream(plan)
+        clip, _truth = plan.materialise()
+        chunks = iter_chunks(clip, CHUNK_FRAMES, stream=plan.name, clock=time.monotonic)
+        assert not feed_streams(ingestor, {plan.name: chunks})
+        assert ingestor.close_stream(plan.name)
+        return None, ()
 
-    health = benchmark.pedantic(run_soak, rounds=1, iterations=1)
-    stop.set()
-    for thread in readers:
-        thread.join(timeout=5.0)
+    def run_soak():
+        reader = (lambda: service.search(next(queries)), 0.001)
+        run = run_clients(ingest, 1, 600.0, background=[reader] * 2, join_slack=600.0)
+        assert ingestor.drain()
+        return run, ingestor.health()
+
+    run, health = benchmark.pedantic(run_soak, rounds=1, iterations=1)
 
     worst_p95 = max(
         row.freshness["p95"] for row in health.values() if row.freshness["p95"]
     )
     sheds = sum(row.lag_sheds for row in health.values())
     quarantined = sum(1 for row in health.values() if row.state != "done")
+    broken = [m for row in health.values() for m in check_stream_row(row, slo_seconds)]
     identical = path.read_bytes() == batch_control
     print_table(
         "E20: freshness soak (paced ingest under concurrent readers)",
         ["streams", "queries served", "worst p95 freshness", "sheds",
          "not done", "bytes identical"],
-        [[len(health), served[0], f"{worst_p95 * 1e3:.1f} ms", sheds,
+        [[len(health), sum(run.ticks), f"{worst_p95 * 1e3:.1f} ms", sheds,
           quarantined, identical]],
     )
     benchmark.extra_info["freshness_p95_ms"] = worst_p95 * 1e3
     benchmark.extra_info["freshness_slo_ms"] = slo_seconds * 1e3
     benchmark.extra_info["lag_sheds"] = sheds
     benchmark.extra_info["quarantined"] = quarantined
-    benchmark.extra_info["reader_errors"] = len(reader_errors)
+    benchmark.extra_info["reader_errors"] = len(run.violations)
     benchmark.extra_info["identity_mismatch"] = int(not identical)
-    assert worst_p95 <= slo_seconds, f"p95 freshness {worst_p95:.3f}s over SLO"
-    assert not reader_errors, reader_errors[:3]
+    assert not broken, broken
+    assert not run.violations, run.violations[:3]
     assert sheds == 0 and quarantined == 0
     assert identical

@@ -56,17 +56,10 @@ Subcommands::
         meta-data completeness (see repro.faults).
 
     repro fsck --metaindex META.json
-        Verify snapshot generations (checksum, format, column shape)
-        and journal consistency; exits non-zero with a readable report
-        when anything is corrupt.  Streaming chunk records are
-        deep-checked against the snapshot: per-stream commit seqs must
-        increase (gaps only where an orphaned chunk_begin explains
-        them), watermarks must be monotone, generations must increase,
-        and a chunk_commit ahead of the snapshot's resume state is
-        fatal; orphaned chunk_begin tails are reported as recoverable.
-        An ANN index built at an older generation than the journal's
-        last chunk commit is flagged stale (warning — ``search`` labels
-        such results ``ann_stale`` rather than hiding them).
+        Verify snapshot generations, the ANN tables and the journal,
+        and deep-check streaming chunk records against the snapshot
+        (:func:`repro.storage.fsck.fsck` states every check); prints
+        the report and exits non-zero when anything is fatal.
 
     repro stream --seed S --videos N --out META.json [--chunk-frames F]
         Crash-safe chunk-append ingest: replay the first N planned
@@ -79,13 +72,10 @@ Subcommands::
         freshness percentiles against the declared SLO.
 
     repro stream --soak --seconds S [--fault-mode M]
-        Streaming chaos soak: concurrent reader threads query the
-        service while the feeds are sabotaged (delayed / torn /
-        duplicated chunks) and one mid-stream kill is simulated and
-        recovered; asserts zero lost or duplicated shots (the final
-        catalog must be byte-identical to a batch-indexed control),
-        every degradation labeled, p95 freshness within the SLO and no
-        reader errors, exiting non-zero on any violation.
+        Streaming chaos soak (:func:`repro.sim.soak_stream`): readers
+        query while the feeds are sabotaged (delayed / torn / duplicated
+        chunks) and one stream is killed mid-commit and resumed; exits
+        non-zero on any invariant violation.
 
     repro query-stats --seed S --metaindex META.json "QUERY" ["QUERY"...]
         Serve the given queries (each --repeat times) through the
@@ -104,11 +94,9 @@ Subcommands::
         deadlines, admission control and the degradation ladder.
 
     repro serve-bench --soak --seconds S --fault-ms MS
-        Chaos soak: mixed reader threads, a concurrent writer and
-        injected per-stage latency faults for S seconds; asserts no
-        stuck threads, no unlabeled stale or degraded serving, bounded
-        generation lag and a bounded served p99, exiting non-zero on
-        any violation.
+        Chaos soak (:func:`repro.sim.soak_serving`): mixed readers, a
+        concurrent writer and injected per-stage latency for S seconds;
+        exits non-zero on any invariant violation.
 
     repro serve-sharded --shards N --replicas R --videos V --requests Q
         Scatter-gather driver: partition V videos across N replica
@@ -119,14 +107,10 @@ Subcommands::
         quarantine state, hedge/failover counts, per-replica rows).
 
     repro serve-sharded --soak --seconds S --fault-shard K --fault-mode M
-        Sharded chaos soak: concurrent clients against the coordinator
-        while shard K misbehaves (delay / error / kill /
-        stale_generation); asserts every answer carries a coverage
-        label, no unhandled exceptions, a bounded fan-out p99 and
-        post-fault recovery, exiting non-zero on any violation.  With
-        --replicas >= 2 and --fault-replica, a single-replica fault
-        must cost zero coverage and the killed replica must rejoin
-        rotation (per-replica health) before exit.
+        Sharded chaos soak (:func:`repro.sim.soak_sharded`): concurrent
+        clients while shard K (or, with --fault-replica, one replica of
+        it) misbehaves — delay / error / kill / stale_generation; exits
+        non-zero on any invariant violation.
 
     repro profile --target {e6,e9,all} --out DIR
         Profile the retrieval (packed top-N vs the pure-Python
@@ -141,6 +125,7 @@ All commands are deterministic in their seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -629,6 +614,15 @@ def _policy_from_args(args):
     )
 
 
+def _counts(engine) -> str:
+    """``N videos, N shots, N objects, N events`` of *engine*'s meta-index."""
+    counts = engine.indexer.model.counts()
+    return (
+        f"{counts['raw']} videos, {counts['feature']} shots, "
+        f"{counts['object']} objects, {counts['event']} events"
+    )
+
+
 def _cmd_figure1(_args) -> int:
     from repro.grammar.dot import figure_one
 
@@ -675,12 +669,8 @@ def _cmd_index(args) -> int:
         resume=args.resume,
         workers=args.workers,
     )
-    counts = engine.indexer.model.counts()
-    print(
-        f"saved {args.out}: {counts['raw']} videos, {counts['feature']} shots, "
-        f"{counts['object']} objects, {counts['event']} events"
-        + (f" ({len(records)} newly indexed)" if restored else "")
-    )
+    newly = f" ({len(records)} newly indexed)" if restored else ""
+    print(f"saved {args.out}: {_counts(engine)}{newly}")
     return 0
 
 
@@ -887,288 +877,19 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _verify_chunk_records(report, metaindex) -> tuple[list[str], list[str]]:
-    """Deep-check streaming chunk records against the snapshot.
-
-    Returns ``(problems, lines)``: fatal inconsistencies (a committed
-    chunk the snapshot does not cover, regressed watermarks, unexplained
-    seq gaps) and human-readable report lines.  Orphaned ``chunk_begin``
-    tails are *recoverable* — they appear in the lines, never in the
-    problems.  Generation is a per-process counter, so a non-increasing
-    generation across commits marks a crash-resume epoch boundary
-    (reported as "N resume(s)"), not a fault.
-    """
-    from repro.library.persistence import catalog_to_model, load_stream_state
-    from repro.storage.persist import load_catalog
-
-    problems: list[str] = []
-    lines: list[str] = []
-    if not report.chunk_commits and not report.orphan_chunks:
-        return problems, lines
-    try:
-        states = load_stream_state(metaindex)
-        names = {v.name for v in catalog_to_model(load_catalog(metaindex)).videos}
-    except (ValueError, FileNotFoundError):
-        states, names = {}, None
-
-    for stream in sorted(report.chunk_commits):
-        commits = report.chunk_commits[stream]
-        orphans = set(report.orphan_chunks.get(stream, []))
-        last_seq = last_watermark = last_generation = None
-        restarts = 0
-        for record in commits:
-            seq = int(record["seq"])
-            watermark = int(record["watermark"])
-            generation = int(record["generation"])
-            if last_seq is not None:
-                if seq <= last_seq:
-                    problems.append(
-                        f"stream {stream!r}: chunk seq {seq} not increasing "
-                        f"after {last_seq}"
-                    )
-                else:
-                    # A committed-seq gap is legal only when the missing
-                    # seqs died in flight (crash between snapshot save
-                    # and commit append) and left begin records behind.
-                    unexplained = [
-                        s for s in range(last_seq + 1, seq) if s not in orphans
-                    ]
-                    if unexplained:
-                        problems.append(
-                            f"stream {stream!r}: committed seq jumps "
-                            f"{last_seq}->{seq} with no begin record for "
-                            f"seq(s) {unexplained}"
-                        )
-                if watermark < last_watermark:
-                    problems.append(
-                        f"stream {stream!r}: watermark regressed "
-                        f"{last_watermark}->{watermark} at seq {seq}"
-                    )
-                if generation <= last_generation:
-                    # The generation counter is per process, so a
-                    # non-increasing generation across a seq boundary is
-                    # the signature of a crash-resume restart (the new
-                    # epoch's counter starts over and may land at or
-                    # below the old one).
-                    restarts += 1
-            last_seq, last_watermark, last_generation = seq, watermark, generation
-
-        line = (
-            f"  stream {stream}: {len(commits)} committed chunk(s), "
-            f"watermark {last_watermark}"
-        )
-        if restarts:
-            line += f", {restarts} resume(s)"
-        state = states.get(stream)
-        if state is not None:
-            if int(state["watermark"]) < last_watermark:
-                # chunk_commit promises the snapshot covers everything
-                # below its watermark; a resume state behind that lost
-                # committed frames.
-                problems.append(
-                    f"stream {stream!r}: snapshot resume state (watermark "
-                    f"{state['watermark']}) is behind the last committed "
-                    f"chunk (watermark {last_watermark})"
-                )
-            line += f", in flight (resumes at {state['watermark']})"
-        elif names is not None and stream not in names:
-            problems.append(
-                f"stream {stream!r}: committed chunks but the snapshot has "
-                "neither its video nor its resume state"
-            )
-        else:
-            line += ", finalised"
-        lines.append(line)
-
-    for stream in sorted(report.orphan_chunks):
-        if stream not in report.chunk_commits:
-            lines.append(f"  stream {stream}: no committed chunks yet")
-        seqs = report.orphan_chunks[stream]
-        lines.append(
-            f"  stream {stream}: orphaned chunk_begin seq(s) "
-            f"{', '.join(map(str, seqs))} — in flight at a crash; "
-            "recoverable, resume replays from the snapshot watermark"
-        )
-    return problems, lines
-
-
 def _cmd_fsck(args) -> int:
-    from pathlib import Path
+    from repro.storage.fsck import fsck
 
-    from repro.library.indexing import default_journal_path
-    from repro.library.persistence import catalog_to_model
-    from repro.storage.journal import IndexingJournal
-    from repro.storage.persist import (
-        load_catalog,
-        snapshot_generations,
-        verify_snapshot,
-    )
-
-    problems: list[str] = []
-    current, prev = snapshot_generations(args.metaindex)
-
-    def describe(report) -> str:
-        if report.ok:
-            return (
-                f"OK (v{report.version}, checksum ok, "
-                f"{report.n_tables} tables, {report.n_rows} rows)"
-            )
-        return f"CORRUPT — {report.error}"
-
-    current_report = verify_snapshot(current)
-    print(f"{current.name}: {describe(current_report)}")
-    if not current_report.ok:
-        problems.append(f"current snapshot: {current_report.error}")
-    if prev.exists():
-        prev_report = verify_snapshot(prev)
-        print(f"{prev.name}: {describe(prev_report)}")
-        if not current_report.ok and prev_report.ok:
-            print(f"recovery: load_catalog falls back to {prev.name}")
-        if not current_report.ok and not prev_report.ok:
-            problems.append(f"previous snapshot: {prev_report.error}")
-    elif not current_report.ok:
-        problems.append("no previous generation to fall back to")
-
-    ann_generation = None
-    if current_report.ok or (prev.exists() and verify_snapshot(prev).ok):
-        from repro.ir.ann import AnnSnapshotError, has_ann_tables, load_ann_from_catalog
-
-        try:
-            catalog = load_catalog(args.metaindex)
-        except (ValueError, FileNotFoundError):
-            catalog = None
-        if catalog is not None and has_ann_tables(catalog):
-            try:
-                index, _meta = load_ann_from_catalog(catalog)
-                print(
-                    f"ann: OK ({index.n_vectors} vectors, {index.n_cells} cells, "
-                    f"checksums ok)"
-                )
-                ann_generation = index.generation
-            except AnnSnapshotError as exc:
-                print(f"ann: CORRUPT — {exc}")
-                problems.append(f"ann snapshot: {exc}")
-
-    journal_path = Path(args.journal or default_journal_path(args.metaindex))
-    if journal_path.exists():
-        report = IndexingJournal(journal_path).verify()
-        line = (
-            f"{journal_path.name}: {len(report.records)} record(s), "
-            f"{len(report.committed)} committed"
-        )
-        if report.torn_tail:
-            line += ", torn tail (recoverable with --resume)"
-            problems.append("journal has a torn final line")
-        if report.corrupt_lines:
-            line += f", CORRUPT line(s) {report.corrupt_lines}"
-            problems.append(f"journal line(s) {report.corrupt_lines} unparseable")
-        if report.interrupted:
-            line += f", interrupted: {', '.join(report.interrupted)}"
-            problems.append(
-                f"video(s) {', '.join(report.interrupted)} began but never committed"
-            )
+    report = fsck(args.metaindex, args.journal)
+    for line in report.lines:
         print(line)
-        try:
-            model = catalog_to_model(load_catalog(args.metaindex))
-            names = {video.name for video in model.videos}
-            missing = sorted(set(report.committed) - names)
-            if missing:
-                problems.append(
-                    f"committed video(s) missing from snapshot: {', '.join(missing)}"
-                )
-                print(f"cross-check: committed but not in snapshot: {', '.join(missing)}")
-        except (ValueError, FileNotFoundError):
-            pass  # already reported above
-        chunk_problems, chunk_lines = _verify_chunk_records(report, args.metaindex)
-        for chunk_line in chunk_lines:
-            print(chunk_line)
-        problems.extend(chunk_problems)
-        if ann_generation is not None and ann_generation >= 0:
-            last_gen = max(
-                (
-                    int(record["generation"])
-                    for records in report.chunk_commits.values()
-                    for record in records
-                ),
-                default=None,
-            )
-            if last_gen is not None and last_gen > ann_generation:
-                print(
-                    f"ann: STALE — built at generation {ann_generation}, chunk "
-                    f"commits reach generation {last_gen}; search labels such "
-                    "results ann_stale (rebuild with 'repro ann-build')"
-                )
-    else:
-        print(f"{journal_path.name}: no journal")
-
-    if problems:
-        print(f"fsck: {len(problems)} problem(s) found")
-        for problem in problems:
+    if report.problems:
+        print(f"fsck: {len(report.problems)} problem(s) found")
+        for problem in report.problems:
             print(f"  - {problem}")
         return 1
     print("fsck: clean")
     return 0
-
-
-def _stream_health_lines(health) -> list[str]:
-    """Readable per-stream rows from :meth:`StreamIngestor.health`."""
-    lines = []
-    for name, row in health.items():
-        p95 = row.freshness.get("p95")
-        fresh = (
-            f"p95 freshness {p95 * 1e3:.1f} ms (slo {row.freshness_slo * 1e3:.0f} ms)"
-            if p95 is not None
-            else "no freshness samples"
-        )
-        flags = []
-        if row.lag_sheds:
-            flags.append(f"lag_sheds={row.lag_sheds} ({row.shed_frames} frames)")
-        if row.duplicates_dropped:
-            flags.append(f"duplicates_dropped={row.duplicates_dropped}")
-        if row.degraded_freshness:
-            flags.append("degraded_freshness")
-        if row.last_error:
-            flags.append(f"error: {row.last_error}")
-        suffix = f"  [{', '.join(flags)}]" if flags else ""
-        lines.append(
-            f"  {name}: {row.state}, {row.chunks_committed} chunk(s), "
-            f"{row.shots} shot(s), watermark {row.watermark}, {fresh}{suffix}"
-        )
-    return lines
-
-
-def _feed_streams(ingestor, feeds, mangle=None) -> set:
-    """Round-robin chunk feeds into the ingestor with flow control.
-
-    The producer paces on :meth:`StreamIngestor.backlog` so a healthy
-    run never sheds; *mangle* (a ``StreamFaultState.mangle``) sabotages
-    each chunk on the way in.  Returns the streams whose offer was
-    refused (quarantined or closed mid-feed).
-    """
-    import time
-
-    refused = set()
-    active = dict(feeds)
-    while active:
-        for name in list(active):
-            chunk = next(active[name], None)
-            if chunk is None:
-                del active[name]
-                continue
-            parts = mangle(chunk) if mangle is not None else [chunk]
-            for part in parts:
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    if ingestor.health()[name].state != "live":
-                        break  # quarantined/done: offer below will refuse
-                    if ingestor.backlog(name) < ingestor.config.queue_chunks - 1:
-                        break
-                    time.sleep(0.005)
-                if not ingestor.offer(part):
-                    refused.add(name)
-                    del active[name]
-                    break
-    return refused
 
 
 def _cmd_stream(args) -> int:
@@ -1184,7 +905,12 @@ def _cmd_stream(args) -> int:
     from repro.library.indexing import default_journal_path
     from repro.library.service import format_query_stats
     from repro.storage.journal import IndexingJournal
-    from repro.streaming import StreamConfig, iter_chunks
+    from repro.streaming import (
+        StreamConfig,
+        feed_streams,
+        format_stream_health,
+        iter_chunks,
+    )
 
     dataset = build_australian_open(seed=args.seed)
     engine = DigitalLibraryEngine(dataset)
@@ -1233,16 +959,12 @@ def _cmd_stream(args) -> int:
             f"{args.chunk_frames}-frame chunks"
             + (f", resuming at frame {start}" if resume else "")
         )
-    refused = _feed_streams(ingestor, feeds)
+    refused = feed_streams(ingestor, feeds)
     drained = ingestor.drain()
     health = ingestor.health()
-    for line in _stream_health_lines(health):
+    for line in format_stream_health(health):
         print(line)
-    counts = engine.indexer.model.counts()
-    print(
-        f"saved {args.out}: {counts['raw']} videos, {counts['feature']} shots, "
-        f"{counts['object']} objects, {counts['event']} events"
-    )
+    print(f"saved {args.out}: {_counts(engine)}")
     print()
     print(format_query_stats(service.stats()))
     quarantined = sorted(
@@ -1258,258 +980,29 @@ def _cmd_stream(args) -> int:
 
 
 def _stream_soak(args) -> int:
-    """Streaming chaos soak: chunk faults + readers + a kill drill.
+    """``stream --soak``: chunk faults + readers + a kill drill (exit 1 on any violation)."""
+    from repro.faults import FaultPlan, StreamFaultSpec
+    from repro.sim import soak_stream
+    from repro.streaming import StreamConfig
 
-    Invariants asserted (exit 1 on any violation): chaos streams finish,
-    every shed/gap is labeled ``degraded_freshness``, duplicated chunks
-    dedupe instead of double-indexing, p95 freshness stays within the
-    SLO, concurrent readers never error, the killed stream resumes from
-    its committed watermark, and the final snapshot is byte-identical
-    to a batch-indexed control (zero lost or duplicated shots).
-    """
-    import tempfile
-    import threading
-    import time
-    from pathlib import Path
-
-    from repro.dataset import build_australian_open
-    from repro.faults import StreamFaultPlan
-    from repro.library import DigitalLibraryEngine, LibrarySearchService, parse_query
-    from repro.storage.journal import IndexingJournal
-    from repro.streaming import StreamConfig, iter_chunks
-
-    violations: list[str] = []
-    deadline = time.monotonic() + max(args.seconds, 1.0)
-
-    with tempfile.TemporaryDirectory(prefix="repro-stream-soak-") as tmp:
-        streamed_path = Path(tmp) / "streamed.json"
-        batch_path = Path(tmp) / "batch.json"
-
-        # The identity oracle: the same videos, batch-indexed.
-        control = DigitalLibraryEngine(build_australian_open(seed=args.seed))
-        control.indexer.index_checkpointed(
-            batch_path,
-            journal=IndexingJournal(Path(tmp) / "batch.journal"),
-            limit=args.videos,
+    sabotage = [] if args.fault_mode == "none" else [
+        StreamFaultSpec(
+            mode=args.fault_mode, delay_seconds=args.fault_delay_ms / 1e3, times=None
         )
-
-        dataset = build_australian_open(seed=args.seed)
-        engine = DigitalLibraryEngine(dataset)
-        service = LibrarySearchService(engine)
-        journal = IndexingJournal(Path(tmp) / "streamed.journal")
-        config = StreamConfig(
+    ]
+    run = soak_stream(
+        args.seed,
+        args.videos,
+        chunk_frames=args.chunk_frames,
+        config=StreamConfig(
             queue_chunks=args.queue_chunks, freshness_slo=args.slo_ms / 1e3
-        )
-        ingestor = service.ingestor(path=streamed_path, journal=journal, config=config)
-
-        plans = dataset.video_plans[: args.videos]
-        victim = plans[-1]
-        chaos_plans = plans[:-1]
-        chaos = None
-        if args.fault_mode != "none":
-            chaos = {
-                "delay": StreamFaultPlan.late(args.fault_delay_ms / 1e3),
-                "torn": StreamFaultPlan.torn(),
-                "duplicate": StreamFaultPlan.duplicated(),
-            }[args.fault_mode].state()
-
-        stop = threading.Event()
-        reader_errors: list[str] = []
-        served = [0]
-
-        def read_loop():
-            parsed = [
-                parse_query("SCENES WHERE event = net_play"),
-                parse_query("SCENES WHERE player.handedness = left"),
-            ]
-            i = 0
-            while not stop.is_set():
-                try:
-                    service.search(parsed[i % len(parsed)])
-                except Exception as exc:  # noqa: BLE001 — any reader error fails the soak
-                    reader_errors.append(f"{type(exc).__name__}: {exc}")
-                    return
-                served[0] += 1
-                i += 1
-                time.sleep(0.002)
-
-        reader_threads = [
-            threading.Thread(target=read_loop, daemon=True)
-            for _ in range(max(args.readers, 1))
-        ]
-        for thread in reader_threads:
-            thread.start()
-
-        # Chaos phase: concurrent sabotaged streams.  The first chunk of
-        # each stream lands in plan order so video rows match the batch
-        # control (the identity gate compares snapshot bytes).
-        feeds = {}
-        for plan in chaos_plans:
-            ingestor.open_stream(plan)
-            clip, _truth = plan.materialise()
-            feeds[plan.name] = iter_chunks(
-                clip, args.chunk_frames, stream=plan.name, clock=time.monotonic
-            )
-            first = next(feeds[plan.name])
-            for part in chaos.mangle(first) if chaos is not None else [first]:
-                ingestor.offer(part)
-            while (
-                plan.name not in engine.indexer.indexed
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
-        refused = _feed_streams(
-            ingestor, feeds, mangle=chaos.mangle if chaos is not None else None
-        )
-        for plan in chaos_plans:
-            budget = max(5.0, deadline - time.monotonic())
-            if not ingestor.close_stream(plan.name, timeout=budget):
-                violations.append(f"stream {plan.name}: failed to drain")
-        if refused:
-            violations.append(f"chaos feed refused for {sorted(refused)}")
-
-        # Kill drill: sabotage the last stream with a simulated crash at
-        # the chosen commit-protocol point, mid-stream.  The consumer
-        # thread dies where it stood — expected, so its traceback is
-        # silenced here.
-        from repro.storage.crashpoints import SimulatedCrash
-
-        clip, _truth = victim.materialise()
-        kill = StreamFaultPlan.killed(
-            point=args.kill_point, stream=victim.name, after=1
-        )
-        default_hook = threading.excepthook
-
-        def quiet_hook(hook_args):
-            if not issubclass(hook_args.exc_type, SimulatedCrash):
-                default_hook(hook_args)
-
-        threading.excepthook = quiet_hook
-        try:
-            with kill.state() as killer:
-                ingestor.open_stream(victim)
-                _feed_streams(
-                    ingestor,
-                    {
-                        victim.name: iter_chunks(
-                            clip, args.chunk_frames, stream=victim.name,
-                            clock=time.monotonic,
-                        )
-                    },
-                    mangle=killer.mangle,
-                )
-                waited = time.monotonic()
-                while (
-                    ingestor.health()[victim.name].state == "live"
-                    and time.monotonic() - waited < 30.0
-                ):
-                    time.sleep(0.01)
-        finally:
-            threading.excepthook = default_hook
-        stop.set()
-        for thread in reader_threads:
-            thread.join(timeout=5.0)
-
-        health = ingestor.health()
-        victim_row = health[victim.name]
-        if victim_row.state != "quarantined":
-            violations.append(
-                f"kill drill: victim ended {victim_row.state!r}, expected quarantined"
-            )
-
-        # Recovery: a fresh "process" restores the snapshot and resumes
-        # the killed stream from its committed watermark.
-        engine2 = DigitalLibraryEngine(build_australian_open(seed=args.seed))
-        service2 = LibrarySearchService(engine2)
-        engine2.indexer.restore_snapshot(streamed_path)
-        states = dict(engine2.indexer.stream_states)
-        recovered_row = None
-        if victim.name not in states:
-            violations.append("recovery: snapshot lost the killed stream's resume state")
-        else:
-            ingestor2 = service2.ingestor(
-                path=streamed_path, journal=journal, config=config
-            )
-            ingestor2.open_stream(victim, resume=True)
-            start = int(states[victim.name]["watermark"])
-            _feed_streams(
-                ingestor2,
-                {
-                    victim.name: iter_chunks(
-                        clip, args.chunk_frames, stream=victim.name,
-                        start=start, clock=time.monotonic,
-                    )
-                },
-            )
-            if not ingestor2.drain():
-                violations.append("recovery: resumed stream failed to drain")
-            recovered_row = ingestor2.health()[victim.name]
-            if recovered_row.state != "done":
-                violations.append(
-                    f"recovery: resumed stream ended {recovered_row.state!r} "
-                    f"({recovered_row.last_error})"
-                )
-
-        # Invariants over the chaos streams.
-        for name, row in health.items():
-            if name == victim.name:
-                continue
-            if row.state != "done":
-                violations.append(
-                    f"stream {name}: ended {row.state!r} ({row.last_error})"
-                )
-            if (row.lag_sheds or row.shed_frames) and not row.degraded_freshness:
-                violations.append(f"stream {name}: sheds without a degraded label")
-            if row.lag_sheds:
-                violations.append(
-                    f"stream {name}: paced feed still shed {row.lag_sheds} chunk(s)"
-                )
-            p95 = row.freshness.get("p95")
-            if p95 is not None and p95 > config.freshness_slo:
-                violations.append(
-                    f"stream {name}: p95 freshness {p95 * 1e3:.1f} ms over the "
-                    f"{config.freshness_slo * 1e3:.0f} ms SLO"
-                )
-        if args.fault_mode == "duplicate" and chaos_plans:
-            if not any(
-                row.duplicates_dropped
-                for name, row in health.items()
-                if name != victim.name
-            ):
-                violations.append("duplicate faults injected but nothing deduped")
-        if reader_errors:
-            violations.append(
-                f"readers: {len(reader_errors)} error(s), first: {reader_errors[0]}"
-            )
-
-        # The zero-lost/zero-duplicated-shots gate: after chaos + kill +
-        # resume, the streamed snapshot must match the batch control
-        # byte for byte.
-        if streamed_path.read_bytes() != batch_path.read_bytes():
-            violations.append(
-                "identity: final streamed snapshot differs from the batch control"
-            )
-
-        print(
-            f"soak: {len(chaos_plans)} chaos stream(s) [{args.fault_mode}], "
-            f"kill drill on {victim.name} at {args.kill_point}, "
-            f"{served[0]} queries by {len(reader_threads)} reader(s)"
-        )
-        for line in _stream_health_lines(health):
-            print(line)
-        if recovered_row is not None:
-            for line in _stream_health_lines({victim.name: recovered_row}):
-                print(f"  (recovered){line}")
-        if not violations:
-            print("identity: final snapshot byte-identical to the batch control")
-
-    if violations:
-        print(f"soak: {len(violations)} violation(s)")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print("soak: all invariants held")
-    return 0
+        ),
+        readers=args.readers,
+        sabotage=FaultPlan(sabotage),
+        kill_point=args.kill_point,
+        seconds=args.seconds,
+    )
+    return _soak_exit(run, "soak: all invariants held")
 
 
 def _cmd_query_stats(args) -> int:
@@ -1544,21 +1037,16 @@ def _cmd_query_stats(args) -> int:
     return 0
 
 
-def _sharded_query_stats(args) -> int:
-    """``query-stats --shards N``: serve through shard workers, report."""
+@contextlib.contextmanager
+def _shard_fleet(args):
+    """The ``--shards N`` fleet of ``query-stats`` / ``health``, ``--videos`` ingested."""
     from repro.dataset.build import build_australian_open
-    from repro.library import parse_query
-    from repro.library.sharding import (
-        ShardedSearchService,
-        ShardingConfig,
-        format_sharded_stats,
-    )
+    from repro.library.sharding import ShardedSearchService, ShardingConfig
 
     dataset = build_australian_open(seed=args.seed)
     names = [plan.name for plan in dataset.video_plans[: args.videos]]
     config = ShardingConfig(n_shards=args.shards, replication=args.replicas)
-    queries = [parse_query(text) for text in args.queries]
-    chunked = getattr(args, "chunk_frames", None)
+    chunked = args.chunk_frames
     initial = [] if chunked else names
     with ShardedSearchService(initial, seed=args.seed, config=config) as service:
         if chunked:
@@ -1567,6 +1055,16 @@ def _sharded_query_stats(args) -> int:
             print(
                 f"streamed {len(names)} video(s) in {chunked}-frame chunks: {status}"
             )
+        yield service
+
+
+def _sharded_query_stats(args) -> int:
+    """``query-stats --shards N``: serve through shard workers, report."""
+    from repro.library import parse_query
+    from repro.library.sharding import format_sharded_stats
+
+    queries = [parse_query(text) for text in args.queries]
+    with _shard_fleet(args) as service:
         for text, query in zip(args.queries, queries):
             for _ in range(max(args.repeat, 1)):
                 served = service.search(query)
@@ -1583,16 +1081,15 @@ def _sharded_query_stats(args) -> int:
 
 def _cmd_serve_bench(args) -> int:
     import time
-    from concurrent.futures import ThreadPoolExecutor
 
     from repro.dataset import build_australian_open
     from repro.library import (
         DigitalLibraryEngine,
-        LibraryQuery,
         LibrarySearchService,
         ResilienceConfig,
     )
     from repro.library.service import format_query_stats
+    from repro.sim import query_mix
 
     dataset = build_australian_open(seed=args.seed)
     engine = DigitalLibraryEngine(dataset)
@@ -1614,17 +1111,10 @@ def _cmd_serve_bench(args) -> int:
         service.index_plan(plan)
     print(f"indexed {args.videos} video(s); generation {service.generation}")
 
-    mix = [
-        LibraryQuery(top_n=100),
-        LibraryQuery(event="rally"),
-        LibraryQuery(event="net_play", text="approach the net"),
-        LibraryQuery(player={"gender": "female"}, event="service"),
-        LibraryQuery(sequence=("service", "rally"), within=500),
-        LibraryQuery(text="champion wins in straight sets"),
-    ]
-
     if args.soak:
-        return _run_soak(args, dataset, engine, service, mix, budget_ms)
+        return _run_soak(args, dataset, service, budget_ms)
+
+    mix = query_mix()
 
     def run_pass(bypass_cache: bool) -> float:
         started = time.perf_counter()
@@ -1641,48 +1131,86 @@ def _cmd_serve_bench(args) -> int:
         f"warm latency {warm * 1e3:.3f} ms/query, speedup {speedup:.1f}x"
     )
 
-    def reader(reader_id: int) -> int:
-        for step in range(args.requests):
-            service.search(mix[(reader_id + step) % len(mix)])
-        return args.requests
-
-    started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        served = sum(pool.map(reader, range(args.threads)))
-    elapsed = time.perf_counter() - started
-    print(
-        f"{args.threads} reader(s) x {args.requests} request(s): "
-        f"{served / elapsed:.0f} queries/s over {elapsed:.2f}s"
-    )
+    _throughput(service, mix, args, "reader")
     print()
     print(format_query_stats(service.stats()))
     return 0
 
 
-def _query_mix():
-    """The fixed serving mix every driver reuses."""
-    from repro.library import LibraryQuery
+def _throughput(service, mix, args, who: str) -> None:
+    """``--threads`` clients x ``--requests`` searches each; prints the rate."""
+    import time
+    from concurrent.futures import ThreadPoolExecutor
 
-    return [
-        LibraryQuery(top_n=100),
-        LibraryQuery(event="rally"),
-        LibraryQuery(event="net_play", text="approach the net"),
-        LibraryQuery(player={"gender": "female"}, event="service"),
-        LibraryQuery(sequence=("service", "rally"), within=500),
-        LibraryQuery(text="champion wins in straight sets"),
-    ]
+    def client(client_id: int) -> int:
+        for step in range(args.requests):
+            service.search(mix[(client_id + step) % len(mix)])
+        return args.requests
+
+    started = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        served = sum(pool.map(client, range(args.threads)))
+    elapsed = time.perf_counter() - started
+    print(
+        f"{args.threads} {who}(s) x {args.requests} request(s): "
+        f"{served / elapsed:.0f} queries/s over {elapsed:.2f}s"
+    )
+
+
+def _soak_exit(run, passed: str) -> int:
+    """Print a soak's report and verdict; the exit code."""
+    for line in run.lines:
+        print(line)
+    if run.violations:
+        print(f"{len(run.violations)} invariant violation(s):")
+        for violation in run.violations[:20]:
+            print(f"  {violation}")
+        return 1
+    print(passed)
+    return 0
+
+
+def _run_soak(args, dataset, service, budget_ms: float) -> int:
+    """``serve-bench --soak``: readers + a writer + injected stage latency."""
+    from repro.faults import FaultPlan, QueryFaultInjector, QueryFaultSpec
+    from repro.sim import soak_serving
+
+    faults = []
+    if args.fault_ms > 0:
+        faults.append(
+            QueryFaultSpec(
+                args.fault_stage,
+                latency_seconds=args.fault_ms / 1e3,
+                jitter_seconds=args.fault_ms / 4e3,
+                jitter_seed=args.seed,
+            )
+        )
+        print(f"injecting {args.fault_ms:.0f} ms latency into {args.fault_stage!r}")
+    with QueryFaultInjector(FaultPlan(faults), service.engine).install():
+        run = soak_serving(
+            service,
+            dataset.video_plans[args.videos:],
+            threads=args.threads,
+            seconds=args.seconds,
+            p99_bound_ms=args.p99_ms if args.p99_ms is not None else 2.0 * budget_ms,
+            join_slack=5.0 + args.fault_ms / 1e3,
+        )
+    return _soak_exit(
+        run, "soak passed: no stuck threads, no unlabeled results, p99 within bound"
+    )
 
 
 def _cmd_serve_sharded(args) -> int:
     import time
 
     from repro.dataset.build import build_australian_open
-    from repro.faults import ShardFaultPlan, ShardFaultSpec
+    from repro.faults import FaultPlan, ShardFaultSpec
     from repro.library.sharding import (
         ShardedSearchService,
         ShardingConfig,
         format_sharded_stats,
     )
+    from repro.sim import query_mix, soak_sharded
 
     dataset = build_australian_open(seed=args.seed)
     names = [plan.name for plan in dataset.video_plans[: args.videos]]
@@ -1695,19 +1223,15 @@ def _cmd_serve_sharded(args) -> int:
         quarantine_cooldown=0.3,
         probe_interval=0.1,
     )
-    fault_plan = None
+    fault = None
     if args.soak and args.fault_shard is not None:
-        fault_plan = ShardFaultPlan(
-            specs=(
-                ShardFaultSpec(
-                    shard=args.fault_shard,
-                    mode=args.fault_mode,
-                    after=args.fault_after,
-                    delay_seconds=args.fault_ms / 1e3,
-                    times=1 if args.fault_mode == "kill" else None,
-                    replica=args.fault_replica,
-                ),
-            )
+        fault = ShardFaultSpec(
+            shard=args.fault_shard,
+            mode=args.fault_mode,
+            after=args.fault_after,
+            delay_seconds=args.fault_ms / 1e3,
+            times=1 if args.fault_mode == "kill" else None,
+            replica=args.fault_replica,
         )
         target = f"shard {args.fault_shard}"
         if args.fault_replica is not None:
@@ -1719,7 +1243,10 @@ def _cmd_serve_sharded(args) -> int:
 
     started = time.perf_counter()
     with ShardedSearchService(
-        names, seed=args.seed, config=config, fault_plan=fault_plan
+        names,
+        seed=args.seed,
+        config=config,
+        fault_plan=FaultPlan([fault]) if fault is not None else None,
     ) as service:
         print(
             f"{args.shards} shard(s) x {args.replicas} replica(s) up in "
@@ -1727,9 +1254,22 @@ def _cmd_serve_sharded(args) -> int:
             f"generation vector {list(service.generations)}"
         )
         if args.soak:
-            return _run_sharded_soak(args, service)
+            run = soak_sharded(
+                service,
+                threads=args.threads,
+                seconds=args.seconds,
+                p99_bound_ms=(
+                    args.p99_ms if args.p99_ms is not None else 2.0 * args.budget_ms
+                ),
+                fault=fault,
+            )
+            return _soak_exit(
+                run,
+                "soak passed: every answer coverage-labeled, no unhandled "
+                "exceptions, p99 within bound",
+            )
 
-        mix = _query_mix()
+        mix = query_mix()
         for query in mix:
             service.search(query, bypass_cache=True)  # cold pass
         cold = time.perf_counter()
@@ -1737,320 +1277,16 @@ def _cmd_serve_sharded(args) -> int:
             service.search(query)
         print(f"cold pass done; warm pass {(time.perf_counter() - cold) * 1e3:.1f} ms")
 
-        from concurrent.futures import ThreadPoolExecutor
-
-        def client(client_id: int) -> int:
-            for step in range(args.requests):
-                service.search(mix[(client_id + step) % len(mix)])
-            return args.requests
-
-        started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            served = sum(pool.map(client, range(args.threads)))
-        elapsed = time.perf_counter() - started
-        print(
-            f"{args.threads} client(s) x {args.requests} request(s): "
-            f"{served / elapsed:.0f} queries/s over {elapsed:.2f}s"
-        )
+        _throughput(service, mix, args, "client")
         print()
         print(format_sharded_stats(service.stats()))
-    return 0
-
-
-def _run_sharded_soak(args, service) -> int:
-    """Sharded chaos soak: concurrent clients while a shard misbehaves.
-
-    Asserts the scatter-gather invariants for the whole run — every
-    answer carries a full coverage label (k/N with k+missing == N), no
-    unhandled exceptions, rejected answers are empty, partial answers
-    only under injected faults, a bounded fan-out p99, and (with a
-    recoverable fault) full coverage again by the end — and exits
-    non-zero listing every violation.
-
-    With ``--replicas >= 2`` and a replica-addressed fault
-    (``--fault-replica``), the availability bar rises: a single-replica
-    failure must cost *zero* coverage (any partial or rejected answer
-    is a violation — the E18 guarantee), and every replica must be back
-    in rotation (verified via per-replica health) before the harness
-    exits.
-    """
-    import threading
-    import time
-
-    from repro.library.sharding import format_sharded_stats
-
-    p99_bound_ms = args.p99_ms if args.p99_ms is not None else 2.0 * args.budget_ms
-    single_replica_fault = (
-        args.fault_shard is not None
-        and getattr(args, "fault_replica", None) is not None
-        and args.replicas >= 2
-    )
-    mix = _query_mix()
-    deadline_t = time.monotonic() + args.seconds
-    violations: list[str] = []
-    latencies: list[list[float]] = [[] for _ in range(args.threads)]
-    requests = [0] * args.threads
-    last_coverage = [None] * args.threads
-
-    def client(client_id: int) -> None:
-        step = 0
-        while time.monotonic() < deadline_t:
-            query = mix[(client_id + step) % len(mix)]
-            step += 1
-            try:
-                served = service.search(query, bypass_cache=(step % 3 == 0))
-            except Exception as exc:
-                violations.append(f"client {client_id}: unhandled {exc!r}")
-                continue
-            requests[client_id] += 1
-            coverage = served.coverage
-            if coverage is None or coverage.total != args.shards:
-                violations.append(
-                    f"client {client_id}: unlabeled partial result "
-                    f"(coverage {coverage!r})"
-                )
-            elif sorted(coverage.responded + coverage.missing) != list(
-                range(args.shards)
-            ):
-                violations.append(
-                    f"client {client_id}: coverage does not partition the "
-                    f"shards ({coverage!r})"
-                )
-            if served.rejected and served.results:
-                violations.append(f"client {client_id}: rejected result with scenes")
-            if not coverage.complete and args.fault_shard is None:
-                violations.append(
-                    f"client {client_id}: partial coverage {coverage.label} "
-                    "with no fault injected"
-                )
-            if single_replica_fault and (not coverage.complete or served.rejected):
-                violations.append(
-                    f"client {client_id}: coverage loss ({served.status}, "
-                    f"{coverage.label}) under a single-replica fault with "
-                    f"{args.replicas} replicas"
-                )
-            last_coverage[client_id] = coverage
-            if not served.rejected:
-                latencies[client_id].append(served.seconds)
-
-    threads = [
-        threading.Thread(target=client, args=(i,), name=f"soak-client-{i}", daemon=True)
-        for i in range(args.threads)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=max(0.0, deadline_t - time.monotonic()) + 30.0)
-    stuck = [thread.name for thread in threads if thread.is_alive()]
-    if stuck:
-        violations.append(f"stuck threads after deadline: {', '.join(stuck)}")
-    elapsed = time.perf_counter() - started
-
-    # Recovery: after the soak, a fresh fan-out must see every shard
-    # (kill faults land once and the prober respawns; delay/error
-    # faults quarantine, and half-open probes re-admit the shard).
-    if args.fault_shard is not None and args.fault_mode in ("kill", "delay"):
-        recovered = False
-        recovery_deadline = time.monotonic() + 60.0
-        while time.monotonic() < recovery_deadline:
-            served = service.search(mix[0], bypass_cache=True)
-            if served.coverage.complete:
-                recovered = True
-                break
-            time.sleep(0.2)
-        if not recovered:
-            violations.append(
-                f"shard {args.fault_shard} never recovered after the soak"
-            )
-
-    # Rejoin: with replication, every replica — including the killed
-    # one — must be back in rotation, verified via per-replica health.
-    if args.replicas >= 2 and args.fault_shard is not None:
-        rejoined = False
-        rejoin_deadline = time.monotonic() + 60.0
-        while time.monotonic() < rejoin_deadline:
-            rows = service.stats().shards
-            if all(
-                rep.alive and rep.in_rotation
-                for row in rows
-                for rep in row.replicas
-            ):
-                rejoined = True
-                break
-            time.sleep(0.2)
-        if not rejoined:
-            out = [
-                f"{row.shard}.{rep.replica}"
-                for row in service.stats().shards
-                for rep in row.replicas
-                if not (rep.alive and rep.in_rotation)
-            ]
-            violations.append(
-                f"replica(s) never rejoined rotation after the soak: {out}"
-            )
-        if args.fault_mode == "kill" and service.stats().restarts < 1:
-            violations.append("kill fault landed but no replica restart was recorded")
-
-    merged = sorted(s for per_client in latencies for s in per_client)
-    total = sum(requests)
-    stats = service.stats()
-    print(
-        f"soak: {total} requests over {elapsed:.1f}s ({total / elapsed:.0f}/s), "
-        f"{stats.full_served} full, {stats.partial_served} partial, "
-        f"{stats.stale_served} stale, {stats.rejected} rejected, "
-        f"{stats.hedges} hedges, {stats.failovers} failovers, "
-        f"{stats.restarts} restarts"
-    )
-    if merged:
-        rank = max(1, -(-len(merged) * 99 // 100))
-        p99_ms = merged[rank - 1] * 1e3
-        print(f"fan-out p99 {p99_ms:.1f} ms (bound {p99_bound_ms:.1f} ms)")
-        if p99_ms > p99_bound_ms:
-            violations.append(f"fan-out p99 {p99_ms:.1f} ms exceeds {p99_bound_ms:.1f} ms")
-    print()
-    print(format_sharded_stats(stats))
-    if violations:
-        print()
-        print(f"{len(violations)} invariant violation(s):")
-        for violation in violations[:20]:
-            print(f"  {violation}")
-        return 1
-    print()
-    print(
-        "soak passed: every answer coverage-labeled, no unhandled exceptions, "
-        "p99 within bound"
-    )
-    return 0
-
-
-def _run_soak(args, dataset, engine, service, mix, budget_ms: float) -> int:
-    """Chaos soak: mixed readers + a writer + injected stage latency.
-
-    Asserts the serving invariants for the whole run — no stuck
-    threads, no unlabeled stale or degraded results, bounded generation
-    lag, empty rejected results, and a bounded served p99 — and exits
-    non-zero listing every violation.
-    """
-    import threading
-    import time
-
-    from repro.faults import QueryFaultPlan
-    from repro.library.service import format_query_stats
-
-    p99_bound_ms = args.p99_ms if args.p99_ms is not None else 2.0 * budget_ms
-    injector = None
-    if args.fault_ms > 0:
-        plan = QueryFaultPlan.latency(
-            [args.fault_stage], args.fault_ms / 1e3, jitter=args.fault_ms / 4e3,
-            seed=args.seed,
-        )
-        injector = plan.install(engine)
-        print(
-            f"injecting {args.fault_ms:.0f} ms latency into {args.fault_stage!r}"
-        )
-
-    deadline_t = time.monotonic() + args.seconds
-    stop = threading.Event()
-    violations: list[str] = []
-    latencies: list[list[float]] = [[] for _ in range(args.threads)]
-    requests = [0] * args.threads
-
-    def reader(reader_id: int) -> None:
-        step = 0
-        while time.monotonic() < deadline_t:
-            query = mix[(reader_id + step) % len(mix)]
-            step += 1
-            pre_gen = service.generation
-            try:
-                served = service.search(query)
-            except Exception as exc:
-                violations.append(f"reader {reader_id}: unexpected {exc!r}")
-                continue
-            requests[reader_id] += 1
-            if served.generation < pre_gen - 1:
-                violations.append(
-                    f"reader {reader_id}: generation lag "
-                    f"{served.generation} < {pre_gen} - 1"
-                )
-            if not served.rejected and not served.stale and served.generation < pre_gen:
-                violations.append(
-                    f"reader {reader_id}: unlabeled stale result "
-                    f"(generation {served.generation} < {pre_gen})"
-                )
-            if served.degraded and not served.skipped_stages:
-                violations.append(f"reader {reader_id}: degraded without skipped stages")
-            if served.rejected and served.results:
-                violations.append(f"reader {reader_id}: rejected result with scenes")
-            if not served.rejected:
-                latencies[reader_id].append(served.seconds)
-
-    def writer() -> None:
-        for plan in dataset.video_plans[args.videos:]:
-            if time.monotonic() >= deadline_t or stop.is_set():
-                return
-            try:
-                service.index_plan(plan)
-            except Exception as exc:
-                violations.append(f"writer: {exc!r}")
-            stop.wait(0.2)
-        while time.monotonic() < deadline_t and not stop.is_set():
-            try:
-                service.refresh_text_index()
-            except Exception as exc:
-                violations.append(f"writer: {exc!r}")
-            stop.wait(0.25)
-
-    threads = [
-        threading.Thread(target=reader, args=(i,), name=f"soak-reader-{i}", daemon=True)
-        for i in range(args.threads)
-    ]
-    threads.append(threading.Thread(target=writer, name="soak-writer", daemon=True))
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    join_slack = 5.0 + args.fault_ms / 1e3
-    for thread in threads:
-        thread.join(timeout=max(0.0, deadline_t - time.monotonic()) + join_slack)
-    stop.set()
-    stuck = [thread.name for thread in threads if thread.is_alive()]
-    if stuck:
-        violations.append(f"stuck threads after deadline: {', '.join(stuck)}")
-    elapsed = time.perf_counter() - started
-    if injector is not None:
-        injector.uninstall()
-
-    merged = sorted(s for per_reader in latencies for s in per_reader)
-    total = sum(requests)
-    stats = service.stats()
-    print(
-        f"soak: {total} requests over {elapsed:.1f}s "
-        f"({total / elapsed:.0f}/s), {len(merged)} served, "
-        f"{stats.shed_total} shed, {stats.stale_served} stale, "
-        f"{stats.degraded_served} degraded"
-    )
-    if merged:
-        rank = max(1, -(-len(merged) * 99 // 100))
-        p99_ms = merged[rank - 1] * 1e3
-        print(f"served p99 {p99_ms:.1f} ms (bound {p99_bound_ms:.1f} ms)")
-        if p99_ms > p99_bound_ms:
-            violations.append(f"served p99 {p99_ms:.1f} ms exceeds {p99_bound_ms:.1f} ms")
-    print()
-    print(format_query_stats(stats))
-    if violations:
-        print()
-        print(f"{len(violations)} invariant violation(s):")
-        for violation in violations[:20]:
-            print(f"  {violation}")
-        return 1
-    print()
-    print("soak passed: no stuck threads, no unlabeled results, p99 within bound")
     return 0
 
 
 def _index_with_policy(args, make_fault_plan=None) -> int:
     """Shared driver of ``health`` and ``faults``: index and report."""
     from repro.dataset import build_australian_open
+    from repro.faults import FaultInjector
     from repro.grammar.runtime import format_health_table
     from repro.grammar.tennis import build_tennis_fde
     from repro.library import DigitalLibraryEngine
@@ -2062,7 +1298,9 @@ def _index_with_policy(args, make_fault_plan=None) -> int:
     fault_plan = (
         make_fault_plan([plan.name for plan in plans]) if make_fault_plan else None
     )
-    injector = fault_plan.install(fde.registry) if fault_plan is not None else None
+    injector = (
+        FaultInjector(fault_plan, fde.registry).install() if fault_plan is not None else None
+    )
 
     rolled_back = 0
     for plan in plans:
@@ -2081,11 +1319,7 @@ def _index_with_policy(args, make_fault_plan=None) -> int:
     quarantined = fde.runner.quarantined_detectors
     if quarantined:
         print(f"quarantined detectors: {', '.join(quarantined)}")
-    counts = engine.indexer.model.counts()
-    print(
-        f"meta-index: {counts['raw']} videos, {counts['feature']} shots, "
-        f"{counts['object']} objects, {counts['event']} events"
-    )
+    print(f"meta-index: {_counts(engine)}")
     return 0
 
 
@@ -2097,26 +1331,11 @@ def _cmd_health(args) -> int:
 
 def _sharded_health(args) -> int:
     """``health --shards N``: probe the shard fleet and print its table."""
-    from repro.dataset.build import build_australian_open
-    from repro.library.sharding import (
-        ShardedSearchService,
-        ShardingConfig,
-        format_sharded_stats,
-    )
+    from repro.library.sharding import format_sharded_stats
+    from repro.sim import out_of_rotation, query_mix
 
-    dataset = build_australian_open(seed=args.seed)
-    names = [plan.name for plan in dataset.video_plans[: args.videos]]
-    config = ShardingConfig(n_shards=args.shards, replication=args.replicas)
-    chunked = getattr(args, "chunk_frames", None)
-    initial = [] if chunked else names
-    with ShardedSearchService(initial, seed=args.seed, config=config) as service:
-        if chunked:
-            result = service.stream_videos(names, chunk_frames=chunked)
-            status = "ok" if result.ok else "PARTIAL"
-            print(
-                f"streamed {len(names)} video(s) in {chunked}-frame chunks: {status}"
-            )
-        for query in _query_mix():
+    with _shard_fleet(args) as service:
+        for query in query_mix():
             service.search(query)
         stats = service.stats()
         print(format_sharded_stats(stats))
@@ -2125,12 +1344,7 @@ def _sharded_health(args) -> int:
             for row in stats.shards
             if not row.alive or row.breaker_state != "closed"
         ]
-        sick_replicas = [
-            f"{row.shard}.{rep.replica}"
-            for row in stats.shards
-            for rep in row.replicas
-            if not (rep.alive and rep.in_rotation)
-        ]
+        sick_replicas = out_of_rotation(stats)
         if sick or sick_replicas:
             if sick:
                 print(f"unhealthy shard(s): {sick}")

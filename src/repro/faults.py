@@ -1,65 +1,40 @@
-"""Fault-injection harness for the Feature Detector Engine.
+"""Fault injection: one delivery core, four site adapters.
 
-Production detectors fail in ways unit fixtures do not: on *specific*
-videos, a *bounded* number of times, or by hanging.  This module injects
-exactly those failures into a live
-:class:`~repro.grammar.detectors.DetectorRegistry` so tests and the E12
-benchmark can measure the runtime's behaviour under controlled fault
-rates:
+Production failures are *specific* (one detector on one video, one
+shard replica, one stream), *bounded* (the first N attempts, after a
+healthy warm-up) and *repeatable*.  This module describes such faults as
+plain data and delivers them into the running system:
 
-- :class:`FaultSpec` — one fault: "detector X, on video Y, for the
-  first N attempts, raise error class E" (or hang for S seconds before
-  running, which trips the runner's cooperative timeout);
-- :class:`FaultPlan` — an ordered collection of specs, with
-  :meth:`FaultPlan.random` sampling Bernoulli faults over a
-  (detector x video) grid for failure-rate sweeps;
-- :class:`FaultInjector` — installs a plan by wrapping the registered
-  implementations *in place* (versions untouched, so cache
-  revalidation semantics are unchanged) and records every injection.
+- **Specs** are small frozen payload dataclasses, one per injection
+  site: :class:`FaultSpec` (a detector raises or hangs on a video),
+  :class:`QueryFaultSpec` (a query-pipeline stage is slow or raises),
+  :class:`ShardFaultSpec` (a shard worker is slow, wrong, dead or lying
+  about its generation) and :class:`StreamFaultSpec` (a chunk arrives
+  late, torn or twice, or its consumer dies mid-commit).
+- :class:`FaultPlan` is the one ordered, picklable container of specs
+  (plus :meth:`FaultPlan.random` / :meth:`FaultPlan.latency`, which
+  sample whole detector x video grids for failure-rate sweeps).
+- :class:`DeliveryWindow` is the one arbiter of *which* spec fires on a
+  delivery: it owns the thread-safe ``after``/``times`` counters, the
+  :class:`InjectionEvent` log and the injectable sleep.
+- **Site adapters** subclass the window and only translate a chosen
+  spec into its site's effect: :class:`FaultInjector` wraps registered
+  detector implementations in a
+  :class:`~repro.grammar.detectors.DetectorRegistry` (versions
+  untouched, so cache revalidation is unchanged);
+  :class:`QueryFaultInjector` occupies an engine's ``stage_hook``;
+  :class:`ShardFaultState` lives *inside* a shard worker process (a
+  plan crosses the process boundary as plain data at spawn, so a
+  ``kill`` really takes the process down); :class:`StreamFaultState`
+  sits between a chunk producer and ``StreamIngestor.offer`` — route
+  every chunk through :meth:`StreamFaultState.mangle`.
 
-Injection keys on ``context.clip.name``, the video the FDE is indexing.
-
-Process *crashes* are a different fault class from detector failures:
-they kill the storage write path mid-flight.  The :class:`CrashPoint`
-harness (implemented in :mod:`repro.storage.crashpoints`, re-exported
-here) arms named points in the snapshot/journal write protocol —
-``snapshot-pre-replace``, ``snapshot-post-temp-write``,
-``journal-mid-append``, ... (see :data:`WRITE_POINTS`) — and the next
-write through an armed point raises :class:`SimulatedCrash`, a
-``BaseException`` no recovery code can swallow.  The E13 durability
-benchmark and the crash-recovery test matrix kill the writer at every
-point and assert the library reloads to a consistent state.
-
-The *query side* has its own fault surface: a slow or broken pipeline
-stage inside :meth:`DigitalLibraryEngine.search`.  :class:`QueryFaultSpec`
-/ :class:`QueryFaultPlan` / :class:`QueryFaultInjector` inject
-deterministic latency or exceptions at stage entry through the engine's
-``stage_hook``, which is what the E16 resilience benchmark and the
-``repro serve-bench --soak`` chaos harness use to provoke deadline
-expiry, circuit-breaker trips and the degradation ladder.
-
-Scatter-gather serving adds a fourth fault class: *whole shards* going
-slow, wrong, or away.  :class:`ShardFaultSpec` / :class:`ShardFaultPlan`
-describe per-shard faults — delay a shard's query handling, make it
-error, kill its worker process outright, or make it report a stale
-generation — as plain picklable data, so a plan crosses the process
-boundary into :mod:`repro.library.sharding` workers at spawn time.
-:class:`ShardFaultState` is the worker-side delivery counter.  The E17
-benchmark and the ``repro serve-sharded --soak`` harness use these to
-provoke partial coverage, hedged fan-out and quarantine/recovery.
-
-Live streaming ingest adds a fifth: *the chunk feed itself* misbehaving.
-:class:`StreamFaultSpec` / :class:`StreamFaultPlan` describe per-stream
-feed faults — a chunk arriving late (``delay``), torn into fragments
-(``torn``), re-delivered (``duplicate``), or the consumer dying
-mid-commit (``kill``, which arms one of the :data:`STREAM_POINTS` crash
-points so the next chunk commit raises :class:`SimulatedCrash`).
-:class:`StreamFaultState` sits between the producer and
-``StreamIngestor.offer``/``StreamSession.push_chunk``: call
-:meth:`StreamFaultState.mangle` on each chunk and deliver what it
-returns.  The E20 benchmark and ``repro stream --soak`` use these to
-prove exactly-once resume, offset dedupe and the freshness SLO under
-feed chaos.
+Process *crashes* kill the storage write path mid-flight instead: the
+:class:`CrashPoint` harness (:mod:`repro.storage.crashpoints`,
+re-exported here) arms named points of the snapshot / journal /
+chunk-commit protocols (:data:`WRITE_POINTS`), and the next write
+through one raises :class:`SimulatedCrash`, a ``BaseException`` no
+recovery code can swallow.  A stream ``kill`` spec arms one for one trip.
 """
 
 from __future__ import annotations
@@ -67,7 +42,8 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.grammar.detectors import DetectorRegistry, IndexingContext
 from repro.grammar.runtime import TransientDetectorError
@@ -82,18 +58,17 @@ from repro.storage.crashpoints import (  # noqa: F401 — re-exported harness
 
 __all__ = [
     "FaultSpec",
+    "QueryFaultSpec",
+    "ShardFaultSpec",
+    "StreamFaultSpec",
     "FaultPlan",
+    "InjectionEvent",
+    "DeliveryWindow",
     "FaultInjector",
     "StageFault",
-    "QueryFaultSpec",
-    "QueryFaultPlan",
     "QueryFaultInjector",
-    "ShardFaultSpec",
-    "ShardFaultPlan",
     "ShardFaultState",
     "SHARD_FAULT_MODES",
-    "StreamFaultSpec",
-    "StreamFaultPlan",
     "StreamFaultState",
     "STREAM_FAULT_MODES",
     "CrashPoint",
@@ -106,259 +81,26 @@ __all__ = [
 
 HANG = "hang"
 
+#: The shard fault modes :class:`ShardFaultSpec` accepts.
+SHARD_FAULT_MODES = ("delay", "error", "kill", "stale_generation")
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One injected fault.
-
-    Attributes:
-        detector: the detector to sabotage.
-        video: clip name the fault applies to (``None`` = every video).
-        times: how many matching attempts fail before the detector
-            behaves again (``None`` = every attempt, forever).
-        error: exception class to raise, or the string ``"hang"`` to
-            sleep for :attr:`hang_seconds` before running the real
-            implementation (trips a cooperative per-attempt timeout).
-        hang_seconds: hang duration for ``error="hang"``.
-        jitter_seconds: extra sleep in ``[0, jitter_seconds)`` added on
-            top of :attr:`hang_seconds`, drawn deterministically from
-            :attr:`jitter_seed` and the (detector, video, attempt)
-            triple — same delays on every run, but different delays per
-            invocation, which shakes out scheduler interleavings.
-        jitter_seed: seed for the jitter draw.
-        message: override for the raised error's message.
-    """
-
-    detector: str
-    video: str | None = None
-    times: int | None = 1
-    error: type[BaseException] | str = TransientDetectorError
-    hang_seconds: float = 0.0
-    jitter_seconds: float = 0.0
-    jitter_seed: int = 0
-    message: str = ""
-
-    def __post_init__(self) -> None:
-        if self.times is not None and self.times < 1:
-            raise ValueError(f"times must be >= 1 or None, got {self.times}")
-        if isinstance(self.error, str) and self.error != HANG:
-            raise ValueError(f"error must be an exception class or {HANG!r}")
-        if self.jitter_seconds < 0:
-            raise ValueError(f"jitter_seconds must be >= 0, got {self.jitter_seconds}")
-
-    def matches(self, detector: str, video: str) -> bool:
-        return detector == self.detector and (self.video is None or self.video == video)
-
-    def delay_for(self, video: str, attempt: int) -> float:
-        """The (deterministic) sleep a hang/latency delivery applies."""
-        delay = self.hang_seconds
-        if self.jitter_seconds > 0:
-            draw = random.Random(f"{self.jitter_seed}:{self.detector}:{video}:{attempt}")
-            delay += draw.uniform(0.0, self.jitter_seconds)
-        return delay
-
-    def make_error(self, video: str) -> BaseException:
-        message = self.message or f"injected fault in {self.detector!r} on {video!r}"
-        if isinstance(self.error, str):
-            raise AssertionError("hang specs do not raise")  # pragma: no cover
-        try:
-            return self.error(message, detector=self.detector)  # taxonomy classes
-        except TypeError:
-            return self.error(message)
+#: The stream fault modes :class:`StreamFaultSpec` accepts.
+STREAM_FAULT_MODES = ("delay", "torn", "duplicate", "kill")
 
 
-@dataclass
-class FaultPlan:
-    """An ordered set of :class:`FaultSpec` to install together."""
-
-    specs: list[FaultSpec] = field(default_factory=list)
-
-    def add(self, spec: FaultSpec) -> "FaultPlan":
-        self.specs.append(spec)
-        return self
-
-    @property
-    def detectors(self) -> list[str]:
-        """Targeted detector names, first-seen order."""
-        out: list[str] = []
-        for spec in self.specs:
-            if spec.detector not in out:
-                out.append(spec.detector)
-        return out
-
-    @classmethod
-    def random(
-        cls,
-        detectors: list[str],
-        videos: list[str],
-        rate: float,
-        seed: int = 0,
-        error: type[BaseException] | str = TransientDetectorError,
-        times: int | None = 1,
-        hang_seconds: float = 0.0,
-    ) -> "FaultPlan":
-        """Bernoulli-sample faults over the (detector x video) grid.
-
-        Each pair independently receives one :class:`FaultSpec` with
-        probability *rate*; deterministic in *seed*.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
-        rng = random.Random(seed)
-        plan = cls()
-        for detector in detectors:
-            for video in videos:
-                if rng.random() < rate:
-                    plan.add(
-                        FaultSpec(
-                            detector=detector,
-                            video=video,
-                            times=times,
-                            error=error,
-                            hang_seconds=hang_seconds,
-                        )
-                    )
-        return plan
-
-    @classmethod
-    def latency(
-        cls,
-        detectors: list[str],
-        seconds: float,
-        jitter: float = 0.0,
-        seed: int = 0,
-    ) -> "FaultPlan":
-        """Slow every listed detector down on every video, forever.
-
-        Models black-box detector processes whose cost is dominated by
-        I/O or an external tool: each invocation sleeps *seconds* (plus
-        a deterministic jitter draw in ``[0, jitter)``) before running
-        the real implementation.  Sleeps release the GIL, so this is
-        what the E14 benchmark uses to measure scheduler overlap, and —
-        with *jitter* — what the determinism tests use to scramble
-        thread interleavings without changing any result.
-        """
-        plan = cls()
-        for detector in detectors:
-            plan.add(
-                FaultSpec(
-                    detector=detector,
-                    video=None,
-                    times=None,
-                    error=HANG,
-                    hang_seconds=seconds,
-                    jitter_seconds=jitter,
-                    jitter_seed=seed,
-                )
-            )
-        return plan
-
-    def install(self, registry: DetectorRegistry, sleep=time.sleep) -> "FaultInjector":
-        """Wire the plan into *registry*; returns the live injector."""
-        injector = FaultInjector(self, registry, sleep=sleep)
-        injector.install()
-        return injector
+def _one_of(modes: tuple, mode: str) -> None:
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {modes}, got {mode!r}")
 
 
-@dataclass
-class InjectionEvent:
-    """Log record of one fault actually delivered."""
-
-    detector: str
-    video: str
-    mode: str  # "raise" or "hang"
-
-
-class FaultInjector:
-    """Wraps registered detector implementations to deliver a plan.
-
-    Wrapping goes through :meth:`DetectorRegistry.wrap`, which replaces
-    the callable without bumping the version — injected faults must not
-    look like implementation changes to the revalidation machinery.
-    Use :meth:`uninstall` (or the context-manager form) to restore the
-    original implementations.
-
-    Delivery is thread-safe: fired counters and the injection log are
-    lock-protected, so faults hit exactly as planned when the engine
-    runs detectors (or whole videos) on worker threads.  Note that
-    :attr:`log` *order* reflects wall-clock delivery and is therefore
-    not deterministic under parallelism — compare its contents, not its
-    sequence.
-    """
-
-    def __init__(self, plan: FaultPlan, registry: DetectorRegistry, sleep=time.sleep):
-        self.plan = plan
-        self.registry = registry
-        self._sleep = sleep
-        self._fired: dict[tuple[int, str], int] = {}  # (spec index, video) -> count
-        self._originals: dict[str, object] = {}
-        self._lock = threading.Lock()
-        self.log: list[InjectionEvent] = []
-
-    # -- lifecycle ------------------------------------------------------ #
-
-    def install(self) -> None:
-        if self._originals:
-            raise RuntimeError("fault plan already installed")
-        for name in self.plan.detectors:
-            if name not in self.registry:
-                raise KeyError(f"cannot inject into unregistered detector {name!r}")
-            self._originals[name] = self.registry.fn(name)
-            self.registry.wrap(name, lambda fn, name=name: self._wrapped(name, fn))
-
-    def uninstall(self) -> None:
-        """Restore the original implementations (versions untouched)."""
-        for name, fn in self._originals.items():
-            self.registry.wrap(name, lambda _wrapped, fn=fn: fn)
-        self._originals.clear()
-
-    def __enter__(self) -> "FaultInjector":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.uninstall()
-
-    # -- delivery ------------------------------------------------------- #
-
-    @property
-    def injected(self) -> int:
-        """How many faults have been delivered so far."""
-        return len(self.log)
-
-    def _next_fault(self, detector: str, video: str) -> tuple[FaultSpec | None, int]:
-        with self._lock:
-            for index, spec in enumerate(self.plan.specs):
-                if not spec.matches(detector, video):
-                    continue
-                key = (index, video)
-                fired = self._fired.get(key, 0)
-                if spec.times is not None and fired >= spec.times:
-                    continue
-                self._fired[key] = fired + 1
-                return spec, fired
-        return None, 0
-
-    def _wrapped(self, name: str, fn):
-        def run(context: IndexingContext) -> None:
-            video = getattr(context.clip, "name", "<unnamed>")
-            spec, attempt = self._next_fault(name, video)
-            if spec is not None:
-                if spec.error == HANG:
-                    with self._lock:
-                        self.log.append(InjectionEvent(name, video, "hang"))
-                    self._sleep(spec.delay_for(video, attempt))
-                else:
-                    with self._lock:
-                        self.log.append(InjectionEvent(name, video, "raise"))
-                    raise spec.make_error(video)
-            fn(context)
-
-        return run
-
-
-# ---------------------------------------------------------------------- #
-# Query-side chaos: stage latency and stage errors
-# ---------------------------------------------------------------------- #
+def _at_least(minimum: int, optional: bool = False, **fields) -> None:
+    """Spec validation: every named field is >= *minimum* (or ``None``)."""
+    for name, value in fields.items():
+        if value is None and optional:
+            continue
+        if value < minimum:
+            bound = f">= {minimum} or None" if optional else f">= {minimum}"
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 class StageFault(Exception):
@@ -373,6 +115,54 @@ class StageFault(Exception):
         self.stage = stage
 
 
+def _make_error(error, message: str, **attribution) -> BaseException:
+    """Instantiate *error*, attributed when its constructor accepts it."""
+    try:
+        return error(message, **attribution)  # taxonomy / StageFault-like
+    except TypeError:
+        return error(message)
+
+
+# ---------------------------------------------------------------------- #
+# Specs (one small payload per injection site) and the plan that orders them
+# ---------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """One injected detector fault.
+
+    Attributes:
+        detector: the detector to sabotage.
+        video: clip name the fault applies to (``None`` = every video).
+        times: how many matching attempts *per video* fail before the
+            detector behaves again (``None`` = every attempt, forever).
+        error: exception class to raise, or the string ``"hang"`` to
+            sleep for :attr:`hang_seconds` before running the real
+            implementation (trips a cooperative per-attempt timeout).
+        hang_seconds: hang duration for ``error="hang"``.
+    """
+
+    detector: str
+    video: str | None = None
+    times: int | None = 1
+    error: type[BaseException] | str = TransientDetectorError
+    hang_seconds: float = 0.0
+    after: ClassVar[int] = 0  # no warm-up window (DeliveryWindow reads every spec's)
+
+    def __post_init__(self) -> None:
+        _at_least(1, optional=True, times=self.times)
+        if isinstance(self.error, str) and self.error != HANG:
+            raise ValueError(f"error must be an exception class or {HANG!r}")
+
+    def matches(self, detector: str, video: str) -> bool:
+        return detector == self.detector and (self.video is None or self.video == video)
+
+    def make_error(self, video: str) -> BaseException:
+        message = f"injected fault in {self.detector!r} on {video!r}"
+        return _make_error(self.error, message, detector=self.detector)
+
+
 @dataclass(frozen=True)
 class QueryFaultSpec:
     """One injected query-pipeline fault, delivered at stage entry.
@@ -384,15 +174,13 @@ class QueryFaultSpec:
         latency_seconds: sleep this long before the stage runs (eats the
             query's budget — the soak harness's main lever).
         jitter_seconds: extra sleep in ``[0, jitter_seconds)``, drawn
-            deterministically from :attr:`jitter_seed` and the
-            (stage, attempt) pair — same delays on every run, different
-            per delivery.
+            from :attr:`jitter_seed` and the (stage, attempt) pair — the
+            same delays on every run, different ones per delivery.
         jitter_seed: seed for the jitter draw.
         error: exception class to raise after any sleep (``None`` =
             latency only).
         times: deliveries before the stage behaves again (``None`` =
             every entry, forever).
-        message: override for the raised error's message.
     """
 
     stage: str
@@ -401,15 +189,14 @@ class QueryFaultSpec:
     jitter_seed: int = 0
     error: type[BaseException] | None = None
     times: int | None = None
-    message: str = ""
+    after: ClassVar[int] = 0  # no warm-up window
 
     def __post_init__(self) -> None:
-        if self.latency_seconds < 0:
-            raise ValueError(f"latency_seconds must be >= 0, got {self.latency_seconds}")
-        if self.jitter_seconds < 0:
-            raise ValueError(f"jitter_seconds must be >= 0, got {self.jitter_seconds}")
-        if self.times is not None and self.times < 1:
-            raise ValueError(f"times must be >= 1 or None, got {self.times}")
+        _at_least(0, latency_seconds=self.latency_seconds, jitter_seconds=self.jitter_seconds)
+        _at_least(1, optional=True, times=self.times)
+
+    def matches(self, stage: str) -> bool:
+        return stage == self.stage
 
     def delay_for(self, attempt: int) -> float:
         """The (deterministic) sleep one delivery applies."""
@@ -420,145 +207,8 @@ class QueryFaultSpec:
         return delay
 
     def make_error(self) -> BaseException:
-        message = self.message or f"injected fault in query stage {self.stage!r}"
-        assert self.error is not None
-        try:
-            return self.error(message, stage=self.stage)  # StageFault-like
-        except TypeError:
-            return self.error(message)
-
-
-@dataclass
-class QueryFaultPlan:
-    """An ordered set of :class:`QueryFaultSpec` to install together."""
-
-    specs: list[QueryFaultSpec] = field(default_factory=list)
-
-    def add(self, spec: QueryFaultSpec) -> "QueryFaultPlan":
-        self.specs.append(spec)
-        return self
-
-    @classmethod
-    def latency(
-        cls,
-        stages: list[str],
-        seconds: float,
-        jitter: float = 0.0,
-        seed: int = 0,
-    ) -> "QueryFaultPlan":
-        """Slow every listed stage down on every query, forever."""
-        plan = cls()
-        for stage in stages:
-            plan.add(
-                QueryFaultSpec(
-                    stage=stage,
-                    latency_seconds=seconds,
-                    jitter_seconds=jitter,
-                    jitter_seed=seed,
-                )
-            )
-        return plan
-
-    @classmethod
-    def failing(
-        cls,
-        stages: list[str],
-        error: type[BaseException] = StageFault,
-        times: int | None = 1,
-    ) -> "QueryFaultPlan":
-        """Make every listed stage raise *error* for its first *times* entries."""
-        plan = cls()
-        for stage in stages:
-            plan.add(QueryFaultSpec(stage=stage, error=error, times=times))
-        return plan
-
-    def install(self, engine, sleep=time.sleep) -> "QueryFaultInjector":
-        """Wire the plan into *engine*'s ``stage_hook``; returns the injector."""
-        injector = QueryFaultInjector(self, engine, sleep=sleep)
-        injector.install()
-        return injector
-
-
-class QueryFaultInjector:
-    """Delivers a :class:`QueryFaultPlan` through an engine's stage hook.
-
-    The hook fires at stage *entry*, before the stage's budget check, so
-    injected latency is charged to the stage that "hung" — exactly how a
-    slow text index or a pathological sequence scan would bill.
-    Delivery is thread-safe and the log is lock-protected (compare its
-    contents, not its order, under concurrency).
-    """
-
-    def __init__(self, plan: QueryFaultPlan, engine, sleep=time.sleep):
-        self.plan = plan
-        self.engine = engine
-        self._sleep = sleep
-        self._fired: dict[int, int] = {}  # spec index -> deliveries
-        self._installed = False
-        self._lock = threading.Lock()
-        self.log: list[InjectionEvent] = []
-
-    # -- lifecycle ------------------------------------------------------ #
-
-    def install(self) -> None:
-        if self._installed:
-            raise RuntimeError("query fault plan already installed")
-        if self.engine.stage_hook is not None:
-            raise RuntimeError("engine already has a stage_hook installed")
-        self.engine.stage_hook = self._deliver
-        self._installed = True
-
-    def uninstall(self) -> None:
-        if self._installed:
-            self.engine.stage_hook = None
-            self._installed = False
-
-    def __enter__(self) -> "QueryFaultInjector":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.uninstall()
-
-    # -- delivery ------------------------------------------------------- #
-
-    @property
-    def injected(self) -> int:
-        """How many faults have been delivered so far."""
-        return len(self.log)
-
-    def _next_fault(self, stage: str) -> tuple[QueryFaultSpec | None, int]:
-        with self._lock:
-            for index, spec in enumerate(self.plan.specs):
-                if spec.stage != stage:
-                    continue
-                fired = self._fired.get(index, 0)
-                if spec.times is not None and fired >= spec.times:
-                    continue
-                self._fired[index] = fired + 1
-                return spec, fired
-        return None, 0
-
-    def _deliver(self, stage: str) -> None:
-        spec, attempt = self._next_fault(stage)
-        if spec is None:
-            return
-        delay = spec.delay_for(attempt)
-        if delay > 0:
-            with self._lock:
-                self.log.append(InjectionEvent(spec.stage, "<query>", "hang"))
-            self._sleep(delay)
-        if spec.error is not None:
-            with self._lock:
-                self.log.append(InjectionEvent(spec.stage, "<query>", "raise"))
-            raise spec.make_error()
-
-
-# ---------------------------------------------------------------------- #
-# Shard-level chaos: slow, broken, dead or lying shard workers
-# ---------------------------------------------------------------------- #
-
-#: The shard fault modes :class:`ShardFaultSpec` accepts.
-SHARD_FAULT_MODES = ("delay", "error", "kill", "stale_generation")
+        message = f"injected fault in query stage {self.stage!r}"
+        return _make_error(self.error, message, stage=self.stage)
 
 
 @dataclass(frozen=True)
@@ -591,7 +241,6 @@ class ShardFaultSpec:
         delay_seconds: sleep duration for ``mode="delay"``.
         generation_lag: how many generations ``stale_generation``
             under-reports (>= 1).
-        message: override for the injected error's message.
     """
 
     shard: int | None
@@ -600,26 +249,14 @@ class ShardFaultSpec:
     times: int | None = None
     delay_seconds: float = 0.0
     generation_lag: int = 1
-    message: str = ""
     replica: int | None = None
 
     def __post_init__(self) -> None:
-        if self.shard is not None and self.shard < 0:
-            raise ValueError(f"shard must be >= 0 or None, got {self.shard}")
-        if self.replica is not None and self.replica < 0:
-            raise ValueError(f"replica must be >= 0 or None, got {self.replica}")
-        if self.mode not in SHARD_FAULT_MODES:
-            raise ValueError(
-                f"mode must be one of {SHARD_FAULT_MODES}, got {self.mode!r}"
-            )
-        if self.after < 0:
-            raise ValueError(f"after must be >= 0, got {self.after}")
-        if self.times is not None and self.times < 1:
-            raise ValueError(f"times must be >= 1 or None, got {self.times}")
-        if self.delay_seconds < 0:
-            raise ValueError(f"delay_seconds must be >= 0, got {self.delay_seconds}")
-        if self.generation_lag < 1:
-            raise ValueError(f"generation_lag must be >= 1, got {self.generation_lag}")
+        _one_of(SHARD_FAULT_MODES, self.mode)
+        _at_least(0, optional=True, shard=self.shard, replica=self.replica)
+        _at_least(0, after=self.after, delay_seconds=self.delay_seconds)
+        _at_least(1, optional=True, times=self.times)
+        _at_least(1, generation_lag=self.generation_lag)
 
     def matches(self, shard: int, replica: int | None = None) -> bool:
         """Does the spec apply to this worker?
@@ -634,157 +271,6 @@ class ShardFaultSpec:
         if replica is None or self.replica is None:
             return True
         return self.replica == replica
-
-
-@dataclass(frozen=True)
-class ShardFaultPlan:
-    """An ordered, picklable set of :class:`ShardFaultSpec`.
-
-    Frozen (tuple-backed) because the whole plan is serialized into each
-    worker at spawn; build with the constructors below or pass specs
-    directly.
-    """
-
-    specs: tuple[ShardFaultSpec, ...] = ()
-
-    @classmethod
-    def straggler(
-        cls,
-        shard: int,
-        seconds: float,
-        times: int | None = None,
-        after: int = 0,
-        replica: int | None = None,
-    ) -> "ShardFaultPlan":
-        """Make *shard* (or one replica of it) sleep before each query."""
-        return cls(
-            specs=(
-                ShardFaultSpec(
-                    shard=shard,
-                    mode="delay",
-                    delay_seconds=seconds,
-                    times=times,
-                    after=after,
-                    replica=replica,
-                ),
-            )
-        )
-
-    @classmethod
-    def dead(
-        cls, shard: int, after: int = 0, replica: int | None = None
-    ) -> "ShardFaultPlan":
-        """Kill *shard*'s worker (or one replica) on its next matching query."""
-        return cls(
-            specs=(
-                ShardFaultSpec(shard=shard, mode="kill", after=after, replica=replica),
-            )
-        )
-
-    @classmethod
-    def failing(
-        cls,
-        shard: int,
-        times: int | None = 1,
-        after: int = 0,
-        replica: int | None = None,
-    ) -> "ShardFaultPlan":
-        """Make *shard* (or one replica of it) reply with an injected error."""
-        return cls(
-            specs=(
-                ShardFaultSpec(
-                    shard=shard, mode="error", times=times, after=after, replica=replica
-                ),
-            )
-        )
-
-    @classmethod
-    def stale(
-        cls,
-        shard: int,
-        lag: int = 1,
-        times: int | None = None,
-        after: int = 0,
-        replica: int | None = None,
-    ) -> "ShardFaultPlan":
-        """Make *shard* (or one replica of it) under-report its generation."""
-        return cls(
-            specs=(
-                ShardFaultSpec(
-                    shard=shard,
-                    mode="stale_generation",
-                    generation_lag=lag,
-                    times=times,
-                    after=after,
-                    replica=replica,
-                ),
-            )
-        )
-
-    def extend(self, other: "ShardFaultPlan") -> "ShardFaultPlan":
-        return ShardFaultPlan(specs=self.specs + other.specs)
-
-    def for_shard(self, shard: int) -> tuple[ShardFaultSpec, ...]:
-        """The specs that can ever fire somewhere in *shard*'s group."""
-        return tuple(spec for spec in self.specs if spec.matches(shard))
-
-    def for_worker(self, shard: int, replica: int) -> tuple[ShardFaultSpec, ...]:
-        """The specs that can fire on the ``(shard, replica)`` worker."""
-        return tuple(spec for spec in self.specs if spec.matches(shard, replica))
-
-
-class ShardFaultState:
-    """Worker-side delivery counter for one worker's fault specs.
-
-    Lives inside the shard worker process; :meth:`next_fault` is called
-    once per *query* delivery (pings and index commands are exempt, so
-    the coordinator's half-open probes can observe genuine recovery).
-    Thread-safe because workers evaluate queries on a small thread pool.
-    The optional *replica* index narrows replica-addressed specs to
-    this worker (``None`` keeps the shard-wide pre-replication view).
-    """
-
-    def __init__(
-        self,
-        shard: int,
-        specs: tuple[ShardFaultSpec, ...],
-        replica: int | None = None,
-    ) -> None:
-        self.shard = shard
-        self.replica = replica
-        self.specs = tuple(spec for spec in specs if spec.matches(shard, replica))
-        self._seen: dict[int, int] = {}  # spec index -> matching deliveries
-        self._fired: dict[int, int] = {}  # spec index -> faults delivered
-        self._lock = threading.Lock()
-        self.delivered = 0
-
-    def next_fault(self) -> ShardFaultSpec | None:
-        """The spec to deliver on this query, advancing all counters."""
-        with self._lock:
-            chosen: ShardFaultSpec | None = None
-            for index, spec in enumerate(self.specs):
-                seen = self._seen.get(index, 0)
-                self._seen[index] = seen + 1
-                if chosen is not None:
-                    continue
-                if seen < spec.after:
-                    continue
-                fired = self._fired.get(index, 0)
-                if spec.times is not None and fired >= spec.times:
-                    continue
-                self._fired[index] = fired + 1
-                chosen = spec
-            if chosen is not None:
-                self.delivered += 1
-            return chosen
-
-
-# ---------------------------------------------------------------------- #
-# Stream-level chaos: late, torn, duplicated chunks and mid-commit kills
-# ---------------------------------------------------------------------- #
-
-#: The stream fault modes :class:`StreamFaultSpec` accepts.
-STREAM_FAULT_MODES = ("delay", "torn", "duplicate", "kill")
 
 
 @dataclass(frozen=True)
@@ -818,16 +304,9 @@ class StreamFaultSpec:
     point: str = "chunk-pre-commit"
 
     def __post_init__(self) -> None:
-        if self.mode not in STREAM_FAULT_MODES:
-            raise ValueError(
-                f"mode must be one of {STREAM_FAULT_MODES}, got {self.mode!r}"
-            )
-        if self.after < 0:
-            raise ValueError(f"after must be >= 0, got {self.after}")
-        if self.times is not None and self.times < 1:
-            raise ValueError(f"times must be >= 1 or None, got {self.times}")
-        if self.delay_seconds < 0:
-            raise ValueError(f"delay_seconds must be >= 0, got {self.delay_seconds}")
+        _one_of(STREAM_FAULT_MODES, self.mode)
+        _at_least(0, after=self.after, delay_seconds=self.delay_seconds)
+        _at_least(1, optional=True, times=self.times)
         if self.mode == "kill" and self.point not in WRITE_POINTS:
             raise ValueError(f"unknown crash point {self.point!r}; see WRITE_POINTS")
 
@@ -836,137 +315,297 @@ class StreamFaultSpec:
 
 
 @dataclass(frozen=True)
-class StreamFaultPlan:
-    """An ordered set of :class:`StreamFaultSpec` for one chunk feed."""
+class FaultPlan:
+    """An ordered, picklable set of fault specs for one injection site.
 
-    specs: tuple[StreamFaultSpec, ...] = ()
-
-    @classmethod
-    def late(
-        cls, seconds: float, stream: str | None = None, times: int | None = None,
-        after: int = 0,
-    ) -> "StreamFaultPlan":
-        """Delay matching chunk deliveries by *seconds* each."""
-        return cls(specs=(StreamFaultSpec(
-            stream=stream, mode="delay", delay_seconds=seconds, times=times,
-            after=after,
-        ),))
-
-    @classmethod
-    def torn(
-        cls, stream: str | None = None, times: int | None = None, after: int = 0
-    ) -> "StreamFaultPlan":
-        """Tear matching chunks into two fragments."""
-        return cls(specs=(StreamFaultSpec(
-            stream=stream, mode="torn", times=times, after=after,
-        ),))
-
-    @classmethod
-    def duplicated(
-        cls, stream: str | None = None, times: int | None = None, after: int = 0
-    ) -> "StreamFaultPlan":
-        """Re-deliver matching chunks (exactly-once must dedupe them)."""
-        return cls(specs=(StreamFaultSpec(
-            stream=stream, mode="duplicate", times=times, after=after,
-        ),))
-
-    @classmethod
-    def killed(
-        cls, point: str = "chunk-pre-commit", stream: str | None = None,
-        after: int = 0,
-    ) -> "StreamFaultPlan":
-        """Kill the consumer at *point* during one matching chunk's commit."""
-        return cls(specs=(StreamFaultSpec(
-            stream=stream, mode="kill", point=point, times=1, after=after,
-        ),))
-
-    def extend(self, other: "StreamFaultPlan") -> "StreamFaultPlan":
-        return StreamFaultPlan(specs=self.specs + other.specs)
-
-    def state(self, sleep=time.sleep) -> "StreamFaultState":
-        return StreamFaultState(self, sleep=sleep)
-
-
-class StreamFaultState:
-    """Delivers a :class:`StreamFaultPlan` into a chunk feed.
-
-    The producer routes every chunk through :meth:`mangle` and offers
-    whatever comes back, in order.  Thread-safe; ``kill`` delivery arms
-    the spec's crash point for exactly one trip (the armed point stays
-    active until it fires or :meth:`disarm` runs).
+    Order matters: on each delivery the *first* matching spec whose
+    ``after``/``times`` window is open fires.  Frozen and tuple-backed
+    because shard plans are serialized into each worker at spawn; hand
+    the plan to its site's adapter (:class:`FaultInjector`,
+    :class:`QueryFaultInjector`, :class:`StreamFaultState`, or a
+    ``ShardedSearchService``'s ``fault_plan``) to deliver it.
     """
 
-    def __init__(self, plan: StreamFaultPlan, sleep=time.sleep):
-        self.plan = plan
+    specs: tuple = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "specs", tuple(self.specs))
+
+    def matching(self, *key) -> tuple:
+        """The specs that can fire for *key* (e.g. ``(shard, replica)``)."""
+        return tuple(spec for spec in self.specs if spec.matches(*key))
+
+    @classmethod
+    def random(
+        cls,
+        detectors: list[str],
+        videos: list[str],
+        rate: float,
+        seed: int = 0,
+        error: type[BaseException] | str = TransientDetectorError,
+        times: int | None = 1,
+    ) -> "FaultPlan":
+        """Bernoulli-sample faults over the (detector x video) grid.
+
+        Each pair independently receives one :class:`FaultSpec` with
+        probability *rate*; deterministic in *seed*.
+        """
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"rate must be in [0, 1], got {rate}")
+        rng = random.Random(seed)
+        return cls(
+            FaultSpec(detector, video, times, error)
+            for detector in detectors
+            for video in videos
+            if rng.random() < rate
+        )
+
+    @classmethod
+    def latency(cls, detectors: list[str], seconds: float) -> "FaultPlan":
+        """Slow every listed detector down on every video, forever.
+
+        Models black-box detector processes whose cost is dominated by
+        I/O or an external tool: each invocation sleeps *seconds* before
+        running the real implementation.  Sleeps release the GIL, so
+        this is what the E14 benchmark uses to measure scheduler overlap.
+        """
+        return cls(FaultSpec(detector, None, None, HANG, seconds) for detector in detectors)
+
+
+# ---------------------------------------------------------------------- #
+# The delivery core
+# ---------------------------------------------------------------------- #
+
+
+@dataclass
+class InjectionEvent:
+    """Log record of one fault actually delivered."""
+
+    detector: str  # the sabotaged detector / stage, or "shard" / "stream"
+    video: str  # the video / stream / "<shard>.<replica>" it landed on
+    mode: str  # "raise", "hang", or the shard / stream fault mode
+
+
+class DeliveryWindow:
+    """Decides, thread-safely, which spec fires on each delivery.
+
+    Every matching spec's *seen* counter advances on every delivery (so
+    a later spec's ``after`` warm-up keeps counting while an earlier
+    one fires); the first matching spec past its ``after`` with
+    ``times`` deliveries left is chosen and its *fired* counter
+    advances.  Counters and the :attr:`log` are lock-protected, so
+    faults land exactly as planned under concurrency — but :attr:`log`
+    *order* is wall-clock delivery order: compare its contents, not its
+    sequence.
+    """
+
+    def __init__(self, specs, sleep=time.sleep) -> None:
+        self.specs = tuple(specs)
         self._sleep = sleep
-        self._seen: dict[int, int] = {}
-        self._fired: dict[int, int] = {}
-        self._armed: list[CrashPoint] = []
+        self._seen: dict = {}  # (spec index, scope) -> matching deliveries
+        self._fired: dict = {}  # (spec index, scope) -> faults delivered
         self._lock = threading.Lock()
         self.log: list[InjectionEvent] = []
 
     @property
     def injected(self) -> int:
+        """How many faults have been delivered so far."""
         return len(self.log)
 
-    def _next_fault(self, stream: str) -> StreamFaultSpec | None:
+    def arbitrate(self, *key, scope=None):
+        """``(spec, attempt)`` to deliver for *key*, or ``(None, 0)``.
+
+        *scope* partitions the counters (the detector adapter counts
+        ``times`` per video); *attempt* is the chosen spec's zero-based
+        delivery number within its scope.
+        """
+        chosen, attempt = None, 0
         with self._lock:
-            chosen: StreamFaultSpec | None = None
-            for index, spec in enumerate(self.plan.specs):
-                if not spec.matches(stream):
+            for index, spec in enumerate(self.specs):
+                if not spec.matches(*key):
                     continue
-                seen = self._seen.get(index, 0)
-                self._seen[index] = seen + 1
-                if chosen is not None:
+                slot = (index, scope)
+                seen = self._seen.get(slot, 0)
+                self._seen[slot] = seen + 1
+                if chosen is not None or seen < spec.after:
                     continue
-                if seen < spec.after:
-                    continue
-                fired = self._fired.get(index, 0)
+                fired = self._fired.get(slot, 0)
                 if spec.times is not None and fired >= spec.times:
                     continue
-                self._fired[index] = fired + 1
-                chosen = spec
-            return chosen
+                self._fired[slot] = fired + 1
+                chosen, attempt = spec, fired
+        return chosen, attempt
+
+    def record(self, site: str, target: str, mode: str) -> None:
+        with self._lock:
+            self.log.append(InjectionEvent(site, target, mode))
+
+    def uninstall(self) -> None:
+        """Stop delivering and restore the site (a no-op on the bare window)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.uninstall()
+
+
+# ---------------------------------------------------------------------- #
+# Site adapters
+# ---------------------------------------------------------------------- #
+
+
+class FaultInjector(DeliveryWindow):
+    """Wraps registered detector implementations to deliver a plan.
+
+    Wrapping goes through :meth:`DetectorRegistry.wrap`, which replaces
+    the callable without bumping the version — injected faults must not
+    look like implementation changes to the revalidation machinery.
+    Injection keys on ``context.clip.name``, the video the FDE is
+    indexing.  :meth:`install` returns the injector; :meth:`uninstall`
+    (or leaving the context-manager form) restores the original
+    implementations.
+    """
+
+    def __init__(self, plan: FaultPlan, registry: DetectorRegistry, sleep=time.sleep):
+        super().__init__(plan.specs, sleep)
+        self.registry = registry
+        self._originals: dict[str, object] = {}
+
+    def install(self) -> "FaultInjector":
+        if self._originals:
+            raise RuntimeError("fault plan already installed")
+        for name in dict.fromkeys(spec.detector for spec in self.specs):
+            if name not in self.registry:
+                raise KeyError(f"cannot inject into unregistered detector {name!r}")
+            self._originals[name] = self.registry.fn(name)
+            self.registry.wrap(name, lambda fn, name=name: self._wrapped(name, fn))
+        return self
+
+    def uninstall(self) -> None:
+        """Restore the original implementations (versions untouched)."""
+        for name, fn in self._originals.items():
+            self.registry.wrap(name, lambda _wrapped, fn=fn: fn)
+        self._originals.clear()
+
+    def _wrapped(self, name: str, fn):
+        def run(context: IndexingContext) -> None:
+            video = getattr(context.clip, "name", "<unnamed>")
+            spec, _attempt = self.arbitrate(name, video, scope=video)
+            if spec is not None:
+                if spec.error == HANG:
+                    self.record(name, video, "hang")
+                    self._sleep(spec.hang_seconds)
+                else:
+                    self.record(name, video, "raise")
+                    raise spec.make_error(video)
+            fn(context)
+
+        return run
+
+
+class QueryFaultInjector(DeliveryWindow):
+    """Delivers a query-stage plan through an engine's ``stage_hook``.
+
+    The hook fires at stage *entry*, before the stage's budget check, so
+    injected latency is charged to the stage that "hung" — exactly how a
+    slow text index or a pathological sequence scan would bill.
+    :meth:`install` returns the injector; :meth:`uninstall` (or leaving
+    the context-manager form) frees the hook.
+    """
+
+    def __init__(self, plan: FaultPlan, engine, sleep=time.sleep):
+        super().__init__(plan.specs, sleep)
+        self.engine = engine
+
+    def install(self) -> "QueryFaultInjector":
+        if self.engine.stage_hook is not None:
+            raise RuntimeError("engine already has a stage_hook installed")
+        self.engine.stage_hook = self._deliver
+        return self
+
+    def uninstall(self) -> None:
+        if self.engine.stage_hook == self._deliver:
+            self.engine.stage_hook = None
+
+    def _deliver(self, stage: str) -> None:
+        spec, attempt = self.arbitrate(stage)
+        if spec is None:
+            return
+        delay = spec.delay_for(attempt)
+        if delay > 0:
+            self.record(stage, "<query>", "hang")
+            self._sleep(delay)
+        if spec.error is not None:
+            self.record(stage, "<query>", "raise")
+            raise spec.make_error()
+
+
+class ShardFaultState(DeliveryWindow):
+    """Worker-side delivery state for one shard worker's fault specs.
+
+    Lives inside the shard worker process; :meth:`next_fault` is called
+    once per *query* delivery (pings and index commands are exempt, so
+    the coordinator's half-open probes can observe genuine recovery) and
+    the worker applies the returned spec's mode itself.  Thread-safe
+    because workers evaluate queries on a small thread pool.  The
+    optional *replica* index narrows replica-addressed specs to this
+    worker (``None`` keeps the shard-wide pre-replication view).
+    """
+
+    def __init__(self, shard: int, specs, replica: int | None = None) -> None:
+        super().__init__(spec for spec in specs if spec.matches(shard, replica))
+        self.shard = shard
+        self.replica = replica
+
+    def next_fault(self) -> ShardFaultSpec | None:
+        """The spec to deliver on this query, advancing all counters."""
+        spec, _attempt = self.arbitrate(self.shard, self.replica)
+        if spec is not None:
+            self.record("shard", f"{self.shard}.{self.replica}", spec.mode)
+        return spec
+
+
+class StreamFaultState(DeliveryWindow):
+    """Delivers a stream plan into a chunk feed.
+
+    The producer routes every chunk through :meth:`mangle` and offers
+    whatever comes back, in order.  ``kill`` delivery arms the spec's
+    crash point for exactly one trip (the armed point stays active
+    until it fires or :meth:`uninstall` — also run on context-manager
+    exit — drops it).
+    """
+
+    def __init__(self, plan: FaultPlan, sleep=time.sleep):
+        super().__init__(plan.specs, sleep)
+        self._armed: list[CrashPoint] = []
 
     def mangle(self, chunk) -> list:
         """The chunks to actually deliver in place of *chunk*."""
-        from dataclasses import replace as _replace
-
-        spec = self._next_fault(chunk.stream)
+        spec, _attempt = self.arbitrate(chunk.stream)
         if spec is None:
             return [chunk]
-        with self._lock:
-            self.log.append(InjectionEvent("stream", chunk.stream, spec.mode))
+        self.record("stream", chunk.stream, spec.mode)
         if spec.mode == "delay":
             self._sleep(spec.delay_seconds)
-            return [chunk]
-        if spec.mode == "duplicate":
+        elif spec.mode == "duplicate":
             return [chunk, chunk]
-        if spec.mode == "torn":
-            if len(chunk) < 2:
-                return [chunk]
+        elif spec.mode == "torn":
             half = len(chunk) // 2
-            head = _replace(chunk, frames=chunk.frames[:half], final=False)
-            tail = _replace(
-                chunk, frames=chunk.frames[half:], start=chunk.start + half
-            )
-            return [head, tail]
-        # kill: the *consumer* dies inside the commit protocol.
-        armed = CrashPoint(spec.point, times=1)
-        armed.__enter__()
-        with self._lock:
-            self._armed.append(armed)
+            if half:
+                head = replace(chunk, frames=chunk.frames[:half], final=False)
+                tail = replace(chunk, frames=chunk.frames[half:], start=chunk.start + half)
+                return [head, tail]
+        else:  # kill: the *consumer* dies inside the commit protocol.
+            armed = CrashPoint(spec.point, times=1)
+            armed.__enter__()
+            with self._lock:
+                self._armed.append(armed)
         return [chunk]
 
-    def disarm(self) -> None:
+    def uninstall(self) -> None:
         """Drop any kill points still armed (test/soak teardown)."""
         with self._lock:
             armed, self._armed = self._armed, []
         for point in armed:
             point.__exit__(None, None, None)
-
-    def __enter__(self) -> "StreamFaultState":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.disarm()

@@ -221,7 +221,6 @@ class LibraryIndexer:
         resume: bool = False,
         workers: int = 1,
         commit_lock=None,
-        chunk_frames: int | None = None,
     ) -> list[IndexedVideo]:
         """Index the dataset's video plans (optionally only the first *limit*).
 
@@ -255,14 +254,6 @@ class LibraryIndexer:
                 and journal writes).  The query-serving layer passes its
                 write lock here so concurrent readers only ever observe
                 whole-video commits.
-            chunk_frames: route each video through the chunk-append
-                ingest path instead of one atomic batch: frames feed a
-                :class:`~repro.streaming.session.StreamSession` in
-                *chunk_frames*-sized chunks and the generation bumps
-                per chunk, so readers see a video's early shots while
-                its tail is still indexing.  Memory-only (per-chunk
-                snapshots need :meth:`index_checkpointed`); the final
-                meta-index is byte-identical to a batch run.
 
         Returns:
             The videos indexed *by this call* (skipped ones excluded).
@@ -276,10 +267,6 @@ class LibraryIndexer:
             if plan.name not in skip and not (resume and plan.name in self.indexed)
         ]
         lock = commit_lock if commit_lock is not None else nullcontext
-        if chunk_frames is not None:
-            return self._index_all_chunked(
-                todo, journal, checkpoint, lock, commit_lock, chunk_frames
-            )
         if workers <= 1 or len(todo) <= 1:
             records: list[IndexedVideo] = []
             for plan in todo:
@@ -295,38 +282,6 @@ class LibraryIndexer:
                 records.append(record)
             return records
         return self._index_all_parallel(todo, journal, checkpoint, workers, lock)
-
-    def _index_all_chunked(
-        self,
-        todo: list[VideoPlan],
-        journal: IndexingJournal | None,
-        checkpoint,
-        lock,
-        commit_lock,
-        chunk_frames: int,
-    ) -> list[IndexedVideo]:
-        """Chunk-append variant of the batch loop (memory-only commits).
-
-        The video-level journal protocol is preserved — ``begin`` before
-        the first chunk, *checkpoint* then ``commit`` after the last —
-        so resume-by-video semantics and snapshot bytes match a batch
-        run; in between, every chunk commit bumps the generation under
-        *commit_lock* so concurrent readers see partial videos."""
-        records: list[IndexedVideo] = []
-        for plan in todo:
-            with lock():
-                if journal is not None:
-                    journal.begin(plan.name)
-            record = self.stream_plan(
-                plan, chunk_frames=chunk_frames, commit_lock=commit_lock
-            )
-            with lock():
-                if checkpoint is not None:
-                    checkpoint()
-                if journal is not None:
-                    journal.commit(plan.name, degraded=False)
-            records.append(record)
-        return records
 
     def _stage_plan(self, plan: VideoPlan):
         """Worker-thread half of one video: materialise + stage."""

@@ -519,10 +519,6 @@ class LRUCache:
             self._entries.clear()
 
 
-#: Back-compat alias (the cache predates its public promotion).
-_LRUCache = LRUCache
-
-
 class LibrarySearchService:
     """Concurrent, cached, overload-resilient query serving.
 

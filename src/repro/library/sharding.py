@@ -532,8 +532,7 @@ def _shard_worker_main(
                         "kind": "result",
                         "req_id": req_id,
                         "status": "error",
-                        "message": spec.message
-                        or f"injected shard {shard} replica {replica} fault",
+                        "message": f"injected shard {shard} replica {replica} fault",
                     }
                 )
                 return
@@ -872,9 +871,10 @@ class ShardedSearchService:
             owning group at spawn.
         seed: dataset seed every worker rebuilds from.
         config: the :class:`ShardingConfig`.
-        fault_plan: optional :class:`~repro.faults.ShardFaultPlan`
-            shipped to the workers (chaos soaks and tests); specs may
-            target a whole shard or one ``(shard, replica)`` worker.
+        fault_plan: optional :class:`~repro.faults.FaultPlan` of
+            :class:`~repro.faults.ShardFaultSpec` shipped to the workers
+            (chaos soaks and tests); specs may target a whole shard or
+            one ``(shard, replica)`` worker.
         dataset_args: extra picklable keyword arguments for the
             workers' ``build_australian_open(seed=seed, ...)`` call
             (benchmarks shrink ``video_shots``); must match whatever
@@ -969,12 +969,12 @@ class ShardedSearchService:
 
         Fault specs ship only on the *initial* spawn: a respawned
         worker is a fresh replacement, not a re-run of the failure —
-        ``ShardFaultPlan.dead`` means "this worker dies once", and
+        a ``kill`` spec means "this worker dies once", and
         recovery is the part under test.
         """
         specs = ()
         if with_faults and self._fault_plan is not None:
-            specs = self._fault_plan.for_worker(group.id, replica.index)
+            specs = self._fault_plan.matching(group.id, replica.index)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_shard_worker_main,

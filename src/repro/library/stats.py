@@ -28,10 +28,25 @@ __all__ = [
     "collect_stats",
     "format_stats",
     "merged_summary",
+    "nearest_rank",
 ]
 
 #: The percentiles a reservoir summary reports.
 PERCENTILES = (50, 95, 99)
+
+
+def nearest_rank(sorted_samples, p: float):
+    """The nearest-rank *p*-th percentile of ascending *sorted_samples*.
+
+    The one percentile definition every reservoir, soak harness and
+    benchmark gate shares (``None`` when there are no samples).
+    """
+    if not sorted_samples:
+        return None
+    if not 0 < p <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {p}")
+    rank = max(1, -(-len(sorted_samples) * p // 100))  # ceil without floats
+    return sorted_samples[int(rank) - 1]
 
 
 class LatencyReservoir:
@@ -64,13 +79,7 @@ class LatencyReservoir:
 
     def percentile(self, p: float) -> float | None:
         """Nearest-rank percentile over the window (``None`` when empty)."""
-        if not self._samples:
-            return None
-        if not 0 < p <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {p}")
-        ordered = sorted(self._samples)
-        rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
-        return ordered[int(rank) - 1]
+        return nearest_rank(sorted(self._samples), p)
 
     def percentile_or(self, p: float, default: float, min_samples: int = 1) -> float:
         """Nearest-rank percentile, or *default* on too few samples.
@@ -111,11 +120,7 @@ def merged_summary(reservoirs: list[LatencyReservoir]) -> dict[str, float]:
     if not merged:
         return {}
     ordered = sorted(merged)
-    out: dict[str, float] = {}
-    for p in PERCENTILES:
-        rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
-        out[f"p{p}"] = ordered[int(rank) - 1]
-    return out
+    return {f"p{p}": nearest_rank(ordered, p) for p in PERCENTILES}
 
 
 @dataclass

@@ -12,7 +12,13 @@ per-stream freshness SLO metric.
 """
 
 from repro.streaming.chunker import FrameChunk, iter_chunks
-from repro.streaming.ingest import StreamConfig, StreamHealth, StreamIngestor
+from repro.streaming.ingest import (
+    StreamConfig,
+    StreamHealth,
+    StreamIngestor,
+    feed_streams,
+    format_stream_health,
+)
 from repro.streaming.segmenter import StreamingSegmenter
 from repro.streaming.session import ChunkCommit, StreamGapError, StreamSession
 
@@ -26,4 +32,6 @@ __all__ = [
     "StreamIngestor",
     "StreamConfig",
     "StreamHealth",
+    "feed_streams",
+    "format_stream_health",
 ]

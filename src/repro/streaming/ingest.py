@@ -39,7 +39,13 @@ from repro.storage.crashpoints import SimulatedCrash
 from repro.streaming.chunker import FrameChunk
 from repro.streaming.session import StreamGapError, StreamSession
 
-__all__ = ["StreamConfig", "StreamHealth", "StreamIngestor"]
+__all__ = [
+    "StreamConfig",
+    "StreamHealth",
+    "StreamIngestor",
+    "feed_streams",
+    "format_stream_health",
+]
 
 
 @dataclass(frozen=True)
@@ -257,12 +263,12 @@ class StreamIngestor:
                 self._apply(state, chunk)
             except SimulatedCrash:
                 # A simulated kill must behave like a real one: the
-                # consumer dies where it stood; recovery is a new
-                # session resumed from the snapshot.
+                # consumer dies where it stood (its thread ends here);
+                # recovery is a new session resumed from the snapshot.
                 with state.cond:
                     state.state = "quarantined"
                     state.last_error = "simulated crash"
-                raise
+                return
             if session.finalized:
                 with state.cond:
                     state.state = "done"
@@ -372,6 +378,65 @@ class StreamIngestor:
                 "freshness_slo_ms": row.freshness_slo * 1000.0,
             }
         return payload
+
+
+def feed_streams(ingestor: StreamIngestor, feeds: dict, mangle=None) -> set[str]:
+    """Round-robin chunk *feeds* into *ingestor* with flow control.
+
+    *feeds* maps stream name -> chunk iterator.  The producer paces on
+    :meth:`StreamIngestor.backlog` so a healthy run never sheds;
+    *mangle* (a ``StreamFaultState.mangle``) sabotages each chunk on the
+    way in.  Returns the streams whose offer was refused (quarantined or
+    closed mid-feed).
+    """
+    refused: set[str] = set()
+    active = dict(feeds)
+    while active:
+        for name in list(active):
+            chunk = next(active[name], None)
+            if chunk is None:
+                del active[name]
+                continue
+            for part in mangle(chunk) if mangle is not None else [chunk]:
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    if ingestor.health()[name].state != "live":
+                        break  # quarantined/done: offer below will refuse
+                    if ingestor.backlog(name) < ingestor.config.queue_chunks - 1:
+                        break
+                    time.sleep(0.005)
+                if not ingestor.offer(part):
+                    refused.add(name)
+                    del active[name]
+                    break
+    return refused
+
+
+def format_stream_health(health: dict[str, StreamHealth]) -> list[str]:
+    """Readable per-stream rows from :meth:`StreamIngestor.health`."""
+    lines = []
+    for name, row in health.items():
+        p95 = row.freshness.get("p95")
+        fresh = (
+            f"p95 freshness {p95 * 1e3:.1f} ms (slo {row.freshness_slo * 1e3:.0f} ms)"
+            if p95 is not None
+            else "no freshness samples"
+        )
+        flags = []
+        if row.lag_sheds:
+            flags.append(f"lag_sheds={row.lag_sheds} ({row.shed_frames} frames)")
+        if row.duplicates_dropped:
+            flags.append(f"duplicates_dropped={row.duplicates_dropped}")
+        if row.degraded_freshness:
+            flags.append("degraded_freshness")
+        if row.last_error:
+            flags.append(f"error: {row.last_error}")
+        suffix = f"  [{', '.join(flags)}]" if flags else ""
+        lines.append(
+            f"  {name}: {row.state}, {row.chunks_committed} chunk(s), "
+            f"{row.shots} shot(s), watermark {row.watermark}, {fresh}{suffix}"
+        )
+    return lines
 
 
 def _ms(seconds: float | None) -> float | None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.grammar.runtime import (
     DetectorStatus,
     IsolationPolicy,
@@ -46,7 +46,7 @@ class TestInjection:
         plan = FaultPlan(
             [FaultSpec(detector="b", video="v1", times=None, error=PermanentDetectorError)]
         )
-        injector = plan.install(engine.registry)
+        injector = FaultInjector(plan, engine.registry).install()
         engine.index_video(tiny_clip("v1"))
         engine.index_video(tiny_clip("v2"))
         assert engine.health_of("v1").outcomes["b"].status is DetectorStatus.FAILED
@@ -58,7 +58,7 @@ class TestInjection:
         policy = RunPolicy(max_retries=3, backoff_base=0.1)
         engine, clock = diamond_engine(policy)
         plan = FaultPlan([FaultSpec(detector="b", times=2, error=TransientDetectorError)])
-        injector = plan.install(engine.registry)
+        injector = FaultInjector(plan, engine.registry).install()
         engine.index_video(tiny_clip("v"))
         outcome = engine.health_of("v").outcomes["b"]
         assert outcome.status is DetectorStatus.OK
@@ -73,7 +73,7 @@ class TestInjection:
         plan = FaultPlan(
             [FaultSpec(detector="b", times=1, error="hang", hang_seconds=5.0)]
         )
-        injector = plan.install(engine.registry, sleep=clock.sleep)
+        injector = FaultInjector(plan, engine.registry, sleep=clock.sleep).install()
         engine.index_video(tiny_clip("v"))
         outcome = engine.health_of("v").outcomes["b"]
         # First attempt hung for 5 fake seconds -> timeout -> retried clean.
@@ -85,7 +85,7 @@ class TestInjection:
         engine, _ = diamond_engine()
         before = {name: engine.registry.version(name) for name in "abcd"}
         plan = FaultPlan([FaultSpec(detector="b", error=PermanentDetectorError)])
-        injector = plan.install(engine.registry)
+        injector = FaultInjector(plan, engine.registry).install()
         after = {name: engine.registry.version(name) for name in "abcd"}
         assert before == after
         injector.uninstall()
@@ -95,7 +95,7 @@ class TestInjection:
         policy = RunPolicy(isolation=IsolationPolicy.SKIP_SUBTREE)
         engine, _ = diamond_engine(policy)
         plan = FaultPlan([FaultSpec(detector="b", times=None, error=PermanentDetectorError)])
-        with plan.install(engine.registry):
+        with FaultInjector(plan, engine.registry).install():
             engine.index_video(tiny_clip("v1"))
             assert engine.health_of("v1").degraded
         engine.index_video(tiny_clip("v2"))
@@ -104,14 +104,14 @@ class TestInjection:
     def test_double_install_rejected(self):
         engine, _ = diamond_engine()
         plan = FaultPlan([FaultSpec(detector="b")])
-        injector = plan.install(engine.registry)
+        injector = FaultInjector(plan, engine.registry).install()
         with pytest.raises(RuntimeError):
             injector.install()
 
     def test_unknown_detector_rejected(self):
         engine, _ = diamond_engine()
         with pytest.raises(KeyError):
-            FaultPlan([FaultSpec(detector="ghost")]).install(engine.registry)
+            FaultInjector(FaultPlan([FaultSpec(detector="ghost")]), engine.registry).install()
 
 
 class TestRandomPlans:
@@ -129,7 +129,7 @@ class TestRandomPlans:
 
     def test_rate_bounds(self):
         none = FaultPlan.random(["a"], ["v"], rate=0.0, seed=1)
-        assert none.specs == []
+        assert none.specs == ()
         everything = FaultPlan.random(["a", "b"], ["v1", "v2"], rate=1.0, seed=1)
         assert len(everything.specs) == 4
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ Every test is deterministic: the runner gets a fake clock whose
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.grammar.detectors import DetectorRegistry, IndexingContext
 from repro.grammar.fde import FeatureDetectorEngine
 from repro.grammar.grammar import parse_feature_grammar
@@ -500,7 +500,7 @@ class TestTennisGrammarIsolation:
         fde = build_tennis_fde(
             policy=RunPolicy(isolation=IsolationPolicy.SKIP_SUBTREE)
         )
-        self._plan().install(fde.registry)
+        FaultInjector(self._plan(), fde.registry).install()
         context = fde.index_video(clip)
         health = fde.health_of(clip.name)
         # The failed detector and its exact DAG descendants.
@@ -523,7 +523,7 @@ class TestTennisGrammarIsolation:
 
     def test_fail_fast_reproduces_full_rollback(self, clip):
         fde = build_tennis_fde(policy=RunPolicy(isolation=IsolationPolicy.FAIL_FAST))
-        self._plan().install(fde.registry)
+        FaultInjector(self._plan(), fde.registry).install()
         with pytest.raises(PermanentDetectorError):
             fde.index_video(clip)
         assert fde.model.counts() == {"raw": 0, "feature": 0, "object": 0, "event": 0}

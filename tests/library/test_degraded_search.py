@@ -9,7 +9,7 @@ search keeps serving full results from the healthy videos.
 import pytest
 
 from repro.dataset import build_australian_open
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.grammar.runtime import (
     DetectorStatus,
     IsolationPolicy,
@@ -40,7 +40,7 @@ def setup():
             )
         ]
     )
-    plan.install(fde.registry)
+    FaultInjector(plan, fde.registry).install()
     indexed = engine.index_videos(limit=2)
     assert indexed == 2
     return engine, degraded_name, healthy_name

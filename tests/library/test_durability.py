@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.dataset import build_australian_open
-from repro.faults import CrashPoint, FaultPlan, FaultSpec, SimulatedCrash
+from repro.faults import CrashPoint, FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
 from repro.grammar.runtime import (
     DetectorStatus,
     IsolationPolicy,
@@ -137,7 +137,7 @@ class TestQuarantinePersistence:
         plan = FaultPlan(
             [FaultSpec(detector="shape", times=None, error=PermanentDetectorError)]
         )
-        plan.install(indexer.fde.registry)
+        FaultInjector(plan, indexer.fde.registry).install()
         indexer.index_checkpointed(path, limit=2)
         assert indexer.fde.runner.is_quarantined("shape")
         return path

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.dataset import build_australian_open
-from repro.faults import CrashPoint, FaultPlan, FaultSpec, SimulatedCrash
+from repro.faults import CrashPoint, FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
 from repro.grammar.runtime import (
     IsolationPolicy,
     PermanentDetectorError,
@@ -71,7 +71,7 @@ def checkpointed_run(tmp_path, workers, policy=None, fault_plan=None):
     path.parent.mkdir()
     indexer = make_indexer(workers, policy=policy)
     if fault_plan is not None:
-        fault_plan().install(indexer.fde.registry)
+        FaultInjector(fault_plan(), indexer.fde.registry).install()
     records = indexer.index_checkpointed(path, limit=N_VIDEOS, workers=workers)
     journal = path.with_name(path.name + ".journal").read_bytes()
     return {

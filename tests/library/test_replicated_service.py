@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.dataset.build import build_australian_open
-from repro.faults import ShardFaultPlan
+from repro.faults import FaultPlan, ShardFaultSpec
 from repro.library.engine import DigitalLibraryEngine
 from repro.library.query import LibraryQuery
 from repro.library.service import LibrarySearchService
@@ -153,7 +153,7 @@ class TestWriteFanout:
 
     def test_down_group_yields_typed_outcome_not_an_exception(self, dataset, names):
         """replication=1, no restarts: a dead group reports ``"down"``."""
-        plan = ShardFaultPlan.dead(shard=0, after=0)
+        plan = FaultPlan([ShardFaultSpec(shard=0, mode="kill")])
         config = ShardingConfig(
             n_shards=2,
             replication=1,
@@ -182,7 +182,7 @@ class TestWriteFanout:
 
 class TestReadFailover:
     def test_replica_kill_costs_no_coverage_then_rejoins(self, names, reference):
-        plan = ShardFaultPlan.dead(shard=0, replica=0, after=0)
+        plan = FaultPlan([ShardFaultSpec(shard=0, mode="kill", replica=0)])
         config = ShardingConfig(
             n_shards=2,
             replication=2,
@@ -227,7 +227,7 @@ class TestHedgedReissue:
         """First query, empty latency reservoir: the hedge trigger falls
         back to ``hedge_min_seconds`` (``percentile_or``'s default path)
         rather than never firing."""
-        plan = ShardFaultPlan.straggler(shard=0, seconds=3.0, times=1)
+        plan = FaultPlan([ShardFaultSpec(shard=0, delay_seconds=3.0, times=1)])
         config = ShardingConfig(
             n_shards=2, budget_seconds=10.0, hedge_min_seconds=0.05
         )
@@ -242,7 +242,7 @@ class TestHedgedReissue:
             assert served.results == reference[id(MIX[1])]
 
     def test_losing_reply_is_discarded_not_leaked(self, names):
-        plan = ShardFaultPlan.straggler(shard=0, seconds=1.0, times=1)
+        plan = FaultPlan([ShardFaultSpec(shard=0, delay_seconds=1.0, times=1)])
         config = ShardingConfig(
             n_shards=2, budget_seconds=10.0, hedge_min_seconds=0.05
         )
@@ -263,9 +263,10 @@ class TestHedgedReissue:
         """One replica is killed on its first delivery, the sibling
         straggles once: whichever of hedge or failover reaches the
         healthy path first, the answer stays complete and fast."""
-        plan = ShardFaultPlan.dead(shard=0, replica=0, after=0).extend(
-            ShardFaultPlan.straggler(shard=0, seconds=1.0, times=1, replica=1)
-        )
+        plan = FaultPlan([
+            ShardFaultSpec(shard=0, mode="kill", replica=0),
+            ShardFaultSpec(shard=0, delay_seconds=1.0, times=1, replica=1),
+        ])
         config = ShardingConfig(
             n_shards=2,
             replication=2,
@@ -302,7 +303,7 @@ class TestClose:
         """Closing while a kill is being recovered must not leak a
         respawned worker: after ``close()`` returns, the prober is dead
         and the restart counter stays put."""
-        plan = ShardFaultPlan.dead(shard=0, replica=0, after=0)
+        plan = FaultPlan([ShardFaultSpec(shard=0, mode="kill", replica=0)])
         config = ShardingConfig(
             n_shards=2,
             replication=2,

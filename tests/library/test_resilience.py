@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.budget import DeadlineExceeded, OverloadedError, QueryBudget
 from repro.dataset import build_australian_open
-from repro.faults import QueryFaultPlan, StageFault
+from repro.faults import FaultPlan, QueryFaultInjector, QueryFaultSpec, StageFault
 from repro.ir.collection import DocumentCollection
 from repro.ir.inverted_index import InvertedIndex
 from repro.ir.topn import FragmentedIndex
@@ -322,8 +322,8 @@ class TestDegradationLadder:
         with service.write() as e:
             e.indexer.generation += 1  # a commit, as the cache key sees it
         assert service.generation == generation + 1
-        plan = QueryFaultPlan.latency(["text_topn"], SLOW_S)
-        with plan.install(engine):
+        plan = FaultPlan([QueryFaultSpec("text_topn", SLOW_S)])
+        with QueryFaultInjector(plan, engine).install():
             served = service.search(TEXT_QUERY)
         assert served.stale and served.cache_hit and not served.degraded
         assert served.generation == generation
@@ -333,8 +333,8 @@ class TestDegradationLadder:
     def test_concept_only_when_no_stale_entry(self, engine):
         """Rung 2: no cache to fall back on -> labeled partial evaluation."""
         service = resilient_service(engine)
-        plan = QueryFaultPlan.latency(["text_topn"], SLOW_S)
-        with plan.install(engine):
+        plan = FaultPlan([QueryFaultSpec("text_topn", SLOW_S)])
+        with QueryFaultInjector(plan, engine).install():
             served = service.search(TEXT_QUERY, bypass_cache=True)
         assert served.degraded and not served.stale and not served.rejected
         assert served.skipped_stages == ("text_topn",)
@@ -347,8 +347,8 @@ class TestDegradationLadder:
         service = resilient_service(
             engine, stale_serving=False, degraded_serving=False
         )
-        plan = QueryFaultPlan.latency(["text_topn"], SLOW_S)
-        with plan.install(engine):
+        plan = FaultPlan([QueryFaultSpec("text_topn", SLOW_S)])
+        with QueryFaultInjector(plan, engine).install():
             served = service.search(TEXT_QUERY, bypass_cache=True)
         assert served.rejected and served.rejection == "deadline"
         assert served.results == []
@@ -358,8 +358,8 @@ class TestDegradationLadder:
 
     def test_stage_error_walks_the_ladder_too(self, engine):
         service = resilient_service(engine)
-        plan = QueryFaultPlan.failing(["text_topn"], error=StageFault, times=1)
-        with plan.install(engine):
+        plan = FaultPlan([QueryFaultSpec("text_topn", error=StageFault, times=1)])
+        with QueryFaultInjector(plan, engine).install():
             served = service.search(TEXT_QUERY, bypass_cache=True)
         assert served.degraded
         assert "text_topn" in served.skipped_stages
@@ -368,8 +368,8 @@ class TestDegradationLadder:
         service = resilient_service(
             engine, breaker_failure_threshold=2, breaker_cooldown=60.0
         )
-        plan = QueryFaultPlan.latency(["text_topn"], SLOW_S)
-        with plan.install(engine):
+        plan = FaultPlan([QueryFaultSpec("text_topn", SLOW_S)])
+        with QueryFaultInjector(plan, engine).install():
             for _ in range(2):
                 service.search(TEXT_QUERY, bypass_cache=True)
             assert service.stats().breaker_states["text_topn"] == "open"
@@ -385,8 +385,8 @@ class TestDegradationLadder:
         service = resilient_service(
             engine, breaker_failure_threshold=1, breaker_cooldown=0.01
         )
-        plan = QueryFaultPlan.latency(["text_topn"], SLOW_S)
-        with plan.install(engine):
+        plan = FaultPlan([QueryFaultSpec("text_topn", SLOW_S)])
+        with QueryFaultInjector(plan, engine).install():
             service.search(TEXT_QUERY, bypass_cache=True)
         assert service.stats().breaker_states["text_topn"] == "open"
         time.sleep(0.02)  # past the cooldown; the fault is gone

@@ -9,7 +9,7 @@ from repro.library import (
     LibrarySearchService,
     canonical_query_key,
 )
-from repro.library.service import _LRUCache, format_query_stats
+from repro.library.service import LRUCache, format_query_stats
 
 
 @pytest.fixture()
@@ -240,10 +240,10 @@ class TestLatencyPercentiles:
 class TestLRUCacheUnit:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            _LRUCache(0)
+            LRUCache(0)
 
     def test_get_refreshes_recency(self):
-        cache = _LRUCache(2)
+        cache = LRUCache(2)
         cache.put((0, "a"), ())
         cache.put((0, "b"), ())
         cache.get((0, "a"))  # a is now the most recent

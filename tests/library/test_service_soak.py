@@ -1,23 +1,22 @@
 """A short in-process chaos soak: readers + writer + injected latency.
 
 The CI matrix runs the full 10-second soak through ``repro serve-bench
---soak``; this is the same harness compressed to ~2 seconds so the
-tier-1 suite exercises the serving invariants under concurrency on
-every run: bounded generation lag, labeled staleness, labeled
+--soak``; this is the same harness (:func:`repro.sim.run_clients` over
+the :func:`repro.sim.check_served` invariants) compressed to ~2 seconds
+so the tier-1 suite exercises the serving invariants under concurrency
+on every run: bounded generation lag, labeled staleness, labeled
 degradation, empty rejections, and no stuck threads.
 """
 
-import threading
-import time
-
 from repro.dataset import build_australian_open
-from repro.faults import QueryFaultPlan
+from repro.faults import FaultPlan, QueryFaultInjector, QueryFaultSpec
 from repro.library import (
     DigitalLibraryEngine,
     LibraryQuery,
     LibrarySearchService,
     ResilienceConfig,
 )
+from repro.sim import check_served, run_clients
 
 SOAK_SECONDS = 2.0
 BUDGET_S = 0.05
@@ -48,59 +47,31 @@ def test_soak_invariants_hold_under_faults_and_writes():
     for plan in dataset.video_plans[:1]:
         service.index_plan(plan)
 
-    deadline = time.monotonic() + SOAK_SECONDS
-    violations: list[str] = []
-    served_count = [0] * N_READERS
+    def reader(reader_id: int, n: int):
+        pre_gen = service.generation
+        # Alternate cached and forced-evaluation traffic so both the
+        # cache path and the ladder run under contention.
+        served = service.search(MIX[(reader_id + n) % len(MIX)], bypass_cache=n % 3 == 2)
+        return served.seconds, check_served(served, pre_gen)
 
-    def reader(reader_id: int) -> None:
-        step = 0
-        while time.monotonic() < deadline:
-            query = MIX[(reader_id + step) % len(MIX)]
-            step += 1
-            pre_gen = service.generation
-            # Alternate cached and forced-evaluation traffic so both the
-            # cache path and the ladder run under contention.
-            served = service.search(query, bypass_cache=step % 3 == 0)
-            served_count[reader_id] += 1
-            if served.generation < pre_gen - 1:
-                violations.append(
-                    f"generation lag: {served.generation} < {pre_gen} - 1"
-                )
-            if not served.rejected and not served.stale and served.generation < pre_gen:
-                violations.append("unlabeled stale result")
-            if served.degraded and not served.skipped_stages:
-                violations.append("degraded without skipped stages")
-            if served.rejected and served.results:
-                violations.append("rejected result with scenes")
+    pending = iter(dataset.video_plans[1:])
 
     def writer() -> None:
-        for plan in dataset.video_plans[1:]:
-            if time.monotonic() >= deadline:
-                return
+        plan = next(pending, None)
+        if plan is not None:
             service.index_plan(plan)
-            time.sleep(0.05)
-        while time.monotonic() < deadline:
+        else:
             service.refresh_text_index()
-            time.sleep(0.05)
 
-    fault_plan = QueryFaultPlan.latency(
-        ["text_topn"], FAULT_S, jitter=FAULT_S / 2, seed=11
-    )
-    threads = [
-        threading.Thread(target=reader, args=(i,), daemon=True)
-        for i in range(N_READERS)
-    ]
-    threads.append(threading.Thread(target=writer, daemon=True))
-    with fault_plan.install(engine):
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=SOAK_SECONDS + 10)
+    fault = QueryFaultSpec("text_topn", FAULT_S, jitter_seconds=FAULT_S / 2, jitter_seed=11)
+    with QueryFaultInjector(FaultPlan([fault]), engine).install():
+        run = run_clients(
+            reader, N_READERS, SOAK_SECONDS, background=[(writer, 0.05)], join_slack=10.0
+        )
 
-    stuck = [t.name for t in threads if t.is_alive()]
-    assert not stuck, f"threads still alive after the soak: {stuck}"
-    assert not violations, violations[:10]
-    assert sum(served_count) > 0
+    # Stuck threads, reader/writer exceptions and broken labels all land here.
+    assert not run.violations, run.violations[:10]
+    assert run.requests > 0
     stats = service.stats()
     assert stats.queries == stats.cache_hits + stats.cache_misses
     # The writer actually moved the generation during the soak.

@@ -3,7 +3,7 @@
 Real worker processes, real pipes: the coordinator's production paths
 (scatter, gather, hedging, quarantine, restart, ladder) are exercised
 against live shards, with chaos delivered by picklable
-:class:`~repro.faults.ShardFaultPlan`s inside the workers.
+:class:`~repro.faults.FaultPlan`s inside the workers.
 
 Kept deliberately small (4 videos, 2 shards) — each service spawn
 indexes its catalog slice from scratch.
@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.dataset.build import build_australian_open
-from repro.faults import ShardFaultPlan, ShardFaultSpec, ShardFaultState
+from repro.faults import FaultPlan, ShardFaultSpec, ShardFaultState
 from repro.library.engine import DigitalLibraryEngine
 from repro.library.query import LibraryQuery
 from repro.library.service import LibrarySearchService
@@ -112,7 +112,7 @@ class TestHealthyServing:
 
 class TestShardLoss:
     def test_kill_yields_labeled_partial_within_deadline_then_recovers(self, names):
-        plan = ShardFaultPlan.dead(shard=1, after=1)
+        plan = FaultPlan([ShardFaultSpec(shard=1, mode="kill", after=1)])
         config = ShardingConfig(
             n_shards=2,
             budget_seconds=5.0,
@@ -145,12 +145,9 @@ class TestShardLoss:
             assert stats.rejected == 0
 
     def test_all_shards_failing_serves_stale_then_rejects(self, dataset, names):
-        specs = tuple(
-            spec
-            for shard in range(2)
-            for spec in ShardFaultPlan.failing(shard, times=None, after=1).specs
+        plan = FaultPlan(
+            ShardFaultSpec(shard=shard, mode="error", after=1) for shard in range(2)
         )
-        plan = ShardFaultPlan(specs=specs)
         extra = dataset.video_plans[N_VIDEOS].name
         config = ShardingConfig(
             n_shards=2,
@@ -178,7 +175,7 @@ class TestHedging:
     def test_straggler_is_hedged_and_first_response_wins(self, names, reference):
         # The delay fires once per delivery; the hedged duplicate runs
         # clean on the worker's second pool thread and overtakes it.
-        plan = ShardFaultPlan.straggler(shard=0, seconds=3.0, times=1)
+        plan = FaultPlan([ShardFaultSpec(shard=0, delay_seconds=3.0, times=1)])
         config = ShardingConfig(
             n_shards=2, budget_seconds=10.0, hedge_min_seconds=0.05
         )
@@ -211,7 +208,7 @@ class TestShardFaultSpecs:
         state = ShardFaultState(0, (spec,))
         fired = [state.next_fault() is not None for _ in range(6)]
         assert fired == [False, False, True, True, False, False]
-        assert state.delivered == 2
+        assert state.injected == 2
 
     def test_state_ignores_other_shards(self):
         spec = ShardFaultSpec(shard=3, mode="error")
@@ -223,10 +220,13 @@ class TestShardFaultSpecs:
         assert state.next_fault() is None
 
     def test_plan_for_shard_filters(self):
-        plan = ShardFaultPlan.dead(1).extend(ShardFaultPlan.stale(2, lag=3))
-        assert [spec.mode for spec in plan.for_shard(1)] == ["kill"]
-        assert [spec.mode for spec in plan.for_shard(2)] == ["stale_generation"]
-        assert plan.for_shard(0) == ()
+        plan = FaultPlan([
+            ShardFaultSpec(shard=1, mode="kill"),
+            ShardFaultSpec(shard=2, mode="stale_generation", generation_lag=3),
+        ])
+        assert [spec.mode for spec in plan.matching(1)] == ["kill"]
+        assert [spec.mode for spec in plan.matching(2)] == ["stale_generation"]
+        assert plan.matching(0) == ()
 
     def test_replica_validation_and_matching(self):
         with pytest.raises(ValueError):
@@ -240,12 +240,13 @@ class TestShardFaultSpecs:
         assert wildcard.matches(0, replica=0) and wildcard.matches(0, replica=7)
 
     def test_plan_for_worker_filters_by_replica(self):
-        plan = ShardFaultPlan.dead(0, replica=1).extend(
-            ShardFaultPlan.straggler(0, seconds=0.1)  # whole group
-        )
-        assert [spec.mode for spec in plan.for_worker(0, 1)] == ["kill", "delay"]
-        assert [spec.mode for spec in plan.for_worker(0, 0)] == ["delay"]
-        assert plan.for_worker(1, 1) == ()
+        plan = FaultPlan([
+            ShardFaultSpec(shard=0, mode="kill", replica=1),
+            ShardFaultSpec(shard=0, delay_seconds=0.1),  # whole group
+        ])
+        assert [spec.mode for spec in plan.matching(0, 1)] == ["kill", "delay"]
+        assert [spec.mode for spec in plan.matching(0, 0)] == ["delay"]
+        assert plan.matching(1, 1) == ()
 
     def test_state_narrows_to_its_replica(self):
         addressed = ShardFaultSpec(shard=0, mode="error", times=1, replica=1)

@@ -1,11 +1,9 @@
 """CLI streaming ingest: repro stream, fsck chunk checks, resume."""
 
-import threading
-
 import pytest
 
 from repro.cli import main
-from repro.storage.crashpoints import CrashPoint, SimulatedCrash
+from repro.storage.crashpoints import CrashPoint
 
 
 @pytest.fixture(scope="module")
@@ -13,20 +11,6 @@ def batch_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_batch") / "meta.json"
     assert main(["index", "--seed", "7", "--videos", "1", "--out", str(path)]) == 0
     return path.read_bytes()
-
-
-@pytest.fixture
-def quiet_crashes():
-    """Consumer threads die by design in the kill test; mute the traceback."""
-    original = threading.excepthook
-
-    def hook(args):
-        if not issubclass(args.exc_type, SimulatedCrash):
-            original(args)
-
-    threading.excepthook = hook
-    yield
-    threading.excepthook = original
 
 
 class TestStreamCommand:
@@ -56,9 +40,7 @@ class TestStreamCommand:
         assert "fsck: clean" in text
         assert "chunk" in text  # the deep chunk check reported the stream
 
-    def test_kill_fsck_resume_roundtrip(
-        self, tmp_path, batch_bytes, capsys, quiet_crashes
-    ):
+    def test_kill_fsck_resume_roundtrip(self, tmp_path, batch_bytes, capsys):
         out = tmp_path / "meta.json"
         journal = tmp_path / "meta.journal"
         argv = ["stream", "--seed", "7", "--videos", "1", "--out", str(out),
