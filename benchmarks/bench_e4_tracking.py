@@ -6,7 +6,10 @@ Regenerates the tracking tables:
 - error vs search-window size per predictor (static / constant-velocity
   / Kalman) — the predict-and-search trade-off the paper's tennis
   detector embodies;
-- E4a ablation: court-statistics segmentation vs a global threshold.
+- E4a ablation: court-statistics segmentation vs a global threshold;
+- the gate pair ``test_e4_reference_tracker`` / ``test_e4_windowed_tracker``:
+  the window-local tracker against the full-frame oracle on the same
+  clips — CI demands >= 2x and zero differing ``TrackPoint``s.
 
 Expected shape: with a generous window every predictor works; as the
 window shrinks, better prediction keeps the player in view longer.
@@ -21,7 +24,10 @@ from repro.tracking.predictor import (
     KalmanPredictor,
     StaticPredictor,
 )
+from repro.tracking.reference import ReferencePlayerTracker
+from repro.tracking.segmentation import court_bounds, segment_area
 from repro.tracking.tracker import PlayerTracker
+from repro.vision.regions import regions_in
 
 PREDICTORS = {
     "static": StaticPredictor,
@@ -86,26 +92,22 @@ def test_e4a_segmentation_ablation(benchmark, bench_tennis_clips):
     frame = clip[0]
     model = benchmark.pedantic(CourtColorModel.estimate, args=(frame,), rounds=1, iterations=1)
 
-    from repro.tracking.segmentation import court_bounds, restrict_to_bounds
-    from repro.vision.morphology import opening
-    from repro.vision.regions import regions_in
-
-    bounds = court_bounds(frame, model)
-    r0, c0, r1, c1 = bounds
+    r0, c0, r1, c1 = court_bounds(frame, model)
     near_half = ((r0 + r1) // 2, c0, r1, c1)
 
-    # Court-statistics mask: pixels far from the estimated court colour.
-    stat_mask = ~model.is_court(frame)
+    # Naive global threshold: only dark pixels are foreground (a 2002-era
+    # fallback); the cutoff is a whole-frame statistic, the test per pixel.
+    cutoff = frame.mean(axis=-1).mean() * 0.6
 
-    # Naive global threshold: dark pixels (a 2002-era fallback).
-    grey = frame.mean(axis=-1)
-    naive_mask = grey < grey.mean() * 0.6
+    def bright(rgb):
+        return rgb.mean(axis=-1) >= cutoff
 
     true_pos = truth.shots[0].trajectory[0]
     rows = []
-    for name, mask in (("court statistics", stat_mask), ("global threshold", naive_mask)):
-        cleaned = restrict_to_bounds(opening(mask, size=3), near_half)
-        regions = regions_in(cleaned, min_area=12)
+    # Court statistics: foreground is what is far from the estimated colour.
+    for name, background in (("court statistics", model.is_court), ("global threshold", bright)):
+        cleaned = segment_area(frame, background, near_half, near_half, open_size=3)
+        regions = [r.shifted(*near_half[:2]) for r in regions_in(cleaned, min_area=12)]
         near = [
             r
             for r in regions
@@ -150,6 +152,37 @@ def test_e4b_camera_pan_ablation(benchmark):
         rows,
     )
     assert float(rows[0][2]) <= float(rows[-1][2]) + 0.5
+
+
+def _track_all(tracker, clips):
+    return [tracker.track(list(clip)) for clip, _truth in clips.values()]
+
+
+def test_e4_reference_tracker(benchmark, bench_tennis_clips):
+    """Gate baseline: the full-frame oracle tracker on every motion script."""
+    benchmark.pedantic(
+        lambda: _track_all(ReferencePlayerTracker(), bench_tennis_clips), rounds=3, iterations=1
+    )
+
+
+def test_e4_windowed_tracker(benchmark, bench_tennis_clips):
+    """Gate candidate: the window-local tracker, bit-identical tracks.
+
+    The CI gate demands a >= 2x median speedup over
+    :func:`test_e4_reference_tracker` and ``mismatches == 0``: every
+    frame's ``TrackPoint`` (found flag, position, shape features,
+    dominant colour) must equal the oracle's exactly.
+    """
+    tracks = benchmark.pedantic(
+        lambda: _track_all(PlayerTracker(), bench_tennis_clips), rounds=3, iterations=1
+    )
+    oracle = _track_all(ReferencePlayerTracker(), bench_tennis_clips)
+    mismatches = sum(
+        a != b for mine, ref in zip(tracks, oracle) for a, b in zip(mine.points, ref.points)
+    )
+    benchmark.extra_info["mismatches"] = mismatches
+    benchmark.extra_info["frames"] = sum(len(track) for track in tracks)
+    assert mismatches == 0
 
 
 def test_e4_tracking_speed(benchmark, bench_tennis_clips):

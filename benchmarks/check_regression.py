@@ -31,6 +31,17 @@ uses it to bound overload behaviour::
         --max-extra shed_rate=0.60 --max-extra p99_ms=100 \\
         --zero-extra unlabeled
 
+The E4 entries hold the window-local player tracker to its full-frame
+oracle with a speedup gate and an exactness gate — at least twice as
+fast, with not one differing ``TrackPoint``::
+
+    python benchmarks/check_regression.py bench.json \\
+        --baseline test_e4_reference_tracker \\
+        --candidate test_e4_windowed_tracker \\
+        --min-speedup 2
+    python benchmarks/check_regression.py bench.json \\
+        --candidate test_e4_windowed_tracker --zero-extra mismatches
+
 The E17 entries gate the sharded scatter-gather layer the same way:
 ``parallel_deficit`` bounds how far batch indexing falls short of the
 machine's ideal speedup (``min(shards, cores)``, so single-core runners

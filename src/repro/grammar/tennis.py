@@ -34,8 +34,6 @@ from repro.grammar.fde import FeatureDetectorEngine
 from repro.grammar.grammar import FeatureGrammar, parse_feature_grammar
 from repro.shots.boundary import TwinComparisonDetector
 from repro.shots.segmenter import DetectedShot, SegmentDetector
-from repro.tracking.court_model import CourtColorModel
-from repro.tracking.segmentation import court_bounds
 from repro.tracking.tracker import PlayerTracker, Track
 from repro.video.shots import ShotCategory
 
@@ -105,18 +103,19 @@ def track_shot_player(
     Shared by the batch ``tennis`` detector and the streaming session so
     both produce byte-identical object-layer entities: near player first
     (the ``player`` object drives events), then the optional far player.
+    The court (colour model + bounds) is estimated once per shot, with
+    the near tracker's threshold, and shared by both tracks and the zones.
     """
-    track = tracker.track(frames)
-    color_model = CourtColorModel.estimate(frames[0])
-    bounds = court_bounds(frames[0], color_model)
-    zones = CourtZones.from_court_bounds(bounds) if bounds else None
+    court = tracker.estimate_court(frames[0])
+    track = tracker.track(frames, court=court)
+    zones = CourtZones.from_court_bounds(court[1]) if court[1] else None
     obj = model.add_object(
         shot_id,
         label="player",
         trajectory=track.positions,
     )
     if far_tracker is not None:
-        far_track = far_tracker.track(frames)
+        far_track = far_tracker.track(frames, court=court)
         model.add_object(
             shot_id,
             label="player_far",

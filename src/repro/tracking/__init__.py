@@ -8,14 +8,18 @@ neighborhood of the initially detected player."
 
 - :mod:`repro.tracking.court_model` — estimation of the court colour
   statistics from the shot itself.
-- :mod:`repro.tracking.segmentation` — "not court" segmentation and the
-  initial player detection in the near court half.
+- :mod:`repro.tracking.segmentation` — "not court" segmentation of an
+  area of the frame (``segment_area``: the area plus a halo, nothing
+  else) and the initial player detection in the near court half.
 - :mod:`repro.tracking.predictor` — position predictors (static,
   constant-velocity, Kalman).
 - :mod:`repro.tracking.tracker` — the predict-and-search region tracker.
 - :mod:`repro.tracking.shape` — per-frame shape features of the player
   blob (mass centre, area, bounding box, orientation, eccentricity,
   dominant colour).
+- ``reference`` (this package) — the full-frame bodies the window-local
+  path replaced, kept as its bit-equality oracle (tests and the E4 gate
+  import it; nothing under ``src/repro`` does).
 """
 
 from repro.tracking.court_model import CourtColorModel

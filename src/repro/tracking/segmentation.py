@@ -5,6 +5,12 @@ quadrant the broadcast tracks) is segmented into court / not-court using
 the estimated colour statistics; thin structures (court lines, the net
 band) are removed by a morphological opening, and the largest remaining
 blob is the player.
+
+Every step is local — classification is per pixel, the opening reads a
+fixed neighbourhood — so :func:`segment_area` cleans any rectangle of the
+frame from that rectangle plus a halo, bit-equal to the same rectangle
+of the cleaned whole frame.  The tracker's window search, its near-half
+(re-)acquisition and :func:`initial_player_region` are all callers of it.
 """
 
 from __future__ import annotations
@@ -20,9 +26,12 @@ __all__ = [
     "clean_mask",
     "court_bounds",
     "restrict_to_bounds",
+    "segment_area",
     "initial_player_region",
     "SearchWindow",
 ]
+
+Box = tuple[int, int, int, int]  # (row_min, col_min, row_max, col_max), half-open
 
 
 def court_bounds(
@@ -86,30 +95,65 @@ class SearchWindow:
     def empty(self) -> bool:
         return self.row_min >= self.row_max or self.col_min >= self.col_max
 
+    @property
+    def area(self) -> Box:
+        """The window as ``(row_min, col_min, row_max, col_max)``."""
+        return self.row_min, self.col_min, self.row_max, self.col_max
+
     def crop(self, array: np.ndarray) -> np.ndarray:
         """Slice *array* (2-D or 3-D) to the window."""
         return array[self.row_min : self.row_max, self.col_min : self.col_max]
 
     def to_frame(self, region: Region) -> Region:
         """Translate a region found in window coordinates back to the frame."""
-        r0, c0, r1, c1 = region.bbox
-        return Region(
-            label=region.label,
-            area=region.area,
-            bbox=(r0 + self.row_min, c0 + self.col_min, r1 + self.row_min, c1 + self.col_min),
-            centroid=(
-                region.centroid[0] + self.row_min,
-                region.centroid[1] + self.col_min,
-            ),
-        )
+        return region.shifted(self.row_min, self.col_min)
 
 
-def restrict_to_bounds(mask: np.ndarray, bounds: tuple[int, int, int, int]) -> np.ndarray:
+def restrict_to_bounds(mask: np.ndarray, bounds: Box) -> np.ndarray:
     """Zero a mask outside ``(row_min, col_min, row_max, col_max)``."""
-    r0, c0, r1, c1 = bounds
+    r0, c0, r1, c1 = (max(0, b) for b in bounds)
     restricted = np.zeros_like(mask)
     restricted[r0:r1, c0:c1] = mask[r0:r1, c0:c1]
     return restricted
+
+
+def segment_area(
+    frame: np.ndarray, is_court, area: Box, bounds: Box, open_size: int = 3
+) -> np.ndarray:
+    """Cleaned not-court mask of *area*, zeroed outside *bounds*.
+
+    Equal, bit for bit, to ``restrict_to_bounds(opening(~is_court(frame)),
+    bounds)`` sliced to *area*, at the cost of the area alone: an opened
+    pixel depends on the raw mask within ``open_size - 1`` pixels of it,
+    so classifying and opening the area plus an ``open_size`` halo
+    (clipped to the frame) decides every pixel of the area.  Where the
+    halo is clipped the crop edge *is* the frame edge, and scipy's
+    outside-is-background border rule is the one the whole frame had.
+    Order matters and is kept: open first, restrict second.
+
+    Args:
+        frame: the RGB frame.
+        is_court: per-pixel classifier, RGB crop -> boolean court mask
+            (e.g. ``model.is_court``).
+        area: ``(row_min, col_min, row_max, col_max)`` inside the frame.
+        bounds: court bounds in frame coordinates.
+        open_size: structuring element of the cleaning opening.
+
+    Returns:
+        A boolean mask of the area's shape (``mask[0, 0]`` is the frame's
+        ``[row_min, col_min]``).
+    """
+    r0, c0, r1, c1 = area
+    h, w = frame.shape[:2]
+    if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
+        raise ValueError(f"invalid area {area} for frame {h}x{w}")
+    top, left = max(0, r0 - open_size), max(0, c0 - open_size)
+    crop = frame[top : min(h, r1 + open_size), left : min(w, c1 + open_size)]
+    cleaned = clean_mask(~is_court(crop), open_size=open_size)
+    b0, d0, b1, d1 = bounds
+    return restrict_to_bounds(
+        cleaned[r0 - top : r1 - top, c0 - left : c1 - left], (b0 - r0, d0 - c0, b1 - r0, d1 - c0)
+    )
 
 
 def initial_player_region(
@@ -135,13 +179,8 @@ def initial_player_region(
     Returns:
         The largest qualifying region in frame coordinates, or ``None``.
     """
-    r0, c0, r1, c1 = bounds
-    h, w = frame.shape[:2]
-    if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
-        raise ValueError(f"invalid bounds {bounds} for frame {h}x{w}")
-    mask = clean_mask(not_court_mask(frame, model, k=k), open_size=open_size)
-    banded = restrict_to_bounds(mask, bounds)
-    regions = regions_in(banded, min_area=min_area)
+    mask = segment_area(frame, lambda rgb: model.is_court(rgb, k=k), bounds, bounds, open_size)
+    regions = regions_in(mask, min_area=min_area)
     if not regions:
         return None
-    return max(regions, key=lambda r: r.area)
+    return max(regions, key=lambda r: r.area).shifted(bounds[0], bounds[1])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.vision.moments import ShapeFeatures, shape_features
+from repro.vision.moments import ShapeFeatures, _features_from_points
 from repro.vision.regions import Region
 
 __all__ = ["PlayerObservation", "observe_player"]
@@ -34,23 +34,32 @@ class PlayerObservation:
 
 
 def observe_player(
-    frame: np.ndarray, mask: np.ndarray, region: Region
+    frame: np.ndarray,
+    mask: np.ndarray,
+    region: Region,
+    origin: tuple[int, int] = (0, 0),
 ) -> PlayerObservation:
     """Build a :class:`PlayerObservation` for a segmented player *region*.
 
+    Only the region's bounding box is read: its true pixels, offset back
+    to frame coordinates, are the coordinate arrays a whole-frame
+    ``np.nonzero`` would give (same values, same row-major order).
+
     Args:
         frame: the RGB frame.
-        mask: the cleaned not-court mask the region was found in.
+        mask: the cleaned not-court mask the region was found in — the
+            whole frame's, or a crop of it.
         region: the player blob (frame coordinates).
+        origin: frame position of ``mask[0, 0]`` when *mask* is a crop.
     """
     r0, c0, r1, c1 = region.bbox
-    local_mask = np.zeros_like(mask)
-    local_mask[r0:r1, c0:c1] = mask[r0:r1, c0:c1]
-    shape = shape_features(local_mask)
-    if shape is None:
+    rows, cols = np.nonzero(mask[r0 - origin[0] : r1 - origin[0], c0 - origin[1] : c1 - origin[1]])
+    if rows.size == 0:
         raise ValueError("player region produced an empty mask")
-    pixels = frame[local_mask]
-    color = pixels.mean(axis=0) if len(pixels) else np.zeros(3)
+    rows += r0
+    cols += c0
+    shape = _features_from_points(rows, cols)
+    color = frame[rows, cols].mean(axis=0)
     return PlayerObservation(
         position=shape.centroid,
         shape=shape,

@@ -8,6 +8,12 @@ For a shot classified as tennis, the tracker:
    window around the prediction for the most similar not-court region,
 4. re-acquires by full near-half segmentation when the track is lost.
 
+A tracked frame costs its neighbourhood, not the frame: steps 3 and 4
+classify, open and label only the window (or court half) they search
+(:func:`~repro.tracking.segmentation.segment_area`), and the observation
+reads only the blob's bounding box.  The full-frame bodies this replaced
+live on as the oracle module ``reference`` beside this one.
+
 The output :class:`Track` carries a :class:`TrackPoint` per frame with
 the blob position and the full shape observation (or a miss marker).
 """
@@ -20,14 +26,7 @@ import numpy as np
 
 from repro.tracking.court_model import CourtColorModel
 from repro.tracking.predictor import KalmanPredictor
-from repro.tracking.segmentation import (
-    SearchWindow,
-    clean_mask,
-    court_bounds,
-    initial_player_region,
-    not_court_mask,
-    restrict_to_bounds,
-)
+from repro.tracking.segmentation import Box, SearchWindow, court_bounds, segment_area
 from repro.tracking.shape import PlayerObservation, observe_player
 from repro.vision.regions import Region, regions_in
 
@@ -129,114 +128,91 @@ class PlayerTracker:
         self.max_color_std = max_color_std
         self.half = half
 
-    @staticmethod
-    def _near_half(bounds: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        """The lower (near) half of the court bounding box."""
+    def _search_half(self, bounds: Box) -> Box:
+        """The court half this tracker follows: lower (near) or upper (far)."""
         r0, c0, r1, c1 = bounds
-        return (r0 + r1) // 2, c0, r1, c1
+        mid = (r0 + r1) // 2
+        return (r0, c0, mid, c1) if self.half == "far" else (mid, c0, r1, c1)
 
-    @staticmethod
-    def _far_half(bounds: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        """The upper (far) half of the court bounding box."""
-        r0, c0, r1, c1 = bounds
-        return r0, c0, (r0 + r1) // 2, c1
+    def estimate_court(self, frame: np.ndarray) -> tuple[CourtColorModel, Box | None]:
+        """Court colour model and court bounds of a shot, from its first frame."""
+        model = CourtColorModel.estimate(frame)
+        return model, court_bounds(frame, model, k=self.court_k)
 
-    def _search_half(self, bounds: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        return self._far_half(bounds) if self.half == "far" else self._near_half(bounds)
+    def _locate(
+        self, frame: np.ndarray, model: CourtColorModel, bounds: Box, area: Box, cost
+    ) -> PlayerObservation | None:
+        """Observe the region of *area* with the lowest *cost* (first on ties).
+
+        *area* is segmented on its own, once; *cost* sees its regions in
+        area coordinates.  ``None`` when no region reaches ``min_area``.
+        """
+        mask = segment_area(
+            frame, lambda rgb: model.is_court(rgb, k=self.court_k), area, bounds, self.open_size
+        )
+        regions = regions_in(mask, min_area=self.min_area)
+        if not regions:
+            return None
+        origin = area[:2]
+        return observe_player(frame, mask, min(regions, key=cost).shifted(*origin), origin)
 
     def _acquire(
-        self,
-        frame: np.ndarray,
-        model: CourtColorModel,
-        bounds: tuple[int, int, int, int],
-    ) -> Region | None:
+        self, frame: np.ndarray, model: CourtColorModel, bounds: Box
+    ) -> PlayerObservation | None:
         """Full near-half segmentation (initial detection / re-acquisition)."""
-        return initial_player_region(
-            frame,
-            model,
-            bounds=self._search_half(bounds),
-            k=self.court_k,
-            min_area=self.min_area,
-            open_size=self.open_size,
-        )
+        half = self._search_half(bounds)
+        # The largest blob of the half is the player.
+        return self._locate(frame, model, half, half, lambda region: -region.area)
 
     def _search(
         self,
         frame: np.ndarray,
         model: CourtColorModel,
-        bounds: tuple[int, int, int, int],
+        bounds: Box,
         prediction: tuple[float, float],
-    ) -> tuple[Region | None, np.ndarray]:
-        """Search the window around *prediction* for the player blob.
-
-        Returns the best region (frame coordinates) and the cleaned
-        court-restricted mask it was found in.
-        """
-        mask = restrict_to_bounds(
-            clean_mask(
-                not_court_mask(frame, model, k=self.court_k), open_size=self.open_size
-            ),
-            bounds,
-        )
-        window = SearchWindow(
-            prediction, self.search_half_size, (frame.shape[0], frame.shape[1])
-        )
+    ) -> PlayerObservation | None:
+        """Search the window around *prediction* for the player blob."""
+        window = SearchWindow(prediction, self.search_half_size, frame.shape[:2])
         if window.empty:
-            return None, mask
-        local = window.crop(mask)
-        regions = regions_in(local, min_area=self.min_area)
-        if not regions:
-            return None, mask
+            return None
+
         # The most similar region: nearest centroid to the prediction.
         def distance(region: Region) -> float:
             centre = window.to_frame(region).centroid
-            return float(
-                np.hypot(centre[0] - prediction[0], centre[1] - prediction[1])
-            )
+            return float(np.hypot(centre[0] - prediction[0], centre[1] - prediction[1]))
 
-        best = min(regions, key=distance)
-        return window.to_frame(best), mask
+        return self._locate(frame, model, bounds, window.area, distance)
 
-    def track(self, frames: list[np.ndarray]) -> Track:
-        """Track the player through the frames of one tennis shot."""
+    def track(self, frames: list[np.ndarray], court=None) -> Track:
+        """Track the player through the frames of one tennis shot.
+
+        Args:
+            frames: the shot's RGB frames.
+            court: the shot's ``(model, bounds)`` as :meth:`estimate_court`
+                returns it, when the caller already has it (estimated
+                from ``frames[0]`` otherwise).
+        """
         if not frames:
             raise ValueError("cannot track an empty shot")
-        model = CourtColorModel.estimate(frames[0])
-        if float(model.std.max()) > self.max_color_std:
-            # No coherent field colour (not actually a court shot): the
-            # "court" model would cover arbitrary pixels, so every frame
-            # is a miss rather than a fabricated track.
-            return Track(
-                points=[TrackPoint(frame=i, found=False) for i in range(len(frames))]
-            )
-        bounds = court_bounds(frames[0], model, k=self.court_k)
-        if bounds is None:
-            # No court surface: every frame is a miss (not a tennis shot).
+        model, bounds = court if court is not None else self.estimate_court(frames[0])
+        if bounds is None or float(model.std.max()) > self.max_color_std:
+            # No court surface, or no coherent field colour (the "court"
+            # model would cover arbitrary pixels): not a tennis shot, so
+            # every frame is a miss rather than a fabricated track.
             return Track(points=[TrackPoint(frame=i, found=False) for i in range(len(frames))])
         predictor = self.predictor_factory()
         track = Track()
 
         for index, frame in enumerate(frames):
             prediction = predictor.predict()
-            region: Region | None = None
-            mask: np.ndarray | None = None
+            observation = None
             if prediction is not None:
-                region, mask = self._search(frame, model, bounds, prediction)
-            if region is None:
-                region = self._acquire(frame, model, bounds)
-                mask = restrict_to_bounds(
-                    clean_mask(
-                        not_court_mask(frame, model, k=self.court_k),
-                        open_size=self.open_size,
-                    ),
-                    self._search_half(bounds),
-                )
-            if region is None:
+                observation = self._search(frame, model, bounds, prediction)
+            if observation is None:
+                observation = self._acquire(frame, model, bounds)
+            if observation is None:
                 track.points.append(TrackPoint(frame=index, found=False))
                 continue
-            observation = observe_player(frame, mask, region)
             predictor.update(observation.position)
-            track.points.append(
-                TrackPoint(frame=index, found=True, observation=observation)
-            )
+            track.points.append(TrackPoint(frame=index, found=True, observation=observation))
         return track

@@ -2,8 +2,8 @@
 
 The player segmentation step produces a binary "not court" mask; the
 tracker then needs the connected regions of that mask to find the player
-blob.  Labelling uses scipy's optimised implementation with pure-NumPy
-helpers around it.
+blob.  Labelling uses scipy's optimised implementation; per-region
+statistics are NumPy ``bincount`` sums over the label image.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ class Region:
     def width(self) -> int:
         return self.bbox[3] - self.bbox[1]
 
+    def shifted(self, rows: int, cols: int) -> "Region":
+        """The region translated by ``(rows, cols)`` — crop to frame coordinates."""
+        r0, c0, r1, c1 = self.bbox
+        return Region(
+            label=self.label,
+            area=self.area,
+            bbox=(r0 + rows, c0 + cols, r1 + rows, c1 + cols),
+            centroid=(self.centroid[0] + rows, self.centroid[1] + cols),
+        )
+
 
 def label_regions(mask: np.ndarray, connectivity: int = 2) -> tuple[np.ndarray, int]:
     """Label connected components of a boolean mask.
@@ -69,27 +79,33 @@ def region_slices(labels: np.ndarray, count: int) -> list[tuple[slice, slice]]:
 
 
 def regions_in(mask: np.ndarray, connectivity: int = 2, min_area: int = 1) -> list[Region]:
-    """All connected regions of *mask* with at least *min_area* pixels."""
+    """All connected regions of *mask* with at least *min_area* pixels.
+
+    One labelling pass, then areas and centroid sums by ``np.bincount``
+    over the labelled pixels.  The sums are integers below 2**53, so the
+    float64 accumulation is exact and ``sum / area`` is the division
+    ``scipy.ndimage.center_of_mass`` performs — bit-equal centroids.
+    """
     labels, count = label_regions(mask, connectivity=connectivity)
     if count == 0:
         return []
-    areas = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, count + 1))
-    centroids = ndimage.center_of_mass(mask, labels, index=range(1, count + 1))
-    slices = ndimage.find_objects(labels, max_label=count)
+    rows, cols = np.nonzero(labels)
+    of_pixel = labels[rows, cols]
+    areas = np.bincount(of_pixel, minlength=count + 1)
+    row_sums = np.bincount(of_pixel, weights=rows, minlength=count + 1)
+    col_sums = np.bincount(of_pixel, weights=cols, minlength=count + 1)
     regions: list[Region] = []
-    for idx in range(count):
-        area = int(areas[idx])
-        if area < min_area or slices[idx] is None:
-            continue
-        rs, cs = slices[idx]
-        regions.append(
-            Region(
-                label=idx + 1,
-                area=area,
-                bbox=(rs.start, cs.start, rs.stop, cs.stop),
-                centroid=(float(centroids[idx][0]), float(centroids[idx][1])),
+    for label, (rs, cs) in enumerate(ndimage.find_objects(labels, max_label=count), start=1):
+        area = int(areas[label])
+        if area >= min_area:
+            regions.append(
+                Region(
+                    label=label,
+                    area=area,
+                    bbox=(rs.start, cs.start, rs.stop, cs.stop),
+                    centroid=(float(row_sums[label] / area), float(col_sums[label] / area)),
+                )
             )
-        )
     return regions
 
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.tracking.reference import regions_in_reference
 from repro.vision.regions import label_regions, largest_region, regions_in
 
 
@@ -67,3 +70,53 @@ class TestLargestRegion:
 
     def test_none_for_empty(self):
         assert largest_region(np.zeros((4, 4), dtype=bool)) is None
+
+
+class TestRegionsInEqualsScipyReference:
+    """``regions_in`` (bincount sums) ``==`` the scipy labelled-statistics
+    oracle: label, area, bbox and centroid bits."""
+
+    @staticmethod
+    def check(mask, connectivity=2, min_area=1):
+        assert regions_in(mask, connectivity, min_area) == regions_in_reference(
+            mask, connectivity, min_area
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        density=st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.95]),
+        connectivity=st.sampled_from([1, 2]),
+        min_area=st.integers(1, 12),
+    )
+    def test_random_masks(self, seed, shape, density, connectivity, min_area):
+        mask = np.random.default_rng(seed).random(shape) < density
+        self.check(mask, connectivity, min_area)
+
+    @pytest.mark.parametrize("connectivity", [1, 2])
+    def test_degenerate_masks(self, connectivity):
+        single = np.zeros((7, 9), dtype=bool)
+        single[3, 4] = True
+        for mask in (np.zeros((5, 6), dtype=bool), np.ones((5, 6), dtype=bool), single):
+            self.check(mask, connectivity)
+        assert regions_in(np.zeros((5, 6), dtype=bool)) == []
+
+    def test_diagonal_only_joins(self):
+        mask = np.eye(9, dtype=bool) | np.eye(9, dtype=bool)[::-1]
+        self.check(mask, connectivity=1)
+        self.check(mask, connectivity=2)
+        assert len(regions_in(mask, connectivity=1)) == 17
+        assert len(regions_in(mask, connectivity=2)) == 1
+
+    def test_min_area_keeps_labels_of_survivors(self):
+        regions = regions_in(mask_with_blobs(), min_area=10)
+        assert regions == regions_in_reference(mask_with_blobs(), min_area=10)
+        assert [r.label for r in regions] == [2]
+
+    def test_large_coordinates_stay_exact(self):
+        """Thirds far from the origin: the centroid division has no slack."""
+        mask = np.zeros((300, 400), dtype=bool)
+        mask[297:300, 390:397] = True
+        mask[299, 399] = True
+        self.check(mask)
