@@ -27,9 +27,14 @@ from repro.faults import (
 )
 from repro.grammar.tennis import build_tennis_fde
 from repro.library.indexing import LibraryIndexer
-from repro.library.persistence import model_to_catalog
+from repro.library.persistence import (
+    catalog_to_stream_state,
+    model_to_catalog,
+    stream_state_to_catalog,
+)
+from repro.storage.catalog import Catalog
 from repro.storage.journal import IndexingJournal
-from repro.storage.persist import load_catalog, save_catalog
+from repro.storage.persist import DeltaLog, load_catalog, save_catalog, tables_document
 
 N_VIDEOS = 3
 
@@ -113,10 +118,17 @@ def test_e13_journal_crash_points_keep_replayable_prefix(tmp_path):
     )
 
 
-def test_e13_chunk_journal_crash_points(tmp_path):
+def test_e13_chunk_journal_crash_points(tmp_path, generations):
     """Chunk-append records obey the same torn-write contract: a crash
     anywhere in a ``chunk_commit`` append keeps the committed prefix
-    replayable and reports the in-flight chunk as a recoverable orphan."""
+    replayable and reports the in-flight chunk as a recoverable orphan.
+
+    The chunk's *data* rides the delta log beside the snapshot, under the
+    same contract: a crash anywhere in a delta append keeps every earlier
+    record, and a crash anywhere in the compaction that folds the log
+    into a new base (every snapshot crash point, then "base durable, log
+    not yet removed") still reconstructs every committed record.
+    """
     rows = []
     for point in JOURNAL_POINTS:
         journal = IndexingJournal(tmp_path / f"chunk-{point}.jsonl")
@@ -143,6 +155,53 @@ def test_e13_chunk_journal_crash_points(tmp_path):
     print_table(
         "E13: chunk-append journal crash matrix",
         ["crash point", "records kept", "bytes dropped", "committed seqs", "orphans"],
+        rows,
+    )
+
+    def chunk_delta(watermark: int) -> dict:
+        small = Catalog()
+        stream_state_to_catalog(
+            [dict(stream="s", seq=watermark // 24, watermark=watermark, scan_base=0,
+                  frames=watermark, shots=1)],
+            small,
+        )
+        return {"tables": tables_document(small)}
+
+    def folded_watermark(path) -> int:
+        return int(catalog_to_stream_state(load_catalog(path))["s"]["watermark"])
+
+    gen1, _gen2 = generations
+    rows = []
+    append_points = ("delta-pre-append", "delta-mid-append", "delta-post-append")
+    for point in append_points + SNAPSHOT_POINTS + ("compaction-pre-unlink",):
+        path = tmp_path / f"delta-{point}.json"
+        save_catalog(gen1, path)
+        log = DeltaLog(path)
+        assert log.append(chunk_delta(24))
+        if point in append_points:
+            committed = 24  # the append of 48 is the one that dies
+            with CrashPoint(point):
+                try:
+                    log.append(chunk_delta(48))
+                except SimulatedCrash:
+                    pass
+        else:
+            committed = 48  # both records committed; the compaction dies
+            assert log.append(chunk_delta(48))
+            # "compaction-pre-unlink": the save completes, the log stays.
+            armed = (point,) if point in SNAPSHOT_POINTS else ()
+            with CrashPoint(*armed):
+                try:
+                    save_catalog(load_catalog(path), path)
+                except SimulatedCrash:
+                    pass
+        recovered = folded_watermark(path)
+        rows.append([point, committed, recovered, log.path.stat().st_size])
+        assert recovered >= committed  # no committed record is ever lost
+        assert recovered == (24 if point in append_points[:2] else 48)
+    print_table(
+        "E13: delta-log crash matrix (append, then compaction over a live log)",
+        ["crash point", "committed watermark", "recovered watermark", "log bytes left"],
         rows,
     )
 

@@ -85,16 +85,21 @@ approximate shot retrieval to its quality bar — recall at the serving
 The E20 entries gate streaming ingest's crash-safety and freshness
 claims: chunk-append must end byte-identical to batch indexing, a kill
 at every chunk-commit and snapshot crash point must resume to the same
-bytes (zero lost or duplicated shots), and a paced feed under
-concurrent readers must hold its p95 frame-arrival -> queryable latency
-inside the SLO with zero sheds, quarantines or reader errors::
+bytes (zero lost or duplicated shots), a chunk's durable step (journal
+pair + delta-log append) must cost the same streaming into a 12-video
+catalog as into a 2-video one, and a paced feed under concurrent
+readers must hold its p95 frame-arrival -> queryable latency inside the
+SLO with zero sheds, quarantines or reader errors::
 
     python benchmarks/check_regression.py bench.json \\
         --candidate test_e20_streamed_batch_identity \\
         --zero-extra identity_mismatch
     python benchmarks/check_regression.py bench.json \\
         --candidate test_e20_kill_matrix \\
-        --min-extra kill_scenarios=10 --zero-extra kill_failures
+        --min-extra kill_scenarios=28 --zero-extra kill_failures
+    python benchmarks/check_regression.py bench.json \\
+        --candidate test_e20_commit_scaling \\
+        --max-extra commit_cost_ratio=1.5
     python benchmarks/check_regression.py bench.json \\
         --candidate test_e20_freshness_soak \\
         --max-extra freshness_p95_ms=2000 \\

@@ -65,7 +65,7 @@ Subcommands::
         Crash-safe chunk-append ingest: replay the first N planned
         videos as live streams through the bounded-queue ingestor.
         Every chunk lands as a journal chunk_begin/chunk_commit pair
-        around an atomic snapshot delta, so a kill at any point resumes
+        around one checksummed delta-log record, so a kill anywhere resumes
         at the last committed chunk (``--resume``) with no lost or
         duplicated shots.  Prints the per-stream health table: chunks,
         shots, watermark, lag sheds and frame-arrival -> queryable

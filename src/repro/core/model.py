@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
+from itertools import islice
 
 from repro.core.entities import Event, ShotRecord, Video, VideoObject
 
@@ -130,6 +131,25 @@ class CobraModel:
         )
         self._events[event.event_id] = event
         return event
+
+    # Monotone ids in insertion-ordered dicts: "added since" is a tail.
+
+    def high_water(self) -> tuple[int, ...]:
+        """Per layer the next id, then the row counts: :meth:`added_since` marks."""
+        return (*self._next_id.values(), *self.counts().values())
+
+    def added_since(self, marks: tuple[int, ...]) -> tuple[list, ...] | None:
+        """(videos, shots, objects, events) registered since *marks*, in
+        id order — O(new entities).  ``None`` when entities were also
+        removed since (ids handed out != rows gained): not an append."""
+        layers = (self._videos, self._shots, self._objects, self._events)
+        added = []
+        for rows, next_id, first, count in zip(layers, self._next_id.values(), marks, marks[4:]):
+            new = len(rows) - count
+            if new != next_id - first:
+                return None
+            added.append(list(islice(reversed(rows.values()), new))[::-1])
+        return tuple(added)
 
     # ------------------------------------------------------------------ #
     # Lookups

@@ -9,6 +9,8 @@ reference implementation on the classic examples (``caresses`` ->
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["porter_stem"]
 
 _VOWELS = set("aeiou")
@@ -204,6 +206,7 @@ def _step_5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 16)  # pure; a site has a few hundred distinct words
 def porter_stem(word: str) -> str:
     """Stem a lowercase word with the Porter algorithm.
 

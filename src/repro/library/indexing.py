@@ -21,12 +21,14 @@ from repro.grammar.fde import FeatureDetectorEngine
 from repro.grammar.runtime import IndexingHealthReport
 from repro.grammar.tennis import build_tennis_fde
 from repro.library.persistence import (
-    load_model_with_state,
-    load_stream_state,
+    catalog_to_model,
+    catalog_to_runner_state,
+    catalog_to_stream_state,
     save_model,
 )
 from repro.storage.catalog import Catalog
 from repro.storage.journal import IndexingJournal
+from repro.storage.persist import DeltaLog, load_catalog
 from repro.video.ground_truth import GroundTruth
 
 __all__ = ["LibraryIndexer", "IndexedVideo", "default_journal_path"]
@@ -76,9 +78,11 @@ class LibraryIndexer:
         #: :mod:`repro.library.service`).
         self.generation = 0
         #: In-flight streaming resume rows, stream name -> state dict
-        #: (see :mod:`repro.streaming.session`); persisted into every
-        #: chunk snapshot so a crash can resume *all* live streams.
+        #: (see :mod:`repro.streaming.session`); persisted with every
+        #: chunk commit so a crash can resume *all* live streams.
         self.stream_states: dict[str, dict] = {}
+        #: Snapshot path -> delta log over the base this indexer saved there.
+        self.delta_logs: dict[str, DeltaLog] = {}
         self._stream_webspace: dict[str, object] = {}
 
     @property
@@ -164,8 +168,8 @@ class LibraryIndexer:
 
         Materialises the clip and feeds it chunk by chunk through a
         :class:`~repro.streaming.session.StreamSession`: per chunk, the
-        journal tails a ``chunk_begin``/``chunk_commit`` pair around an
-        atomic snapshot save and the generation bumps, so readers see
+        journal tails a ``chunk_begin``/``chunk_commit`` pair around a
+        delta-log append and the generation bumps, so readers see
         the stream's shots as they finalise and a kill resumes at the
         last committed chunk.  With ``resume=True`` the session
         continues from the snapshot's ``stream_state`` row, re-feeding
@@ -363,9 +367,9 @@ class LibraryIndexer:
             chunk_frames: chunk-append mode — each video streams through
                 a :class:`~repro.streaming.session.StreamSession` in
                 *chunk_frames*-sized chunks, with a journal
-                ``chunk_begin``/``chunk_commit`` pair and an atomic
-                snapshot per chunk.  A kill mid-video resumes at the
-                last committed chunk (the snapshot's ``stream_state``
+                ``chunk_begin``/``chunk_commit`` pair and a delta-log
+                record per chunk.  A kill mid-video resumes at the
+                last committed chunk (the folded ``stream_state``
                 row), not at the video boundary; the final snapshot is
                 byte-identical to a batch run over the same frames.
 
@@ -417,7 +421,7 @@ class LibraryIndexer:
         chunk_frames: int,
         committed: set[str],
     ) -> list[IndexedVideo]:
-        """Chunk-append checkpointing: per-chunk snapshots and journal
+        """Chunk-append checkpointing: per-chunk delta records and journal
         records inside each video's ``begin``/``commit`` bracket.
 
         On resume, a video with a ``stream_state`` row in the restored
@@ -427,7 +431,7 @@ class LibraryIndexer:
         plans = self.dataset.video_plans
         if limit is not None:
             plans = plans[:limit]
-        states = load_stream_state(path) if (resume and path.exists()) else {}
+        states = self.stream_states if resume else {}
         lock = commit_lock if commit_lock is not None else nullcontext
         records: list[IndexedVideo] = []
         for plan in plans:
@@ -435,6 +439,9 @@ class LibraryIndexer:
                 continue
             in_flight = resume and plan.name in states and plan.name in self.indexed
             if resume and plan.name in self.indexed and not in_flight:
+                # Whole in the snapshot: the kill only beat this record.
+                with lock():
+                    journal.commit(plan.name, degraded=False)
                 continue
             if not in_flight:
                 with lock():
@@ -458,13 +465,13 @@ class LibraryIndexer:
         Returns:
             How many videos were restored (see :meth:`restore`).
         """
-        model, runner_state = load_model_with_state(path)
-        restored = self.restore(model)
-        self.fde.restore_runner_state(runner_state)
-        # Adopt any in-flight stream rows so the next chunk snapshot —
-        # from whichever stream commits first — preserves the others'
-        # resume state.
-        self.stream_states = load_stream_state(path)
+        catalog = load_catalog(path)  # one read, one fold of base ⊕ delta log
+        restored = self.restore(catalog_to_model(catalog))
+        self.fde.restore_runner_state(catalog_to_runner_state(catalog))
+        # Adopt any in-flight stream rows so the next chunk commit — from
+        # whichever stream commits first — preserves the others' resume
+        # state.
+        self.stream_states = catalog_to_stream_state(catalog)
         return restored
 
     def health_reports(self) -> list[IndexingHealthReport]:

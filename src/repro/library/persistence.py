@@ -13,7 +13,7 @@ from pathlib import Path
 
 from repro.core.model import CobraModel
 from repro.storage.catalog import Catalog
-from repro.storage.persist import load_catalog, save_catalog
+from repro.storage.persist import load_catalog, save_catalog, tables_document
 
 __all__ = [
     "model_to_catalog",
@@ -23,10 +23,10 @@ __all__ = [
     "stream_state_to_catalog",
     "catalog_to_stream_state",
     "save_model",
+    "model_delta",
     "load_model",
     "load_model_with_ann",
     "load_model_with_state",
-    "load_stream_state",
     "RUNNER_STATE_TABLE",
     "STREAM_STATE_TABLE",
 ]
@@ -44,6 +44,12 @@ STREAM_STATE_TABLE = "stream_state"
 
 def model_to_catalog(model: CobraModel) -> Catalog:
     """Materialise a meta-index as relational tables (lossless)."""
+    return _entity_tables(model.videos, model.shots, model.objects, model.events)
+
+
+def _entity_tables(all_videos, all_shots, all_objects, all_events) -> Catalog:
+    """The meta-index tables holding exactly the given entities (the
+    whole model for a snapshot, one chunk's additions for a delta)."""
     catalog = Catalog()
 
     videos = catalog.create_table(
@@ -58,7 +64,7 @@ def model_to_catalog(model: CobraModel) -> Catalog:
             "degraded": "bool",
         },
     )
-    for video in model.videos:
+    for video in all_videos:
         # NULL-ness is an explicit flag, not a -1 sentinel: any int is a
         # legal match_id, and None must come back as None.
         videos.append(
@@ -80,7 +86,7 @@ def model_to_catalog(model: CobraModel) -> Catalog:
     shot_features = catalog.create_table(
         "shot_features", {"shot_id": "int", "name": "str", "value": "float"}
     )
-    for shot in model.shots:
+    for shot in all_shots:
         shots.append(
             {
                 "shot_id": shot.shot_id,
@@ -109,7 +115,7 @@ def model_to_catalog(model: CobraModel) -> Catalog:
         "trajectories",
         {"object_id": "int", "frame": "int", "found": "bool", "row": "float", "col": "float"},
     )
-    for obj in model.objects:
+    for obj in all_objects:
         objects.append(
             {
                 "object_id": obj.object_id,
@@ -144,7 +150,7 @@ def model_to_catalog(model: CobraModel) -> Catalog:
             "object_id": "int",
         },
     )
-    for event in model.events:
+    for event in all_events:
         events.append(
             {
                 "event_id": event.event_id,
@@ -319,11 +325,6 @@ def catalog_to_stream_state(catalog: Catalog) -> dict[str, dict]:
     return {row["stream"]: dict(row) for row in catalog.table(STREAM_STATE_TABLE).scan()}
 
 
-def load_stream_state(path: str | Path) -> dict[str, dict]:
-    """Read the in-flight stream table of a snapshot file."""
-    return catalog_to_stream_state(load_catalog(path))
-
-
 def save_model(
     model: CobraModel,
     path: str | Path,
@@ -350,16 +351,48 @@ def save_model(
             finished ingests leave batch-identical snapshots.
     """
     catalog = model_to_catalog(model)
-    if runner_state is not None:
-        runner_state_to_catalog(runner_state, catalog)
+    _state_tables(catalog, runner_state, stream_state)
     if ann is not None:
         from repro.ir.ann import export_ann_to_catalog
 
         index, shot_meta = ann
         export_ann_to_catalog(index, shot_meta, catalog)
+    save_catalog(catalog, path)
+
+
+def _state_tables(catalog: Catalog, runner_state, stream_state) -> None:
+    if runner_state is not None:
+        runner_state_to_catalog(runner_state, catalog)
     if stream_state:
         stream_state_to_catalog(stream_state, catalog)
-    save_catalog(catalog, path)
+
+
+def model_delta(
+    model: CobraModel, marks: tuple, touched=(), runner_state=None, stream_state=None
+) -> dict | None:
+    """What :func:`save_model` would write beyond a snapshot taken at
+    *marks* (:meth:`CobraModel.high_water`) as one ``DeltaLog`` record —
+    O(additions): the rows of the entities registered since, the
+    ``n_frames`` cell of the *touched* video ids, the state tables whole.
+    ``None`` when entities were removed since (save a snapshot instead).
+    """
+    added = model.added_since(marks)
+    if added is None:
+        return None
+    small = Catalog()
+    _state_tables(small, runner_state, stream_state)
+    return {
+        "rows": {
+            name: table["columns"]
+            for name, table in tables_document(_entity_tables(*added)).items()
+            if any(table["columns"].values())
+        },
+        "cells": [
+            ["videos", "video_id", video_id, "n_frames", model.video(video_id).n_frames]
+            for video_id in touched
+        ],
+        "tables": {STREAM_STATE_TABLE: None, **tables_document(small)},
+    }
 
 
 def load_model(path: str | Path) -> CobraModel:

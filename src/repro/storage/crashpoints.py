@@ -1,6 +1,6 @@
 """Named crash points for durability testing.
 
-The storage write path (snapshot save, journal append) calls
+The storage write path (snapshot save, journal / delta-log append) calls
 :func:`trip` at the moments a real process is most likely to die:
 before the temp file is written, after it, just before the atomic
 rename, halfway through a journal append.  In production every call is
@@ -47,12 +47,17 @@ JOURNAL_POINTS = (
 )
 
 #: Crash points in the streaming chunk-commit path, in execution order.
-#: A chunk lands as journal ``chunk_begin`` → model mutation → snapshot
-#: save → journal ``chunk_commit`` → generation bump; these points sit
-#: between those steps so the kill matrix can die at every edge.
+#: A chunk lands as journal ``chunk_begin`` → model mutation → delta-log
+#: append (``mid`` writes half the record) or compaction (snapshot save,
+#: ``compaction-pre-unlink``, log removal) → journal ``chunk_commit`` →
+#: generation bump; the kill matrix dies at every edge between them.
 STREAM_POINTS = (
     "chunk-post-begin",
     "chunk-pre-snapshot",
+    "delta-pre-append",
+    "delta-mid-append",
+    "delta-post-append",
+    "compaction-pre-unlink",
     "chunk-pre-commit",
     "chunk-pre-generation",
     "chunk-post-generation",

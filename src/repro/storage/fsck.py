@@ -1,12 +1,14 @@
 """Consistency check of a saved meta-index and its indexing journal.
 
 :func:`fsck` verifies both snapshot generations (checksum, format,
-column shape), the checksummed ANN tables riding in the snapshot, and
-the journal — then cross-checks them: committed videos must be in the
-snapshot, and streaming chunk records are deep-checked against the
-snapshot's resume state (per-stream commit seqs increase, gaps only
-where an orphaned ``chunk_begin`` explains them, watermarks are
-monotone, and no ``chunk_commit`` is ahead of the resume state).  It
+column shape), the delta log beside them (record checksums; live over
+the loadable generation, or stale — already folded), the checksummed
+ANN tables riding in the snapshot, and the journal — then cross-checks
+against the *folded* state (base ⊕ delta log): committed videos must be
+in it, and streaming chunk records are deep-checked against its resume
+state (per-stream commit seqs increase, gaps only where an orphaned
+``chunk_begin`` explains them, watermarks are monotone, and no
+``chunk_commit`` is ahead of the resume state).  It
 returns a :class:`FsckReport`; ``repro fsck`` only prints it and maps
 :attr:`FsckReport.problems` to the exit code.
 """
@@ -20,7 +22,8 @@ from repro.ir.ann import AnnSnapshotError, has_ann_tables, load_ann_from_catalog
 from repro.library.indexing import default_journal_path
 from repro.library.persistence import catalog_to_model, catalog_to_stream_state
 from repro.storage.journal import IndexingJournal, JournalReport
-from repro.storage.persist import load_catalog, snapshot_generations, verify_snapshot
+from repro.storage.persist import CatalogCorruptionError, load_catalog, read_delta_log
+from repro.storage.persist import snapshot_checksum, snapshot_generations, verify_snapshot
 
 __all__ = ["FsckReport", "fsck"]
 
@@ -48,7 +51,8 @@ def _describe(report) -> str:
     return f"CORRUPT — {report.error}"
 
 
-def _check_snapshots(metaindex, out: FsckReport) -> None:
+def _check_snapshots(metaindex, out: FsckReport) -> int | None:
+    """Verify both generations; the checksum of the one ``load_catalog`` loads."""
     current, prev = snapshot_generations(metaindex)
     current_report = verify_snapshot(current)
     out.lines.append(f"{current.name}: {_describe(current_report)}")
@@ -63,6 +67,24 @@ def _check_snapshots(metaindex, out: FsckReport) -> None:
             out.problems.append(f"previous snapshot: {prev_report.error}")
     elif not current_report.ok:
         out.problems.append("no previous generation to fall back to")
+    return snapshot_checksum(current if current_report.ok else prev)
+
+
+def _check_delta(metaindex, base: int | None, out: FsckReport) -> None:
+    """Verify ``<metaindex>.delta`` against the generation (*base*) it extends."""
+    try:
+        records, torn = read_delta_log(metaindex)
+    except CatalogCorruptionError as exc:
+        out.lines.append(f"delta: {exc}")
+        out.problems.append(f"delta log: {exc}")
+        return
+    if not records and not torn:
+        return  # no log (or an empty one): nothing to report
+    live = [record for record in records if record["base"] == base]
+    stale = bool(records) and not live
+    named = records[-1]["base"] if stale else base
+    verdict = "stale (already folded)" if stale else "torn tail (recoverable)" if torn else "OK"
+    out.lines.append(f"delta: {len(live or records)} record(s) over base {named} — {verdict}")
 
 
 def _check_ann(catalog, out: FsckReport) -> int | None:
@@ -84,9 +106,9 @@ def _check_ann(catalog, out: FsckReport) -> int | None:
 def _check_chunk_records(
     report: JournalReport, states: dict, names: set[str] | None, out: FsckReport
 ) -> None:
-    """Deep-check streaming chunk records against the snapshot.
+    """Deep-check streaming chunk records against the folded snapshot.
 
-    Fatal: a committed chunk the snapshot does not cover, regressed
+    Fatal: a committed chunk the folded state does not cover, regressed
     watermarks, unexplained seq gaps.  Orphaned ``chunk_begin`` tails
     are *recoverable* — they appear in the lines, never in the
     problems.  Generation is a per-process counter, so a non-increasing
@@ -110,8 +132,8 @@ def _check_chunk_records(
                     )
                 else:
                     # A committed-seq gap is legal only when the missing
-                    # seqs died in flight (crash between snapshot save
-                    # and commit append) and left begin records behind.
+                    # seqs died in flight (crash between the delta append
+                    # and the commit append) and left begin records behind.
                     unexplained = [
                         s for s in range(last_seq + 1, seq) if s not in orphans
                     ]
@@ -141,7 +163,7 @@ def _check_chunk_records(
         state = states.get(stream)
         if state is not None:
             if int(state["watermark"]) < last_watermark:
-                # chunk_commit promises the snapshot covers everything
+                # chunk_commit promises base ⊕ delta log covers all
                 # below its watermark; a resume state behind that lost
                 # committed frames.
                 out.problems.append(
@@ -222,9 +244,9 @@ def fsck(metaindex: str | Path, journal: str | Path | None = None) -> FsckReport
     reported, not a problem.  Nothing is modified.
     """
     out = FsckReport()
-    _check_snapshots(metaindex, out)
+    _check_delta(metaindex, _check_snapshots(metaindex, out), out)
     try:
-        catalog = load_catalog(metaindex)  # falls back to the .prev generation
+        catalog = load_catalog(metaindex)  # base (or .prev) ⊕ delta log
     except (ValueError, FileNotFoundError):
         catalog = None
     ann_generation = _check_ann(catalog, out)

@@ -14,10 +14,10 @@ Every record is one JSON object per line (``journal.jsonl`` style):
 - ``{"op": "chunk_begin", "stream": name, "seq": n, ...}`` /
   ``{"op": "chunk_commit", "stream": name, "seq": n, "watermark": w,
   "generation": g, ...}`` — streaming chunk-append progress.  A
-  ``chunk_commit`` is written *after* the chunk's snapshot save, so it
-  promises the snapshot holds every shot up to ``watermark``.  Chunk
-  records carry a ``stream`` key (not ``video``) so they never perturb
-  the video-level committed/interrupted sets.
+  ``chunk_commit`` is written *after* the chunk's delta-log record is
+  fsynced, so it promises base ⊕ log holds every shot up to
+  ``watermark``.  Chunk records carry a ``stream`` key (not ``video``)
+  so they never perturb the video-level committed/interrupted sets.
 
 Appends are flushed and fsynced, so after a crash the journal is intact
 up to at most one torn final line.  :meth:`IndexingJournal.replay`
@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro.storage.crashpoints import is_armed, trip
 
-__all__ = ["IndexingJournal", "JournalCorruptionError", "JournalReport"]
+__all__ = ["IndexingJournal", "JournalCorruptionError", "JournalReport", "durable_append"]
 
 
 class JournalCorruptionError(ValueError):
@@ -82,6 +82,23 @@ class JournalReport:
         return not self.corrupt_lines
 
 
+def durable_append(path: Path, data: bytes, points: str) -> None:
+    """Append *data* and fsync, past ``<points>-pre/mid/post-append``."""
+    trip(f"{points}-pre-append")
+    with open(path, "ab") as handle:
+        if is_armed(f"{points}-mid-append"):
+            # Simulate dying halfway through the write: flush a prefix
+            # of the record's bytes, then crash.
+            handle.write(data[: max(1, len(data) // 2)])
+            handle.flush()
+            os.fsync(handle.fileno())
+        trip(f"{points}-mid-append")  # unarmed: uses up one of its `after` skips
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    trip(f"{points}-post-append")
+
+
 class IndexingJournal:
     """Durable append-only record of indexing progress.
 
@@ -105,19 +122,7 @@ class IndexingJournal:
         """Append one record durably (fsync before returning)."""
         data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            trip("journal-pre-append")
-            with open(self.path, "ab") as handle:
-                if is_armed("journal-mid-append"):
-                    # Simulate dying halfway through the write: flush a
-                    # prefix of the record's bytes, then crash.
-                    handle.write(data[: max(1, len(data) // 2)])
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                    trip("journal-mid-append")
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            trip("journal-post-append")
+            durable_append(self.path, data, "journal")
 
     def begin(self, video: str) -> None:
         """Record that *video*'s extraction has started."""
@@ -147,10 +152,10 @@ class IndexingJournal:
         shots: int,
         generation: int,
     ) -> None:
-        """Record that chunk *seq* of *stream* is durably snapshotted.
+        """Record that chunk *seq* of *stream* is in base ⊕ delta log.
 
         ``watermark`` is the exactly-once resume point (frames below it
-        are in the snapshot), ``frames``/``shots`` are cumulative stream
+        are in base ⊕ delta log), ``frames``/``shots`` are cumulative stream
         totals and ``generation`` the post-commit indexer generation.
         """
         self.append(

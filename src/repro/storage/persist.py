@@ -20,6 +20,13 @@ and it is written accordingly (format version 2):
   corrupt, :func:`load_catalog` falls back to the last good one, so a
   crash at *any* point of the write loses at most the newest save.
 
+- **Extensible in O(change).** A frequent committer (streaming ingest:
+  once per chunk) appends one checksummed, fsynced JSON line per commit
+  to ``<path>.delta`` (:class:`DeltaLog`) instead of rewriting the
+  snapshot; :func:`load_catalog` returns base ⊕ replayed deltas.  A
+  record names the checksum of the base it extends, so a log whose base
+  was since folded into a new snapshot (*compaction*) is stale, ignored.
+
 Every write step passes a named crash point
 (:mod:`repro.storage.crashpoints`); the durability test matrix kills the
 writer at each one and asserts recovery.  Version-1 documents (no
@@ -30,12 +37,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.storage.catalog import Catalog
 from repro.storage.crashpoints import trip
+from repro.storage.journal import durable_append
 from repro.storage.table import SchemaError
 
 __all__ = [
@@ -43,6 +52,10 @@ __all__ = [
     "load_catalog",
     "verify_snapshot",
     "snapshot_generations",
+    "snapshot_checksum",
+    "tables_document",
+    "DeltaLog",
+    "read_delta_log",
     "CatalogCorruptionError",
     "SnapshotReport",
 ]
@@ -55,7 +68,8 @@ class CatalogCorruptionError(ValueError):
     """A snapshot file is torn, checksum-bad, ragged or unreadable."""
 
 
-def _tables_document(catalog: Catalog) -> dict:
+def tables_document(catalog: Catalog) -> dict:
+    """The JSON form of every table: ``{name: {"schema", "columns"}}``."""
     return {
         name: {
             "schema": catalog.table(name).schema,
@@ -92,7 +106,7 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
     live path.
     """
     path, prev = snapshot_generations(path)
-    tables = _tables_document(catalog)
+    tables = tables_document(catalog)
     payload = _payload_text(tables)
     document = {
         "version": _FORMAT_VERSION,
@@ -129,6 +143,120 @@ def _fsync_directory(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+# -- delta log: O(change) commits between whole-snapshot saves ------------ #
+
+_HEAD = re.compile(r'\{"version": \d+, "checksum": (\d+),')
+
+
+def snapshot_checksum(path: str | Path) -> int | None:
+    """The checksum the snapshot file at *path* stores (unverified, read
+    from the file's head: O(1)); ``None`` when there is none to read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            match = _HEAD.match(handle.read(64))
+    except (OSError, UnicodeDecodeError):
+        return None
+    return int(match.group(1)) if match else None
+
+
+def _delta_crc(base: int, delta: dict) -> tuple[int, str]:
+    # Keys unsorted: a replaced table's column order is snapshot bytes.
+    body = json.dumps(delta, separators=(",", ":"))
+    return zlib.crc32(f"{base}{body}".encode("utf-8")), body
+
+
+class DeltaLog:
+    """Writer's handle on ``<path>.delta``; open it right after saving the
+    snapshot at *path* (that folded any earlier log: it is removed here).
+    *marks*: the caller's note of what base ⊕ log holds, set per append."""
+
+    @staticmethod
+    def path_of(path: str | Path) -> Path:
+        return Path(path).with_name(Path(path).name + ".delta")
+
+    def __init__(self, path: str | Path, marks=None):
+        self.snapshot = Path(path)
+        self.path = self.path_of(path)
+        self.path.unlink(missing_ok=True)
+        self.base = snapshot_checksum(path)
+        self.base_bytes = self.snapshot.stat().st_size
+        self.log_bytes = 0
+        self.marks = marks
+
+    def append(self, delta: dict, marks=None) -> bool:
+        """Durably append one record (format: :func:`read_delta_log`).
+
+        False, nothing written: the caller must compact (save a snapshot,
+        open a new log) — the live snapshot is no longer this log's base,
+        an append died part-way, or the log outgrew the base (~3x amortised).
+        """
+        stale = self.base is None or snapshot_checksum(self.snapshot) != self.base
+        if stale or self.log_bytes > self.base_bytes:
+            return False
+        crc, body = _delta_crc(self.base, delta)
+        data = f'{{"base":{self.base},"crc":{crc},"delta":{body}}}\n'.encode("utf-8")
+        try:
+            durable_append(self.path, data, "delta")
+        except BaseException:
+            self.base = None  # a partial line may be on disk: never append after it
+            raise
+        if not self.log_bytes:
+            _fsync_directory(self.path.parent)  # the new log's directory entry
+        self.log_bytes += len(data)
+        self.marks = marks
+        return True
+
+
+def read_delta_log(path: str | Path) -> tuple[list[dict], bool]:
+    """``(records, torn_tail)`` of the delta log beside the snapshot at
+    *path*, each record checksummed; empty when there is no log.
+
+    A record is ``{"base": checksum of the snapshot it extends, "crc",
+    "delta": {"rows": {table: {column: [appended values]}}, "cells":
+    [[table, key_column, key, column, value]], "tables": {table:
+    {"schema", "columns"} | null}}}``.  Bytes after the last newline are
+    a torn append (recoverable); a bad complete line is corruption.
+    """
+    log = DeltaLog.path_of(path)
+    try:
+        lines = log.read_bytes().split(b"\n")
+    except FileNotFoundError:
+        return [], False
+    torn = lines.pop() != b""
+    records = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line)
+            if _delta_crc(record["base"], record["delta"])[0] != record["crc"]:
+                raise ValueError("checksum mismatch")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CatalogCorruptionError(f"{log.name}: CORRUPT line {number} ({exc})") from exc
+        records.append(record)
+    return records, torn
+
+
+def _replay_delta_log(document: dict, path: Path) -> None:
+    """Fold the delta records of *path* that extend *document* into its tables."""
+    tables = document["tables"]
+    for record in read_delta_log(path)[0]:
+        if record["base"] != document.get("checksum"):
+            continue  # stale: that base was already folded into a newer one
+        delta = record["delta"]
+        try:
+            for name, columns in delta.get("rows", {}).items():
+                for column, values in columns.items():
+                    tables[name]["columns"][column].extend(values)
+            for name, key_column, key, column, value in delta.get("cells", []):
+                columns = tables[name]["columns"]
+                columns[column][columns[key_column].index(key)] = value
+            for name, table in delta.get("tables", {}).items():
+                tables[name] = table
+                if table is None:
+                    del tables[name]
+        except (LookupError, ValueError, TypeError, AttributeError) as exc:
+            raise CatalogCorruptionError(f"{path.name}.delta: bad record ({exc!r})") from exc
 
 
 def _read_document(path: Path) -> dict:
@@ -180,8 +308,11 @@ def load_catalog(path: str | Path) -> Catalog:
 
     Tries the live generation first; when it is missing, torn or fails
     its checksum, falls back to ``<path>.prev`` (the rotation target of
-    the last successful save).  Raises :class:`CatalogCorruptionError`
-    when no generation is loadable, or :class:`FileNotFoundError` when
+    the last successful save), then folds in the ``<path>.delta`` records
+    naming the loaded generation's checksum (mid-compaction ``.prev`` is
+    the base the surviving log extends).  Raises
+    :class:`CatalogCorruptionError` when no generation is loadable or the
+    log is damaged before its tail, or :class:`FileNotFoundError` when
     neither file exists at all.
     """
     current, prev = snapshot_generations(path)
@@ -193,7 +324,14 @@ def load_catalog(path: str | Path) -> Catalog:
             errors.append(f"{candidate.name}: missing")
             continue
         try:
-            return _catalog_from_document(_read_document(candidate), candidate)
+            document = _read_document(candidate)
+        except CatalogCorruptionError as exc:
+            errors.append(str(exc))
+            continue
+        # A damaged log raises: falling back would drop what it committed.
+        _replay_delta_log(document, current)
+        try:
+            return _catalog_from_document(document, candidate)
         except CatalogCorruptionError as exc:
             errors.append(str(exc))
     raise CatalogCorruptionError(

@@ -4,8 +4,8 @@ Frames arrive in bounded :class:`~repro.streaming.chunker.FrameChunk`
 batches; :class:`~repro.streaming.segmenter.StreamingSegmenter` runs
 shot-boundary detection incrementally with carry-over state across
 chunk edges; :class:`~repro.streaming.session.StreamSession` lands each
-chunk as a journal record plus an atomic snapshot delta (resume exactly
-at the last committed chunk after a kill); and
+chunk as a journal record pair around one checksummed delta-log record
+(resume exactly at the last committed chunk after a kill); and
 :class:`~repro.streaming.ingest.StreamIngestor` runs many sessions
 behind bounded queues with typed backpressure, stall quarantine and a
 per-stream freshness SLO metric.

@@ -6,12 +6,20 @@ Each accepted chunk lands with the commit protocol::
 
     journal chunk_begin          (intent)
     detect + mutate meta-index   (in memory only)
-    atomic snapshot save         (model + runner state + stream_state)
-    journal chunk_commit         (promise: snapshot holds the chunk)
+    delta-log append             (the chunk's new rows + stream_state)
+    journal chunk_commit         (promise: base ⊕ log holds the chunk)
     generation += 1              (readers see the new shots)
 
+The durable step costs O(chunk): one checksummed, fsynced record in
+``<path>.delta`` holding what changed since the last durable commit on
+that path (:func:`~repro.library.persistence.model_delta`).  A whole
+snapshot (*compaction*: ``save_model``, then the folded log is removed)
+is written only on a stream's final chunk (a finished ingest leaves a
+batch run's files and bytes), on an indexer's first commit on a path
+and when the log has outgrown its base; ``load_catalog`` folds the two.
+
 A kill between any two steps loses at most in-memory work: on restart
-the snapshot's ``stream_state`` row names the exactly-once resume point
+the folded ``stream_state`` row names the exactly-once resume point
 (``watermark``), the producer re-feeds frames from there, and offset
 deduplication drops anything re-delivered below it — no lost and no
 duplicated shots, proved per crash point by the E20 kill matrix.
@@ -35,9 +43,10 @@ from repro.grammar.tennis import (
     shot_features_dict,
     track_shot_player,
 )
-from repro.library.persistence import load_stream_state, save_model
+from repro.library.persistence import model_delta, save_model
 from repro.library.stats import LatencyReservoir
 from repro.storage.crashpoints import trip
+from repro.storage.persist import DeltaLog
 from repro.streaming.chunker import FrameChunk
 from repro.streaming.segmenter import StreamingSegmenter
 from repro.tracking.tracker import PlayerTracker
@@ -160,13 +169,12 @@ class StreamSession:
     def resume(cls, indexer, plan, path, journal=None, **kwargs) -> "StreamSession":
         """Continue an interrupted ingest from a restored snapshot.
 
-        The indexer must already hold the snapshot's model (via
-        ``restore_snapshot``); this reads the snapshot's
-        ``stream_state`` row for *plan* and rebuilds the carry-over
-        boundary state.  Re-feed frames from :attr:`next_frame`.
+        The indexer must already hold the snapshot's model and stream
+        rows (``restore_snapshot``); this takes *plan*'s ``stream_state``
+        row and rebuilds the carry-over boundary state.  Re-feed frames
+        from :attr:`next_frame`.
         """
-        states = load_stream_state(path)
-        state = states.get(plan.name)
+        state = indexer.stream_states.get(plan.name)
         if state is None:
             raise ValueError(f"snapshot {path} has no stream state for {plan.name!r}")
         if journal is not None:
@@ -239,7 +247,7 @@ class StreamSession:
             )
             trip("chunk-pre-snapshot")
             if self.path is not None:
-                self._save_snapshot(final=chunk.final)
+                self._persist(final=chunk.final)
             trip("chunk-pre-commit")
             generation = self.indexer.generation + 1
             if self.journal is not None:
@@ -317,18 +325,27 @@ class StreamSession:
         )
         detect_player_events(model, player, self.grammar)
 
-    def _save_snapshot(self, final: bool) -> None:
-        states = self.indexer.stream_states
+    def _persist(self, final: bool) -> None:
+        """The chunk's durable step: a delta-log record, or compaction."""
+        indexer = self.indexer
+        states = indexer.stream_states
         if final:
             states.pop(self.name, None)
         else:
             states[self.name] = self.export_state()
-        save_model(
-            self.indexer.model,
-            self.path,
-            runner_state=self.indexer.fde.runner.export_state(),
-            stream_state=[states[name] for name in sorted(states)],
-        )
+        model = indexer.model
+        tables = {
+            "runner_state": indexer.fde.runner.export_state(),
+            "stream_state": [states[name] for name in sorted(states)],
+        }
+        log = indexer.delta_logs.get(str(self.path))
+        if log is not None and not final:
+            delta = model_delta(model, log.marks, (self.video_id,), **tables)
+            if delta is not None and log.append(delta, model.high_water()):
+                return
+        save_model(model, self.path, **tables)
+        trip("compaction-pre-unlink")
+        indexer.delta_logs[str(self.path)] = DeltaLog(self.path, model.high_water())
 
     def _finish(self, total: int) -> None:
         self.finalized = True

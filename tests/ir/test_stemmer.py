@@ -90,3 +90,26 @@ class TestEdgeCases:
         stem = porter_stem(word)
         assert isinstance(stem, str)
         assert len(stem) <= len(word) + 1  # only 'e' restoration may grow
+
+
+class TestMemoisation:
+    """``porter_stem`` is an ``lru_cache`` over the pure algorithm."""
+
+    def test_cached_equals_uncached_on_the_dataset_vocabulary(self):
+        from repro.dataset import build_australian_open
+        from repro.ir.tokenizer import tokenize
+
+        pages = build_australian_open(seed=7).pages
+        vocabulary = {word for page in pages for word in tokenize(page.text)}
+        assert len(vocabulary) > 100
+        for word in sorted(vocabulary):
+            assert porter_stem(word) == porter_stem.__wrapped__(word)
+            assert porter_stem(word) == porter_stem.__wrapped__(word)  # served from the cache
+
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz'", min_size=0, max_size=15))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_equals_uncached_on_arbitrary_words(self, word):
+        assert porter_stem(word) == porter_stem.__wrapped__(word)
+
+    def test_cache_is_bounded(self):
+        assert porter_stem.cache_info().maxsize == 1 << 16

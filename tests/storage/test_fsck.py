@@ -7,9 +7,18 @@ journal written record by record, then damaged the way each crash would.
 import pytest
 
 from repro.core.model import CobraModel
-from repro.library.persistence import save_model
+from repro.library.persistence import save_model, stream_state_to_catalog
+from repro.storage.catalog import Catalog
+from repro.storage.crashpoints import CrashPoint, SimulatedCrash
 from repro.storage.fsck import fsck
 from repro.storage.journal import IndexingJournal
+from repro.storage.persist import (
+    CatalogCorruptionError,
+    DeltaLog,
+    load_catalog,
+    save_catalog,
+    tables_document,
+)
 
 
 def in_flight(watermark: int) -> dict:
@@ -124,3 +133,74 @@ def test_corrupt_snapshot_without_a_previous_generation(library):
     problems = fsck(path, journal.path).problems
     assert any(p.startswith("current snapshot:") for p in problems)
     assert "no previous generation to fall back to" in problems
+
+
+# ---------------------------------------------------------------------- #
+# The delta log: one case per verdict
+# ---------------------------------------------------------------------- #
+
+
+def state_delta(watermark: int) -> dict:
+    """A chunk's delta record body: stream ``live`` advanced to *watermark*."""
+    small = Catalog()
+    stream_state_to_catalog([in_flight(watermark)], small)
+    return {"tables": tables_document(small)}
+
+
+@pytest.fixture
+def streamed(library):
+    """The library plus a delta log taking ``live`` from 48 to 72 to 96."""
+    path, journal = library
+    commit_chunk(journal, 0, 48, generation=3)
+    log = DeltaLog(path)
+    for seq, watermark in ((1, 72), (2, 96)):
+        assert log.append(state_delta(watermark))
+        commit_chunk(journal, seq, watermark, generation=3 + seq)
+    return path, journal, log
+
+
+def test_delta_ok_and_chunk_records_checked_against_the_fold(streamed):
+    path, journal, log = streamed
+    report = fsck(path)
+    assert report.problems == []  # the bare base (watermark 48) would be "behind"
+    assert f"delta: 2 record(s) over base {log.base} — OK" in report.lines
+    assert any("in flight (resumes at 96)" in line for line in report.lines)
+    # A commit the fold does not cover is still caught.
+    commit_chunk(journal, 3, 120, generation=6)
+    (problem,) = fsck(path).problems
+    assert "resume state (watermark 96) is behind the last committed chunk" in problem
+
+
+def test_delta_torn_tail_is_recoverable(streamed):
+    path, journal, log = streamed
+    base = log.base
+    journal.chunk_begin("live", 3, 96, 120)
+    with CrashPoint("delta-mid-append"), pytest.raises(SimulatedCrash):
+        log.append(state_delta(120))
+    assert not log.append(state_delta(120))  # never appends after a partial line
+    report = fsck(path)
+    assert report.problems == []
+    assert f"delta: 2 record(s) over base {base} — torn tail (recoverable)" in report.lines
+    assert any("in flight (resumes at 96)" in line for line in report.lines)
+
+
+def test_delta_corrupt_line_before_the_tail_is_fatal(streamed):
+    path, _journal, log = streamed
+    lines = log.path.read_bytes().split(b"\n")
+    lines[0] = lines[0].replace(b'"watermark":[72]', b'"watermark":[71]')
+    log.path.write_bytes(b"\n".join(lines))
+    report = fsck(path)
+    assert any(line.startswith("delta: ") and "CORRUPT line 1" in line for line in report.lines)
+    assert any("CORRUPT line 1 (checksum mismatch)" in p for p in report.problems)
+    with pytest.raises(CatalogCorruptionError):
+        load_catalog(path)
+
+
+def test_delta_stale_after_the_base_was_folded(streamed):
+    path, _journal, log = streamed
+    # Compaction died between "new base durable" and "log removed".
+    save_catalog(load_catalog(path), path)
+    report = fsck(path)
+    assert report.problems == []
+    assert f"delta: 2 record(s) over base {log.base} — stale (already folded)" in report.lines
+    assert any("in flight (resumes at 96)" in line for line in report.lines)

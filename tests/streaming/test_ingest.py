@@ -187,3 +187,45 @@ class TestReporting:
         for key in ("chunks", "shots", "lag_sheds", "shed_frames",
                     "duplicates_dropped", "degraded_freshness"):
             assert key in payload
+
+
+class TestConcurrentStreamsOnePath:
+    def test_three_streams_share_one_delta_log_without_losing_a_commit(self, tmp_path):
+        """More consumer threads than cores, interleaving delta appends and
+        compactions on one path under the ingestor's commit lock: every
+        stream's shots are durable, per video equal to batch, fsck clean."""
+        import sys
+
+        from repro.library.persistence import load_model
+        from repro.storage.fsck import fsck
+        from repro.storage.journal import IndexingJournal
+        from repro.streaming import feed_streams
+
+        path = tmp_path / "meta.json"
+        ingestor = make_ingestor(path=path, journal=IndexingJournal(tmp_path / "meta.journal"))
+        plans = ingestor.indexer.dataset.video_plans[:3]
+        feeds = {}
+        for plan in plans:
+            clip, _truth = plan.materialise()
+            ingestor.open_stream(plan)
+            feeds[plan.name] = iter_chunks(clip, 12, stream=plan.name)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert not feed_streams(ingestor, feeds)
+            assert ingestor.drain(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {row.state for row in ingestor.health().values()} == {"done"}
+        assert fsck(path, tmp_path / "meta.journal").problems == []
+        assert not (tmp_path / "meta.json.delta").exists()  # the last final chunk folded it
+
+        durable = load_model(path)
+        control = LibraryIndexer(build_australian_open(seed=7, video_shots=4), fde=build_tennis_fde())
+        control.index_all(limit=3)
+        for plan in plans:
+            streamed_id = next(v.video_id for v in durable.videos if v.name == plan.name)
+            expected = control.model.shots_of(control.indexed[plan.name].video_id)
+            assert [(s.start, s.stop, s.category) for s in durable.shots_of(streamed_id)] == [
+                (s.start, s.stop, s.category) for s in expected
+            ]

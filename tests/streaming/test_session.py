@@ -1,16 +1,33 @@
 """StreamSession: chunk commit protocol, dedupe, crash resume."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset import build_australian_open
 from repro.grammar.tennis import build_tennis_fde
 from repro.library.indexing import LibraryIndexer
-from repro.library.persistence import load_stream_state
-from repro.storage.crashpoints import CrashPoint, SimulatedCrash
+from repro.library.persistence import catalog_to_stream_state, load_model, save_model
+from repro.storage.crashpoints import (
+    SNAPSHOT_POINTS,
+    STREAM_POINTS,
+    CrashPoint,
+    SimulatedCrash,
+)
+from repro.storage.fsck import fsck
 from repro.storage.journal import IndexingJournal
+from repro.storage.persist import load_catalog, save_catalog
 from repro.streaming import StreamGapError, StreamSession, iter_chunks
 
 CHUNK = 24
+
+
+def load_stream_state(path):
+    """The in-flight stream rows of base ⊕ delta log at *path*."""
+    return catalog_to_stream_state(load_catalog(path))
 
 
 def make_indexer():
@@ -148,14 +165,114 @@ class TestExactlyOnce:
         assert session.push_chunk(chunks[2]) is not None
 
 
+def committed_watermark(journal_path, stream) -> int:
+    """The last ``chunk_commit`` watermark the journal promises for *stream*."""
+    commits = IndexingJournal(journal_path).verify().chunk_commits.get(stream, [])
+    return int(commits[-1]["watermark"]) if commits else 0
+
+
+def resume_and_finish(path, journal_path, plan, clip, chunk=CHUNK, watermark=None):
+    """Recovery as a fresh "process": restore base ⊕ delta log, resume
+    from the folded watermark, re-feed the rest.  Checks on the way that
+    the fold holds every chunk the journal promised and that ``fsck``
+    is clean before and after."""
+    # (Dying between rotate and replace leaves no live generation until
+    # the next save — fsck says so; ``.prev`` ⊕ log still holds everything.)
+    before = fsck(path, journal_path).problems
+    assert [p for p in before if p != "current snapshot: missing"] == []
+    fresh = make_indexer()
+    fresh.restore_snapshot(path)
+    if plan.name not in fresh.stream_states:
+        # Died after the final chunk's compaction: the stream is whole.
+        assert plan.name in fresh.indexed
+        return fresh
+    resumed = StreamSession.resume(fresh, plan, path, journal=IndexingJournal(journal_path))
+    assert resumed.watermark >= committed_watermark(journal_path, plan.name)
+    assert watermark in (None, resumed.watermark)
+    for piece in iter_chunks(clip, chunk, stream=plan.name, start=resumed.next_frame):
+        resumed.push_chunk(piece)
+    assert resumed.finalized
+    assert fsck(path, journal_path).problems == []
+    return fresh
+
+
+class TestDeltaCommits:
+    def test_chunk_commits_append_deltas_and_a_finished_stream_leaves_none(
+        self, tmp_path, plan_and_clip
+    ):
+        plan, clip = plan_and_clip
+        path = tmp_path / "meta.json"
+        log = tmp_path / "meta.json.delta"
+        session = StreamSession(make_indexer(), plan, path=path)
+        chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
+        session.push_chunk(chunks[0])  # no base yet: a whole snapshot
+        assert not log.exists()
+        base = path.read_bytes()
+        session.push_chunk(chunks[1])
+        assert path.read_bytes() == base and log.stat().st_size > 0
+        for chunk in chunks[2:]:
+            session.push_chunk(chunk)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.json", "meta.json.prev"]
+
+    def test_base_plus_delta_resaved_equals_the_whole_snapshot_at_every_chunk(
+        self, tmp_path, plan_and_clip
+    ):
+        """What the snapshot-per-chunk protocol wrote at chunk k is what
+        base ⊕ delta log loads (and re-saves, byte for byte) at chunk k."""
+        plan, clip = plan_and_clip
+        path = tmp_path / "meta.json"
+        indexer = make_indexer()
+        session = StreamSession(indexer, plan, path=path)
+        for chunk in iter_chunks(clip, CHUNK, stream=plan.name):
+            session.push_chunk(chunk)
+            states = indexer.stream_states
+            save_model(
+                indexer.model,
+                tmp_path / "whole.json",
+                runner_state=indexer.fde.runner.export_state(),
+                stream_state=[states[name] for name in sorted(states)],
+            )
+            save_catalog(load_catalog(path), tmp_path / "folded.json")
+            assert (tmp_path / "folded.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+    def test_a_chunk_closing_no_shot_is_a_small_record_whatever_the_catalog(
+        self, tmp_path, plan_and_clip
+    ):
+        dataset = build_australian_open(seed=7, video_shots=4)
+        indexer = LibraryIndexer(dataset, fde=build_tennis_fde())
+        path = tmp_path / "meta.json"
+        indexer.index_checkpointed(path, limit=3)  # a catalog to stream into
+        plan = dataset.video_plans[3]
+        clip, _truth = plan.materialise()
+        session = StreamSession(indexer, plan, path=path)
+        chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
+        session.push_chunk(chunks[0])
+        commit = session.push_chunk(chunks[1])
+        assert commit.new_shots == 0
+        assert 0 < (tmp_path / "meta.json.delta").stat().st_size < 1024 < path.stat().st_size
+
+    def test_replaced_base_forces_compaction_not_a_stale_append(self, tmp_path, plan_and_clip):
+        plan, clip = plan_and_clip
+        path = tmp_path / "meta.json"
+        indexer = make_indexer()
+        session = StreamSession(indexer, plan, path=path)
+        chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
+        session.push_chunk(chunks[0])
+        session.push_chunk(chunks[1])
+        save_model(indexer.model, path)  # somebody else rewrote the base
+        session.push_chunk(chunks[2])
+        assert not (tmp_path / "meta.json.delta").exists()
+        assert load_stream_state(path)[plan.name]["seq"] == 3
+
+
 class TestCrashResume:
-    @pytest.mark.parametrize(
-        "point", ["chunk-post-begin", "chunk-pre-snapshot", "chunk-pre-commit",
-                  "chunk-pre-generation", "chunk-post-generation"]
-    )
+    @pytest.mark.parametrize("point", STREAM_POINTS + SNAPSHOT_POINTS)
     def test_kill_then_resume_is_byte_identical(
         self, tmp_path, plan_and_clip, batch_bytes, point
     ):
+        """Die at every edge of the chunk commit — the delta append's and,
+        with ``after=1``, the *second* compaction's (so a log of committed
+        records is live while the snapshot underneath it is replaced)."""
         plan, clip = plan_and_clip
         path = tmp_path / "meta.json"
         journal_path = tmp_path / "meta.journal"
@@ -165,16 +282,109 @@ class TestCrashResume:
         with CrashPoint(point, after=1):
             with pytest.raises(SimulatedCrash):
                 feed(session, clip)
-        # Recovery: a fresh "process" restores the snapshot and resumes
-        # from the committed watermark.
-        fresh = make_indexer()
-        fresh.restore_snapshot(path)
-        resumed = StreamSession.resume(
-            fresh, plan, path, journal=IndexingJournal(journal_path)
-        )
-        feed(resumed, clip, start=resumed.next_frame)
-        assert resumed.finalized
+        if point in SNAPSHOT_POINTS or point == "compaction-pre-unlink":
+            assert (tmp_path / "meta.json.delta").stat().st_size > 0  # mid-compaction
+        resume_and_finish(path, journal_path, plan, clip)
         assert path.read_bytes() == batch_bytes
+        assert not (tmp_path / "meta.json.delta").exists()
+
+    @given(
+        chunk=st.integers(min_value=7, max_value=60),
+        point=st.sampled_from(STREAM_POINTS + SNAPSHOT_POINTS),
+        after=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_any_chunking_any_kill_point_resumes_to_the_batch_bytes(
+        self, plan_and_clip, batch_bytes, chunk, point, after
+    ):
+        plan, clip = plan_and_clip
+        with tempfile.TemporaryDirectory() as tmp:
+            path, journal_path = Path(tmp) / "meta.json", Path(tmp) / "meta.journal"
+            session = StreamSession(
+                make_indexer(), plan, path=path, journal=IndexingJournal(journal_path)
+            )
+            try:
+                with CrashPoint(point, after=after):
+                    for piece in iter_chunks(clip, chunk, stream=plan.name):
+                        session.push_chunk(piece)
+            except SimulatedCrash:
+                if not path.exists() and not path.with_name("meta.json.prev").exists():
+                    return  # died before anything was durable: nothing to resume
+                resume_and_finish(path, journal_path, plan, clip, chunk)
+            assert path.read_bytes() == batch_bytes
+
+    def test_record_gap_then_kill_loses_and_doubles_no_shot(
+        self, tmp_path, plan_and_clip, batch_bytes
+    ):
+        """Tail shots flushed by ``record_gap`` live in memory until the
+        next commit; a kill before it must neither lose them (resume
+        replays from the durable watermark) nor double them."""
+        plan, clip = plan_and_clip
+        path = tmp_path / "meta.json"
+        journal_path = tmp_path / "meta.journal"
+        session = StreamSession(
+            make_indexer(), plan, path=path, journal=IndexingJournal(journal_path)
+        )
+        chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
+        for chunk in chunks[:3]:
+            session.push_chunk(chunk)
+        assert session.record_gap(chunks[4].start) > 0  # chunk 3 was shed
+        with CrashPoint("chunk-pre-snapshot"), pytest.raises(SimulatedCrash):
+            session.push_chunk(chunks[4])
+        resume_and_finish(path, journal_path, plan, clip)
+        assert path.read_bytes() == batch_bytes
+
+    def test_gap_flushed_shots_ride_the_next_delta(self, tmp_path, plan_and_clip):
+        plan, clip = plan_and_clip
+        path = tmp_path / "meta.json"
+        indexer = make_indexer()
+        session = StreamSession(indexer, plan, path=path)
+        chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
+        for chunk in chunks[:3]:
+            session.push_chunk(chunk)
+        flushed = session.record_gap(chunks[4].start)
+        session.push_chunk(chunks[4])
+        durable = load_model(path)
+        assert flushed > 0
+        assert [(s.start, s.stop) for s in durable.shots] == [
+            (s.start, s.stop) for s in indexer.model.shots
+        ]
+        assert load_stream_state(path)[plan.name]["shots"] == len(durable.shots)
+
+    def test_two_streams_one_path_survivor_resumes_from_its_own_watermark(self, tmp_path):
+        """Interleaved commits on one path; the first stream finishes —
+        compacting the other's rows and resume row into the new base —
+        while the second is mid-flight, then the process dies."""
+        dataset = build_australian_open(seed=7, video_shots=4)
+        first, second = dataset.video_plans[:2]
+        clips = {plan.name: plan.materialise()[0] for plan in (first, second)}
+        path = tmp_path / "meta.json"
+        journal_path = tmp_path / "meta.journal"
+        indexer = LibraryIndexer(dataset, fde=build_tennis_fde())
+        journal = IndexingJournal(journal_path)
+        a = StreamSession(indexer, first, path=path, journal=journal)
+        b = StreamSession(indexer, second, path=path, journal=journal)
+        slow = iter_chunks(clips[second.name], CHUNK // 2, stream=second.name)
+        for chunk in iter_chunks(clips[first.name], CHUNK, stream=first.name):
+            b.push_chunk(next(slow))
+            a.push_chunk(chunk)
+        assert a.finalized and not b.finalized
+        assert not (tmp_path / "meta.json.delta").exists()  # folded by a's last chunk
+        b.push_chunk(next(slow))
+        survivor_watermark = b.watermark
+        with CrashPoint("delta-mid-append"), pytest.raises(SimulatedCrash):
+            b.push_chunk(next(slow))
+
+        assert committed_watermark(journal_path, second.name) == survivor_watermark
+        fresh = resume_and_finish(
+            path, journal_path, second, clips[second.name], CHUNK // 2, survivor_watermark
+        )
+        assert first.name not in load_stream_state(path)
+        # Zero lost, zero doubled: each video's shots are its batch shots.
+        control = make_indexer()
+        control.index_all(limit=2)
+        for name in (first.name, second.name):
+            assert shots_of(fresh, name) == shots_of(control, name)
 
     def test_resume_without_state_row_rejected(self, tmp_path, plan_and_clip, batch_bytes):
         plan, _clip = plan_and_clip
@@ -200,6 +410,11 @@ class TestFreshness:
         samples = [c.freshness_seconds for c in commits]
         assert all(s is not None and s >= 0.0 for s in samples)
         assert session.freshness.percentile(95) is not None
+
+
+def shots_of(indexer, name):
+    video_id = indexer.indexed[name].video_id
+    return [(s.start, s.stop, s.category) for s in indexer.model.shots_of(video_id)]
 
 
 def feed_with_clock(session, clip, clock):
