@@ -14,6 +14,10 @@ only guards that a hit stays clearly cheaper than evaluation; that a
 hit does *no* engine work is asserted directly (its trace holds only
 the synthetic ``cache`` stage), and the hit's absolute cost is gated by
 ``query_p50_ms`` on the ``serve-hot`` workload of ``benchmarks/perf``.
+Both paths moved when queries became prepared (the key is computed
+once per query object, and the text stage reads its interviewees from
+an access path): on a 2-core Xeon the mix went from 0.61 ms cold /
+0.10 ms warm (5.9x) to 0.46 / 0.06 ms (7.9-8.4x).  The gate stays at 4x.
 
 The CI benchmark-regression gate runs this module with
 ``--benchmark-json`` and fails when the cached path stops beating the

@@ -674,17 +674,30 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _parsed(texts: list[str]) -> list | None:
+    """*texts* as queries, or ``None`` once a malformed one is reported."""
+    from repro.library import QuerySyntaxError, parse_query
+
+    try:
+        return [parse_query(text) for text in texts]
+    except QuerySyntaxError as exc:
+        print(f"query: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_query(args) -> int:
     from repro.dataset import build_australian_open
-    from repro.library import DigitalLibraryEngine, parse_query
+    from repro.library import DigitalLibraryEngine
     from repro.library.persistence import load_model
 
+    parsed = _parsed([args.text])
+    if parsed is None:
+        return 2
     dataset = build_australian_open(seed=args.seed)
     engine = DigitalLibraryEngine(dataset)
     restored = engine.indexer.restore(load_model(args.metaindex))
     print(f"restored {restored} indexed video(s)")
-    query = parse_query(args.text)
-    results = engine.search(query)
+    results = engine.search(parsed[0])
     if not results:
         print("no scenes found")
         return 1
@@ -784,18 +797,19 @@ def _cmd_ann_build(args) -> int:
 
 def _cmd_search(args) -> int:
     from repro.ir.ann import AnnSnapshotError
-    from repro.library import parse_query
 
+    parsed = _parsed([args.query] if args.query else [])
+    if parsed is None:
+        return 2
     try:
         dataset, engine = _restore_engine_with_ann(args)
     except AnnSnapshotError as exc:
         print(f"search: corrupt ANN snapshot — {exc}")
         return 1
     frames = _materialise_query_clip(dataset, args)
-    query = parse_query(args.query) if args.query else None
     results = engine.search_like(
         frames,
-        query=query,
+        query=parsed[0] if parsed else None,
         weights=(args.w_text, args.w_ann),
         k=args.k,
         nprobe=args.nprobe,
@@ -1007,12 +1021,15 @@ def _stream_soak(args) -> int:
 
 def _cmd_query_stats(args) -> int:
     from repro.dataset import build_australian_open
-    from repro.library import DigitalLibraryEngine, LibrarySearchService, parse_query
+    from repro.library import DigitalLibraryEngine, LibrarySearchService
     from repro.library.persistence import load_model
     from repro.library.service import format_query_stats
 
+    queries = _parsed(args.queries)
+    if queries is None:
+        return 2
     if args.shards is not None:
-        return _sharded_query_stats(args)
+        return _sharded_query_stats(args, queries)
     if args.metaindex is None:
         print("query-stats: --metaindex is required without --shards")
         return 2
@@ -1023,7 +1040,6 @@ def _cmd_query_stats(args) -> int:
     print(f"restored {restored} indexed video(s)")
     service = LibrarySearchService(engine, cache_size=args.cache_size)
 
-    queries = [parse_query(text) for text in args.queries]
     for text, query in zip(args.queries, queries):
         for _ in range(max(args.repeat, 1)):
             served = service.search(query)
@@ -1058,12 +1074,10 @@ def _shard_fleet(args):
         yield service
 
 
-def _sharded_query_stats(args) -> int:
+def _sharded_query_stats(args, queries: list) -> int:
     """``query-stats --shards N``: serve through shard workers, report."""
-    from repro.library import parse_query
     from repro.library.sharding import format_sharded_stats
 
-    queries = [parse_query(text) for text in args.queries]
     with _shard_fleet(args) as service:
         for text, query in zip(args.queries, queries):
             for _ in range(max(args.repeat, 1)):

@@ -61,9 +61,17 @@ def top_hits(doc_ids: np.ndarray, scores: np.ndarray, n: int) -> list[RankedHit]
     exactly the reference ``sorted(key=(-score, doc_id))``: float
     negation is sign-flip-exact and equal scores (including ±0.0) fall
     through to the ascending doc id.
+
+    Only candidates scoring ``>=`` the *n*-th best score can place, so
+    the lexsort runs over those alone: every tie at that score is kept
+    (``-0.0 >= 0.0``), and anything dropped is beaten by *n* survivors.
     """
     if doc_ids.size == 0:
         return []
+    if n < doc_ids.size:
+        nth = np.partition(scores, doc_ids.size - n)[doc_ids.size - n]
+        keep = scores >= nth
+        doc_ids, scores = doc_ids[keep], scores[keep]
     order = np.lexsort((doc_ids, -scores))[:n]
     ids = doc_ids[order].tolist()
     top = scores[order].tolist()

@@ -36,7 +36,6 @@ from repro.library.service import (
     QueryStats,
     QueryTrace,
     ServedQuery,
-    canonical_query_key,
 )
 from repro.library.sharding import (
     ShardedSearchService,
@@ -64,7 +63,6 @@ __all__ = [
     "ShardingConfig",
     "assign_shards",
     "shard_of",
-    "canonical_query_key",
     "parse_query",
     "QuerySyntaxError",
     "save_model",

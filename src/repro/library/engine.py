@@ -61,6 +61,9 @@ class DigitalLibraryEngine:
         self.text_index = InvertedIndex(dataset.pages)
         self.fragmented_index = FragmentedIndex(self.text_index, n_fragments=n_fragments)
         self._text_generation = 0
+        #: ``(interviewed_in link count, doc id -> interviewee names)``:
+        #: the access path :meth:`_text_scores_per_video` reads.
+        self._interviewees: tuple[int, dict[int, tuple[str, ...]]] = (0, {})
         #: Query-by-example state: the IVF index over shot feature
         #: vectors, its per-ann-id provenance rows, and the vectorizer
         #: that embeds query clips.  Built by :meth:`build_ann_index`
@@ -368,15 +371,17 @@ class DigitalLibraryEngine:
         of the players appearing in it — the simple evidence-propagation
         rule a demo engine needs.
         """
+        links = self.dataset.instance.link_counts.get("interviewed_in", 0)
+        stamp, names_of = self._interviewees
+        if stamp != links:
+            names_of = {}
+            self._interviewees = (links, names_of)
         by_player: dict[str, float] = {}
         for doc_id, score in doc_scores.items():
-            doc = self.dataset.pages.document(doc_id)
-            oid = doc.metadata.get("oid")
-            if doc.metadata.get("class") != "Interview" or oid is None:
-                continue
-            interview = self.dataset.instance.object(oid)
-            for player in self.dataset.instance.sources_of("interviewed_in", interview):
-                name = player.get("name")
+            names = names_of.get(doc_id)
+            if names is None:
+                names = names_of[doc_id] = self._interviewed_in(doc_id)
+            for name in names:
                 by_player[name] = max(by_player.get(name, 0.0), score)
         out: dict[str, float] = {}
         for video_name, names in video_players.items():
@@ -384,6 +389,22 @@ class DigitalLibraryEngine:
             if scores:
                 out[video_name] = max(scores)
         return out
+
+    def _interviewed_in(self, doc_id: int) -> tuple[str, ...]:
+        """Names of the players interviewed in one document (``()`` if none).
+
+        The graph walk behind the doc id -> names access path.  An entry
+        depends only on the document (pages are append-only and keep
+        their ids) and on the ``interviewed_in`` links, so the path is
+        dropped exactly when ``link()`` moves that association's count.
+        """
+        metadata = self.dataset.pages.document(doc_id).metadata
+        oid = metadata.get("oid")
+        if metadata.get("class") != "Interview" or oid is None:
+            return ()
+        instance = self.dataset.instance
+        interview = instance.object(oid)
+        return tuple(p.get("name") for p in instance.sources_of("interviewed_in", interview))
 
     # ------------------------------------------------------------------ #
     # The relational path — "the database approach"

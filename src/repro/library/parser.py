@@ -26,6 +26,7 @@ Values with spaces (player names) are quoted.  ``parse_query`` returns a
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.library.query import LibraryQuery
 
@@ -110,6 +111,8 @@ class _Parser:
             while True:
                 kind, value = self._clause()
                 if kind == "player":
+                    if value[0] in player:
+                        raise QuerySyntaxError(f"duplicate player.{value[0]} clause")
                     player[value[0]] = value[1]
                 elif kind == "event":
                     if event is not None or sequence is not None:
@@ -136,14 +139,17 @@ class _Parser:
             top_n = int(number)
         if self._peek() is not None:
             raise QuerySyntaxError(f"trailing tokens starting at {self._peek()[1]!r}")
-        return LibraryQuery(
-            player=player,
-            event=event,
-            sequence=sequence,
-            within=within,
-            text=text,
-            top_n=top_n,
-        )
+        try:
+            return LibraryQuery(
+                player=player,
+                event=event,
+                sequence=sequence,
+                within=within,
+                text=text,
+                top_n=top_n,
+            )
+        except ValueError as exc:  # e.g. LIMIT 0
+            raise QuerySyntaxError(str(exc)) from exc
 
     def _clause(self) -> tuple[str, object]:
         """One WHERE clause: ('player', (attr, value)) / ('event', label) /
@@ -184,8 +190,13 @@ class _Parser:
         raise QuerySyntaxError(f"unknown clause starting with {token[1]!r}")
 
 
+@lru_cache(maxsize=1 << 12)  # a query's parse depends on its text alone
 def parse_query(text: str) -> LibraryQuery:
     """Parse query text into a :class:`LibraryQuery`.
+
+    Memoised: a repeated text returns the same (immutable) query object,
+    whose :attr:`~LibraryQuery.key` is then serialised only once.
+    Exceptions are not cached, so a malformed text raises every time.
 
     Raises:
         QuerySyntaxError: for any malformed input.

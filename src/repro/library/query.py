@@ -19,7 +19,11 @@ The motivating query of the paper's Section 2 is::
 
 from __future__ import annotations
 
+import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 __all__ = ["LibraryQuery"]
 
@@ -30,7 +34,11 @@ _PLAYER_KEYS = ("handedness", "gender", "country", "past_winner", "name")
 
 @dataclass(frozen=True)
 class LibraryQuery:
-    """One combined digital-library query.
+    """One combined digital-library query — immutable, so it can be shared.
+
+    ``player`` is a read-only copy of the mapping passed in.  Two queries
+    are equal, and hash alike, exactly when their :attr:`key` is the same;
+    a query pickles with its key, so a shard worker need not recompute it.
 
     Attributes:
         player: attribute constraints on the players involved.
@@ -44,7 +52,7 @@ class LibraryQuery:
         top_n: maximum results returned.
     """
 
-    player: dict[str, object] = field(default_factory=dict)
+    player: Mapping[str, object] = field(default_factory=dict)
     event: str | None = None
     sequence: tuple[str, str] | None = None
     within: int = 100
@@ -66,6 +74,40 @@ class LibraryQuery:
             raise ValueError("a sequence is a (first, then) label pair")
         if self.within < 0:
             raise ValueError(f"within must be >= 0, got {self.within}")
+        object.__setattr__(self, "player", MappingProxyType(dict(self.player)))
+
+    @cached_property
+    def key(self) -> str:
+        """A canonical serialization of the query — the cache key.
+
+        Computed once per object.  Semantically identical queries map to
+        the same key: the player constraints are sorted, and ``within``
+        (which only matters for sequence queries) is normalised away
+        when no sequence part exists.
+        """
+        payload = {
+            "player": {key: self.player[key] for key in sorted(self.player)},
+            "event": self.event,
+            "sequence": list(self.sequence) if self.sequence is not None else None,
+            "within": self.within if self.sequence is not None else None,
+            "text": self.text,
+            "top_n": self.top_n,
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LibraryQuery):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "player": dict(self.player)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, player=MappingProxyType(state["player"]))
 
     @property
     def has_concept_part(self) -> bool:

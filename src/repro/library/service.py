@@ -5,7 +5,7 @@
 concurrent use:
 
 - **Generation-keyed result cache.**  Results are cached under
-  ``(generation, canonical_query_key(query))``, where the generation is
+  ``(generation, query.key)``, where the generation is
   the engine's monotone index-generation counter (bumped on every video
   commit and on every effective text-index refresh).  A commit changes
   the generation, so a stale entry can never be served *unlabeled* —
@@ -48,7 +48,6 @@ concept-only fallback evaluation).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict, deque
@@ -68,7 +67,6 @@ __all__ = [
     "QueryStats",
     "QueryTrace",
     "ServedQuery",
-    "canonical_query_key",
 ]
 
 #: Stage names in report order (a query touches a subset of these).
@@ -85,24 +83,6 @@ STAGES = (
     "ann_search",
     "rank_fuse",
 )
-
-
-def canonical_query_key(query: LibraryQuery) -> str:
-    """A canonical serialization of *query* — the cache key.
-
-    Semantically identical queries map to the same key: the player
-    constraints are sorted, and ``within`` (which only matters for
-    sequence queries) is normalised away when no sequence part exists.
-    """
-    payload = {
-        "player": {key: query.player[key] for key in sorted(query.player)},
-        "event": query.event,
-        "sequence": list(query.sequence) if query.sequence is not None else None,
-        "within": query.within if query.sequence is not None else None,
-        "text": query.text,
-        "top_n": query.top_n,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class QueryTrace:
@@ -617,9 +597,8 @@ class LibrarySearchService:
                 default budget.
         """
         started = time.perf_counter()
-        key = canonical_query_key(query)
         if self.resilience is None:
-            return self._serve_plain(query, key, started, bypass_cache, budget)
+            return self._serve_plain(query, started, bypass_cache, budget)
         if budget is None:
             budget = QueryBudget(
                 seconds=self.resilience.budget_seconds,
@@ -627,14 +606,13 @@ class LibrarySearchService:
             )
         try:
             with self._admission.admit():
-                return self._serve_admitted(query, key, started, bypass_cache, budget)
+                return self._serve_admitted(query, started, bypass_cache, budget)
         except OverloadedError as exc:
-            return self._serve_unadmitted(query, key, started, exc.reason, bypass_cache)
+            return self._serve_unadmitted(query, started, exc.reason, bypass_cache)
 
     def _serve_plain(
         self,
         query: LibraryQuery,
-        key: str,
         started: float,
         bypass_cache: bool,
         budget: QueryBudget | None,
@@ -643,13 +621,13 @@ class LibrarySearchService:
         with self._rw.read():
             generation = self.engine.generation
             if not bypass_cache:
-                cached = self._cache.get((generation, key))
+                cached = self._cache.get((generation, query.key))
                 if cached is not None:
                     return self._serve_hit(cached, generation, started)
             trace = QueryTrace()
             results = self.engine.search(query, trace=trace, budget=budget)
             if not bypass_cache:
-                self._cache.put((generation, key), tuple(results))
+                self._cache.put((generation, query.key), tuple(results))
         seconds = time.perf_counter() - started
         self._record(hit=False, seconds=seconds, trace=trace)
         return ServedQuery(
@@ -663,7 +641,6 @@ class LibrarySearchService:
     def _serve_admitted(
         self,
         query: LibraryQuery,
-        key: str,
         started: float,
         bypass_cache: bool,
         budget: QueryBudget,
@@ -677,7 +654,7 @@ class LibrarySearchService:
         with self._rw.read(timeout=timeout):
             generation = self.engine.generation
             if not bypass_cache:
-                cached = self._cache.get((generation, key))
+                cached = self._cache.get((generation, query.key))
                 if cached is not None:
                     return self._serve_hit(cached, generation, started)
             skipped = self._breaker_skips(query)
@@ -691,7 +668,7 @@ class LibrarySearchService:
                     self._deadline_exceeded += 1
                 self._breaker_failure(exc.stage, trace)
                 return self._degrade(
-                    query, key, generation, started, exc.stage, "deadline", budget,
+                    query, generation, started, exc.stage, "deadline", budget,
                     bypass_cache,
                 )
             except OverloadedError:
@@ -700,7 +677,7 @@ class LibrarySearchService:
                 stage = getattr(exc, "stage", None)
                 self._breaker_failure(stage, trace)
                 return self._degrade(
-                    query, key, generation, started, stage, "stage_error", budget,
+                    query, generation, started, stage, "stage_error", budget,
                     bypass_cache,
                 )
             self._record_stage_health(trace, skipped)
@@ -719,7 +696,7 @@ class LibrarySearchService:
                     skipped_stages=tuple(sorted(skipped)),
                 )
             if not bypass_cache:
-                self._cache.put((generation, key), tuple(results))
+                self._cache.put((generation, query.key), tuple(results))
         seconds = time.perf_counter() - started
         self._record(hit=False, seconds=seconds, trace=trace)
         return ServedQuery(
@@ -733,7 +710,6 @@ class LibrarySearchService:
     def _degrade(
         self,
         query: LibraryQuery,
-        key: str,
         generation: int,
         started: float,
         stage: str | None,
@@ -749,7 +725,7 @@ class LibrarySearchService:
         """
         cfg = self.resilience
         if cfg.stale_serving and not bypass_cache and generation > 0:
-            cached = self._cache.get((generation - 1, key))
+            cached = self._cache.get((generation - 1, query.key))
             if cached is not None:
                 return self._serve_hit(cached, generation - 1, started, stale=True)
         relevant = self._degradable_for(query)
@@ -782,7 +758,6 @@ class LibrarySearchService:
     def _serve_unadmitted(
         self,
         query: LibraryQuery,
-        key: str,
         started: float,
         reason: str,
         bypass_cache: bool,
@@ -796,11 +771,11 @@ class LibrarySearchService:
         """
         generation = self.engine.generation
         if not bypass_cache:
-            cached = self._cache.get((generation, key))
+            cached = self._cache.get((generation, query.key))
             if cached is not None:
                 return self._serve_hit(cached, generation, started)
             if self.resilience.stale_serving and generation > 0:
-                cached = self._cache.get((generation - 1, key))
+                cached = self._cache.get((generation - 1, query.key))
                 if cached is not None:
                     return self._serve_hit(cached, generation - 1, started, stale=True)
         return self._reject(generation, started, reason)

@@ -89,7 +89,7 @@ from repro.faults import ShardFaultSpec, ShardFaultState
 from repro.library.query import LibraryQuery
 from repro.library.resilience import StageBreaker
 from repro.library.results import Coverage, SceneResult, merge_scene_results
-from repro.library.service import LRUCache, canonical_query_key
+from repro.library.service import LRUCache
 from repro.library.stats import PERCENTILES, LatencyReservoir, merged_summary
 
 __all__ = [
@@ -152,7 +152,7 @@ class ShardingConfig:
         worker_threads: query-evaluation threads per worker (>= 2 lets
             a hedged duplicate overtake a per-delivery hang fault).
         cache_size: coordinator result-cache entries (keyed by
-            generation vector + canonical query).
+            generation vector + ``query.key``).
         recent_size: per-query-key stale store entries (ladder rung 3).
         budget_seconds: default per-request wall budget when the caller
             passes none (``None`` = unbounded — hedging and gather then
@@ -1269,11 +1269,10 @@ class ShardedSearchService:
         started = time.perf_counter()
         if budget is None and self.config.budget_seconds is not None:
             budget = QueryBudget(seconds=self.config.budget_seconds)
-        key = canonical_query_key(query)
         vector = self.generations
 
         if not bypass_cache:
-            cached = self._cache.get((vector, key))
+            cached = self._cache.get((vector, query.key))
             if cached is not None:
                 results, coverage = cached
                 served = ShardedServedQuery(
@@ -1286,7 +1285,7 @@ class ShardedSearchService:
                 self._record(served)
                 return served
 
-        served = self._scatter_gather(query, key, budget, bypass_cache, started)
+        served = self._scatter_gather(query, budget, bypass_cache, started)
         self._record(served)
         return served
 
@@ -1334,7 +1333,6 @@ class ShardedSearchService:
     def _scatter_gather(
         self,
         query: LibraryQuery,
-        key: str,
         budget: QueryBudget | None,
         bypass_cache: bool,
         started: float,
@@ -1418,8 +1416,8 @@ class ShardedSearchService:
                 [parts[sid] for sid in coverage.responded], query.top_n
             )
             if not bypass_cache:
-                self._cache.put((vector, key), (list(results), coverage))
-                self._recent.put(key, (list(results), coverage, vector))
+                self._cache.put((vector, query.key), (list(results), coverage))
+                self._recent.put(query.key, (list(results), coverage, vector))
             return ShardedServedQuery(
                 results=results,
                 coverage=coverage,
@@ -1448,7 +1446,7 @@ class ShardedSearchService:
             )
 
         if self.config.stale_serving and not bypass_cache:
-            stale = self._recent.get(key)
+            stale = self._recent.get(query.key)
             if stale is not None:
                 results, stale_coverage, stale_vector = stale
                 return ShardedServedQuery(

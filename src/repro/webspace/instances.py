@@ -47,6 +47,9 @@ class WebspaceInstance:
         self._link_rank: dict[str, dict[int, int]] = {}
         # association name -> target oid -> [source oids], by link rank
         self._sources: dict[str, dict[int, list[int]]] = {}
+        #: association name -> links made along it; a reader's derived
+        #: path over one association is current while its count holds.
+        self.link_counts: dict[str, int] = {}
         self._next_oid = 1
 
     # -- population --------------------------------------------------------#
@@ -101,6 +104,8 @@ class WebspaceInstance:
         ranks.setdefault(source.oid, len(ranks))
         sources = self._sources.setdefault(association, {}).setdefault(target.oid, [])
         insort(sources, source.oid, key=ranks.__getitem__)
+        # Counted last: a reader that sees the new count sees the link.
+        self.link_counts[association] = self.link_counts.get(association, 0) + 1
 
     # -- navigation ----------------------------------------------------------#
 

@@ -1,11 +1,13 @@
 """Ranking function tests."""
 
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.collection import DocumentCollection
 from repro.ir.inverted_index import InvertedIndex
-from repro.ir.ranking import bm25_score, rank_full_scan, tf_idf_score
+from repro.ir.ranking import bm25_score, rank_full_scan, tf_idf_score, top_hits
 
 
 @pytest.fixture
@@ -82,3 +84,41 @@ class TestFullScan:
         scores = [h.score for h in hits]
         if len(hits) == 2 and scores[0] == scores[1]:
             assert hits[0].doc_id < hits[1].doc_id
+
+
+def _full_lexsort(doc_ids, scores, n):
+    """Every candidate sorted by ``(-score, doc_id)``, then cut to *n*."""
+    order = np.lexsort((doc_ids, -scores))[:n]
+    return [(int(doc_ids[i]), repr(float(scores[i]))) for i in order]
+
+
+class TestTopHits:
+    """``top_hits`` keeps only the scores >= the n-th best, then lexsorts."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 10_000),
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0, 2.5, 2.5, 2.5, -1.0]),
+            ),
+            unique_by=lambda pair: pair[0],
+            max_size=60,
+        ),
+        st.integers(1, 70),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_full_lexsort(self, pairs, n):
+        doc_ids = np.array([d for d, _ in pairs], dtype=np.int64)
+        scores = np.array([s for _, s in pairs], dtype=np.float64)
+        got = [(hit.doc_id, repr(hit.score)) for hit in top_hits(doc_ids, scores, n)]
+        assert got == _full_lexsort(doc_ids, scores, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 50])
+    def test_heavy_ties_at_the_nth_score(self, n):
+        doc_ids = np.array([9, 1, 7, 3, 5, 2, 8, 4], dtype=np.int64)
+        scores = np.array([3.0, 1.0, 1.0, 1.0, 1.0, -0.0, 0.0, 1.0])
+        got = [(hit.doc_id, repr(hit.score)) for hit in top_hits(doc_ids, scores, n)]
+        assert got == _full_lexsort(doc_ids, scores, n)
+
+    def test_empty(self):
+        assert top_hits(np.array([], dtype=np.int64), np.array([]), 3) == []

@@ -183,6 +183,36 @@ class TestQueryStats:
         assert "last served from engine" in out
 
 
+class TestMalformedQuery:
+    """A malformed query is reported on stderr with exit 2, before any work."""
+
+    BAD = "SCENES WHERE player.gender = female AND player.gender = male"
+
+    def assert_reported(self, code, capsys):
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "query: duplicate player.gender clause\n"
+        assert captured.out == ""
+
+    def test_query(self, tmp_path, capsys):
+        missing = str(tmp_path / "meta.json")
+        self.assert_reported(main(["query", "--metaindex", missing, self.BAD]), capsys)
+
+    def test_search(self, tmp_path, capsys):
+        missing = str(tmp_path / "meta.json")
+        code = main(["search", "--metaindex", missing, "--like", "v", "--query", self.BAD])
+        self.assert_reported(code, capsys)
+
+    def test_query_stats(self, tmp_path, capsys):
+        missing = str(tmp_path / "meta.json")
+        code = main(["query-stats", "--metaindex", missing, "SCENES", self.BAD])
+        self.assert_reported(code, capsys)
+
+    def test_query_stats_sharded(self, capsys):
+        code = main(["query-stats", "--shards", "2", "SCENES", self.BAD])
+        self.assert_reported(code, capsys)
+
+
 class TestServeBench:
     def test_prints_latency_and_throughput(self, capsys):
         code = main(

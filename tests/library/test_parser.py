@@ -75,6 +75,28 @@ class TestErrors:
         with pytest.raises(QuerySyntaxError):
             parse_query("SCENES WHERE event = rally;")
 
+    def test_limit_zero_is_a_syntax_error(self):
+        with pytest.raises(QuerySyntaxError, match="top_n must be >= 1"):
+            parse_query("SCENES LIMIT 0")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SCENES WHERE player.gender = female AND player.gender = male",
+            "SCENES WHERE player.gender = female AND player.gender = female",
+            "SCENES WHERE player.past_winner AND event = rally AND player.past_winner",
+        ],
+    )
+    def test_repeated_player_attribute(self, text):
+        with pytest.raises(QuerySyntaxError, match="duplicate player"):
+            parse_query(text)
+
+    def test_malformed_text_raises_on_every_call(self):
+        """The memo caches answers, not exceptions."""
+        for _ in range(3):
+            with pytest.raises(QuerySyntaxError):
+                parse_query("SCENES LIMIT 0")
+
 
 class TestEngineIntegration:
     def test_parsed_query_runs(self, dataset):

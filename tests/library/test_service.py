@@ -7,7 +7,6 @@ from repro.library import (
     DigitalLibraryEngine,
     LibraryQuery,
     LibrarySearchService,
-    canonical_query_key,
 )
 from repro.library.service import LRUCache, format_query_stats
 
@@ -29,17 +28,17 @@ class TestCanonicalKey:
     def test_player_order_insensitive(self):
         a = LibraryQuery(player={"gender": "female", "handedness": "left"})
         b = LibraryQuery(player={"handedness": "left", "gender": "female"})
-        assert canonical_query_key(a) == canonical_query_key(b)
+        assert a.key == b.key
 
     def test_within_ignored_without_sequence(self):
         a = LibraryQuery(event="rally", within=50)
         b = LibraryQuery(event="rally", within=500)
-        assert canonical_query_key(a) == canonical_query_key(b)
+        assert a.key == b.key
 
     def test_within_kept_for_sequences(self):
         a = LibraryQuery(sequence=("service", "rally"), within=50)
         b = LibraryQuery(sequence=("service", "rally"), within=500)
-        assert canonical_query_key(a) != canonical_query_key(b)
+        assert a.key != b.key
 
     def test_distinct_queries_distinct_keys(self):
         queries = [
@@ -50,7 +49,7 @@ class TestCanonicalKey:
             LibraryQuery(top_n=5),
             LibraryQuery(player={"gender": "female"}),
         ]
-        keys = {canonical_query_key(q) for q in queries}
+        keys = {q.key for q in queries}
         assert len(keys) == len(queries)
 
 
