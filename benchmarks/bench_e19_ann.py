@@ -10,6 +10,11 @@ corpus, the same scaling trick E6 uses for text.  The gate demands
 - ``fused_mismatches == 0``: with every cell probed the index must
   reproduce the oracle — and therefore the fused ranking — byte for
   byte.  Approximation is allowed only where it is asked for.
+
+The query side is gated too: embedding noisy excerpt-sized clips through
+the one-pass :class:`~repro.ir.ann.ShotVectorizer` must be >= 1.5x
+faster than the per-frame oracle (``vector_reference``) with
+``embed_mismatches == 0``.
 """
 
 import numpy as np
@@ -18,6 +23,7 @@ import pytest
 from benchmarks.conftest import print_table
 from repro.ir.ann import AnnIndex, ShotVectorizer
 from repro.ir.ann_reference import brute_force_search, recall_at_k, replicate_vectors
+from repro.video.frames import VideoClip
 
 #: Corpus replication factor; >= 25x is where the vectorized cell scan
 #: separates from the oracle's per-row loop (same rationale as E6).
@@ -27,15 +33,23 @@ N_CELLS = 16
 NPROBE = 4
 #: Fusion weights used for the byte-identity check.
 WEIGHTS = (0.5, 0.5)
+#: By-example query clips: frames per excerpt and excerpts per video.
+EXCERPT_FRAMES = 30
+EXCERPTS_PER_VIDEO = 4
 
 
 @pytest.fixture(scope="module")
-def ann_corpus(bench_dataset):
+def bench_clips(bench_dataset):
+    """The first four videos, materialised once: ``(clip, truth)`` pairs."""
+    return [plan.materialise() for plan in bench_dataset.video_plans[:4]]
+
+
+@pytest.fixture(scope="module")
+def ann_corpus(bench_clips):
     """Replicated shot-vector corpus, built index and degraded queries."""
     vectorizer = ShotVectorizer()
     base = []
-    for plan in bench_dataset.video_plans[:4]:
-        clip, truth = plan.materialise()
+    for clip, truth in bench_clips:
         for shot in truth.shots:
             stop = min(shot.stop, len(clip))
             if stop > shot.start:
@@ -137,3 +151,42 @@ def test_e19_index_build_speed(benchmark, ann_corpus):
         iterations=1,
     )
     assert index.n_vectors == len(vectors)
+
+
+@pytest.fixture(scope="module")
+def excerpts(bench_clips):
+    """Noisy excerpt-sized clips: what a by-example request embeds."""
+    rng = np.random.default_rng(11)
+    out = []
+    for clip, _truth in bench_clips:
+        for k in range(EXCERPTS_PER_VIDEO):
+            start = int(rng.integers(0, max(1, len(clip) - EXCERPT_FRAMES)))
+            frames = [
+                np.clip(clip[i] + rng.normal(0.0, 6.0, clip[i].shape), 0, 255).astype(np.uint8)
+                for i in range(start, min(start + EXCERPT_FRAMES, len(clip)))
+            ]
+            out.append(VideoClip(frames, fps=clip.fps, name=f"{clip.name}_x{k}"))
+    return out
+
+
+def test_e19_embed_reference(benchmark, excerpts):
+    """Gate baseline: per-frame oracle embedding of every excerpt."""
+    vectorizer = ShotVectorizer()
+    benchmark.pedantic(
+        lambda: [vectorizer.vector_reference(x) for x in excerpts], rounds=5, iterations=1
+    )
+
+
+def test_e19_embed(benchmark, excerpts):
+    """Gate candidate: one-pass embedding, vectors byte-identical to the oracle."""
+    vectorizer = ShotVectorizer()
+    vectors = benchmark.pedantic(
+        lambda: [vectorizer.vectorize_clip(x) for x in excerpts], rounds=5, iterations=1
+    )
+    embed_mismatches = sum(
+        not np.array_equal(vector, vectorizer.vector_reference(x))
+        for vector, x in zip(vectors, excerpts)
+    )
+    benchmark.extra_info["embed_mismatches"] = embed_mismatches
+    benchmark.extra_info["excerpts"] = len(excerpts)
+    assert embed_mismatches == 0

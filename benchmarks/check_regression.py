@@ -82,6 +82,16 @@ approximate shot retrieval to its quality bar — recall at the serving
         --candidate test_e19_ann_search \\
         --min-extra recall_at_10=0.9 --zero-extra fused_mismatches
 
+and hold the query-side embedding (one colour pass per sampled frame) to
+its per-frame oracle — faster, with not one differing vector::
+
+    python benchmarks/check_regression.py bench.json \\
+        --baseline test_e19_embed_reference \\
+        --candidate test_e19_embed \\
+        --min-speedup 1.5
+    python benchmarks/check_regression.py bench.json \\
+        --candidate test_e19_embed --zero-extra embed_mismatches
+
 The E20 entries gate streaming ingest's crash-safety and freshness
 claims: chunk-append must end byte-identical to batch indexing, a kill
 at every chunk-commit and snapshot crash point must resume to the same

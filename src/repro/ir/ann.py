@@ -34,7 +34,8 @@ import numpy as np
 from repro.budget import QueryBudget
 from repro.shots.classify import ShotFeatureExtractor, ShotFeatures
 from repro.video.frames import VideoClip
-from repro.vision.histogram import color_histogram
+from repro.vision.color import FrameBlock
+from repro.vision.histogram import color_histogram, color_histograms
 
 __all__ = [
     "AnnIndex",
@@ -80,7 +81,8 @@ class ShotVectorizer:
     The concatenation is L2-normalized, so squared-L2 ANN distance is
     monotone in cosine similarity.  Frames are sampled at the same
     midpoint indices :class:`ShotFeatureExtractor` uses, which keeps
-    the vector stable under truncation of a query clip.
+    the vector stable under truncation of a query clip; all three blocks
+    are computed from one shared :class:`~repro.vision.color.FrameBlock`.
     """
 
     def __init__(self, samples: int = 3, bins: int = HIST_BINS):
@@ -94,16 +96,24 @@ class ShotVectorizer:
 
     def vector_from_frames(self, frames: list[np.ndarray]) -> np.ndarray:
         """The feature vector of a shot given as its frames."""
-        features = self.extractor.extract(frames)
-        picks = [frames[i] for i in self.extractor.sample_indices(len(frames))]
-        hist = np.mean([color_histogram(f, bins=self.bins) for f in picks], axis=0)
-        return self._assemble(hist, features)
+        return self._vector(self.extractor.sample(frames))
 
     def vectorize_clip(self, clip: VideoClip, start: int = 0, stop: int | None = None):
-        """The feature vector of ``clip[start:stop]`` (whole clip by default)."""
-        stop = len(clip) if stop is None else stop
-        frames = [clip[i] for i in range(start, stop)]
-        return self.vector_from_frames(frames)
+        """The feature vector of ``clip[start:stop]`` (whole clip by default).
+
+        Raises ``ValueError`` unless ``0 <= start < stop <= len(clip)``.
+        """
+        return self._vector(self.extractor.sample(clip, start, stop))
+
+    def vector_reference(self, frames: list[np.ndarray]) -> np.ndarray:
+        """Per-frame oracle: ``extract_reference`` + per-pick :func:`color_histogram`."""
+        picks = [frames[i] for i in self.extractor.sample_indices(len(frames))]
+        hist = np.mean([color_histogram(f, bins=self.bins) for f in picks], axis=0)
+        return self._assemble(hist, self.extractor.extract_reference(frames))
+
+    def _vector(self, block: FrameBlock) -> np.ndarray:
+        hist = color_histograms(block, bins=self.bins).mean(axis=0)
+        return self._assemble(hist, self.extractor.features(block))
 
     def _assemble(self, hist: np.ndarray, features: ShotFeatures) -> np.ndarray:
         moments = np.array(

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.video.frames import VideoClip
 from repro.video.shots import ShotCategory
+from repro.vision.color import FrameBlock
 from repro.vision.dominant import color_coverage, color_coverages, dominant_color, dominant_colors
 from repro.vision.skin import DEFAULT_SKIN_MODEL, SkinColorModel
 from repro.vision.stats import frame_statistics, frame_statistics_batch
@@ -89,9 +90,6 @@ class ShotFeatureExtractor:
         court_tolerance: Euclidean RGB distance counted as "court".
         skin_model: skin classifier shared with the close-up rule.
         samples: number of frames sampled per shot.
-        batched: run the vision kernels once over the stacked sampled
-            frames (the default) instead of per frame; the two paths
-            produce identical features.
     """
 
     def __init__(
@@ -100,7 +98,6 @@ class ShotFeatureExtractor:
         court_tolerance: float = 40.0,
         skin_model: SkinColorModel | None = None,
         samples: int = 3,
-        batched: bool = True,
     ):
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
@@ -112,7 +109,6 @@ class ShotFeatureExtractor:
         self.court_tolerance = court_tolerance
         self.skin_model = skin_model or DEFAULT_SKIN_MODEL
         self.samples = samples
-        self.batched = batched
 
     def sample_indices(self, n_frames: int) -> list[int]:
         """Indices of the frames sampled from a shot of *n_frames* frames."""
@@ -122,22 +118,31 @@ class ShotFeatureExtractor:
         # Midpoints of `count` equal segments: avoids transition-adjacent frames.
         return [int((2 * k + 1) * n_frames / (2 * count)) for k in range(count)]
 
-    def extract(self, frames: list[np.ndarray]) -> ShotFeatures:
-        """Features of a shot given as its list of frames.
+    def sample(self, frames, start: int = 0, stop: int | None = None) -> FrameBlock:
+        """The sampled frames of the shot ``frames[start:stop]``, as one block.
 
-        With :attr:`batched` set (the default) the sampled frames are
-        stacked and each vision kernel makes one pass over the stack;
-        the per-frame values, and therefore the averaged features, are
-        identical to :meth:`extract_reference`.
+        Only the sampled frames are read.  Raises ``ValueError`` unless
+        ``0 <= start < stop <= len(frames)``.
         """
-        if not self.batched:
-            return self.extract_reference(frames)
-        picks = [frames[i] for i in self.sample_indices(len(frames))]
-        stack = np.stack(picks)
-        court = np.mean(list(color_coverages(stack, self.court_color, self.court_tolerance)))
-        skin = np.mean(list(self.skin_model.ratios(stack)))
-        stats = frame_statistics_batch(stack)
-        dom_colors, dom_covers = zip(*dominant_colors(stack))
+        stop = len(frames) if stop is None else stop
+        if not 0 <= start < stop <= len(frames):
+            raise ValueError(f"invalid shot range [{start}, {stop})")
+        return FrameBlock([frames[start + i] for i in self.sample_indices(stop - start)])
+
+    def extract(self, frames: list[np.ndarray]) -> ShotFeatures:
+        """Features of a shot given as its list of frames."""
+        return self.features(self.sample(frames))
+
+    def features(self, block: FrameBlock) -> ShotFeatures:
+        """Features averaged over a block of sampled frames.
+
+        Every vision kernel reads the block's shared per-frame colour
+        state; the values are identical to :meth:`extract_reference`.
+        """
+        court = np.mean(list(color_coverages(block, self.court_color, self.court_tolerance)))
+        skin = np.mean(list(self.skin_model.ratios(block)))
+        stats = frame_statistics_batch(block)
+        dom_colors, dom_covers = zip(*dominant_colors(block))
         dominant = np.mean(np.stack(dom_colors), axis=0)
         return ShotFeatures(
             court_coverage=float(court),
@@ -150,7 +155,7 @@ class ShotFeatureExtractor:
         )
 
     def extract_reference(self, frames: list[np.ndarray]) -> ShotFeatures:
-        """Per-frame-loop form of :meth:`extract` (the seed's code path)."""
+        """Per-frame oracle of :meth:`extract`: the single-frame kernels."""
         picks = [frames[i] for i in self.sample_indices(len(frames))]
         court = np.mean([color_coverage(f, self.court_color, self.court_tolerance) for f in picks])
         skin = np.mean([self.skin_model.ratio(f) for f in picks])
@@ -169,9 +174,7 @@ class ShotFeatureExtractor:
 
     def extract_from_clip(self, clip: VideoClip, start: int, stop: int) -> ShotFeatures:
         """Features of the shot occupying ``clip[start:stop]``."""
-        if not 0 <= start < stop <= len(clip):
-            raise ValueError(f"invalid shot range [{start}, {stop})")
-        return self.extract([clip[i] for i in range(start, stop)])
+        return self.features(self.sample(clip, start, stop))
 
 
 @dataclass

@@ -17,12 +17,15 @@ Images are ``uint8`` arrays of shape ``(H, W, 3)`` (RGB) or ``(H, W)``
 (greyscale / binary masks).  All operators are vectorised and allocate
 rather than mutate their inputs.  Every per-frame operator on the
 pipeline's hot path also has a *batched* form (``color_histograms``,
-``frame_statistics_batch``, ``SkinColorModel.masks`` …) that makes one
-pass over a stacked ``(N, H, W, 3)`` clip and produces exactly the
-per-frame values.
+``frame_statistics_batch``, ``SkinColorModel.masks`` …) that takes a
+clip, a stacked ``(N, H, W, 3)`` array or a :class:`FrameBlock` and
+produces exactly the per-frame values.  The colour kernels read one
+per-frame state (planes, 16-level colour counts, grey); a
+:class:`FrameBlock` shares it between them.
 """
 
 from repro.vision.color import (
+    FrameBlock,
     rgb_to_grey,
     rgb_to_grey_frames,
     rgb_to_hsv,
@@ -58,6 +61,7 @@ from repro.vision.morphology import erode, dilate, opening, closing
 from repro.vision.moments import ShapeFeatures, shape_features, shape_features_batch
 
 __all__ = [
+    "FrameBlock",
     "rgb_to_grey",
     "rgb_to_grey_frames",
     "rgb_to_hsv",

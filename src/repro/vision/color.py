@@ -9,6 +9,8 @@ OpenCV today) computes.
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -20,6 +22,9 @@ __all__ = [
     "rgb_to_grey_frames",
     "rgb_to_hsv_frames",
     "FRAME_BLOCK",
+    "FrameColour",
+    "FrameBlock",
+    "frame_colours",
 ]
 
 #: ITU-R BT.601 luma weights used for RGB -> greyscale.
@@ -31,6 +36,11 @@ _LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 #: in cache instead of streaming clip-sized arrays through main memory
 #: (measured fastest on memory-constrained hosts).
 FRAME_BLOCK = 2
+
+#: Levels per channel of the shared joint colour code: the dominant
+#: colour's quantisation, and a refinement of every coarser power-of-two
+#: histogram (``(v*16 >> 8) >> k == v*2**(4-k) >> 8``).
+CODE_LEVELS = 16
 
 
 def ensure_rgb(image: np.ndarray) -> np.ndarray:
@@ -95,6 +105,90 @@ def rgb_to_grey_frames(frames) -> np.ndarray:
         grey = rgb[s : s + FRAME_BLOCK].astype(np.float64) @ _LUMA_WEIGHTS
         out[s : s + FRAME_BLOCK] = np.clip(np.rint(grey), 0, 255).astype(np.uint8)
     return out
+
+
+@lru_cache(maxsize=None)
+def _fold_map(bins: int) -> np.ndarray:
+    """The *bins*-level cell of each :data:`CODE_LEVELS`-level code (read-only)."""
+    level = np.arange(CODE_LEVELS) // (CODE_LEVELS // bins)
+    cells = ((level[:, None, None] * bins + level[None, :, None]) * bins + level).ravel()
+    cells.flags.writeable = False
+    return cells
+
+
+class FrameColour:
+    """One frame's colour evidence, each piece computed on first use.
+
+    :attr:`planes` is the frame as contiguous ``(3, H*W)`` channel planes;
+    :meth:`codes` / :meth:`counts` are its joint colour codes and exact
+    per-cell pixel counts — for *bins* dividing :data:`CODE_LEVELS` a fold
+    of the 16-level counts, not another pass over the pixels; :attr:`grey`
+    is :func:`rgb_to_grey` (the BLAS luma matmul: a planar weighted sum
+    rounds some pixels differently).
+    """
+
+    def __init__(self, frame: np.ndarray):
+        self.frame = ensure_rgb(frame)
+        self._codes: dict[int, np.ndarray] = {}
+        self._counts: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def planes(self) -> np.ndarray:
+        return np.ascontiguousarray(self.frame.reshape(-1, 3).T)
+
+    @cached_property
+    def grey(self) -> np.ndarray:
+        return rgb_to_grey(self.frame)
+
+    def codes(self, bins: int = CODE_LEVELS) -> np.ndarray:
+        """Per pixel ``((r*bins >> 8) * bins + (g*bins >> 8)) * bins + (b*bins >> 8)``."""
+        if bins not in self._codes:
+            # uint16 holds v*bins and every code while bins**3 < 2**16.
+            quant = self.planes.astype(np.uint16 if bins <= 40 else np.uint32)
+            quant *= bins
+            quant >>= 8
+            codes = quant[0] * bins
+            codes += quant[1]
+            codes *= bins
+            codes += quant[2]
+            self._codes[bins] = codes
+        return self._codes[bins]
+
+    def counts(self, bins: int = CODE_LEVELS) -> np.ndarray:
+        """Pixels per joint colour cell at *bins* levels, as float64."""
+        if bins not in self._counts:
+            if bins != CODE_LEVELS and CODE_LEVELS % bins == 0:
+                counts = np.bincount(_fold_map(bins), weights=self.counts(), minlength=bins**3)
+            else:
+                counts = np.bincount(self.codes(bins), minlength=bins**3).astype(np.float64)
+            self._counts[bins] = counts
+        return self._counts[bins]
+
+
+class FrameBlock:
+    """A few frames whose :class:`FrameColour` state the colour kernels share.
+
+    Pass one block to ``color_histograms``, ``dominant_colors``,
+    ``color_coverages``, ``SkinColorModel.masks`` / ``ratios`` and
+    ``frame_statistics_batch``: each frame is decomposed, coded, counted
+    and turned grey once, however many of them read it.
+    """
+
+    def __init__(self, frames):
+        self.colours = [FrameColour(frame) for frame in frames]
+
+
+def frame_colours(frames):
+    """A :class:`FrameBlock`'s shared states, else fresh ones, one frame at a time.
+
+    Takes a block, a clip, an ``(N, H, W, 3)`` array, a frame sequence or
+    one ``(H, W, 3)`` frame; a long clip's states are never all alive.
+    """
+    if isinstance(frames, FrameBlock):
+        return frames.colours
+    if isinstance(frames, np.ndarray) and frames.ndim == 3:
+        frames = frames[np.newaxis]
+    return map(FrameColour, frames)
 
 
 def _hsv_from_rgb_array(rgb: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vision.color import FRAME_BLOCK, ensure_frames, ensure_rgb
+from repro.vision.color import ensure_rgb, frame_colours
 
 __all__ = [
     "dominant_color",
@@ -47,46 +47,24 @@ def dominant_color(image: np.ndarray, bins: int = 16) -> tuple[np.ndarray, float
 
 
 def dominant_colors(frames, bins: int = 16) -> list[tuple[np.ndarray, float]]:
-    """Batched :func:`dominant_color` over a whole clip.
+    """Batched :func:`dominant_color` over a clip or a shared frame block.
 
-    Quantisation is vectorised over cache-sized frame blocks; per frame,
-    the winning cell and its channel sums come from plain and weighted
-    bincounts.  All of it is integer counting (exact in float64), so
-    each ``(color, coverage)`` pair matches the single-frame function
-    exactly.
+    Per frame, the winning cell comes from the shared cell counts
+    (``FrameColour.counts``) and its pixels' channel sums are exact
+    integer sums over the planes, so each ``(color, coverage)`` pair
+    matches the single-frame function exactly.
     """
-    rgb = ensure_frames(frames)
-    n = rgb.shape[0]
-    n_cells = bins**3
     out: list[tuple[np.ndarray, float]] = []
-    for s in range(0, n, FRAME_BLOCK):
-        part = rgb[s : s + FRAME_BLOCK]
-        quant = (part.astype(np.uint32) * bins) >> 8
-        codes = (quant[..., 0] * bins + quant[..., 1]) * bins + quant[..., 2]
-        flat = codes.reshape(codes.shape[0], -1)
-        pixels = part.reshape(part.shape[0], -1, 3)
-        for j in range(flat.shape[0]):
-            counts = np.bincount(flat[j], minlength=n_cells)
-            winner = int(counts.argmax())
-            win_count = int(counts[winner])
-            frame_size = flat.shape[1]
-            if win_count:
-                sums = np.array(
-                    [
-                        np.bincount(
-                            flat[j],
-                            weights=pixels[j, :, c].astype(np.float64),
-                            minlength=n_cells,
-                        )[winner]
-                        for c in range(3)
-                    ]
-                )
-                color = sums / float(win_count)
-                coverage = float(win_count) / float(frame_size)
-            else:
-                color = np.zeros(3)
-                coverage = 0.0
-            out.append((color.astype(np.float64), coverage))
+    for colour in frame_colours(frames):
+        counts = colour.counts(bins)
+        winner = int(counts.argmax())
+        win_count = int(counts[winner])
+        if not win_count:
+            out.append((np.zeros(3), 0.0))
+            continue
+        member = colour.codes(bins) == winner
+        sums = np.compress(member, colour.planes, axis=1).sum(axis=1)
+        out.append((sums / float(win_count), win_count / member.size))
     return out
 
 
@@ -112,25 +90,30 @@ def color_coverage(
     return float((dist <= tolerance).mean())
 
 
-def color_coverages(frames, color: np.ndarray, tolerance: float = 40.0) -> np.ndarray:
-    """Batched :func:`color_coverage` over a whole clip -> ``(N,)`` float64.
+def _within(planes: np.ndarray, ref: np.ndarray, tolerance: float) -> np.ndarray:
+    """:func:`color_coverage`'s per-pixel test on one frame's ``(3, P)`` planes.
 
-    Runs in cache-sized frame blocks with the squared distance expanded
-    per channel (``d0*d0 + d1*d1 + d2*d2`` — the same left-to-right sum
-    as the channel-axis reduction, minus its overhead).  Per-frame means
-    are exact integer counts over the frame size, so each entry equals
-    the single-frame function bit for bit.
+    The same float64 operations in the same order — ``(v - ref)**2`` per
+    channel, summed left to right, ``sqrt``, ``<= tolerance`` — over a
+    frame-sized buffer that stays in cache.
     """
-    frames = ensure_frames(frames)
-    n = frames.shape[0]
+    square = np.subtract(planes, ref[:, np.newaxis])
+    square *= square
+    total = square[0] + square[1]
+    total += square[2]
+    return np.sqrt(total, out=total) <= tolerance
+
+
+def color_coverages(frames, color: np.ndarray, tolerance: float = 40.0) -> np.ndarray:
+    """Batched :func:`color_coverage` over a clip or a shared frame block.
+
+    Returns ``(N,)`` float64.  Each frame's shared planes go through
+    :func:`_within`, and a coverage is an exact integer count over the
+    frame size, so each entry equals the single-frame function bit for bit.
+    """
     ref = np.asarray(color, dtype=np.float64).reshape(3)
-    out = np.empty(n, dtype=np.float64)
-    for s in range(0, n, FRAME_BLOCK):
-        rgb = frames[s : s + FRAME_BLOCK].astype(np.float64)
-        d0 = rgb[..., 0] - ref[0]
-        d1 = rgb[..., 1] - ref[1]
-        d2 = rgb[..., 2] - ref[2]
-        dist = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        within = dist <= tolerance
-        out[s : s + FRAME_BLOCK] = within.reshape(within.shape[0], -1).mean(axis=1)
-    return out
+    out = []
+    for colour in frame_colours(frames):
+        within = _within(colour.planes, ref, tolerance)
+        out.append(np.count_nonzero(within) / within.size if within.size else np.nan)
+    return np.array(out, dtype=np.float64)

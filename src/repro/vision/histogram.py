@@ -15,6 +15,7 @@ from repro.vision.color import (
     _hsv_from_rgb_array,
     ensure_frames,
     ensure_rgb,
+    frame_colours,
     rgb_to_hsv,
 )
 
@@ -81,26 +82,19 @@ def color_histogram(image: np.ndarray, bins: int = 8, normalize: bool = True) ->
 
 
 def color_histograms(frames, bins: int = 8, normalize: bool = True) -> np.ndarray:
-    """Batched :func:`color_histogram` over a whole clip.
+    """Batched :func:`color_histogram` over a clip or a shared frame block.
 
+    *frames* is anything :func:`~repro.vision.color.frame_colours` takes.
     Returns an ``(N, bins**3)`` float64 array where row *i* equals
-    ``color_histogram(frames[i], bins, normalize)`` exactly — same
-    quantisation, integer counting and normalising division per frame.
-    Frames are processed in cache-sized blocks (see
-    :data:`~repro.vision.color.FRAME_BLOCK`): quantisation is vectorised
-    per block, counting per frame, so working sets stay in cache instead
-    of streaming clip-sized temporaries through memory.
+    ``color_histogram(frames[i], bins, normalize)`` exactly: each row is
+    the frame's integer cell counts (``FrameColour.counts`` — for
+    ``bins`` dividing 16 a fold of the shared 16-level counts, since every
+    coarse cell is an exact union of fine ones), divided by their sum.
     """
     if not 2 <= bins <= 256:
         raise ValueError(f"bins must be in 2..256, got {bins}")
-    rgb = ensure_frames(frames)
-    n = rgb.shape[0]
-    hists = np.empty((n, bins**3), dtype=np.float64)
-    for s in range(0, n, FRAME_BLOCK):
-        part = rgb[s : s + FRAME_BLOCK]
-        quant = (part.astype(np.uint32) * bins) >> 8
-        codes = (quant[..., 0] * bins + quant[..., 1]) * bins + quant[..., 2]
-        _count_rows(codes, bins**3, hists, s)
+    rows = [colour.counts(bins) for colour in frame_colours(frames)]
+    hists = np.array(rows, dtype=np.float64).reshape(len(rows), bins**3)
     return _normalize_rows(hists, normalize)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.vision.color import FRAME_BLOCK, ensure_frames, ensure_rgb
+from repro.vision.color import ensure_rgb, frame_colours
 
 __all__ = ["SkinColorModel", "skin_ratio", "DEFAULT_SKIN_MODEL"]
 
@@ -59,45 +59,47 @@ class SkinColorModel:
         mask = self.mask(image)
         return float(mask.mean()) if mask.size else 0.0
 
-    def masks(self, frames) -> np.ndarray:
-        """Boolean skin masks for a whole clip, ``(N, H, W)``.
+    def _planar_mask(self, planes: np.ndarray) -> np.ndarray:
+        """:meth:`mask` on ``(3, P)`` uint8 planes, ``(P,)`` bool.
 
-        Batched form of :meth:`mask`: the rule chain runs over
-        cache-sized frame blocks with per-channel slice arithmetic —
-        ``maximum(maximum(r, g), b)`` instead of a reduction over the
-        3-wide channel axis, which NumPy handles an order of magnitude
-        slower.  Integer comparisons are exact, so ``masks(c)[i]``
-        equals ``mask(c[i])`` bit for bit.
+        Under red dominance (``r > g`` and ``r > b``) the chain reduces
+        exactly: ``max - min`` is ``r - min(g, b)`` and ``|r - g|`` is
+        ``r - g``, both positive, so the uint8 differences cannot wrap
+        on any pixel the dominance terms keep — no widened copy needed.
         """
-        frames = ensure_frames(frames)
-        out = np.empty(frames.shape[:3], dtype=bool)
-        for s in range(0, frames.shape[0], FRAME_BLOCK):
-            rgb = frames[s : s + FRAME_BLOCK].astype(np.int16)
-            r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-            maxc = np.maximum(np.maximum(r, g), b)
-            minc = np.minimum(np.minimum(r, g), b)
-            out[s : s + FRAME_BLOCK] = (
-                (r > self.r_min)
-                & (g > self.g_min)
-                & (b > self.b_min)
-                & ((maxc - minc) > self.spread_min)
-                & (np.abs(r - g) > self.rg_gap_min)
-                & (r > g)
-                & (r > b)
-            )
-        return out
+        r, g, b = planes
+        return (
+            (r > self.r_min)
+            & (g > self.g_min)
+            & (b > self.b_min)
+            & (r > g)
+            & (r > b)
+            & (r - np.minimum(g, b) > self.spread_min)
+            & (r - g > self.rg_gap_min)
+        )
+
+    def masks(self, frames) -> np.ndarray:
+        """Boolean skin masks, ``(N, H, W)``, of a clip or a shared frame block.
+
+        Each frame's shared planes go through :meth:`_planar_mask`;
+        integer comparisons are exact, so ``masks(c)[i]`` equals
+        ``mask(c[i])`` bit for bit.
+        """
+        masks = [
+            self._planar_mask(colour.planes).reshape(colour.frame.shape[:2])
+            for colour in frame_colours(frames)
+        ]
+        return np.stack(masks) if masks else np.zeros((0, 1, 1), dtype=bool)
 
     def ratios(self, frames) -> np.ndarray:
-        """Per-frame skin fractions for a whole clip, ``(N,)`` float64.
+        """Per-frame skin fractions of a clip or a shared frame block, ``(N,)``.
 
-        A mask mean is an integer pixel count divided by the frame size
-        — exact in float64 — so each entry equals :meth:`ratio` on that
+        A fraction is an integer pixel count divided by the frame size —
+        exact in float64 — so each entry equals :meth:`ratio` on that
         frame.
         """
-        masks = self.masks(frames)
-        if masks.size == 0:
-            return np.zeros(masks.shape[0], dtype=np.float64)
-        return masks.reshape(masks.shape[0], -1).mean(axis=1)
+        masks = [self._planar_mask(colour.planes) for colour in frame_colours(frames)]
+        return np.array([np.count_nonzero(m) / m.size if m.size else 0.0 for m in masks])
 
 
 #: Default model; also the model the synthetic close-up renderer targets.

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vision.color import ensure_frames, rgb_to_grey, rgb_to_grey_frames
-from repro.vision.histogram import grey_histogram, grey_histograms
+from repro.vision.color import frame_colours, rgb_to_grey
+from repro.vision.histogram import grey_histogram
 
 __all__ = [
     "frame_entropy",
@@ -68,26 +68,11 @@ def frame_statistics(image: np.ndarray, bins: int = 64) -> dict[str, float]:
 
 
 def frame_statistics_batch(frames, bins: int = 64) -> list[dict[str, float]]:
-    """Batched :func:`frame_statistics` over a whole clip.
+    """Batched :func:`frame_statistics` over a clip or a shared frame block.
 
-    The expensive passes — luma conversion and intensity histograms — run
-    once over the stacked ``(N, H, W, 3)`` array; entropy, mean and
-    variance then reduce each frame's row/plane with the same operations
-    as the single-frame function, so every value matches it exactly.
+    Each frame's grey is its shared ``FrameColour.grey`` — the luma
+    matmul of :func:`~repro.vision.color.rgb_to_grey`, computed once per
+    frame — reduced by :func:`frame_statistics` itself, so every value
+    matches the single-frame function exactly.
     """
-    arr = ensure_frames(frames)
-    greys = rgb_to_grey_frames(arr)
-    hists = grey_histograms(greys, bins=bins, normalize=True)
-    out: list[dict[str, float]] = []
-    for i in range(arr.shape[0]):
-        positive = hists[i][hists[i] > 0]
-        entropy = float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
-        as_float = greys[i].astype(np.float64)
-        out.append(
-            {
-                "entropy": entropy,
-                "mean": float(as_float.mean()),
-                "variance": float(as_float.var()),
-            }
-        )
-    return out
+    return [frame_statistics(colour.grey, bins) for colour in frame_colours(frames)]

@@ -144,9 +144,8 @@ class TestClassifierKernels:
 
     def test_extractor_batched_equals_reference(self, clip):
         frames = list(clip)
-        batched = ShotFeatureExtractor(samples=5)
-        reference = ShotFeatureExtractor(samples=5, batched=False)
-        assert batched.extract(frames) == reference.extract(frames)
+        extractor = ShotFeatureExtractor(samples=5)
+        assert extractor.extract(frames) == extractor.extract_reference(frames)
 
 
 class TestBoundaryDistances:
