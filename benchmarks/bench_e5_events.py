@@ -2,10 +2,10 @@
 
 Regenerates the event-recognition tables of the companion paper
 (Petković & Jonker 2001): shot-level accuracy of the white-box
-spatio-temporal rules, the grammar-interpreted rules, and the stochastic
-(HMM) recogniser, as trajectory noise grows; plus per-event
-precision/recall of the rule intervals and the E5a HMM state-count
-sweep.
+spatio-temporal rules (the tennis grammar's event rules, evaluated by
+the detector the FDE runs), the stochastic (HMM) recogniser and their
+combination, as trajectory noise grows; plus per-event precision/recall
+of the rule intervals and the E5a HMM state-count sweep.
 
 Expected shape: rules and HMM are both near-perfect on clean
 trajectories; as observation noise grows the hard thresholds of the
@@ -24,7 +24,6 @@ from repro.events.recognizer import (
     RuleBasedRecognizer,
     train_hmm_recognizer,
 )
-from repro.events.rules import RuleEventDetector
 from repro.tracking.court_model import CourtColorModel
 from repro.tracking.segmentation import court_bounds
 from repro.tracking.tracker import PlayerTracker
@@ -74,22 +73,10 @@ def _perturb(trajectory, sigma, rng):
     return out
 
 
-def _grammar_classify(detector, trajectory):
-    events = detector.detect(trajectory)
-    coverage = {}
-    for event in events:
-        if event.label in SCRIPT_TO_LABEL.values():
-            coverage[event.label] = coverage.get(event.label, 0) + event.length
-    if "net_play" in coverage:
-        return "net_play"
-    return max(coverage, key=coverage.get) if coverage else None
-
-
 def test_e5_rules_vs_hmm_noise_sweep(benchmark, corpus):
     zones, train, test = corpus
     rng = np.random.default_rng(99)
-    rule = RuleBasedRecognizer(RuleEventDetector(zones))
-    grammar_detector = GrammarEventDetector(tennis_grammar(), zones)
+    rule = RuleBasedRecognizer(GrammarEventDetector(tennis_grammar(), zones))
     hmm = train_hmm_recognizer(TrajectoryQuantizer(zones), train, n_states=3)
     combined = CombinedRecognizer(rule, hmm)
 
@@ -98,34 +85,31 @@ def test_e5_rules_vs_hmm_noise_sweep(benchmark, corpus):
         for sigma in NOISE_LEVELS:
             noisy = [(label, _perturb(t, sigma, rng)) for label, t in test]
             rule_acc = np.mean([rule.classify(t) == label for label, t in noisy])
-            grammar_acc = np.mean(
-                [_grammar_classify(grammar_detector, t) == label for label, t in noisy]
-            )
             hmm_acc = np.mean([hmm.classify(t) == label for label, t in noisy])
             combined_acc = np.mean(
                 [combined.classify(t) == label for label, t in noisy]
             )
-            out[sigma] = (rule_acc, grammar_acc, hmm_acc, combined_acc)
+            out[sigma] = (rule_acc, hmm_acc, combined_acc)
         return out
 
     accuracies = benchmark.pedantic(sweep, rounds=1, iterations=1)
     rows = [
-        [sigma, f"{r:.2f}", f"{g:.2f}", f"{h:.2f}", f"{c:.2f}"]
-        for sigma, (r, g, h, c) in accuracies.items()
+        [sigma, f"{r:.2f}", f"{h:.2f}", f"{c:.2f}"]
+        for sigma, (r, h, c) in accuracies.items()
     ]
     print_table(
         "E5: shot-level event accuracy vs trajectory noise",
-        ["noise sigma", "rules", "grammar rules", "HMM", "combined"],
+        ["noise sigma", "rules", "HMM", "combined"],
         rows,
     )
     clean = accuracies[0.0]
-    assert clean[0] >= 0.75 and clean[2] >= 0.75
+    assert clean[0] >= 0.75 and clean[1] >= 0.75
     # The stochastic recogniser holds up at least as well under heavy noise.
     noisiest = accuracies[NOISE_LEVELS[-1]]
-    assert noisiest[2] >= noisiest[0] - 0.15
+    assert noisiest[1] >= noisiest[0] - 0.15
     # The integration never falls below both of its components.
     for sigma in NOISE_LEVELS:
-        r, _g, h, c = accuracies[sigma]
+        r, h, c = accuracies[sigma]
         assert c >= min(r, h) - 1e-9
 
 
@@ -134,7 +118,7 @@ def test_e5_interval_precision_recall(benchmark, corpus):
     zones, _train, _test = corpus
     generator = BroadcastGenerator(seed=6006)
     tracker = PlayerTracker()
-    detector = RuleEventDetector(zones)
+    rules = RuleBasedRecognizer(GrammarEventDetector(tennis_grammar(), zones))
 
     def evaluate():
         per_label = {label: [0, 0, 0] for label in SCRIPT_TO_LABEL.values()}
@@ -142,7 +126,7 @@ def test_e5_interval_precision_recall(benchmark, corpus):
             script = list(SCRIPT_TO_LABEL)[i % 4]
             clip, truth = generator.tennis_clip(script=script, n_frames=60)
             trajectory = tracker.track(list(clip)).positions
-            detected = detector.detect(trajectory)
+            detected = rules.intervals(trajectory)
             for label in per_label:
                 true_events = [e for e in truth.events if e.label == label]
                 found = [e for e in detected if e.label == label]

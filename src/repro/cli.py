@@ -750,18 +750,16 @@ def _materialise_query_clip(dataset, args) -> list:
 def _restore_engine_with_ann(args):
     """An engine restored from ``--metaindex``, ANN adopted or built."""
     from repro.dataset import build_australian_open
-    from repro.ir.ann import has_ann_tables, load_ann_from_catalog
     from repro.library import DigitalLibraryEngine
-    from repro.library.persistence import catalog_to_model
-    from repro.storage.persist import load_catalog
+    from repro.library.persistence import load_model_with_ann
 
     dataset = build_australian_open(seed=args.seed)
     engine = DigitalLibraryEngine(dataset)
-    catalog = load_catalog(args.metaindex)
-    restored = engine.indexer.restore(catalog_to_model(catalog))
+    model, ann = load_model_with_ann(args.metaindex)
+    restored = engine.indexer.restore(model)
     print(f"restored {restored} indexed video(s)")
-    if has_ann_tables(catalog):
-        index, meta = load_ann_from_catalog(catalog)
+    if ann is not None:
+        index, meta = ann
         engine.adopt_ann(index, meta)
         print(f"ann: adopted snapshot index ({index.n_vectors} vectors, {index.n_cells} cells)")
     else:

@@ -17,27 +17,24 @@ as well as facilitating their extraction based on spatio-temporal
 reasoning":
 
 - :mod:`repro.core.temporal` — intervals and Allen's interval algebra,
-- :mod:`repro.core.spatial` — spatial predicates over positions/boxes,
 - :mod:`repro.core.grammars` — the object/event grammar language
   (tokeniser, parser, AST),
 - :mod:`repro.core.inference` — grammar rule evaluation over
-  trajectories and observations.
+  trajectories and observations: the white-box event detector the FDE
+  runs, and the :class:`~repro.core.inference.DetectedEvent` intervals
+  it emits.
 """
 
 from repro.core.entities import Video, ShotRecord, VideoObject, Event
 from repro.core.model import CobraModel, Layer
 from repro.core.temporal import Interval, allen_relation, ALLEN_RELATIONS
-from repro.core.spatial import (
-    left_of,
-    right_of,
-    above,
-    below,
-    near,
-    boxes_overlap,
-    inside,
-)
 from repro.core.grammars import ConceptGrammar, parse_grammar, GrammarError
-from repro.core.inference import GrammarEventDetector, ObjectClassifier, TrajectoryContext
+from repro.core.inference import (
+    DetectedEvent,
+    GrammarEventDetector,
+    ObjectClassifier,
+    TrajectoryContext,
+)
 
 __all__ = [
     "Video",
@@ -49,16 +46,10 @@ __all__ = [
     "Interval",
     "allen_relation",
     "ALLEN_RELATIONS",
-    "left_of",
-    "right_of",
-    "above",
-    "below",
-    "near",
-    "boxes_overlap",
-    "inside",
     "ConceptGrammar",
     "parse_grammar",
     "GrammarError",
+    "DetectedEvent",
     "GrammarEventDetector",
     "ObjectClassifier",
     "TrajectoryContext",

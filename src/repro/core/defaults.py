@@ -1,8 +1,9 @@
 """The default tennis concept grammar.
 
-This is the declarative (white-box) equivalent of the hand-coded rule
-detectors in :mod:`repro.events.rules` — the grammar instantiation the
-demo uses for the tennis domain.
+The white-box event rules of the tennis domain (net play, service,
+rally, baseline play, and the composite attack), written as data: the
+FDE's ``rules`` detector and :class:`repro.events.RuleBasedRecognizer`
+both evaluate them with :class:`repro.core.inference.GrammarEventDetector`.
 """
 
 from repro.core.grammars import ConceptGrammar, parse_grammar

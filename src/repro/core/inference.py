@@ -14,6 +14,7 @@ are data, authored in the grammar, and the engine interprets them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +31,36 @@ from repro.core.grammars import (
     SeqRule,
 )
 from repro.core.temporal import Interval
-from repro.events.quantize import SIDE_NAMES, ZONE_NAMES, CourtZones
-from repro.events.rules import DetectedEvent
+from repro.events.quantize import SIDE_NAMES, ZONE_NAMES, CourtZones, median_filter
 
-__all__ = ["TrajectoryContext", "GrammarEventDetector", "ObjectClassifier"]
+__all__ = ["DetectedEvent", "TrajectoryContext", "GrammarEventDetector", "ObjectClassifier"]
+
+
+@dataclass(frozen=True)
+class DetectedEvent:
+    """An event interval recognised in a shot.
+
+    Attributes:
+        start: first frame of the event, shot-relative.
+        stop: one past the last frame.
+        label: event label.
+        confidence: detector-specific confidence in ``(0, 1]``.
+    """
+
+    start: int
+    stop: int
+    label: str
+    confidence: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.start < 0 or self.stop <= self.start:
+            raise ValueError(f"invalid event interval [{self.start}, {self.stop})")
+        if not 0 < self.confidence <= 1:
+            raise ValueError(f"confidence must be in (0, 1], got {self.confidence}")
+
+    @property
+    def length(self) -> int:
+        return self.stop - self.start
 
 
 def _compare(values: np.ndarray, op: str, target: float) -> np.ndarray:
@@ -60,9 +87,9 @@ class TrajectoryContext:
     Args:
         trajectory: per-frame positions (``None`` = tracker miss).
         zones: court zoning used to resolve the ``zone`` field.
-        smooth: half-width of a median filter applied to the positions —
-            the same jitter suppression the black-box rule detector uses,
-            so grammar rules see equally clean fields.  0 disables.
+        smooth: half-width of the :func:`~repro.events.quantize.median_filter`
+            applied to the positions — the jitter suppression the HMM
+            quantiser also applies.  0 disables.
     """
 
     def __init__(
@@ -76,14 +103,14 @@ class TrajectoryContext:
         self.zones = zones
         self.n_frames = len(trajectory)
         self.valid = np.array([p is not None for p in trajectory], dtype=bool)
-        self.rows = self._median_filter(
+        self.rows = median_filter(
             np.array(
                 [p[0] if p is not None else np.nan for p in trajectory],
                 dtype=np.float64,
             ),
             smooth,
         )
-        self.cols = self._median_filter(
+        self.cols = median_filter(
             np.array(
                 [p[1] if p is not None else np.nan for p in trajectory],
                 dtype=np.float64,
@@ -99,20 +126,6 @@ class TrajectoryContext:
                 side_index[i] = zones.side(float(self.cols[i]))
         self.zone_index = zone_index
         self.side_index = side_index
-
-    @staticmethod
-    def _median_filter(values: np.ndarray, k: int) -> np.ndarray:
-        if k < 1 or len(values) < 3:
-            return values
-        out = values.copy()
-        for i in range(len(values)):
-            lo = max(0, i - k)
-            hi = min(len(values), i + k + 1)
-            window = values[lo:hi]
-            window = window[~np.isnan(window)]
-            if window.size:
-                out[i] = np.median(window)
-        return out
 
     def field(self, name: str) -> np.ndarray:
         """Frame-wise values of a grammar field."""

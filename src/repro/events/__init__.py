@@ -11,16 +11,18 @@ adds a stochastic recogniser; we implement both:
 
 - :mod:`repro.events.quantize` — trajectories to court zones and
   observation symbols.
-- :mod:`repro.events.rules` — white-box spatio-temporal rule detectors
-  (net play, rally, service, baseline play).
 - :mod:`repro.events.hmm` — discrete hidden Markov models
   (forward/backward, Viterbi, Baum–Welch).
 - :mod:`repro.events.recognizer` — shot-level recognisers: rule-based,
   HMM maximum-likelihood, and a combined voter.
+
+The white-box rules themselves (net play, rally, service, baseline play)
+are the tennis grammar's event rules (:mod:`repro.core.defaults`),
+evaluated by :class:`repro.core.inference.GrammarEventDetector` — the
+detector the FDE runs and the rule recogniser labels shots with.
 """
 
 from repro.events.quantize import CourtZones, TrajectoryQuantizer, N_SYMBOLS
-from repro.events.rules import DetectedEvent, RuleEventDetector
 from repro.events.hmm import DiscreteHMM
 from repro.events.recognizer import (
     EVENT_LABELS,
@@ -34,8 +36,6 @@ __all__ = [
     "CourtZones",
     "TrajectoryQuantizer",
     "N_SYMBOLS",
-    "DetectedEvent",
-    "RuleEventDetector",
     "DiscreteHMM",
     "EVENT_LABELS",
     "RuleBasedRecognizer",

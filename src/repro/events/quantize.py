@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CourtZones", "TrajectoryQuantizer", "N_SYMBOLS", "ZONE_NAMES", "SIDE_NAMES", "MOTION_NAMES"]
+__all__ = [
+    "CourtZones",
+    "TrajectoryQuantizer",
+    "median_filter",
+    "N_SYMBOLS",
+    "ZONE_NAMES",
+    "SIDE_NAMES",
+    "MOTION_NAMES",
+]
 
 ZONE_NAMES = ("net", "mid", "baseline")
 SIDE_NAMES = ("left", "center", "right")
@@ -124,6 +132,27 @@ class CourtZones:
         return 1
 
 
+def median_filter(values: np.ndarray, k: int) -> np.ndarray:
+    """Running median of half-width *k* over a position series.
+
+    Each output is the median of the non-NaN values in its window
+    (tracker misses are NaN and never pull a neighbour); a window with
+    no values keeps its NaN.  ``k < 1`` or fewer than 3 values returns
+    *values* unchanged.
+    """
+    if k < 1 or len(values) < 3:
+        return values
+    out = values.copy()
+    for i in range(len(values)):
+        lo = max(0, i - k)
+        hi = min(len(values), i + k + 1)
+        window = values[lo:hi]
+        window = window[~np.isnan(window)]
+        if window.size:
+            out[i] = np.median(window)
+    return out
+
+
 class TrajectoryQuantizer:
     """Quantise a trajectory into the 9-symbol zone x motion alphabet.
 
@@ -131,9 +160,9 @@ class TrajectoryQuantizer:
         zones: the court zoning.
         slow_speed: lateral speed (px/frame) separating still from slow.
         fast_speed: lateral speed separating slow from fast.
-        smooth: half-width of a median filter applied to the positions
-            before quantisation — suppresses tracker jitter, the same
-            pre-processing the white-box rules apply.  0 disables.
+        smooth: half-width of the :func:`median_filter` applied to the
+            positions before quantisation — suppresses tracker jitter, the
+            same pre-processing the white-box rules apply.  0 disables.
     """
 
     def __init__(
@@ -152,17 +181,6 @@ class TrajectoryQuantizer:
         self.fast_speed = fast_speed
         self.smooth = smooth
 
-    def _smooth(self, values: np.ndarray) -> np.ndarray:
-        if self.smooth < 1 or len(values) < 3:
-            return values
-        k = self.smooth
-        out = values.copy()
-        for i in range(len(values)):
-            lo = max(0, i - k)
-            hi = min(len(values), i + k + 1)
-            out[i] = np.median(values[lo:hi])
-        return out
-
     def motion_class(self, lateral_speed: float) -> int:
         """Motion index: 0 = still, 1 = slow, 2 = fast."""
         speed = abs(lateral_speed)
@@ -180,8 +198,8 @@ class TrajectoryQuantizer:
         """
         if not trajectory:
             return np.zeros(0, dtype=np.int64)
-        rows = self._smooth(np.array([p[0] for p in trajectory], dtype=np.float64))
-        cols = self._smooth(np.array([p[1] for p in trajectory], dtype=np.float64))
+        rows = median_filter(np.array([p[0] for p in trajectory], dtype=np.float64), self.smooth)
+        cols = median_filter(np.array([p[1] for p in trajectory], dtype=np.float64), self.smooth)
         speeds = np.abs(np.diff(cols, prepend=cols[0]))
         out = np.empty(len(trajectory), dtype=np.int64)
         for t in range(len(trajectory)):

@@ -1,19 +1,26 @@
 """Shot-level event recognisers: rules vs HMM.
 
 A tennis shot realises a dominant event (rally, net play, service,
-baseline play).  The rule recogniser derives the label from rule-detected
-intervals; the HMM recogniser trains one model per label and classifies a
-shot by maximum likelihood of its symbol sequence — the integration the
-companion paper [Petković & Jonker 2001] demonstrates.
+baseline play).  The rule recogniser derives the label from the intervals
+of the FDE's white-box detector (the grammar's event rules); the HMM
+recogniser trains one model per label and classifies a shot by maximum
+likelihood of its symbol sequence — the integration the companion paper
+[Petković & Jonker 2001] demonstrates.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.events.hmm import DiscreteHMM
 from repro.events.quantize import N_SYMBOLS, TrajectoryQuantizer
-from repro.events.rules import DetectedEvent, RuleEventDetector
+
+if TYPE_CHECKING:
+    # Annotation-only: repro.core.inference imports repro.events.quantize,
+    # so a runtime import here would close an import cycle.
+    from repro.core.inference import DetectedEvent, GrammarEventDetector
 
 __all__ = [
     "EVENT_LABELS",
@@ -31,26 +38,28 @@ EVENT_LABELS = ("rally", "net_play", "service", "baseline_play")
 class RuleBasedRecognizer:
     """Label a shot from its rule-detected event intervals.
 
-    The label is the event whose detected intervals cover the most
-    frames, with net play given precedence on ties (approaching the net
-    is the marked, short-lived event the queries care about).
+    *detector* is the grammar detector the FDE runs (``GrammarEventDetector``
+    over the tennis grammar).  Only :data:`EVENT_LABELS` intervals count:
+    composite events such as the grammar's ``attack`` SEQ are not shot
+    labels.  Any net-play interval makes the shot ``net_play`` (approaching
+    the net is the marked, short-lived event the queries care about);
+    otherwise the label is the event whose intervals cover the most frames.
     """
 
-    def __init__(self, detector: RuleEventDetector):
+    def __init__(self, detector: GrammarEventDetector):
         self.detector = detector
 
     def intervals(self, trajectory: list[tuple[float, float] | None]) -> list[DetectedEvent]:
-        """The raw rule-detected intervals for a trajectory."""
-        return self.detector.detect(trajectory)
+        """The detected :data:`EVENT_LABELS` intervals for a trajectory."""
+        return [e for e in self.detector.detect(trajectory) if e.label in EVENT_LABELS]
 
     def classify(self, trajectory: list[tuple[float, float] | None]) -> str | None:
         """Dominant event label of the shot, or ``None`` when nothing fires."""
-        events = self.detector.detect(trajectory)
-        if not events:
-            return None
         coverage: dict[str, int] = {}
-        for event in events:
+        for event in self.intervals(trajectory):
             coverage[event.label] = coverage.get(event.label, 0) + event.length
+        if not coverage:
+            return None
         if "net_play" in coverage:
             return "net_play"
         return max(coverage, key=lambda label: coverage[label])

@@ -8,23 +8,18 @@ rewrite each term's postings live as *packed parallel NumPy arrays*
 the paper's Monet substrate scans.  The object API (:meth:`postings`)
 is preserved for callers that want materialised pairs.
 
-The index can export itself to :mod:`repro.storage` tables two ways:
-the relational representation (the paper runs IR *inside* the DBMS; the
-E6 benchmark fragments that export) and the packed representation
-(delta+varint blobs, the on-disk twin of the in-memory arrays), which
-round-trips through catalog snapshots and ``repro fsck``.
+The index can export its relational representation to
+:mod:`repro.storage` tables (the paper runs IR *inside* the DBMS).
 """
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ir.collection import DocumentCollection
 from repro.ir.packed import (
-    Bitmap,
     PackedPostings,
     bm25_term_weights,
     intersect_sorted,
@@ -33,7 +28,7 @@ from repro.ir.packed import (
 )
 from repro.storage.catalog import Catalog
 
-__all__ = ["Posting", "InvertedIndex", "load_packed_postings"]
+__all__ = ["Posting", "InvertedIndex"]
 
 
 @dataclass(frozen=True)
@@ -214,13 +209,6 @@ class InvertedIndex:
                 break
         return np.asarray(result, dtype=np.int64)
 
-    def term_bitmap(self, term: str) -> Bitmap:
-        """Membership bitmap of *term* over the indexed document universe."""
-        universe = max(self._indexed_docs, 1)
-        packed = self._packed.get(term)
-        ids = np.empty(0, dtype=np.int64) if packed is None else packed.doc_ids
-        return Bitmap.from_ids(ids, universe)
-
     # ------------------------------------------------------------------ #
     # Database export — "the database approach"
     # ------------------------------------------------------------------ #
@@ -251,53 +239,3 @@ class InvertedIndex:
                 }
             )
         catalog.create_hash_index(f"{prefix}_postings", "term")
-
-    def export_packed_to_catalog(self, catalog: Catalog, prefix: str = "ir") -> None:
-        """Materialise the packed format as ``<prefix>_packed``.
-
-        One row per term: document frequency plus the delta+varint id
-        blob and varint tf blob (base64, since columns carry text).  The
-        snapshot layer persists it like any other table, so the packed
-        index survives ``save_catalog``/``load_catalog`` and is checked
-        by ``repro fsck``; :func:`load_packed_postings` restores the
-        arrays bit-exactly.
-        """
-        table = catalog.create_table(
-            f"{prefix}_packed",
-            {"term": "str", "df": "int", "id_blob": "str", "tf_blob": "str"},
-        )
-        for term in self.vocabulary:
-            packed = self._packed[term]
-            id_blob, tf_blob = packed.to_blobs()
-            table.append(
-                {
-                    "term": term,
-                    "df": packed.df,
-                    "id_blob": base64.b64encode(id_blob).decode("ascii"),
-                    "tf_blob": base64.b64encode(tf_blob).decode("ascii"),
-                }
-            )
-        catalog.create_hash_index(f"{prefix}_packed", "term")
-
-
-def load_packed_postings(catalog: Catalog, prefix: str = "ir") -> dict[str, PackedPostings]:
-    """Decode a ``<prefix>_packed`` table back to packed postings arrays.
-
-    Raises:
-        ValueError: when a row's stored document frequency disagrees
-            with its decoded blob — corruption the varint layer itself
-            cannot see.
-    """
-    table = catalog.table(f"{prefix}_packed")
-    out: dict[str, PackedPostings] = {}
-    for row in table.scan():
-        packed = PackedPostings.from_blobs(
-            base64.b64decode(row["id_blob"]), base64.b64decode(row["tf_blob"])
-        )
-        if packed.df != int(row["df"]):
-            raise ValueError(
-                f"packed postings for term {row['term']!r} decode to df={packed.df}, "
-                f"snapshot says {row['df']}"
-            )
-        out[row["term"]] = packed
-    return out

@@ -28,10 +28,7 @@ machine-independent cost measure E6 reports alongside wall time.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +42,7 @@ from repro.ir.packed import (
 )
 from repro.ir.ranking import RankedHit, top_hits
 
-__all__ = ["FragmentedIndex", "TopNResult", "full_scan_postings", "merge_topn"]
+__all__ = ["FragmentedIndex", "TopNResult", "full_scan_postings"]
 
 
 def full_scan_postings(index: InvertedIndex, query_terms: list[str]) -> int:
@@ -57,25 +54,6 @@ def full_scan_postings(index: InvertedIndex, query_terms: list[str]) -> int:
     The query-serving layer reports it per text stage.
     """
     return sum(index.document_frequency(term) for term in query_terms)
-
-
-def merge_topn(parts: Iterable[Sequence[RankedHit]], n: int) -> list[RankedHit]:
-    """Merge per-partition top-N rankings into the global top-*n*.
-
-    The scatter-gather counterpart of :class:`FragmentedIndex`: when a
-    document collection is horizontally partitioned (each document
-    scored by exactly one partition, with shared global statistics),
-    every global top-*n* hit is inside its own partition's local
-    top-*n*, so a k-way merge of the locally ranked lists under the
-    engine's total order ``(-score, doc_id)`` is *exact* — identical to
-    ranking the unpartitioned collection.  Inputs must already be
-    sorted under that order, which is what :meth:`FragmentedIndex
-    .search` and :func:`~repro.ir.ranking.rank_full_scan` return.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    merged = heapq.merge(*parts, key=lambda hit: (-hit.score, hit.doc_id))
-    return list(islice(merged, n))
 
 
 @dataclass

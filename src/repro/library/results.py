@@ -115,8 +115,7 @@ def merge_scene_results(
 ) -> list[SceneResult]:
     """Merge per-shard scene rankings into the global top-*top_n*.
 
-    The :func:`repro.ir.topn.merge_topn` discipline applied to scenes:
-    each part must be locally ranked under :func:`scene_order` (what
+    Each part must be locally ranked under :func:`scene_order` (what
     every shard returns).  Videos are partitioned across shards, so the
     k-way merge is exact — byte-identical to ranking the unsharded
     library — and with parts missing it degrades to the correctly

@@ -34,8 +34,7 @@ from repro.shots.classify import (
 )
 from repro.shots.segmenter import DetectedShot, SegmentDetector
 from repro.shots.evaluate import boundary_scores, confusion_matrix, MatchResult
-from repro.shots.keyframes import keyframe_index, keyframes_for_shots
-from repro.shots.calibrate import estimate_court_color, calibrated_extractor
+from repro.shots.keyframes import keyframe_index
 
 __all__ = [
     "Boundary",
@@ -54,7 +53,4 @@ __all__ = [
     "confusion_matrix",
     "MatchResult",
     "keyframe_index",
-    "keyframes_for_shots",
-    "estimate_court_color",
-    "calibrated_extractor",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 from repro.video.frames import VideoClip
 from repro.vision.histogram import color_histogram, histogram_difference
 
-__all__ = ["keyframe_index", "keyframes_for_shots"]
+__all__ = ["keyframe_index"]
 
 
 def keyframe_index(
@@ -42,16 +42,3 @@ def keyframe_index(
     mean = np.mean(np.stack(histograms), axis=0)
     distances = [histogram_difference(h, mean) for h in histograms]
     return indices[int(np.argmin(distances))]
-
-
-def keyframes_for_shots(
-    clip: VideoClip,
-    shots: list[tuple[int, int]],
-    bins: int = 8,
-    sample_step: int = 2,
-) -> list[int]:
-    """Keyframe index per ``(start, stop)`` shot range."""
-    return [
-        keyframe_index(clip, start, stop, bins=bins, sample_step=sample_step)
-        for start, stop in shots
-    ]

@@ -8,9 +8,9 @@ main memory.  This package is the corresponding substrate:
 - :mod:`repro.storage.columns` — typed, append-only columns over NumPy
   buffers,
 - :mod:`repro.storage.table` — tables: schema, append, scan, select,
-- :mod:`repro.storage.index` — hash and sorted secondary indexes,
+- :mod:`repro.storage.index` — hash secondary indexes,
 - :mod:`repro.storage.catalog` — the named-table catalogue,
-- :mod:`repro.storage.query` — joins and aggregate helpers,
+- :mod:`repro.storage.query` — group counting for reports,
 - :mod:`repro.storage.persist` — crash-safe JSON persistence of a
   catalogue: atomic checksummed snapshots with generational fallback,
 - :mod:`repro.storage.journal` — append-only indexing journal (the
@@ -21,9 +21,9 @@ main memory.  This package is the corresponding substrate:
 
 from repro.storage.columns import Column, IntColumn, FloatColumn, StrColumn, BoolColumn
 from repro.storage.table import Table, Schema, SchemaError
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import HashIndex
 from repro.storage.catalog import Catalog
-from repro.storage.query import hash_join, group_count, order_by
+from repro.storage.query import group_count
 from repro.storage.persist import (
     CatalogCorruptionError,
     SnapshotReport,
@@ -45,11 +45,8 @@ __all__ = [
     "Schema",
     "SchemaError",
     "HashIndex",
-    "SortedIndex",
     "Catalog",
-    "hash_join",
     "group_count",
-    "order_by",
     "save_catalog",
     "load_catalog",
     "verify_snapshot",

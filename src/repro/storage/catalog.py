@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import HashIndex
 from repro.storage.table import SchemaError, Table
 
 __all__ = ["Catalog"]
@@ -15,7 +15,7 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._indexes: dict[tuple[str, str, str], object] = {}
+        self._indexes: dict[tuple[str, str], HashIndex] = {}
         self._generation = 0
 
     # -- generation stamping --------------------------------------------- #
@@ -72,27 +72,14 @@ class Catalog:
     # -- indexes ----------------------------------------------------------#
 
     def create_hash_index(self, table: str, column: str) -> HashIndex:
-        key = (table, column, "hash")
+        key = (table, column)
         if key not in self._indexes:
             self._indexes[key] = HashIndex(self.table(table), column)
-        return self._indexes[key]
-
-    def create_sorted_index(self, table: str, column: str) -> SortedIndex:
-        key = (table, column, "sorted")
-        if key not in self._indexes:
-            self._indexes[key] = SortedIndex(self.table(table), column)
         return self._indexes[key]
 
     def hash_index(self, table: str, column: str) -> HashIndex:
         """The hash index for (table, column), refreshed if stale."""
         index = self.create_hash_index(table, column)
-        if index.stale:
-            index.refresh()
-        return index
-
-    def sorted_index(self, table: str, column: str) -> SortedIndex:
-        """The sorted index for (table, column), refreshed if stale."""
-        index = self.create_sorted_index(table, column)
         if index.stale:
             index.refresh()
         return index

@@ -21,7 +21,6 @@ __all__ = [
     "CrashPoint",
     "trip",
     "is_armed",
-    "armed_points",
     "SNAPSHOT_POINTS",
     "JOURNAL_POINTS",
     "STREAM_POINTS",
@@ -127,11 +126,6 @@ def is_armed(point: str) -> bool:
     """True when *point* would crash on its next :func:`trip`."""
     entry = _armed.get(point)
     return entry is not None and entry[0] == 0 and entry[1] != 0
-
-
-def armed_points() -> list[str]:
-    """Currently armed crash points (test hygiene checks)."""
-    return sorted(p for p in _armed if _armed[p][1] != 0)
 
 
 def trip(point: str) -> None:

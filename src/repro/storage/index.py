@@ -1,20 +1,18 @@
 """Secondary indexes over table columns.
 
-A :class:`HashIndex` accelerates equality lookups; a :class:`SortedIndex`
-answers range queries by binary search.  Indexes are built once over the
-current table contents and refreshed explicitly — the incremental-update
-bookkeeping the FDE needs is handled at the meta-index level, not here.
+A :class:`HashIndex` accelerates equality lookups.  Indexes are built
+once over the current table contents and refreshed explicitly — the
+incremental-update bookkeeping the FDE needs is handled at the
+meta-index level, not here.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
 from repro.storage.table import Table
 
-__all__ = ["HashIndex", "SortedIndex"]
+__all__ = ["HashIndex"]
 
 
 class HashIndex:
@@ -50,34 +48,3 @@ class HashIndex:
 
     def distinct_values(self) -> list:
         return list(self._map)
-
-
-class SortedIndex:
-    """Sorted (value, row id) pairs over one numeric column.
-
-    Supports range lookups ``low <= value <= high`` in O(log n + k).
-    """
-
-    def __init__(self, table: Table, column: str):
-        self.table = table
-        self.column = column
-        self._values: list = []
-        self._row_ids: list[int] = []
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Rebuild from the current table contents."""
-        col = self.table.column(self.column)
-        pairs = sorted((col.get(i), i) for i in range(len(col)))
-        self._values = [p[0] for p in pairs]
-        self._row_ids = [p[1] for p in pairs]
-
-    @property
-    def stale(self) -> bool:
-        return len(self._values) < len(self.table)
-
-    def range(self, low=None, high=None) -> np.ndarray:
-        """Row ids with ``low <= value <= high`` (either bound optional)."""
-        lo = 0 if low is None else bisect.bisect_left(self._values, low)
-        hi = len(self._values) if high is None else bisect.bisect_right(self._values, high)
-        return np.asarray(sorted(self._row_ids[lo:hi]), dtype=np.int64)

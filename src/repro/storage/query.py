@@ -1,62 +1,10 @@
-"""Set-oriented helpers over tables: joins, grouping, ordering.
-
-These are the handful of relational operators the search engine and the
-benchmarks need — a hash join for meta-index/webspace lookups, group
-counting for reports, and top-k ordering.
-"""
+"""Set-oriented helpers over tables: group counting for reports."""
 
 from __future__ import annotations
 
-
 from repro.storage.table import Table
 
-__all__ = ["hash_join", "group_count", "order_by"]
-
-
-def hash_join(
-    left: Table,
-    right: Table,
-    left_key: str,
-    right_key: str,
-    prefix: tuple[str, str] = ("l_", "r_"),
-) -> list[dict[str, object]]:
-    """Equi-join two tables on ``left.left_key == right.right_key``.
-
-    The smaller side is hashed.  Output rows carry every column of both
-    tables, name-disambiguated with the given prefixes only where the
-    names collide.
-
-    Returns:
-        A list of joined row dicts (inner join).
-    """
-    if len(right) < len(left):
-        # Hash the smaller side; swap prefixes so output naming is stable.
-        swapped = hash_join(right, left, right_key, left_key, (prefix[1], prefix[0]))
-        return swapped
-
-    collisions = set(left.column_names) & set(right.column_names)
-
-    def name(side: int, column: str) -> str:
-        return f"{prefix[side]}{column}" if column in collisions else column
-
-    hashed: dict[object, list[int]] = {}
-    left_col = left.column(left_key)
-    for row_id in range(len(left)):
-        hashed.setdefault(left_col.get(row_id), []).append(row_id)
-
-    out: list[dict[str, object]] = []
-    right_col = right.column(right_key)
-    for right_id in range(len(right)):
-        matches = hashed.get(right_col.get(right_id))
-        if not matches:
-            continue
-        right_row = right.row(right_id)
-        for left_id in matches:
-            left_row = left.row(left_id)
-            joined = {name(0, k): v for k, v in left_row.items()}
-            joined.update({name(1, k): v for k, v in right_row.items()})
-            out.append(joined)
-    return out
+__all__ = ["group_count"]
 
 
 def group_count(table: Table, column: str) -> dict[object, int]:
@@ -67,11 +15,3 @@ def group_count(table: Table, column: str) -> dict[object, int]:
         value = col.get(row_id)
         counts[value] = counts.get(value, 0) + 1
     return counts
-
-
-def order_by(
-    rows: list[dict[str, object]], key: str, descending: bool = False, limit: int | None = None
-) -> list[dict[str, object]]:
-    """Sort row dicts by one key, optionally keeping only the top *limit*."""
-    ordered = sorted(rows, key=lambda r: r[key], reverse=descending)
-    return ordered if limit is None else ordered[:limit]

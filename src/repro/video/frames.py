@@ -63,10 +63,9 @@ class VideoClip:
     def as_array(self) -> np.ndarray:
         """The clip as one ``(N, H, W, 3)`` uint8 array, stacked once.
 
-        The stacked-array kernels (``rgb_to_grey_frames``, the HSV
-        histograms) take this array; the colour kernels walk the frames
-        instead.  The stack is cached on the clip (frames are treated as
-        immutable).
+        The stacked-array kernel (the HSV histograms) takes this array;
+        the colour kernels walk the frames instead.  The stack is cached
+        on the clip (frames are treated as immutable).
         """
         if self._stacked is None:
             self._stacked = np.stack(self._frames)

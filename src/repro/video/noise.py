@@ -1,17 +1,16 @@
 """Pixel noise models.
 
-Broadcast video is never clean: sensor noise, compression artefacts and
-lighting flicker all perturb the colour statistics the detectors rely on.
-The generator applies additive Gaussian noise and optional global
-brightness flicker so detector thresholds are exercised realistically and
-the benchmarks can sweep noise levels.
+Broadcast video is never clean: sensor noise and compression artefacts
+perturb the colour statistics the detectors rely on.  The generator
+applies additive Gaussian noise so detector thresholds are exercised
+realistically and the benchmarks can sweep noise levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["add_gaussian_noise", "apply_flicker"]
+__all__ = ["add_gaussian_noise"]
 
 
 def add_gaussian_noise(
@@ -28,20 +27,3 @@ def add_gaussian_noise(
         return frame.copy()
     noisy = frame.astype(np.float64) + rng.normal(0.0, sigma, frame.shape)
     return np.clip(noisy, 0, 255).astype(np.uint8)
-
-
-def apply_flicker(
-    frame: np.ndarray, amount: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Scale global brightness by a random factor in ``1 ± amount``.
-
-    Models lighting/exposure flicker; at ``amount = 0`` the frame is
-    returned as a copy.
-    """
-    if not 0 <= amount < 1:
-        raise ValueError(f"amount must be in [0, 1), got {amount}")
-    if amount == 0:
-        return frame.copy()
-    gain = 1.0 + rng.uniform(-amount, amount)
-    scaled = frame.astype(np.float64) * gain
-    return np.clip(scaled, 0, 255).astype(np.uint8)

@@ -5,12 +5,12 @@ This package replaces the external C/C++ vision routines the paper's
 pipeline needs is implemented here on ``numpy.ndarray`` images:
 
 - colour space conversion (:mod:`repro.vision.color`),
-- colour histograms and histogram distances (:mod:`repro.vision.histogram`),
+- colour histograms and the histogram difference (:mod:`repro.vision.histogram`),
 - frame statistics: entropy, mean, variance (:mod:`repro.vision.stats`),
 - a parametric skin-colour model (:mod:`repro.vision.skin`),
 - dominant-colour estimation (:mod:`repro.vision.dominant`),
 - connected-component labelling (:mod:`repro.vision.regions`),
-- binary morphology (:mod:`repro.vision.morphology`),
+- binary opening and closing (:mod:`repro.vision.morphology`),
 - geometric moments and shape features (:mod:`repro.vision.moments`).
 
 Images are ``uint8`` arrays of shape ``(H, W, 3)`` (RGB) or ``(H, W)``
@@ -27,9 +27,7 @@ per-frame state (planes, 16-level colour counts, grey); a
 from repro.vision.color import (
     FrameBlock,
     rgb_to_grey,
-    rgb_to_grey_frames,
     rgb_to_hsv,
-    rgb_to_hsv_frames,
     hsv_to_rgb,
     ensure_frames,
 )
@@ -37,11 +35,8 @@ from repro.vision.histogram import (
     color_histogram,
     color_histograms,
     grey_histogram,
-    grey_histograms,
     hsv_histograms,
     histogram_difference,
-    histogram_intersection,
-    chi_square_distance,
 )
 from repro.vision.stats import (
     frame_entropy,
@@ -56,26 +51,21 @@ from repro.vision.dominant import (
     color_coverage,
     color_coverages,
 )
-from repro.vision.regions import label_regions, region_slices, largest_region
-from repro.vision.morphology import erode, dilate, opening, closing
-from repro.vision.moments import ShapeFeatures, shape_features, shape_features_batch
+from repro.vision.regions import label_regions
+from repro.vision.morphology import opening, closing
+from repro.vision.moments import ShapeFeatures, shape_features
 
 __all__ = [
     "FrameBlock",
     "rgb_to_grey",
-    "rgb_to_grey_frames",
     "rgb_to_hsv",
-    "rgb_to_hsv_frames",
     "hsv_to_rgb",
     "ensure_frames",
     "color_histogram",
     "color_histograms",
     "grey_histogram",
-    "grey_histograms",
     "hsv_histograms",
     "histogram_difference",
-    "histogram_intersection",
-    "chi_square_distance",
     "frame_entropy",
     "frame_mean",
     "frame_variance",
@@ -87,13 +77,8 @@ __all__ = [
     "color_coverage",
     "color_coverages",
     "label_regions",
-    "region_slices",
-    "largest_region",
-    "erode",
-    "dilate",
     "opening",
     "closing",
     "ShapeFeatures",
     "shape_features",
-    "shape_features_batch",
 ]

@@ -19,8 +19,6 @@ __all__ = [
     "hsv_to_rgb",
     "ensure_rgb",
     "ensure_frames",
-    "rgb_to_grey_frames",
-    "rgb_to_hsv_frames",
     "FRAME_BLOCK",
     "FrameColour",
     "FrameBlock",
@@ -90,21 +88,6 @@ def rgb_to_grey(image: np.ndarray) -> np.ndarray:
     rgb = ensure_rgb(image).astype(np.float64)
     grey = rgb @ _LUMA_WEIGHTS
     return np.clip(np.rint(grey), 0, 255).astype(np.uint8)
-
-
-def rgb_to_grey_frames(frames) -> np.ndarray:
-    """Batched :func:`rgb_to_grey`: ``(N, H, W, 3)`` -> ``(N, H, W)`` uint8.
-
-    One luma matmul over the whole clip; per-pixel arithmetic is
-    identical to the single-frame function, so ``rgb_to_grey_frames(c)[i]``
-    equals ``rgb_to_grey(c[i])`` exactly.
-    """
-    rgb = ensure_frames(frames)
-    out = np.empty(rgb.shape[:3], dtype=np.uint8)
-    for s in range(0, rgb.shape[0], FRAME_BLOCK):
-        grey = rgb[s : s + FRAME_BLOCK].astype(np.float64) @ _LUMA_WEIGHTS
-        out[s : s + FRAME_BLOCK] = np.clip(np.rint(grey), 0, 255).astype(np.uint8)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -225,21 +208,6 @@ def rgb_to_hsv(image: np.ndarray) -> np.ndarray:
         saturation / value in ``[0, 1]``.
     """
     return _hsv_from_rgb_array(ensure_rgb(image).astype(np.float64) / 255.0)
-
-
-def rgb_to_hsv_frames(frames) -> np.ndarray:
-    """Batched :func:`rgb_to_hsv`: ``(N, H, W, 3)`` -> ``(N, H, W, 3)`` float64.
-
-    The hexcone arithmetic is elementwise, so the batched result matches
-    the per-frame conversion bit for bit.
-    """
-    rgb = ensure_frames(frames)
-    out = np.empty(rgb.shape, dtype=np.float64)
-    for s in range(0, rgb.shape[0], FRAME_BLOCK):
-        out[s : s + FRAME_BLOCK] = _hsv_from_rgb_array(
-            rgb[s : s + FRAME_BLOCK].astype(np.float64) / 255.0
-        )
-    return out
 
 
 def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Colour histograms and histogram distances.
+"""Colour histograms and the histogram difference.
 
 The paper's segment detector finds shot boundaries "using differences in
 color histograms of neighboring frames".  This module provides the
-histograms and the distance measures the boundary detector (and the shot
+histograms and the distance measure the boundary detector (and the shot
 classifier) consume.
 """
 
@@ -25,11 +25,7 @@ __all__ = [
     "hsv_histogram",
     "hsv_histograms",
     "grey_histogram",
-    "grey_histograms",
     "histogram_difference",
-    "histogram_intersection",
-    "chi_square_distance",
-    "bhattacharyya_distance",
 ]
 
 
@@ -157,21 +153,6 @@ def grey_histogram(grey: np.ndarray, bins: int = 64, normalize: bool = True) -> 
     return hist
 
 
-def grey_histograms(greys: np.ndarray, bins: int = 64, normalize: bool = True) -> np.ndarray:
-    """Batched :func:`grey_histogram`: ``(N, H, W)`` greys -> ``(N, bins)``."""
-    if not 2 <= bins <= 256:
-        raise ValueError(f"bins must be in 2..256, got {bins}")
-    arr = np.asarray(greys)
-    if arr.ndim != 3:
-        raise ValueError(f"expected (N, H, W) greyscale frames, got shape {arr.shape}")
-    n = arr.shape[0]
-    hists = np.empty((n, bins), dtype=np.float64)
-    for s in range(0, n, FRAME_BLOCK):
-        codes = (arr[s : s + FRAME_BLOCK].astype(np.uint32) * bins) >> 8
-        _count_rows(codes, bins, hists, s)
-    return _normalize_rows(hists, normalize)
-
-
 def _check_pair(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(h1, dtype=np.float64)
     b = np.asarray(h2, dtype=np.float64)
@@ -189,26 +170,3 @@ def histogram_difference(h1: np.ndarray, h2: np.ndarray) -> float:
     """
     a, b = _check_pair(h1, h2)
     return float(np.abs(a - b).sum() / 2.0)
-
-
-def histogram_intersection(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Histogram intersection similarity: sum of bin-wise minima (1 = identical)."""
-    a, b = _check_pair(h1, h2)
-    return float(np.minimum(a, b).sum())
-
-
-def chi_square_distance(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Chi-square distance, robust alternative used in the ablation (E2a)."""
-    a, b = _check_pair(h1, h2)
-    denom = a + b
-    mask = denom > 0
-    diff = a - b
-    return float(0.5 * np.sum(diff[mask] ** 2 / denom[mask]))
-
-
-def bhattacharyya_distance(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Bhattacharyya distance between two normalised histograms."""
-    a, b = _check_pair(h1, h2)
-    coefficient = np.sum(np.sqrt(a * b))
-    coefficient = min(max(coefficient, 0.0), 1.0)
-    return float(np.sqrt(1.0 - coefficient))

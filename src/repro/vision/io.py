@@ -1,9 +1,9 @@
-"""Minimal image file IO: binary PPM/PGM.
+"""Minimal image file IO: binary PPM.
 
 The demo front end shows keyframes for retrieved scenes; a library
-needs to write those images somewhere.  PPM (P6) and PGM (P5) are the
-simplest open raster formats — stdlib-only to write and read, viewable
-by practically everything.
+needs to write those images somewhere.  PPM (P6) is the simplest open
+raster format — stdlib-only to write and read, viewable by practically
+everything.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_ppm", "read_ppm", "write_pgm", "read_pgm"]
+__all__ = ["write_ppm", "read_ppm"]
 
 
 def write_ppm(image: np.ndarray, path: str | Path) -> None:
@@ -25,20 +25,11 @@ def write_ppm(image: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + arr.tobytes())
 
 
-def write_pgm(image: np.ndarray, path: str | Path) -> None:
-    """Write an ``(H, W)`` uint8 greyscale image as binary PGM (P5)."""
-    arr = np.asarray(image)
-    if arr.ndim != 2 or arr.dtype != np.uint8:
-        raise ValueError(f"expected (H, W) uint8, got {arr.shape} {arr.dtype}")
-    height, width = arr.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes())
-
-
-def _read_netpbm(path: str | Path, magic: bytes) -> tuple[np.ndarray, int, int]:
+def read_ppm(path: str | Path) -> np.ndarray:
+    """Read a binary PPM (P6) into an ``(H, W, 3)`` uint8 array."""
     data = Path(path).read_bytes()
-    if not data.startswith(magic):
-        raise ValueError(f"not a {magic.decode()} file: {path}")
+    if not data.startswith(b"P6"):
+        raise ValueError(f"not a P6 file: {path}")
     # Header: magic, whitespace-separated width/height/maxval, then raster.
     fields: list[int] = []
     position = 2
@@ -54,25 +45,11 @@ def _read_netpbm(path: str | Path, magic: bytes) -> tuple[np.ndarray, int, int]:
             position += 1
         fields.append(int(data[start:position]))
     position += 1  # single whitespace after maxval
-    if fields[2] != 255:
-        raise ValueError(f"only maxval 255 is supported, got {fields[2]}")
+    width, height, maxval = fields
+    if maxval != 255:
+        raise ValueError(f"only maxval 255 is supported, got {maxval}")
     raster = np.frombuffer(data[position:], dtype=np.uint8)
-    return raster, fields[0], fields[1]
-
-
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary PPM (P6) into an ``(H, W, 3)`` uint8 array."""
-    raster, width, height = _read_netpbm(path, b"P6")
     expected = width * height * 3
     if len(raster) < expected:
         raise ValueError("truncated PPM raster")
     return raster[:expected].reshape(height, width, 3).copy()
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM (P5) into an ``(H, W)`` uint8 array."""
-    raster, width, height = _read_netpbm(path, b"P5")
-    expected = width * height
-    if len(raster) < expected:
-        raise ValueError("truncated PGM raster")
-    return raster[:expected].reshape(height, width).copy()

@@ -18,10 +18,7 @@ import numpy as np
 
 __all__ = [
     "ShapeFeatures",
-    "raw_moment",
-    "central_moments",
     "shape_features",
-    "shape_features_batch",
 ]
 
 
@@ -61,38 +58,13 @@ class ShapeFeatures:
         )
 
 
-def raw_moment(mask: np.ndarray, p: int, q: int) -> float:
-    """Raw image moment ``M_pq = sum(row**p * col**q)`` over true pixels."""
-    rows, cols = np.nonzero(np.asarray(mask, dtype=bool))
-    if rows.size == 0:
-        return 0.0
-    return float(np.sum((rows.astype(np.float64) ** p) * (cols.astype(np.float64) ** q)))
-
-
-def central_moments(mask: np.ndarray) -> dict[str, float]:
-    """Second-order central moments ``mu20, mu02, mu11`` of a binary mask."""
-    rows, cols = np.nonzero(np.asarray(mask, dtype=bool))
-    if rows.size == 0:
-        return {"mu20": 0.0, "mu02": 0.0, "mu11": 0.0}
-    r = rows.astype(np.float64)
-    c = cols.astype(np.float64)
-    r_mean = r.mean()
-    c_mean = c.mean()
-    dr = r - r_mean
-    dc = c - c_mean
-    return {
-        "mu20": float(np.sum(dr * dr)),
-        "mu02": float(np.sum(dc * dc)),
-        "mu11": float(np.sum(dr * dc)),
-    }
-
-
 def _features_from_points(rows: np.ndarray, cols: np.ndarray) -> ShapeFeatures:
     """Shape descriptors from the true-pixel coordinates of one region.
 
     The coordinate arrays must come from ``np.nonzero`` on a 2-D mask
-    (row-major order) — both the single-mask and batched entry points
-    funnel through here, so their outputs are identical by construction.
+    (row-major order) — :func:`shape_features` and the tracker's
+    window-local path funnel through here, so their outputs are identical
+    by construction.
     """
     area = int(rows.size)
     r_mean = float(rows.mean())
@@ -152,26 +124,3 @@ def shape_features(mask: np.ndarray) -> ShapeFeatures | None:
     if rows.size == 0:
         return None
     return _features_from_points(rows, cols)
-
-
-def shape_features_batch(masks: np.ndarray) -> list[ShapeFeatures | None]:
-    """:func:`shape_features` for a stack of masks, one ``nonzero`` pass.
-
-    A single ``np.nonzero`` over the ``(N, H, W)`` stack yields every
-    region's coordinates in frame order; frame boundaries are recovered
-    with ``searchsorted`` and each slice feeds the same descriptor code
-    as the single-mask function.  Entries are ``None`` for empty masks.
-    """
-    arr = np.asarray(masks, dtype=bool)
-    if arr.ndim != 3:
-        raise ValueError(f"expected an (N, H, W) mask stack, got shape {arr.shape}")
-    frame_idx, rows, cols = np.nonzero(arr)
-    bounds = np.searchsorted(frame_idx, np.arange(arr.shape[0] + 1))
-    out: list[ShapeFeatures | None] = []
-    for i in range(arr.shape[0]):
-        start, stop = int(bounds[i]), int(bounds[i + 1])
-        if start == stop:
-            out.append(None)
-        else:
-            out.append(_features_from_points(rows[start:stop], cols[start:stop]))
-    return out

@@ -1,4 +1,4 @@
-"""Binary morphology: erosion, dilation, opening, closing.
+"""Binary morphology: opening and closing.
 
 The player segmentation mask is noisy (court texture, line markings); the
 tracker cleans it with an opening before extracting regions, mirroring the
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-__all__ = ["erode", "dilate", "opening", "closing", "square_element"]
+__all__ = ["opening", "closing", "square_element"]
 
 
 def square_element(size: int) -> np.ndarray:
@@ -25,16 +25,6 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D mask, got shape {arr.shape}")
     return arr
-
-
-def erode(mask: np.ndarray, size: int = 3) -> np.ndarray:
-    """Binary erosion with a square element of side *size*."""
-    return ndimage.binary_erosion(_check_mask(mask), structure=square_element(size))
-
-
-def dilate(mask: np.ndarray, size: int = 3) -> np.ndarray:
-    """Binary dilation with a square element of side *size*."""
-    return ndimage.binary_dilation(_check_mask(mask), structure=square_element(size))
 
 
 def opening(mask: np.ndarray, size: int = 3) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-__all__ = ["Region", "label_regions", "region_slices", "largest_region", "regions_in"]
+__all__ = ["Region", "label_regions", "regions_in"]
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,6 @@ def label_regions(mask: np.ndarray, connectivity: int = 2) -> tuple[np.ndarray, 
     return labels, int(count)
 
 
-def region_slices(labels: np.ndarray, count: int) -> list[tuple[slice, slice]]:
-    """Bounding slices for each labelled region, in label order."""
-    found = ndimage.find_objects(labels, max_label=count)
-    return [s for s in found if s is not None]
-
-
 def regions_in(mask: np.ndarray, connectivity: int = 2, min_area: int = 1) -> list[Region]:
     """All connected regions of *mask* with at least *min_area* pixels.
 
@@ -107,11 +101,3 @@ def regions_in(mask: np.ndarray, connectivity: int = 2, min_area: int = 1) -> li
                 )
             )
     return regions
-
-
-def largest_region(mask: np.ndarray, connectivity: int = 2) -> Region | None:
-    """The largest connected region of *mask*, or ``None`` if mask is empty."""
-    regions = regions_in(mask, connectivity=connectivity)
-    if not regions:
-        return None
-    return max(regions, key=lambda r: r.area)

@@ -14,7 +14,6 @@ queries — the effect the E7 benchmark measures.
 - :mod:`repro.webspace.schema` — classes, attributes, associations,
 - :mod:`repro.webspace.instances` — the webspace object graph,
 - :mod:`repro.webspace.query` — conceptual query evaluation,
-- :mod:`repro.webspace.views` — materialised association-path views,
 - :mod:`repro.webspace.html` — the lossy HTML rendering.
 """
 
@@ -27,7 +26,6 @@ from repro.webspace.schema import (
 )
 from repro.webspace.instances import WebspaceObject, WebspaceInstance
 from repro.webspace.query import ConceptQuery, Condition
-from repro.webspace.views import PathView
 from repro.webspace.html import render_page, page_text
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "WebspaceInstance",
     "ConceptQuery",
     "Condition",
-    "PathView",
     "render_page",
     "page_text",
 ]

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.defaults import tennis_grammar
+from repro.core.inference import GrammarEventDetector
 from repro.events.quantize import CourtZones, TrajectoryQuantizer
 from repro.events.recognizer import (
     CombinedRecognizer,
     RuleBasedRecognizer,
     train_hmm_recognizer,
 )
-from repro.events.rules import RuleEventDetector
 from repro.tracking.court_model import CourtColorModel
 from repro.tracking.segmentation import court_bounds
 from repro.tracking.tracker import PlayerTracker
@@ -41,7 +42,7 @@ def setup():
             train[SCRIPT_TO_LABEL[script]].append([p for p in trajectory if p])
         else:
             test.append((SCRIPT_TO_LABEL[script], trajectory))
-    rules = RuleBasedRecognizer(RuleEventDetector(zones))
+    rules = RuleBasedRecognizer(GrammarEventDetector(tennis_grammar(), zones))
     hmm = train_hmm_recognizer(TrajectoryQuantizer(zones), train, n_states=3)
     return rules, hmm, test
 

@@ -11,6 +11,7 @@ from repro.events.quantize import (
     ZONE_NAMES,
     CourtZones,
     TrajectoryQuantizer,
+    median_filter,
 )
 
 
@@ -101,3 +102,53 @@ class TestQuantizer:
         symbols = TrajectoryQuantizer(zones).symbols(trajectory)
         assert symbols.min() >= 0
         assert symbols.max() < N_SYMBOLS
+
+
+def _quantizer_filter_reference(values, k):
+    """The quantiser's former private filter (NaN-free input only)."""
+    if k < 1 or len(values) < 3:
+        return values
+    out = values.copy()
+    for i in range(len(values)):
+        lo = max(0, i - k)
+        hi = min(len(values), i + k + 1)
+        out[i] = np.median(values[lo:hi])
+    return out
+
+
+def _context_filter_reference(values, k):
+    """The grammar context's former private filter (skips NaN)."""
+    if k < 1 or len(values) < 3:
+        return values
+    out = values.copy()
+    for i in range(len(values)):
+        lo = max(0, i - k)
+        hi = min(len(values), i + k + 1)
+        window = values[lo:hi]
+        window = window[~np.isnan(window)]
+        if window.size:
+            out[i] = np.median(window)
+    return out
+
+
+positions = st.floats(-500.0, 500.0, allow_nan=False)
+
+
+class TestMedianFilter:
+    @given(st.lists(positions, max_size=16), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_both_former_filters_without_nan(self, values, k):
+        arr = np.array(values, dtype=np.float64)
+        out = median_filter(arr, k)
+        assert np.array_equal(out, _quantizer_filter_reference(arr, k))
+        assert np.array_equal(out, _context_filter_reference(arr, k))
+
+    @given(
+        st.lists(st.one_of(positions, st.just(float("nan"))), max_size=16),
+        st.sampled_from([0, 1, 2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_context_filter_with_nan_runs(self, values, k):
+        arr = np.array(values, dtype=np.float64)
+        expected = _context_filter_reference(arr, k)
+        assert np.array_equal(median_filter(arr, k), expected, equal_nan=True)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.defaults import tennis_grammar
+from repro.core.inference import GrammarEventDetector
 from repro.events.quantize import CourtZones, TrajectoryQuantizer
 from repro.events.recognizer import (
     EVENT_LABELS,
@@ -10,7 +12,6 @@ from repro.events.recognizer import (
     RuleBasedRecognizer,
     train_hmm_recognizer,
 )
-from repro.events.rules import RuleEventDetector
 from repro.tracking.court_model import CourtColorModel
 from repro.tracking.segmentation import court_bounds
 from repro.tracking.tracker import PlayerTracker
@@ -46,24 +47,54 @@ def corpus():
     return zones, train, test
 
 
+def rule_recognizer(zones):
+    return RuleBasedRecognizer(GrammarEventDetector(tennis_grammar(), zones))
+
+
+def baseline_then_net():
+    """Slow centre-court baseline play, then a stay at the net.
+
+    The grammar's ``attack`` (SEQ baseline_play THEN net_play) spans
+    both, so it covers more frames than either shot-level event.
+    """
+    baseline = [(85.0, 60.0 + 0.3 * np.sin(t / 9)) for t in range(20)]
+    return baseline + [(52.0, 64.0)] * 12
+
+
 class TestRuleBasedRecognizer:
     def test_classifies_test_set(self, corpus):
         zones, _train, test = corpus
-        recognizer = RuleBasedRecognizer(RuleEventDetector(zones))
+        recognizer = rule_recognizer(zones)
         correct = sum(recognizer.classify(t) == label for label, t in test)
         assert correct / len(test) >= 0.75
 
     def test_none_for_empty(self, corpus):
         zones, _, _ = corpus
-        recognizer = RuleBasedRecognizer(RuleEventDetector(zones))
+        recognizer = rule_recognizer(zones)
         assert recognizer.classify([]) is None
 
     def test_net_play_precedence(self, corpus):
         zones, _, test = corpus
-        recognizer = RuleBasedRecognizer(RuleEventDetector(zones))
+        recognizer = rule_recognizer(zones)
         for label, trajectory in test:
             if label == "net_play":
                 assert recognizer.classify(trajectory) == "net_play"
+
+    def test_attack_span_does_not_label_the_shot(self):
+        zones = CourtZones(net_row=50.0, baseline_row=90.0, left_col=20.0, right_col=108.0)
+        recognizer = rule_recognizer(zones)
+        trajectory = baseline_then_net()
+        raw = recognizer.detector.detect(trajectory)
+        attack = [e for e in raw if e.label == "attack"]
+        assert attack
+        assert attack[0].length > max(e.length for e in raw if e.label != "attack")
+        assert recognizer.classify(trajectory) == "net_play"
+
+    def test_intervals_never_return_attack(self, corpus):
+        zones, _train, test = corpus
+        recognizer = rule_recognizer(zones)
+        for trajectory in [baseline_then_net()] + [t for _label, t in test]:
+            assert all(e.label in EVENT_LABELS for e in recognizer.intervals(trajectory))
 
 
 class TestHmmRecognizer:

@@ -1,10 +1,15 @@
-"""Rule-based event detector tests on hand-built trajectories."""
+"""White-box event rule tests on hand-built trajectories.
+
+The rules are the tennis grammar's event rules, evaluated by the
+detector the FDE runs.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.defaults import tennis_grammar
+from repro.core.inference import DetectedEvent, GrammarEventDetector
 from repro.events.quantize import CourtZones
-from repro.events.rules import DetectedEvent, RuleEventDetector
 
 
 @pytest.fixture
@@ -14,7 +19,7 @@ def zones():
 
 @pytest.fixture
 def detector(zones):
-    return RuleEventDetector(zones)
+    return GrammarEventDetector(tennis_grammar(), zones)
 
 
 def baseline_still(n, col=100.0):
@@ -117,10 +122,6 @@ class TestRobustness:
 
     def test_all_none(self, detector):
         assert detector.detect([None] * 20) == []
-
-    def test_duration_validation(self, zones):
-        with pytest.raises(ValueError):
-            RuleEventDetector(zones, min_net_frames=0)
 
     def test_events_sorted(self, detector):
         trajectory = baseline_still(12) + net_stand(12)

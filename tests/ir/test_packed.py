@@ -4,17 +4,12 @@ The varint/delta codecs, the roaring-style bitmap and the packed wire
 format must be safe at every boundary the index can reach: doc id 0,
 the largest uint64 value, zero gaps at fragment boundaries, truncated
 or over-long byte streams, and universes that do not fill a whole
-bitmap word.  The last section pins the full persistence loop: a packed
-export survives a catalog snapshot, passes ``repro fsck`` and restores
-bit-exactly.
+bitmap word.
 """
 
 import numpy as np
 import pytest
 
-from repro.cli import main as cli_main
-from repro.ir.collection import DocumentCollection
-from repro.ir.inverted_index import InvertedIndex, load_packed_postings
 from repro.ir.packed import (
     Bitmap,
     PackedPostings,
@@ -25,8 +20,6 @@ from repro.ir.packed import (
     intersect_sorted,
     union_sorted,
 )
-from repro.storage.catalog import Catalog
-from repro.storage.persist import load_catalog, save_catalog
 
 UINT64_MAX = 2**64 - 1
 
@@ -172,49 +165,3 @@ class TestPackedPostings:
     def test_parallel_shape_enforced(self):
         with pytest.raises(ValueError, match="parallel"):
             PackedPostings(doc_ids=np.array([1, 2]), tfs=np.array([1]))
-
-
-def _small_index() -> InvertedIndex:
-    collection = DocumentCollection()
-    collection.add("a", "net volley net rally")
-    collection.add("b", "baseline rally rally serve")
-    collection.add("c", "net serve championship")
-    return InvertedIndex(collection)
-
-
-class TestSnapshotRoundTrip:
-    def test_packed_export_survives_snapshot_and_fsck(self, tmp_path, capsys):
-        """Packed blobs ride a catalog snapshot through ``repro fsck``."""
-        index = _small_index()
-        catalog = Catalog()
-        index.export_packed_to_catalog(catalog)
-        path = tmp_path / "meta.json"
-        save_catalog(catalog, path)
-
-        assert cli_main(["fsck", "--metaindex", str(path)]) == 0
-        assert "fsck: clean" in capsys.readouterr().out
-
-        restored = load_packed_postings(load_catalog(path))
-        assert sorted(restored) == index.vocabulary
-        for term, packed in restored.items():
-            original = index.packed(term)
-            assert np.array_equal(packed.doc_ids, original.doc_ids)
-            assert np.array_equal(packed.tfs, original.tfs)
-
-    def test_df_mismatch_detected_on_load(self, tmp_path):
-        index = _small_index()
-        catalog = Catalog()
-        index.export_packed_to_catalog(catalog)
-        table = catalog.table("ir_packed")
-        rows = list(table.scan())
-        corrupted = dict(rows[0])
-        corrupted["df"] = int(corrupted["df"]) + 1
-        rebuilt = Catalog()
-        new_table = rebuilt.create_table(
-            "ir_packed", {"term": "str", "df": "int", "id_blob": "str", "tf_blob": "str"}
-        )
-        new_table.append(corrupted)
-        for row in rows[1:]:
-            new_table.append(dict(row))
-        with pytest.raises(ValueError, match="decode to df"):
-            load_packed_postings(rebuilt)

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.shots.boundary import TwinComparisonDetector
 from repro.shots.classify import (
     NaiveBayesShotClassifier,
     RuleBasedShotClassifier,
     ShotFeatureExtractor,
     ShotFeatures,
 )
+from repro.shots.segmenter import SegmentDetector
+from repro.video.court import CourtStyle
+from repro.video.generator import BroadcastConfig, BroadcastGenerator
 from repro.video.shots import (
     AudienceSpec,
     CloseUpSpec,
@@ -157,3 +161,26 @@ class TestNaiveBayes:
         clf = NaiveBayesShotClassifier().fit(feats, labels)
         posts = clf.log_posteriors(feats[0])
         assert len(posts) == len(clf.classes_)
+
+
+class TestCourtColour:
+    CLAY = CourtStyle(surface=(165, 85, 50), surround=(60, 90, 40))
+
+    def clay_broadcast(self):
+        """A broadcast from a clay tournament (non-default court colour)."""
+        generator = BroadcastGenerator(BroadcastConfig(gradual_fraction=0.0), seed=6)
+        specs = [
+            CourtShotSpec(n_frames=s.n_frames, script=s.script, style=self.CLAY, gain=s.gain)
+            if isinstance(s, CourtShotSpec)
+            else s
+            for s in generator.sample_specs(10)
+        ]
+        return generator.assemble(specs, name="clay")
+
+    def test_default_extractor_fails_on_clay(self):
+        """The court rule keys on the default court colour: clay is missed."""
+        clip, _truth = self.clay_broadcast()
+        detector = SegmentDetector(boundary_detector=TwinComparisonDetector())
+        detected = detector.detect(clip)
+        tennis_found = sum(1 for s in detected if s.category == ShotCategory.TENNIS)
+        assert tennis_found == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.shots.keyframes import keyframe_index, keyframes_for_shots
+from repro.shots.keyframes import keyframe_index
 from repro.video.frames import VideoClip
 
 
@@ -44,13 +44,3 @@ class TestKeyframeIndex:
         shot = truth.shots[0]
         index = keyframe_index(clip, shot.start, shot.stop)
         assert shot.start <= index < shot.stop
-
-
-class TestKeyframesForShots:
-    def test_one_per_shot(self, broadcast):
-        clip, truth = broadcast
-        ranges = [(s.start, s.stop) for s in truth.shots[:4]]
-        keyframes = keyframes_for_shots(clip, ranges)
-        assert len(keyframes) == 4
-        for index, (start, stop) in zip(keyframes, ranges):
-            assert start <= index < stop

@@ -51,12 +51,6 @@ class TestIndexes:
         fresh = catalog.hash_index("shots", "category")
         assert list(fresh.lookup("tennis")) == [0, 1]
 
-    def test_sorted_index_auto_refresh(self, catalog):
-        catalog.create_sorted_index("shots", "shot_id")
-        catalog.table("shots").append({"shot_id": 0, "category": "x"})
-        index = catalog.sorted_index("shots", "shot_id")
-        assert list(index.range(0, 0)) == [1]
-
 
 class TestGenerationStamping:
     def test_starts_at_zero(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import HashIndex
 from repro.storage.table import Table
 
 
@@ -34,22 +34,3 @@ class TestHashIndex:
     def test_distinct_values(self, table):
         index = HashIndex(table, "label")
         assert set(index.distinct_values()) == {"rally", "net_play", "service"}
-
-
-class TestSortedIndex:
-    def test_range(self, table):
-        index = SortedIndex(table, "start")
-        assert list(index.range(5, 25)) == [1, 2]
-
-    def test_open_bounds(self, table):
-        index = SortedIndex(table, "start")
-        assert list(index.range(low=20)) == [2, 3]
-        assert list(index.range(high=10)) == [0, 1]
-        assert list(index.range()) == [0, 1, 2, 3]
-
-    def test_refresh_after_append(self, table):
-        index = SortedIndex(table, "start")
-        table.append({"event_id": 4, "label": "x", "start": 15})
-        assert index.stale
-        index.refresh()
-        assert list(index.range(12, 18)) == [4]

@@ -2,17 +2,8 @@
 
 import pytest
 
-from repro.storage.query import group_count, hash_join, order_by
+from repro.storage.query import group_count
 from repro.storage.table import Table
-
-
-@pytest.fixture
-def videos():
-    t = Table("videos", {"video_id": "int", "name": "str"})
-    t.append({"video_id": 1, "name": "final"})
-    t.append({"video_id": 2, "name": "semi"})
-    t.append({"video_id": 3, "name": "unwatched"})
-    return t
 
 
 @pytest.fixture
@@ -24,43 +15,6 @@ def shots():
     return t
 
 
-class TestHashJoin:
-    def test_inner_join_cardinality(self, videos, shots):
-        rows = hash_join(videos, shots, "video_id", "video_id")
-        assert len(rows) == 3  # video 3 has no shots
-
-    def test_collision_prefixing(self, videos, shots):
-        rows = hash_join(videos, shots, "video_id", "video_id")
-        row = rows[0]
-        # video_id and name collide; shot_id does not.
-        assert "l_video_id" in row and "r_video_id" in row
-        assert "l_name" in row and "r_name" in row
-        assert "shot_id" in row
-
-    def test_join_values_match(self, videos, shots):
-        for row in hash_join(videos, shots, "video_id", "video_id"):
-            assert row["l_video_id"] == row["r_video_id"]
-
-    def test_swapped_sides_same_rows(self, videos, shots):
-        a = hash_join(videos, shots, "video_id", "video_id")
-        b = hash_join(shots, videos, "video_id", "video_id")
-        def key(r):
-            return (r["l_video_id"], r["shot_id"])
-
-        assert sorted(key(r) for r in a) == sorted(key(r) for r in b)
-
-    def test_empty_result(self, videos):
-        empty = Table("empty", {"video_id": "int"})
-        assert hash_join(videos, empty, "video_id", "video_id") == []
-
-
 class TestGroupCount:
     def test_counts(self, shots):
         assert group_count(shots, "video_id") == {1: 2, 2: 1}
-
-
-class TestOrderBy:
-    def test_sort_and_limit(self):
-        rows = [{"s": 3}, {"s": 1}, {"s": 2}]
-        assert [r["s"] for r in order_by(rows, "s")] == [1, 2, 3]
-        assert [r["s"] for r in order_by(rows, "s", descending=True, limit=2)] == [3, 2]

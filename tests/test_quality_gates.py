@@ -6,7 +6,12 @@ deterministic in their seeds.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,11 @@ def _walk_modules():
 
 
 ALL_MODULES = sorted(_walk_modules())
+
+#: ``repro`` and each top-level subpackage / module under it.
+TOP_LEVEL = ["repro"] + sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+)
 
 
 class TestDocumentation:
@@ -41,6 +51,37 @@ class TestDocumentation:
     def test_module_count_sanity(self):
         # The package is large; a collapsed import path would show here.
         assert len(ALL_MODULES) > 50
+
+
+@pytest.fixture(scope="module")
+def fresh_imports() -> dict[str, subprocess.CompletedProcess]:
+    """``python -c "import <name>"`` for every :data:`TOP_LEVEL` name, each
+    in its own interpreter (a few at a time)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+
+    def run(name):
+        return subprocess.run(
+            [sys.executable, "-c", f"import {name}"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        return dict(zip(TOP_LEVEL, pool.map(run, TOP_LEVEL)))
+
+
+class TestImportOrder:
+    """Each package imports alone: no import cycle hides behind the order
+    in which some other entry point happened to import things first."""
+
+    @pytest.mark.parametrize("name", TOP_LEVEL)
+    def test_imports_in_a_fresh_interpreter(self, name, fresh_imports):
+        done = fresh_imports[name]
+        assert done.returncode == 0, f"import {name} failed:\n{done.stderr}"
 
 
 class TestDeterminism:

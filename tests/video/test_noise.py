@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.video.noise import add_gaussian_noise, apply_flicker
+from repro.video.noise import add_gaussian_noise
 
 
 def solid(value=128):
@@ -34,19 +34,3 @@ class TestGaussianNoise:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             add_gaussian_noise(solid(), -1.0, np.random.default_rng(0))
-
-
-class TestFlicker:
-    def test_zero_amount_is_copy(self):
-        frame = solid()
-        out = apply_flicker(frame, 0.0, np.random.default_rng(0))
-        assert np.array_equal(out, frame)
-
-    def test_scales_globally(self):
-        out = apply_flicker(solid(100), 0.3, np.random.default_rng(5))
-        # All pixels share the same gain: still flat.
-        assert out.std() == 0
-
-    def test_rejects_bad_amount(self):
-        with pytest.raises(ValueError):
-            apply_flicker(solid(), 1.5, np.random.default_rng(0))

@@ -14,14 +14,7 @@ import pytest
 from repro.shots.boundary import frame_distances, frame_distances_reference
 from repro.shots.classify import ShotFeatureExtractor
 from repro.video.frames import VideoClip
-from repro.vision.color import (
-    FRAME_BLOCK,
-    ensure_frames,
-    rgb_to_grey,
-    rgb_to_grey_frames,
-    rgb_to_hsv,
-    rgb_to_hsv_frames,
-)
+from repro.vision.color import FRAME_BLOCK, ensure_frames
 from repro.vision.dominant import (
     color_coverage,
     color_coverages,
@@ -31,12 +24,9 @@ from repro.vision.dominant import (
 from repro.vision.histogram import (
     color_histogram,
     color_histograms,
-    grey_histogram,
-    grey_histograms,
     hsv_histogram,
     hsv_histograms,
 )
-from repro.vision.moments import shape_features, shape_features_batch
 from repro.vision.skin import DEFAULT_SKIN_MODEL
 from repro.vision.stats import frame_statistics, frame_statistics_batch
 
@@ -55,18 +45,6 @@ def clip(make_rng) -> np.ndarray:
 
 
 COURT = np.array([40.0, 130.0, 80.0])
-
-
-class TestConversions:
-    def test_grey_frames_equal_per_frame(self, clip):
-        batched = rgb_to_grey_frames(clip)
-        for i, frame in enumerate(clip):
-            assert np.array_equal(batched[i], rgb_to_grey(frame))
-
-    def test_hsv_frames_equal_per_frame(self, clip):
-        batched = rgb_to_hsv_frames(clip)
-        for i, frame in enumerate(clip):
-            assert np.array_equal(batched[i], rgb_to_hsv(frame))
 
 
 class TestEnsureFrames:
@@ -102,12 +80,6 @@ class TestHistograms:
         for i, frame in enumerate(clip):
             assert np.array_equal(batched[i], hsv_histogram(frame))
 
-    def test_grey_histograms(self, clip):
-        greys = rgb_to_grey_frames(clip)
-        batched = grey_histograms(greys)
-        for i in range(len(clip)):
-            assert np.array_equal(batched[i], grey_histogram(greys[i]))
-
 
 class TestClassifierKernels:
     def test_skin_masks_and_ratios(self, clip):
@@ -134,13 +106,6 @@ class TestClassifierKernels:
         batched = frame_statistics_batch(clip)
         for i, frame in enumerate(clip):
             assert batched[i] == frame_statistics(frame)
-
-    def test_shape_features_batch(self, clip):
-        masks = DEFAULT_SKIN_MODEL.masks(clip)
-        masks[1] = False  # an all-empty mask must yield None, like the scalar path
-        batched = shape_features_batch(masks)
-        for i in range(len(clip)):
-            assert batched[i] == shape_features(masks[i])
 
     def test_extractor_batched_equals_reference(self, clip):
         frames = list(clip)

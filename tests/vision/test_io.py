@@ -1,9 +1,9 @@
-"""PPM/PGM IO tests."""
+"""PPM IO tests."""
 
 import numpy as np
 import pytest
 
-from repro.vision.io import read_pgm, read_ppm, write_pgm, write_ppm
+from repro.vision.io import read_ppm, write_ppm
 
 
 class TestPpm:
@@ -41,20 +41,8 @@ class TestPpm:
         path.write_bytes(b"P6\n# made by a 2002 tool\n1 1\n255\n" + raster)
         assert read_ppm(path).shape == (1, 1, 3)
 
-
-class TestPgm:
-    def test_round_trip(self, tmp_path, random_frame):
-        image = random_frame(1, 9, 5, channels=0)
-        path = tmp_path / "frame.pgm"
-        write_pgm(image, path)
-        assert np.array_equal(read_pgm(path), image)
-
-    def test_rejects_rgb(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_pgm(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "x.pgm")
-
     def test_rejects_wrong_maxval(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
+        path = tmp_path / "m.ppm"
+        path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
         with pytest.raises(ValueError):
-            read_pgm(path)
+            read_ppm(path)

@@ -5,21 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vision.moments import central_moments, raw_moment, shape_features
+from repro.vision.moments import shape_features
 
 
 def rectangle(r0, c0, h, w, shape=(32, 32)):
     mask = np.zeros(shape, dtype=bool)
     mask[r0 : r0 + h, c0 : c0 + w] = True
     return mask
-
-
-class TestRawMoments:
-    def test_m00_is_area(self):
-        assert raw_moment(rectangle(2, 3, 4, 5), 0, 0) == 20.0
-
-    def test_empty_mask(self):
-        assert raw_moment(np.zeros((4, 4), dtype=bool), 0, 0) == 0.0
 
 
 class TestShapeFeatures:
@@ -93,17 +85,3 @@ class TestShapeFeatures:
         assert a.orientation == pytest.approx(b.orientation, abs=1e-9)
         assert b.centroid[0] - a.centroid[0] == pytest.approx(dr)
         assert b.centroid[1] - a.centroid[1] == pytest.approx(dc)
-
-
-class TestCentralMoments:
-    def test_zero_for_single_pixel(self):
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[2, 2] = True
-        mu = central_moments(mask)
-        assert mu["mu20"] == 0.0
-        assert mu["mu02"] == 0.0
-        assert mu["mu11"] == 0.0
-
-    def test_symmetric_rectangle_has_zero_cross_moment(self):
-        mu = central_moments(rectangle(0, 0, 6, 4))
-        assert mu["mu11"] == pytest.approx(0.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tracking.reference import regions_in_reference
-from repro.vision.regions import label_regions, largest_region, regions_in
+from repro.vision.regions import label_regions, regions_in
 
 
 def mask_with_blobs():
@@ -62,14 +62,6 @@ class TestRegionsIn:
         region = sorted(regions_in(mask_with_blobs()), key=lambda r: r.area)[1]
         assert region.height == 5
         assert region.width == 4
-
-
-class TestLargestRegion:
-    def test_picks_largest(self):
-        assert largest_region(mask_with_blobs()).area == 20
-
-    def test_none_for_empty(self):
-        assert largest_region(np.zeros((4, 4), dtype=bool)) is None
 
 
 class TestRegionsInEqualsScipyReference:
