@@ -151,6 +151,16 @@ class CobraModel:
             added.append(list(islice(reversed(rows.values()), new))[::-1])
         return tuple(added)
 
+    def discard_since(self, marks: tuple[int, ...]) -> None:
+        """Undo every registration since *marks* (:meth:`high_water`),
+        ids included: the model is again exactly what it was at *marks*.
+        Only valid while nothing older was removed since."""
+        layers = (self._videos, self._shots, self._objects, self._events)
+        for layer, rows, first in zip(self._next_id, layers, marks):
+            while rows and next(reversed(rows)) >= first:
+                rows.popitem()
+            self._next_id[layer] = first
+
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
@@ -248,22 +258,33 @@ class CobraModel:
     # Invalidation (FDE revalidation replaces stale meta-data)
     # ------------------------------------------------------------------ #
 
-    def clear_events_of_video(self, video_id: int) -> int:
-        """Remove all events of a video; returns how many were removed."""
-        shot_ids = {s.shot_id for s in self._shots.values() if s.video_id == video_id}
+    def _shot_ids_of(self, video_id: int) -> set[int]:
+        return {s.shot_id for s in self._shots.values() if s.video_id == video_id}
+
+    def clear_events_of_shots(self, shot_ids) -> int:
+        """Remove all events of the given shots; returns how many."""
+        shot_ids = set(shot_ids)
         doomed = [e for e in self._events.values() if e.shot_id in shot_ids]
         for event in doomed:
             del self._events[event.event_id]
         return len(doomed)
 
-    def clear_objects_of_video(self, video_id: int) -> int:
-        """Remove all objects of a video (cascades to their events)."""
-        self.clear_events_of_video(video_id)
-        shot_ids = {s.shot_id for s in self._shots.values() if s.video_id == video_id}
+    def clear_objects_of_shots(self, shot_ids) -> int:
+        """Remove all objects of the given shots (cascades to their events)."""
+        shot_ids = set(shot_ids)
+        self.clear_events_of_shots(shot_ids)
         doomed = [o for o in self._objects.values() if o.shot_id in shot_ids]
         for obj in doomed:
             del self._objects[obj.object_id]
         return len(doomed)
+
+    def clear_events_of_video(self, video_id: int) -> int:
+        """Remove all events of a video; returns how many were removed."""
+        return self.clear_events_of_shots(self._shot_ids_of(video_id))
+
+    def clear_objects_of_video(self, video_id: int) -> int:
+        """Remove all objects of a video (cascades to their events)."""
+        return self.clear_objects_of_shots(self._shot_ids_of(video_id))
 
     def clear_shots_of_video(self, video_id: int) -> int:
         """Remove all shots of a video (cascades to objects and events)."""

@@ -149,6 +149,11 @@ class FeatureDetectorEngine:
         runner: full :class:`~repro.grammar.runtime.DetectorRunner`
             override (injectable clock/sleep for tests); *policy* is
             ignored when given.
+
+    ``segmenter`` is the batch segmenter behind the ``shot`` producer,
+    when the factory names one (``build_tennis_fde`` does): a stream
+    segments with it incrementally, then hands its shots to
+    :meth:`parse_shots`.
     """
 
     def __init__(
@@ -166,40 +171,37 @@ class FeatureDetectorEngine:
         self.runner = runner if runner is not None else DetectorRunner(registry, policy)
         if self.runner.registry is not registry:
             raise ValueError("runner must wrap the engine's registry")
+        self.segmenter = None
         self.last_health: IndexingHealthReport | None = None
         self._states: dict[str, _VideoState] = {}
+        # The grammar is validated here and never mutated after, so the
+        # DAG, its waves and every node's downstream set are derived once.
+        self._graph = self._build_graph()
+        self._waves = tuple(
+            tuple(wave) for wave in wave_partition(self._graph, grammar.axiom)
+        )
+        self._downstream = {
+            node: frozenset(nx.descendants(self._graph, node)) for node in self._graph
+        }
 
     @property
     def policy(self) -> RunPolicy:
         return self.runner.policy
 
     # ------------------------------------------------------------------ #
-    # Runner-state persistence (quarantine across restarts)
-    # ------------------------------------------------------------------ #
-
-    def export_runner_state(self) -> dict:
-        """The runner's quarantine state, for saving next to the meta-index."""
-        return self.runner.export_state()
-
-    def restore_runner_state(self, state: dict | None) -> None:
-        """Adopt persisted quarantine state (``None`` is a no-op).
-
-        A detector quarantined before the previous process died stays
-        quarantined here until its registered version changes.
-        """
-        self.runner.restore_state(state)
-
-    # ------------------------------------------------------------------ #
     # The dependency DAG (Figure 1)
     # ------------------------------------------------------------------ #
 
     def dependency_graph(self) -> nx.DiGraph:
-        """Detector dependency DAG.
+        """Detector dependency DAG (a copy the caller may mutate).
 
         Nodes are detectors plus the ``video`` axiom; an edge ``a -> b``
         means b consumes a token a produces.  Edges carry the token as
         the ``token`` attribute; nodes carry ``kind`` and ``guard``.
         """
+        return self._graph.copy()
+
+    def _build_graph(self) -> nx.DiGraph:
         graph = nx.DiGraph()
         axiom = self.grammar.axiom
         graph.add_node(axiom, kind="axiom", guard=None)
@@ -219,20 +221,19 @@ class FeatureDetectorEngine:
         all live in earlier waves) and may run concurrently; the
         concatenation of the waves is :meth:`execution_order`.
         """
-        return wave_partition(self.dependency_graph(), self.grammar.axiom)
+        return [list(wave) for wave in self._waves]
 
     def execution_order(self) -> list[str]:
         """Deterministic topological order of the detectors (wave-major)."""
-        return [name for wave in self.waves() for name in wave]
+        return [name for wave in self._waves for name in wave]
 
     def descendants_of(self, names: set[str]) -> set[str]:
         """The given detectors plus everything downstream of them."""
-        graph = self.dependency_graph()
         out = set(names)
         for name in names:
-            if name not in graph:
+            if name not in self._downstream:
                 raise FeatureGrammarError(f"unknown detector {name!r}")
-            out.update(nx.descendants(graph, name))
+            out.update(self._downstream[name])
         out.discard(self.grammar.axiom)
         return out
 
@@ -291,36 +292,10 @@ class FeatureDetectorEngine:
         if ran:
             record_result(name, outcome.status is not DetectorStatus.OK)
         if outcome.status in (DetectorStatus.FAILED, DetectorStatus.QUARANTINED):
-            for descendant in self.descendants_of({name}) - {name}:
+            for descendant in self._downstream[name]:
                 skipped.setdefault(descendant, name)
         health.outcomes[name] = outcome
         return outcome
-
-    def _execute(
-        self,
-        name: str,
-        context: IndexingContext,
-        deadline_at: float | None,
-        skipped: dict[str, str],
-        health: IndexingHealthReport,
-        record_result=None,
-        decisions: dict[str, bool] | None = None,
-    ) -> DetectorOutcome:
-        """Run one detector under the runtime and record its outcome.
-
-        Consults the skip map, quarantine state and deadline budget
-        before invoking the runner; on failure/quarantine, marks the
-        detector's DAG descendants to be skipped (attributed to *name*).
-        Isolation consequences — rollback vs degraded commit — are the
-        caller's.
-        """
-        if record_result is None:
-            record_result = self._record_live
-        outcome = self._preflight(name, deadline_at, skipped, decisions)
-        ran = outcome is None
-        if ran:
-            outcome = self.runner.run(name, context, deadline_at=deadline_at)
-        return self._settle(name, outcome, ran, skipped, health, record_result)
 
     def _record_live(self, name: str, failed: bool) -> None:
         self.runner.record_video_result(name, failed=failed)
@@ -401,51 +376,68 @@ class FeatureDetectorEngine:
                 on_ok(name)
         return None
 
-    def _run_subset(
+    def _parse(
         self,
-        names: set[str],
         context: IndexingContext,
-        deadline_at: float | None,
-        skipped: dict[str, str],
-        health: IndexingHealthReport,
+        names: set[str],
         record_result,
         decisions: dict[str, bool] | None = None,
         on_ok=None,
-    ) -> DetectorOutcome | None:
-        """Run the given detectors in wave order; return the fatal outcome.
+    ) -> tuple[IndexingHealthReport, DetectorOutcome | None]:
+        """Run *names* over *context* in wave order, under one deadline budget.
 
-        With ``max_workers == 1`` this is the historical sequential
-        loop; otherwise each wave's runnable detectors share a thread
-        pool, gated so model mutations stay in canonical order.  Either
-        way the outcomes recorded in *health*, the skip-map updates and
-        the ``record_result`` calls are identical.
+        With ``max_workers == 1`` each detector is a wave of its own —
+        the historical sequential loop; otherwise each wave's runnable
+        detectors share a thread pool, gated so model mutations stay in
+        canonical order.  Either way the outcomes, the skip-map updates
+        and the ``record_result`` calls are identical.  Returns the
+        pass's health report (also set as ``context.health``) and the
+        fatal outcome under ``fail_fast``, else ``None``.
         """
-        waves = [[name for name in wave if name in names] for wave in self.waves()]
-        if self.policy.max_workers <= 1:
-            for wave in waves:
-                for name in wave:
-                    outcome = self._execute(
-                        name, context, deadline_at, skipped, health,
-                        record_result, decisions,
-                    )
-                    if (
-                        outcome.status is not DetectorStatus.OK
-                        and self.policy.isolation is IsolationPolicy.FAIL_FAST
-                    ):
-                        return outcome
-                    if outcome.status is DetectorStatus.OK and on_ok is not None:
-                        on_ok(name)
-            return None
-        for wave in waves:
-            if not wave:
-                continue
+        policy = self.policy
+        health = IndexingHealthReport(video_name=context.clip.name)
+        started = self.runner.clock()
+        deadline_at = started + policy.deadline if policy.deadline is not None else None
+        skipped: dict[str, str] = {}
+        waves = [[name for name in wave if name in names] for wave in self._waves]
+        if policy.max_workers <= 1:
+            waves = [[name] for wave in waves for name in wave]
+        failure = None
+        for wave in filter(None, waves):
             failure = self._run_wave(
                 wave, context, deadline_at, skipped, health,
                 record_result, decisions, on_ok,
             )
             if failure is not None:
-                return failure
-        return None
+                break
+        health.elapsed = self.runner.clock() - started
+        health.degraded = failure is not None or len(health.ok) < len(health.outcomes)
+        context.health = health
+        return health, failure
+
+    def parse_shots(self, raw, video_id: int, shots: list, record_result) -> IndexingHealthReport:
+        """The incremental parse: the detectors downstream of the ``shot``
+        token's producer, over *shots* alone.
+
+        A stream registers each newly final shot itself (its segmenter is
+        the producer's incremental form) and hands the token entries
+        here.  They run through the same runner, retries, isolation
+        policy and fault injection as :meth:`index_video`, against the
+        live model; the deadline budget applies per call.  *raw* is the
+        raw object the context carries (its ``name`` is the stream's);
+        *record_result* receives the ``record_video_result`` calls,
+        deferred to the caller.  Under ``fail_fast`` a failure is
+        re-raised once the pass stops (rolling back is the caller's).
+        """
+        producer = self.grammar.producer_of("shot").name
+        context = IndexingContext(
+            clip=raw, model=self.model, video_id=video_id, axiom=self.grammar.axiom
+        )
+        context.tokens["shot"] = shots
+        health, failure = self._parse(context, self._downstream[producer], record_result)
+        if failure is not None:
+            self._raise_outcome(failure)
+        return health
 
     def _run_video_pass(
         self,
@@ -462,7 +454,6 @@ class FeatureDetectorEngine:
         ``record_video_result`` calls are deferred into the returned
         stage's :attr:`~StagedVideo.results` instead of being applied.
         """
-        policy = self.policy
         results: list[tuple[str, bool]] = []
         if record_result is None:
 
@@ -476,12 +467,8 @@ class FeatureDetectorEngine:
             video_id=video.video_id,
             axiom=self.grammar.axiom,
         )
-        health = IndexingHealthReport(video_name=clip.name)
-        started = self.runner.clock()
-        deadline_at = started + policy.deadline if policy.deadline is not None else None
         outputs: dict[str, dict[str, object]] = {}
         versions: dict[str, int] = {}
-        skipped: dict[str, str] = {}
 
         def on_ok(name: str) -> None:
             decl = self.grammar.detector(name)
@@ -490,13 +477,9 @@ class FeatureDetectorEngine:
             }
             versions[name] = self.registry.version(name)
 
-        failure = self._run_subset(
-            set(self.execution_order()), context, deadline_at, skipped, health,
-            record_result, decisions, on_ok,
+        health, failure = self._parse(
+            context, set(self.execution_order()), record_result, decisions, on_ok
         )
-        health.elapsed = self.runner.clock() - started
-        health.degraded = failure is not None or len(health.ok) < len(health.outcomes)
-        context.health = health
         return StagedVideo(
             clip=clip,
             model=model,
@@ -744,7 +727,6 @@ class FeatureDetectorEngine:
         if video_name not in self._states:
             raise KeyError(f"video {video_name!r} was never indexed")
         state = self._states[video_name]
-        policy = self.policy
         affected = self.descendants_of(self.stale_detectors(video_name))
         report = RevalidationReport()
         if not affected:
@@ -757,13 +739,8 @@ class FeatureDetectorEngine:
             video_id=state.context.video_id,
             axiom=self.grammar.axiom,
         )
-        health = IndexingHealthReport(video_name=video_name)
-        report.health = health
-        started = self.runner.clock()
-        deadline_at = started + policy.deadline if policy.deadline is not None else None
         staged_outputs: dict[str, dict[str, object]] = {}
         staged_versions: dict[str, int] = {}
-        skipped: dict[str, str] = {}
         # Serve every unaffected detector from the cache up front; each
         # token has a unique producer, so cached values cannot collide
         # with tokens the affected subset will (re)produce.
@@ -786,25 +763,18 @@ class FeatureDetectorEngine:
 
         # Skip policies: a non-OK detector keeps no staged entry, so it
         # stays stale and a later revalidation retries it.
-        failure = self._run_subset(
-            affected, context, deadline_at, skipped, health,
-            self._record_live, None, on_ok,
-        )
+        health, failure = self._parse(context, affected, self._record_live, None, on_ok)
+        report.health = health
+        self.last_health = health
         if failure is not None:
             # Crash consistency: nothing staged is committed, the
             # cached outputs/versions/context are untouched.
-            health.elapsed = self.runner.clock() - started
-            self.last_health = health
             self._raise_outcome(failure)
-        health.elapsed = self.runner.clock() - started
-        health.degraded = len(health.ok) < len(health.outcomes)
         state.outputs = staged_outputs
         state.versions = staged_versions
         state.context = context
         state.health = health
-        context.health = health
         self.model.mark_degraded(state.context.video_id, degraded=health.degraded)
-        self.last_health = health
         return report
 
     def revalidate_all(self) -> RevalidationReport:

@@ -32,14 +32,14 @@ callables, so the runner cannot pre-empt one mid-flight — the budget
 bounds what the engine accepts, not what a runaway attempt consumes.
 Detector attempts therefore run *at least once* per retry: detector
 implementations must tolerate re-execution (the tennis detectors do, by
-clearing their model layer on entry).
+clearing their token's shots' meta-data on entry).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 __all__ = [
@@ -243,6 +243,15 @@ class DetectorOutcome:
     skipped_because: str | None = None
 
 
+#: Merge order of :meth:`IndexingHealthReport.absorb`: the worse status wins.
+_SEVERITY = {
+    DetectorStatus.OK: 0,
+    DetectorStatus.SKIPPED: 1,
+    DetectorStatus.FAILED: 2,
+    DetectorStatus.QUARANTINED: 3,
+}
+
+
 @dataclass
 class IndexingHealthReport:
     """Per-video accounting of a pass through the detector DAG.
@@ -294,6 +303,27 @@ class IndexingHealthReport:
         if not self.outcomes:
             return 1.0
         return len(self.ok) / len(self.outcomes)
+
+    def absorb(self, other: "IndexingHealthReport") -> None:
+        """Merge another pass over the same object into this report.
+
+        A streamed video is parsed chunk by chunk; its report is the
+        merge of the chunks': per detector the worst status wins (with
+        its error and skip cause), attempts, retries and elapsed time
+        are summed, and the video is degraded if any chunk was.
+        """
+        for name, outcome in other.outcomes.items():
+            mine = self.outcomes.get(name)
+            if mine is not None:
+                outcome = replace(
+                    max(mine, outcome, key=lambda o: _SEVERITY[o.status]),
+                    attempts=mine.attempts + outcome.attempts,
+                    retries=mine.retries + outcome.retries,
+                    elapsed=mine.elapsed + outcome.elapsed,
+                )
+            self.outcomes[name] = outcome
+        self.degraded = self.degraded or other.degraded
+        self.elapsed += other.elapsed
 
 
 def aggregate_health(reports: list[IndexingHealthReport]) -> dict[str, dict[str, int]]:

@@ -41,6 +41,7 @@ __all__ = [
     "TENNIS_FEATURE_GRAMMAR",
     "TrackedPlayer",
     "build_tennis_fde",
+    "register_shot",
     "shot_features_dict",
     "track_shot_player",
     "player_shape_summary",
@@ -90,6 +91,20 @@ def shot_features_dict(shot: DetectedShot) -> dict[str, float]:
     }
 
 
+def register_shot(model: CobraModel, video_id: int, shot: DetectedShot, frames) -> tuple:
+    """Add one detected shot to the feature layer (for the batch ``segment``
+    detector and a stream alike); returns its ``shot`` token entry
+    ``(shot, shot_id, frames)``, whose frames the downstream detectors read."""
+    record = model.add_shot(
+        video_id,
+        start=shot.start,
+        stop=shot.stop,
+        category=shot.category,
+        features=shot_features_dict(shot),
+    )
+    return shot, record.shot_id, frames
+
+
 def track_shot_player(
     model: CobraModel,
     frames,
@@ -100,11 +115,11 @@ def track_shot_player(
 ) -> TrackedPlayer:
     """Track the player(s) of one tennis shot and register the objects.
 
-    Shared by the batch ``tennis`` detector and the streaming session so
-    both produce byte-identical object-layer entities: near player first
-    (the ``player`` object drives events), then the optional far player.
-    The court (colour model + bounds) is estimated once per shot, with
-    the near tracker's threshold, and shared by both tracks and the zones.
+    The ``tennis`` detector's per-shot body, for a clip's shots and a
+    stream's alike: near player first (the ``player`` object drives
+    events), then the optional far player.  The court (colour model +
+    bounds) is estimated once per shot, with the near tracker's
+    threshold, and shared by both tracks and the zones.
     """
     court = tracker.estimate_court(frames[0])
     track = tracker.track(frames, court=court)
@@ -184,18 +199,11 @@ def _segment_impl(segmenter: SegmentDetector):
     def run(context: IndexingContext) -> None:
         context.model.clear_shots_of_video(context.video_id)
         clip = context.require("video")
-        shots = segmenter.detect(clip)
-        records = []
-        for shot in shots:
-            record = context.model.add_shot(
-                context.video_id,
-                start=shot.start,
-                stop=shot.stop,
-                category=shot.category,
-                features=shot_features_dict(shot),
-            )
-            records.append((shot, record.shot_id))
-        context.tokens["shot"] = records
+        frames = list(clip)
+        context.tokens["shot"] = [
+            register_shot(context.model, context.video_id, shot, frames[shot.start : shot.stop])
+            for shot in segmenter.detect(clip)
+        ]
 
     return run
 
@@ -206,22 +214,18 @@ def _tennis_impl(tracker: PlayerTracker, far_tracker: PlayerTracker | None = Non
     With *far_tracker* set, the far-court player is tracked too and
     registered as a second object-layer entity (``player_far``); events
     remain driven by the near player, the broadcast's primary subject.
+    Only the objects of the token's shots are cleared on entry, so a
+    stream's parse of its newest shots keeps every earlier shot's.
     """
 
     def run(context: IndexingContext) -> None:
-        context.model.clear_objects_of_video(context.video_id)
-        clip = context.require("video")
-        players: list[TrackedPlayer] = []
-        for shot, shot_id in context.require("shot"):
-            if shot.category != ShotCategory.TENNIS:
-                continue
-            frames = [clip[i] for i in range(shot.start, shot.stop)]
-            players.append(
-                track_shot_player(
-                    context.model, frames, shot, shot_id, tracker, far_tracker
-                )
-            )
-        context.tokens["player"] = players
+        shots = context.require("shot")
+        context.model.clear_objects_of_shots(shot_id for _, shot_id, _ in shots)
+        context.tokens["player"] = [
+            track_shot_player(context.model, frames, shot, shot_id, tracker, far_tracker)
+            for shot, shot_id, frames in shots
+            if shot.category == ShotCategory.TENNIS
+        ]
 
     return run
 
@@ -242,9 +246,10 @@ def _rules_impl(concept_grammar=None):
     grammar = concept_grammar or tennis_grammar()
 
     def run(context: IndexingContext) -> None:
-        context.model.clear_events_of_video(context.video_id)
+        players = context.require("player")
+        context.model.clear_events_of_shots(player.shot_id for player in players)
         events = []
-        for player in context.require("player"):
+        for player in players:
             events.extend(detect_player_events(context.model, player, grammar))
         context.tokens["event"] = events
 
@@ -281,11 +286,8 @@ def build_tennis_fde(
     """
     grammar: FeatureGrammar = parse_feature_grammar(TENNIS_FEATURE_GRAMMAR)
     registry = DetectorRegistry()
-    registry.register(
-        "segment",
-        _segment_impl(segmenter or SegmentDetector(boundary_detector=TwinComparisonDetector())),
-        kind="black",
-    )
+    segmenter = segmenter or SegmentDetector(boundary_detector=TwinComparisonDetector())
+    registry.register("segment", _segment_impl(segmenter), kind="black")
     far_tracker = PlayerTracker(half="far", min_area=8) if track_far else None
     registry.register(
         "tennis",
@@ -294,10 +296,12 @@ def build_tennis_fde(
     )
     registry.register("shape", _shape_impl(), kind="black")
     registry.register("rules", _rules_impl(concept_grammar), kind="white")
-    return FeatureDetectorEngine(
+    engine = FeatureDetectorEngine(
         grammar,
         registry,
         model=model,
         policy=policy,
         runner=runner(registry) if runner is not None else None,
     )
+    engine.segmenter = segmenter
+    return engine

@@ -50,8 +50,10 @@ class IndexedVideo:
         truth: generator ground truth (kept for evaluation, never read
             by detectors).
         n_frames: clip length.
-        health: the FDE's per-detector health report for this video
-            (``None`` for restored entries, which were never run here).
+        health: the FDE's per-detector health report for this video —
+            for a streamed one the merge of its chunks' reports (only
+            the detectors downstream of ``segment`` run per chunk);
+            ``None`` for restored entries, which were never run here.
     """
 
     plan: VideoPlan
@@ -108,19 +110,21 @@ class LibraryIndexer:
         context = self.fde.index_video(clip)
         return self._register_video(plan, clip, truth, context)
 
+    def _link_video(self, plan: VideoPlan, n_frames: int):
+        """Create the webspace Video object and link it to its Match."""
+        video_obj = self.dataset.instance.create("Video", name=plan.name, n_frames=n_frames)
+        match_obj = self.dataset.match_objects[plan.match_title]
+        self.dataset.instance.link("recorded_in", match_obj, video_obj)
+        return video_obj
+
     def _register_video(self, plan: VideoPlan, clip, truth, context) -> IndexedVideo:
         """Library-side bookkeeping for one committed video.
 
-        Creates the webspace Video object, links it to its Match, and
-        records the :class:`IndexedVideo` entry.  Mutates shared state,
-        so in a parallel batch only the committer thread calls this.
+        Links the webspace Video and records the :class:`IndexedVideo`
+        entry.  Mutates shared state, so in a parallel batch only the
+        committer thread calls this.
         """
-        video_obj = self.dataset.instance.create(
-            "Video", name=plan.name, n_frames=len(clip)
-        )
-        match_obj = self.dataset.match_objects[plan.match_title]
-        self.dataset.instance.link("recorded_in", match_obj, video_obj)
-
+        self._link_video(plan, len(clip))
         record = IndexedVideo(
             plan=plan,
             video_id=context.video_id,
@@ -132,18 +136,20 @@ class LibraryIndexer:
         self.generation += 1
         return record
 
-    def register_streamed_video(self, plan: VideoPlan, video_id: int) -> IndexedVideo:
-        """Library-side bookkeeping for a stream's first chunk commit.
+    def register_streamed_video(
+        self, plan: VideoPlan, video_id: int, health: IndexingHealthReport
+    ) -> IndexedVideo:
+        """Library-side bookkeeping for a stream's first successful chunk.
 
         Mirrors :meth:`_register_video` for the chunk-append path: the
-        webspace Video starts at 0 frames (grown at finalise) and the
+        webspace Video starts at 0 frames (grown at finalise), *health*
+        is the session's merged report (it grows per chunk) and the
         generation is *not* bumped here — every chunk commit bumps it.
         """
-        video_obj = self.dataset.instance.create("Video", name=plan.name, n_frames=0)
-        match_obj = self.dataset.match_objects[plan.match_title]
-        self.dataset.instance.link("recorded_in", match_obj, video_obj)
-        self._stream_webspace[plan.name] = video_obj
-        record = IndexedVideo(plan=plan, video_id=video_id, truth=None, n_frames=0)
+        self._stream_webspace[plan.name] = self._link_video(plan, 0)
+        record = IndexedVideo(
+            plan=plan, video_id=video_id, truth=None, n_frames=0, health=health
+        )
         self.indexed[plan.name] = record
         return record
 
@@ -159,7 +165,6 @@ class LibraryIndexer:
         path: str | Path | None = None,
         journal: IndexingJournal | None = None,
         commit_lock=None,
-        segmenter=None,
         resume: bool = False,
         clock=None,
         on_commit=None,
@@ -184,15 +189,13 @@ class LibraryIndexer:
         clip, truth = plan.materialise()
         if resume:
             session = StreamSession.resume(
-                self, plan, path, journal=journal,
-                segmenter=segmenter, commit_lock=commit_lock, **extra,
+                self, plan, path, journal=journal, commit_lock=commit_lock, **extra
             )
         else:
             if plan.name in self.indexed:
                 raise ValueError(f"video {plan.name!r} already indexed")
             session = StreamSession(
-                self, plan, path=path, journal=journal,
-                segmenter=segmenter, commit_lock=commit_lock, **extra,
+                self, plan, path=path, journal=journal, commit_lock=commit_lock, **extra
             )
         for chunk in iter_chunks(
             clip, chunk_frames, stream=plan.name, start=session.next_frame,
@@ -271,65 +274,47 @@ class LibraryIndexer:
             if plan.name not in skip and not (resume and plan.name in self.indexed)
         ]
         lock = commit_lock if commit_lock is not None else nullcontext
+        records: list[IndexedVideo] = []
+
+        def commit(plan: VideoPlan, index) -> None:
+            with lock():
+                if journal is not None:
+                    journal.begin(plan.name)
+                record = index()
+                if checkpoint is not None:
+                    checkpoint()
+                if journal is not None:
+                    self._journal_commit(journal, plan.name)
+            records.append(record)
+
         if workers <= 1 or len(todo) <= 1:
-            records: list[IndexedVideo] = []
             for plan in todo:
-                with lock():
-                    if journal is not None:
-                        journal.begin(plan.name)
-                    record = self.index_plan(plan)
-                    if checkpoint is not None:
-                        checkpoint()
-                    if journal is not None:
-                        degraded = bool(record.health.degraded) if record.health else False
-                        journal.commit(plan.name, degraded=degraded)
-                records.append(record)
+                commit(plan, lambda: self.index_plan(plan))
             return records
-        return self._index_all_parallel(todo, journal, checkpoint, workers, lock)
+        # Worker threads materialise clips and stage passes against
+        # private scratch models; this thread is the single committer,
+        # in plan order — exactly the sequence (and bytes) of a
+        # sequential batch, so the crash-safety invariants hold unchanged.
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="indexer")
+        try:
+            futures = [pool.submit(self._stage_plan, plan) for plan in todo]
+            for plan, future in zip(todo, futures):
+                staged = future.result()
+                commit(plan, lambda: self.commit_staged_plan(plan, *staged))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+        return records
+
+    def _journal_commit(self, journal: IndexingJournal, name: str) -> None:
+        """The video's journal ``commit`` record; ``degraded`` is the
+        committed raw-layer row's flag, whichever path indexed it."""
+        video = self.model.video(self.indexed[name].video_id)
+        journal.commit(name, degraded=video.degraded)
 
     def _stage_plan(self, plan: VideoPlan):
         """Worker-thread half of one video: materialise + stage."""
         clip, truth = plan.materialise()
         return clip, truth, self.fde.stage_video(clip)
-
-    def _index_all_parallel(
-        self,
-        todo: list[VideoPlan],
-        journal: IndexingJournal | None,
-        checkpoint,
-        workers: int,
-        lock=nullcontext,
-    ) -> list[IndexedVideo]:
-        """Overlap video staging; commit in plan order on this thread.
-
-        Worker threads materialise clips and run the FDE against
-        private scratch models (:meth:`FeatureDetectorEngine.stage_video`);
-        this thread is the single committer: per video, in plan order,
-        it writes the journal ``begin``, merges the stage into the
-        shared meta-index, registers the webspace object, runs the
-        checkpoint and writes the ``commit`` — exactly the sequence (and
-        bytes) of a sequential batch, so the PR 2 crash-safety
-        invariants hold unchanged.
-        """
-        records: list[IndexedVideo] = []
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="indexer")
-        try:
-            futures = [pool.submit(self._stage_plan, plan) for plan in todo]
-            for plan, future in zip(todo, futures):
-                clip, truth, staged = future.result()
-                with lock():
-                    if journal is not None:
-                        journal.begin(plan.name)
-                    record = self.commit_staged_plan(plan, clip, truth, staged)
-                    if checkpoint is not None:
-                        checkpoint()
-                    if journal is not None:
-                        degraded = bool(record.health.degraded) if record.health else False
-                        journal.commit(plan.name, degraded=degraded)
-                records.append(record)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        return records
 
     def index_checkpointed(
         self,
@@ -441,7 +426,7 @@ class LibraryIndexer:
             if resume and plan.name in self.indexed and not in_flight:
                 # Whole in the snapshot: the kill only beat this record.
                 with lock():
-                    journal.commit(plan.name, degraded=False)
+                    self._journal_commit(journal, plan.name)
                 continue
             if not in_flight:
                 with lock():
@@ -455,7 +440,7 @@ class LibraryIndexer:
                 resume=in_flight,
             )
             with lock():
-                journal.commit(plan.name, degraded=False)
+                self._journal_commit(journal, plan.name)
             records.append(record)
         return records
 
@@ -467,7 +452,7 @@ class LibraryIndexer:
         """
         catalog = load_catalog(path)  # one read, one fold of base ⊕ delta log
         restored = self.restore(catalog_to_model(catalog))
-        self.fde.restore_runner_state(catalog_to_runner_state(catalog))
+        self.fde.runner.restore_state(catalog_to_runner_state(catalog))
         # Adopt any in-flight stream rows so the next chunk commit — from
         # whichever stream commits first — preserves the others' resume
         # state.
@@ -506,11 +491,7 @@ class LibraryIndexer:
             plan = plans_by_name.get(video.name)
             if plan is None:
                 continue
-            video_obj = self.dataset.instance.create(
-                "Video", name=plan.name, n_frames=video.n_frames
-            )
-            match_obj = self.dataset.match_objects[plan.match_title]
-            self.dataset.instance.link("recorded_in", match_obj, video_obj)
+            self._link_video(plan, video.n_frames)
             self.indexed[plan.name] = IndexedVideo(
                 plan=plan, video_id=video.video_id, truth=None, n_frames=video.n_frames
             )

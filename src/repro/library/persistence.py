@@ -373,8 +373,9 @@ def model_delta(
     """What :func:`save_model` would write beyond a snapshot taken at
     *marks* (:meth:`CobraModel.high_water`) as one ``DeltaLog`` record —
     O(additions): the rows of the entities registered since, the
-    ``n_frames`` cell of the *touched* video ids, the state tables whole.
-    ``None`` when entities were removed since (save a snapshot instead).
+    ``n_frames`` and ``degraded`` cells of the *touched* video ids, the
+    state tables whole.  ``None`` when entities were removed since (save
+    a snapshot instead).
     """
     added = model.added_since(marks)
     if added is None:
@@ -388,8 +389,9 @@ def model_delta(
             if any(table["columns"].values())
         },
         "cells": [
-            ["videos", "video_id", video_id, "n_frames", model.video(video_id).n_frames]
-            for video_id in touched
+            ["videos", "video_id", video.video_id, column, getattr(video, column)]
+            for video in map(model.video, touched)
+            for column in ("n_frames", "degraded")
         ],
         "tables": {STREAM_STATE_TABLE: None, **tables_document(small)},
     }

@@ -9,10 +9,12 @@ instead of the process OOMing or silently stalling the producer.
 
 Robustness ladder per stream:
 
-- per-chunk retry/backoff/timeout from a
-  :class:`~repro.grammar.runtime.RunPolicy` — transient detector
-  failures retry with backoff, a chunk overrunning ``policy.timeout``
-  counts as a breaker failure;
+- detector faults are the FDE's, which parses each chunk's shots: its
+  :class:`~repro.grammar.runtime.RunPolicy` retries a detector, its
+  isolation policy skips a subtree (the video commits degraded);
+- a chunk that raises (``fail_fast``, storage) quarantines the stream
+  at once, ``last_error`` naming the error: its frames were consumed,
+  so only a resume from the durable state goes on;
 - shed gaps route through
   :meth:`~repro.streaming.session.StreamSession.record_gap` (tail
   finalised, boundary state restarted past the gap, stream marked
@@ -31,9 +33,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.grammar.runtime import RunPolicy
 from repro.library.stats import PERCENTILES
 from repro.storage.crashpoints import SimulatedCrash
 from repro.streaming.chunker import FrameChunk
@@ -60,13 +61,11 @@ class StreamConfig:
             quarantined.
         freshness_slo: declared p95 frame-arrival -> queryable bound in
             seconds (reported in health; gated by E20).
-        policy: per-chunk retry/backoff/timeout policy.
     """
 
     queue_chunks: int = 8
     stall_deadline: float = 30.0
     freshness_slo: float = 2.0
-    policy: RunPolicy = field(default_factory=lambda: RunPolicy(max_retries=1))
 
 
 @dataclass
@@ -82,8 +81,6 @@ class StreamHealth:
     lag_sheds: int
     shed_frames: int
     duplicates_dropped: int
-    retries: int
-    timeouts: int
     degraded_freshness: bool
     freshness: dict[str, float | None]
     freshness_slo: float
@@ -93,17 +90,14 @@ class StreamHealth:
 class _StreamState:
     """Internal per-stream bookkeeping."""
 
-    def __init__(self, session: StreamSession, config: StreamConfig):
+    def __init__(self, session: StreamSession):
         self.session = session
-        self.config = config
         self.queue: deque[FrameChunk] = deque()
         self.cond = threading.Condition()
         self.state = "live"
         self.chunks_committed = 0
         self.lag_sheds = 0
         self.shed_frames = 0
-        self.retries = 0
-        self.timeouts = 0
         self.degraded_freshness = False
         self.last_error: str | None = None
         self.last_progress: float | None = None
@@ -118,12 +112,12 @@ class StreamIngestor:
         indexer: the shared :class:`~repro.library.indexing.LibraryIndexer`.
         path / journal: durability targets passed to each session
             (``None`` for memory-only ingest, e.g. inside shard workers).
-        config: ingest tuning (queue depth, stall deadline, SLO, policy).
+        config: ingest tuning (queue depth, stall deadline, SLO).
         commit_lock: context-manager factory serialising chunk commits
             across streams (the serving layer's write lock); defaults to
             a private lock so concurrent sessions never interleave
             half-commits.
-        clock / sleep: injectable time sources (tests use fakes).
+        clock: injectable monotonic time source (tests use fakes).
     """
 
     def __init__(
@@ -135,14 +129,12 @@ class StreamIngestor:
         config: StreamConfig | None = None,
         commit_lock=None,
         clock=time.monotonic,
-        sleep=time.sleep,
     ):
         self.indexer = indexer
         self.path = path
         self.journal = journal
         self.config = config or StreamConfig()
         self._clock = clock
-        self._sleep = sleep
         if commit_lock is None:
             shared = threading.Lock()
 
@@ -155,7 +147,7 @@ class StreamIngestor:
 
     # -- stream lifecycle ------------------------------------------------ #
 
-    def open_stream(self, plan, *, resume: bool = False, segmenter=None) -> str:
+    def open_stream(self, plan, *, resume: bool = False) -> str:
         """Start a consumer for *plan*'s stream; returns the stream name."""
         with self._lock:
             if plan.name in self._streams:
@@ -163,16 +155,14 @@ class StreamIngestor:
         if resume:
             session = StreamSession.resume(
                 self.indexer, plan, self.path, journal=self.journal,
-                segmenter=segmenter, commit_lock=self._commit_lock,
-                clock=self._clock,
+                commit_lock=self._commit_lock, clock=self._clock,
             )
         else:
             session = StreamSession(
                 self.indexer, plan, path=self.path, journal=self.journal,
-                segmenter=segmenter, commit_lock=self._commit_lock,
-                clock=self._clock,
+                commit_lock=self._commit_lock, clock=self._clock,
             )
-        state = _StreamState(session, self.config)
+        state = _StreamState(session)
         thread = threading.Thread(
             target=self._consume, args=(state,), name=f"stream-{plan.name}", daemon=True
         )
@@ -276,38 +266,21 @@ class StreamIngestor:
 
     def _apply(self, state: _StreamState, chunk: FrameChunk) -> None:
         session = state.session
-        policy = self.config.policy
-        attempts = (policy.max_retries or 0) + 1
-        for attempt in range(attempts):
-            started = self._clock()
+        try:
             try:
-                try:
-                    result = session.push_chunk(chunk)
-                except StreamGapError:
-                    # Frames between the watermark and this chunk were
-                    # shed: finalise the tail, restart past the gap.
-                    session.record_gap(chunk.start)
-                    state.degraded_freshness = True
-                    result = session.push_chunk(chunk)
-            except SimulatedCrash:
-                raise
-            except Exception as error:  # transient detector/storage fault
-                state.retries += 1
-                state.last_error = f"{type(error).__name__}: {error}"
-                if attempt + 1 >= attempts:
-                    self._quarantine(state, f"chunk failed after {attempts} attempts")
-                    return
-                self._sleep(policy.backoff(attempt))
-                continue
-            elapsed = self._clock() - started
-            if policy.timeout is not None and elapsed > policy.timeout:
-                # The chunk did commit, but overran its budget — count
-                # it toward stall detection rather than undoing work.
-                state.timeouts += 1
-            if result is not None:
-                state.chunks_committed += 1
-            state.last_progress = self._clock()
+                result = session.push_chunk(chunk)
+            except StreamGapError:
+                # Frames between the watermark and this chunk were
+                # shed: finalise the tail, restart past the gap.
+                session.record_gap(chunk.start)
+                state.degraded_freshness = True
+                result = session.push_chunk(chunk)
+        except Exception as error:  # a SimulatedCrash is no Exception: it kills the thread
+            self._quarantine(state, f"{type(error).__name__}: {error}")
             return
+        if result is not None:
+            state.chunks_committed += 1
+        state.last_progress = self._clock()
 
     def _check_stall(self, state: _StreamState) -> None:
         """Producer-side watchdog: no commit progress while work queues."""
@@ -351,8 +324,6 @@ class StreamIngestor:
                 lag_sheds=state.lag_sheds,
                 shed_frames=state.shed_frames,
                 duplicates_dropped=session.duplicates_dropped,
-                retries=state.retries,
-                timeouts=state.timeouts,
                 degraded_freshness=state.degraded_freshness or session.degraded,
                 freshness=freshness,
                 freshness_slo=self.config.freshness_slo,

@@ -24,11 +24,13 @@ the folded ``stream_state`` row names the exactly-once resume point
 deduplication drops anything re-delivered below it — no lost and no
 duplicated shots, proved per crash point by the E20 kill matrix.
 
-Detector work per chunk reuses the batch pipeline's own helpers
-(:func:`~repro.grammar.tennis.track_shot_player`,
-:func:`~repro.grammar.tennis.detect_player_events`) in batch order, so
-a stream ingested without interference produces a final snapshot
-byte-identical to ``index_checkpointed`` over the same frames.
+The FDE parses each chunk's shots
+(:meth:`~repro.grammar.fde.FeatureDetectorEngine.parse_shots`, after the
+incremental form of its own ``segment`` detector finalised them), so a
+stream ingested without interference ends byte-identical to
+``index_checkpointed`` over the same frames, and a failing detector
+does to a stream what it does to a batch video: skipped subtree and a
+degraded video, or under ``fail_fast`` the chunk rolled back and raised.
 """
 
 from __future__ import annotations
@@ -37,20 +39,14 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.core.defaults import tennis_grammar
-from repro.grammar.tennis import (
-    detect_player_events,
-    shot_features_dict,
-    track_shot_player,
-)
+from repro.grammar.runtime import IndexingHealthReport
+from repro.grammar.tennis import register_shot
 from repro.library.persistence import model_delta, save_model
 from repro.library.stats import LatencyReservoir
 from repro.storage.crashpoints import trip
 from repro.storage.persist import DeltaLog
 from repro.streaming.chunker import FrameChunk
 from repro.streaming.segmenter import StreamingSegmenter
-from repro.tracking.tracker import PlayerTracker
-from repro.video.shots import ShotCategory
 
 __all__ = ["StreamSession", "ChunkCommit", "StreamGapError"]
 
@@ -92,23 +88,19 @@ class StreamSession:
     """Chunk-append one stream into a library indexer.
 
     Args:
-        indexer: the :class:`~repro.library.indexing.LibraryIndexer`.
+        indexer: the :class:`~repro.library.indexing.LibraryIndexer`;
+            its FDE segments (``fde.segmenter``) and parses the shots.
         plan: the stream's video plan (names the stream and its match).
         path: snapshot path; ``None`` runs memory-only (no durability —
             shard workers rebuild from scratch and use this mode).
         journal: indexing journal for chunk records (requires *path*).
-        segmenter: batch segment detector to mirror (defaults to the
-            FDE's twin-comparison configuration).
-        tracker / far_tracker: player trackers (defaults match
-            ``build_tennis_fde``; pass the engine's own to mirror a
-            customised pipeline).
-        grammar: COBRA event grammar (defaults to ``tennis_grammar()``).
         commit_lock: zero-argument context-manager factory entered
             around every chunk's shared-state mutation (the serving
             layer passes its write lock).
         clock: monotonic clock for freshness sampling.
 
-    Use :meth:`resume` to continue an interrupted session from a
+    :attr:`health` merges every chunk's FDE health report (it is also
+    the stream's ``IndexedVideo.health``).  Use :meth:`resume` to continue an interrupted session from a
     restored snapshot.
     """
 
@@ -119,10 +111,6 @@ class StreamSession:
         *,
         path=None,
         journal=None,
-        segmenter=None,
-        tracker: PlayerTracker | None = None,
-        far_tracker: PlayerTracker | None = None,
-        grammar=None,
         commit_lock=None,
         clock=time.monotonic,
         _resume_state: dict | None = None,
@@ -134,16 +122,18 @@ class StreamSession:
         self.name = plan.name
         self.path = path
         self.journal = journal
-        self.tracker = tracker or PlayerTracker()
-        self.far_tracker = far_tracker
-        self.grammar = grammar or tennis_grammar()
         self._lock = commit_lock if commit_lock is not None else nullcontext
         self._clock = clock
         self.freshness = LatencyReservoir()
         self.duplicates_dropped = 0
         self.finalized = False
+        self.failed = False  # a chunk raised after consuming frames
         self.degraded = False  # a gap() shed broke batch identity
+        self.health = IndexingHealthReport(video_name=self.name)
+        self._results: dict[str, bool] = {}  # detector -> failed in any chunk
+        self._pending: list = []  # gap-flushed shots, parsed by the next push
 
+        segmenter = indexer.fde.segmenter
         if _resume_state is not None:
             state = _resume_state
             self.seq = int(state["seq"])
@@ -159,6 +149,7 @@ class StreamSession:
                     f"resume of {self.name!r} needs the restored snapshot's video"
                 )
             self.video_id = record.video_id
+            record.health = self.health
         else:
             self.seq = 0
             self.shots_total = 0
@@ -210,9 +201,12 @@ class StreamSession:
 
     def push_chunk(self, chunk: FrameChunk) -> ChunkCommit | None:
         """Apply one chunk; returns the commit, or ``None`` when the
-        chunk was entirely duplicate (idempotent redelivery)."""
+        chunk was entirely duplicate (idempotent redelivery).  After an
+        error past deduplication the session is :attr:`failed` for good."""
         if self.finalized:
             raise RuntimeError(f"stream {self.name!r} already finalised")
+        if self.failed:
+            raise RuntimeError(f"stream {self.name!r} failed; resume it from its snapshot")
         if chunk.stream != self.name:
             raise ValueError(f"chunk for {chunk.stream!r} offered to {self.name!r}")
         expected = self.next_frame
@@ -223,33 +217,61 @@ class StreamSession:
         self.duplicates_dropped += deduped
         if not accepted.frames and not chunk.final:
             return None
+        try:
+            return self._commit(chunk, accepted, deduped)
+        except BaseException:
+            self.failed = True
+            raise
 
+    def record_gap(self, new_start: int) -> int:
+        """Shed recovery: finalise the tail at the last ingested frame
+        and restart past the dropped frames.  Returns the number of
+        tail shots flushed; the next chunk registers and parses them
+        with its own.  The stream is marked degraded."""
+        emitted = self.segmenter.gap(new_start)
+        self._pending.extend(emitted)
+        self.degraded = True
+        return len(emitted)
+
+    # -- internals ------------------------------------------------------ #
+
+    def _commit(self, chunk: FrameChunk, accepted: FrameChunk, deduped: int) -> ChunkCommit:
         self.seq += 1
         if self.journal is not None:
             self.journal.chunk_begin(self.name, self.seq, accepted.start, accepted.stop)
         trip("chunk-post-begin")
 
-        emitted = self.segmenter.push(accepted.frames)
+        emitted, self._pending = self._pending, []
+        emitted.extend(self.segmenter.push(accepted.frames))
         if chunk.final:
             emitted.extend(self.segmenter.finalize())
 
+        indexer = self.indexer
+        model = indexer.model
         with self._lock():
-            self._ensure_video(chunk.fps)
-            new_shots = 0
-            for shot, frames in emitted:
-                self._commit_shot(shot, frames)
-                new_shots += 1
-            self.shots_total += new_shots
+            marks = model.high_water()
+            try:
+                self._parse(emitted, chunk.fps)
+            except BaseException:
+                # Nothing of this chunk may reach a reader or another
+                # stream's delta: back to the marks, ids included.
+                model.discard_since(marks)
+                if self.name not in indexer.indexed:
+                    self.video_id = None
+                raise
+            self.shots_total += len(emitted)
             total = self.segmenter.frames_seen
             watermark = self.segmenter.watermark
-            self.indexer.model.set_video_frames(
-                self.video_id, total if chunk.final else watermark
-            )
+            model.set_video_frames(self.video_id, total if chunk.final else watermark)
+            if chunk.final:
+                # Quarantine counts videos: one result per detector per stream.
+                for name, failed in self._results.items():
+                    indexer.fde.runner.record_video_result(name, failed=failed)
             trip("chunk-pre-snapshot")
             if self.path is not None:
                 self._persist(final=chunk.final)
             trip("chunk-pre-commit")
-            generation = self.indexer.generation + 1
+            generation = indexer.generation + 1
             if self.journal is not None:
                 self.journal.chunk_commit(
                     self.name,
@@ -260,7 +282,7 @@ class StreamSession:
                     generation=generation,
                 )
             trip("chunk-pre-generation")
-            self.indexer.generation = generation
+            indexer.generation = generation
             trip("chunk-post-generation")
 
         freshness = None
@@ -274,56 +296,31 @@ class StreamSession:
             seq=self.seq,
             accepted_frames=len(accepted),
             deduped_frames=deduped,
-            new_shots=new_shots,
+            new_shots=len(emitted),
             watermark=self.segmenter.watermark,
-            generation=self.indexer.generation,
+            generation=indexer.generation,
             final=chunk.final,
             freshness_seconds=freshness,
         )
 
-    def record_gap(self, new_start: int) -> int:
-        """Shed recovery: finalise the tail at the last ingested frame
-        and restart past the dropped frames.  Returns the number of
-        tail shots flushed.  The stream is marked degraded."""
-        emitted = self.segmenter.gap(new_start)
-        with self._lock():
-            if emitted:
-                self._ensure_video(self.plan_fps())
-                for shot, frames in emitted:
-                    self._commit_shot(shot, frames)
-                self.shots_total += len(emitted)
-        self.degraded = True
-        return len(emitted)
+    def _parse(self, emitted, fps: float) -> None:
+        """Register the newly final shots and have the FDE parse them (no
+        shot, no detector); link the video once a first chunk succeeded."""
+        indexer = self.indexer
+        model = indexer.model
+        if self.video_id is None:
+            self.video_id = model.add_video(self.name, fps=fps, n_frames=0).video_id
+        if emitted:
+            shots = [register_shot(model, self.video_id, shot, frames) for shot, frames in emitted]
+            health = indexer.fde.parse_shots(self.plan, self.video_id, shots, self._defer_result)
+            self.health.absorb(health)
+            if health.degraded:
+                model.mark_degraded(self.video_id)
+        if self.name not in indexer.indexed:
+            indexer.register_streamed_video(self.plan, self.video_id, self.health)
 
-    def plan_fps(self) -> float:
-        return float(getattr(self.plan, "fps", 25.0))
-
-    # -- internals ------------------------------------------------------ #
-
-    def _ensure_video(self, fps: float) -> None:
-        if self.video_id is not None:
-            return
-        video = self.indexer.model.add_video(self.name, fps=fps, n_frames=0)
-        self.video_id = video.video_id
-        self.indexer.register_streamed_video(self.plan, video.video_id)
-
-    def _commit_shot(self, shot, frames) -> None:
-        """Register one finalised shot in batch detector order:
-        shot record, player objects, then events."""
-        model = self.indexer.model
-        record = model.add_shot(
-            self.video_id,
-            start=shot.start,
-            stop=shot.stop,
-            category=shot.category,
-            features=shot_features_dict(shot),
-        )
-        if shot.category != ShotCategory.TENNIS:
-            return
-        player = track_shot_player(
-            model, frames, shot, record.shot_id, self.tracker, self.far_tracker
-        )
-        detect_player_events(model, player, self.grammar)
+    def _defer_result(self, name: str, failed: bool) -> None:
+        self._results[name] = self._results.get(name, False) or failed
 
     def _persist(self, final: bool) -> None:
         """The chunk's durable step: a delta-log record, or compaction."""

@@ -45,7 +45,7 @@ def sharded(responded=(0, 1), missing=(), **fields) -> ShardedServedQuery:
 def stream_row(**fields) -> StreamHealth:
     base = dict(
         stream="s", state="done", chunks_committed=4, frames=96, shots=3, watermark=96,
-        lag_sheds=0, shed_frames=0, duplicates_dropped=0, retries=0, timeouts=0,
+        lag_sheds=0, shed_frames=0, duplicates_dropped=0,
         degraded_freshness=False, freshness={"p50": 0.1, "p95": 0.2, "p99": 0.3},
         freshness_slo=2.0,
     )

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.dataset import build_australian_open
-from repro.grammar.runtime import RunPolicy
 from repro.grammar.tennis import build_tennis_fde
 from repro.library.indexing import LibraryIndexer
 from repro.streaming import FrameChunk, StreamConfig, StreamIngestor, iter_chunks
@@ -133,10 +132,11 @@ class TestBackpressure:
 
 
 class TestQuarantineOnError:
-    def test_poison_chunk_exhausts_retries(self, plan_and_clip):
+    def test_poison_chunk_quarantines_on_first_failure(self, plan_and_clip):
+        """No chunk-level retry (detectors retry inside the FDE): a chunk
+        that raises quarantines its stream at once."""
         plan, _clip = plan_and_clip
-        config = StreamConfig(policy=RunPolicy(max_retries=1))
-        ingestor = make_ingestor(config=config, sleep=lambda _s: None)
+        ingestor = make_ingestor()
         ingestor.open_stream(plan)
         poison = FrameChunk(stream=plan.name, seq=0, start=0, frames=("bogus",))
         assert ingestor.offer(poison)
@@ -145,8 +145,8 @@ class TestQuarantineOnError:
             message="poison chunk to quarantine the stream",
         )
         row = ingestor.health()[plan.name]
-        assert row.retries >= 1
-        assert "failed after" in row.last_error
+        assert row.chunks_committed == 0
+        assert row.last_error.startswith(("TypeError", "ValueError", "AttributeError"))
         assert not ingestor.offer(poison)
         assert ingestor.drain()
 
