@@ -17,7 +17,6 @@ import time
 from benchmarks.conftest import print_table
 from repro.dataset import build_australian_open
 from repro.faults import FaultInjector, FaultPlan
-from repro.grammar.runtime import RunPolicy
 from repro.grammar.tennis import build_tennis_fde
 from repro.library.indexing import LibraryIndexer
 
@@ -33,7 +32,7 @@ _results: dict[int, dict] = {}
 
 def _index_with_workers(tmp_path, workers: int) -> dict:
     dataset = build_australian_open(seed=1234, video_shots=3)
-    fde = build_tennis_fde(policy=RunPolicy(max_workers=workers))
+    fde = build_tennis_fde()
     FaultInjector(FaultPlan.latency(DETECTORS, LATENCY), fde.registry).install()
     indexer = LibraryIndexer(dataset, fde=fde)
     tmp_path.mkdir(parents=True, exist_ok=True)

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="videos staged concurrently (and detector-wave pool width); "
+        help="videos staged concurrently (staged per-video indexing); "
         "results are byte-identical to --workers 1",
     )
 
@@ -632,15 +632,12 @@ def _cmd_figure1(_args) -> int:
 
 def _cmd_index(args) -> int:
     from repro.dataset import build_australian_open
-    from repro.grammar.runtime import RunPolicy
-    from repro.grammar.tennis import build_tennis_fde
     from repro.library import DigitalLibraryEngine
     from repro.library.indexing import default_journal_path
     from repro.storage.journal import IndexingJournal
 
     dataset = build_australian_open(seed=args.seed)
-    fde = build_tennis_fde(policy=RunPolicy(max_workers=args.workers))
-    engine = DigitalLibraryEngine(dataset, fde=fde)
+    engine = DigitalLibraryEngine(dataset)
     journal_path = args.journal or default_journal_path(args.out)
     journal = IndexingJournal(journal_path)
 

@@ -286,12 +286,15 @@ class CobraModel:
         """Remove all objects of a video (cascades to their events)."""
         return self.clear_objects_of_shots(self._shot_ids_of(video_id))
 
-    def clear_shots_of_video(self, video_id: int) -> int:
-        """Remove all shots of a video (cascades to objects and events)."""
-        self.clear_objects_of_video(video_id)
-        doomed = [s for s in self._shots.values() if s.video_id == video_id]
-        for shot in doomed:
-            del self._shots[shot.shot_id]
+    def clear_shots_of_video(self, video_id: int, since: int = 0) -> int:
+        """Remove the shots of a video starting at or after frame *since*
+        (all of them by default); cascades to their objects and events."""
+        doomed = [
+            s.shot_id for s in self._shots.values() if s.video_id == video_id and s.start >= since
+        ]
+        self.clear_objects_of_shots(doomed)
+        for shot_id in doomed:
+            del self._shots[shot_id]
         return len(doomed)
 
     def remove_video(self, video_id: int) -> None:

@@ -367,7 +367,8 @@ class FaultPlan:
         Models black-box detector processes whose cost is dominated by
         I/O or an external tool: each invocation sleeps *seconds* before
         running the real implementation.  Sleeps release the GIL, so
-        this is what the E14 benchmark uses to measure scheduler overlap.
+        this is what the E14 benchmark uses to measure staged per-video
+        overlap.
         """
         return cls(FaultSpec(detector, None, None, HANG, seconds) for detector in detectors)
 

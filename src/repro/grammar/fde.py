@@ -3,9 +3,8 @@
 Generated from a feature grammar, the FDE:
 
 1. derives the detector dependency DAG (Figure 1 of the paper),
-2. schedules detectors in deterministic topological *waves* — mutually
-   independent detectors run concurrently when
-   :attr:`~repro.grammar.runtime.RunPolicy.max_workers` allows,
+2. runs detectors in one deterministic topological order (longest
+   path from the axiom, then name),
 3. caches each detector's token outputs per video, and
 4. *revalidates incrementally*: when a detector implementation changes
    (version bump), only that detector and its descendants re-run;
@@ -22,11 +21,11 @@ commit videos *degraded* — upstream meta-data kept, the failing
 detector's DAG subtree skipped — so one bad detector no longer erases a
 whole video from the library.
 
-Parallelism is deterministic by construction.  Within one video the
-wave scheduler (:mod:`repro.grammar.schedule`) overlaps detector
-*compute* while a turnstile serialises meta-index mutations in the
-canonical order, so identifiers, health reports and snapshots are
-byte-identical to a sequential pass.  Across videos,
+One parse serves both ingest paths: a clip is parsed whole
+(:meth:`FeatureDetectorEngine.index_video`), a stream chunk by chunk
+(:meth:`FeatureDetectorEngine.parse_chunk`), through the same runner.
+
+Parallelism is per video and deterministic by construction:
 :meth:`FeatureDetectorEngine.stage_video` runs a whole pass against a
 private scratch model so worker threads never contend on the shared
 meta-index; a single committer then replays stages in plan order via
@@ -36,8 +35,7 @@ sequential identifier assignment exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import networkx as nx
 
@@ -53,7 +51,6 @@ from repro.grammar.runtime import (
     IsolationPolicy,
     RunPolicy,
 )
-from repro.grammar.schedule import GatedModel, WaveTurnstile, wave_partition
 
 __all__ = ["FeatureDetectorEngine", "RevalidationReport", "StagedVideo"]
 
@@ -150,10 +147,10 @@ class FeatureDetectorEngine:
             override (injectable clock/sleep for tests); *policy* is
             ignored when given.
 
-    ``segmenter`` is the batch segmenter behind the ``shot`` producer,
-    when the factory names one (``build_tennis_fde`` does): a stream
-    segments with it incrementally, then hands its shots to
-    :meth:`parse_shots`.
+    ``segmenter`` is the segment detector configuration behind the
+    ``shot`` producer, when the factory names one (``build_tennis_fde``
+    does): a stream keeps its incremental state across
+    :meth:`parse_chunk` calls.
     """
 
     def __init__(
@@ -175,11 +172,14 @@ class FeatureDetectorEngine:
         self.last_health: IndexingHealthReport | None = None
         self._states: dict[str, _VideoState] = {}
         # The grammar is validated here and never mutated after, so the
-        # DAG, its waves and every node's downstream set are derived once.
+        # DAG, its order and every node's downstream set are derived once.
         self._graph = self._build_graph()
-        self._waves = tuple(
-            tuple(wave) for wave in wave_partition(self._graph, grammar.axiom)
-        )
+        depth: dict[str, int] = {}
+        for node in nx.topological_sort(self._graph):
+            preds = self._graph.predecessors(node)
+            depth[node] = max((depth[p] for p in preds), default=-1) + 1
+        del depth[grammar.axiom]
+        self._order = tuple(sorted(depth, key=lambda node: (depth[node], node)))
         self._downstream = {
             node: frozenset(nx.descendants(self._graph, node)) for node in self._graph
         }
@@ -214,18 +214,10 @@ class FeatureDetectorEngine:
                 graph.add_edge(source, decl.name, token=token)
         return graph
 
-    def waves(self) -> list[list[str]]:
-        """The detector DAG partitioned into dependency waves.
-
-        Detectors of one wave are mutually independent (their producers
-        all live in earlier waves) and may run concurrently; the
-        concatenation of the waves is :meth:`execution_order`.
-        """
-        return [list(wave) for wave in self._waves]
-
     def execution_order(self) -> list[str]:
-        """Deterministic topological order of the detectors (wave-major)."""
-        return [name for wave in self._waves for name in wave]
+        """Deterministic topological order of the detectors: by longest
+        path from the axiom, then by name."""
+        return list(self._order)
 
     def descendants_of(self, names: set[str]) -> set[str]:
         """The given detectors plus everything downstream of them."""
@@ -257,11 +249,11 @@ class FeatureDetectorEngine:
     ) -> DetectorOutcome | None:
         """Decide whether *name* runs at all, without invoking it.
 
-        Mirrors the sequential check order — skip map, quarantine,
-        deadline — and returns the terminal outcome when the detector
-        must not run, or ``None`` when it is runnable.  Quarantine
-        checks are recorded in *decisions* (when given) so a staged pass
-        can later prove its checks still match the live runner.
+        Checks the skip map, then quarantine, then the deadline, and
+        returns the terminal outcome when the detector must not run, or
+        ``None`` when it is runnable.  Quarantine checks are recorded in
+        *decisions* (when given) so a staged pass can later prove its
+        checks still match the live runner.
         """
         runner = self.runner
         if name in skipped:
@@ -279,118 +271,25 @@ class FeatureDetectorEngine:
             )
         return None
 
-    def _settle(
-        self,
-        name: str,
-        outcome: DetectorOutcome,
-        ran: bool,
-        skipped: dict[str, str],
-        health: IndexingHealthReport,
-        record_result,
-    ) -> DetectorOutcome:
-        """Account one detector outcome (always in canonical order)."""
-        if ran:
-            record_result(name, outcome.status is not DetectorStatus.OK)
-        if outcome.status in (DetectorStatus.FAILED, DetectorStatus.QUARANTINED):
-            for descendant in self._downstream[name]:
-                skipped.setdefault(descendant, name)
-        health.outcomes[name] = outcome
-        return outcome
-
     def _record_live(self, name: str, failed: bool) -> None:
         self.runner.record_video_result(name, failed=failed)
-
-    def _run_gated(
-        self,
-        name: str,
-        context: IndexingContext,
-        gate: WaveTurnstile,
-        deadline_at: float | None,
-    ) -> DetectorOutcome:
-        """Thread body of one wave member.
-
-        The detector gets a private context copy (so
-        ``current_detector`` attribution cannot race) whose model is
-        gated on the wave turnstile: compute overlaps freely, but the
-        first meta-index access waits for the detector's canonical turn.
-        """
-        gated = replace(context, model=GatedModel(context.model, gate, name))
-        try:
-            return self.runner.run(name, gated, deadline_at=deadline_at)
-        finally:
-            gate.finish(name)
-
-    def _run_wave(
-        self,
-        wave: list[str],
-        context: IndexingContext,
-        deadline_at: float | None,
-        skipped: dict[str, str],
-        health: IndexingHealthReport,
-        record_result,
-        decisions: dict[str, bool] | None,
-        on_ok,
-    ) -> DetectorOutcome | None:
-        """Run one wave concurrently; account results in canonical order.
-
-        All in-flight work is drained before any outcome is settled, so
-        a ``fail_fast`` failure never leaves threads running.  Returns
-        the first non-OK outcome under ``fail_fast``, else ``None``.
-        """
-        preflighted: dict[str, DetectorOutcome] = {}
-        runnable: list[str] = []
-        for name in wave:
-            outcome = self._preflight(name, deadline_at, skipped, decisions)
-            if outcome is None:
-                runnable.append(name)
-            else:
-                preflighted[name] = outcome
-        results: dict[str, DetectorOutcome] = {}
-        if len(runnable) == 1:
-            only = runnable[0]
-            results[only] = self.runner.run(only, context, deadline_at=deadline_at)
-        elif runnable:
-            gate = WaveTurnstile(runnable)
-            workers = min(self.policy.max_workers, len(runnable))
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="fde-wave"
-            ) as pool:
-                futures = [
-                    (name, pool.submit(self._run_gated, name, context, gate, deadline_at))
-                    for name in runnable
-                ]
-                for name, future in futures:
-                    results[name] = future.result()
-        for name in wave:
-            if name in preflighted:
-                outcome, ran = preflighted[name], False
-            else:
-                outcome, ran = results[name], True
-            self._settle(name, outcome, ran, skipped, health, record_result)
-            if (
-                outcome.status is not DetectorStatus.OK
-                and self.policy.isolation is IsolationPolicy.FAIL_FAST
-            ):
-                return outcome
-            if outcome.status is DetectorStatus.OK and on_ok is not None:
-                on_ok(name)
-        return None
 
     def _parse(
         self,
         context: IndexingContext,
-        names: set[str],
+        names,
         record_result,
         decisions: dict[str, bool] | None = None,
         on_ok=None,
+        prune_empty: bool = False,
     ) -> tuple[IndexingHealthReport, DetectorOutcome | None]:
-        """Run *names* over *context* in wave order, under one deadline budget.
+        """Run *names* over *context* in execution order, under one deadline budget.
 
-        With ``max_workers == 1`` each detector is a wave of its own —
-        the historical sequential loop; otherwise each wave's runnable
-        detectors share a thread pool, gated so model mutations stay in
-        canonical order.  Either way the outcomes, the skip-map updates
-        and the ``record_result`` calls are identical.  Returns the
+        Every detector goes through the runner; ``record_result`` gets
+        one call per detector that ran.  A failed or quarantined
+        detector skips its DAG subtree.  With *prune_empty*, an OK
+        detector whose outputs are all empty drops its subtree from the
+        pass (no outcome rows): nothing new reached it.  Returns the
         pass's health report (also set as ``context.health``) and the
         fatal outcome under ``fail_fast``, else ``None``.
         """
@@ -399,45 +298,57 @@ class FeatureDetectorEngine:
         started = self.runner.clock()
         deadline_at = started + policy.deadline if policy.deadline is not None else None
         skipped: dict[str, str] = {}
-        waves = [[name for name in wave if name in names] for wave in self._waves]
-        if policy.max_workers <= 1:
-            waves = [[name] for wave in waves for name in wave]
+        pruned: set[str] = set()
         failure = None
-        for wave in filter(None, waves):
-            failure = self._run_wave(
-                wave, context, deadline_at, skipped, health,
-                record_result, decisions, on_ok,
-            )
-            if failure is not None:
+        for name in self._order:
+            if name not in names or name in pruned:
+                continue
+            outcome = self._preflight(name, deadline_at, skipped, decisions)
+            if outcome is None:
+                outcome = self.runner.run(name, context, deadline_at=deadline_at)
+                record_result(name, outcome.status is not DetectorStatus.OK)
+            health.outcomes[name] = outcome
+            if outcome.status is DetectorStatus.OK:
+                if on_ok is not None:
+                    on_ok(name)
+                outputs = self.grammar.detector(name).outputs
+                if prune_empty and not any(context.tokens.get(token) for token in outputs):
+                    pruned |= self._downstream[name]
+                continue
+            if outcome.status in (DetectorStatus.FAILED, DetectorStatus.QUARANTINED):
+                for descendant in self._downstream[name]:
+                    skipped.setdefault(descendant, name)
+            if policy.isolation is IsolationPolicy.FAIL_FAST:
+                failure = outcome
                 break
         health.elapsed = self.runner.clock() - started
         health.degraded = failure is not None or len(health.ok) < len(health.outcomes)
         context.health = health
         return health, failure
 
-    def parse_shots(self, raw, video_id: int, shots: list, record_result) -> IndexingHealthReport:
-        """The incremental parse: the detectors downstream of the ``shot``
-        token's producer, over *shots* alone.
+    def parse_chunk(self, chunk, video_id: int, record_result, final: bool) -> IndexingContext:
+        """The incremental parse: every detector over one chunk of a stream.
 
-        A stream registers each newly final shot itself (its segmenter is
-        the producer's incremental form) and hands the token entries
-        here.  They run through the same runner, retries, isolation
-        policy and fault injection as :meth:`index_video`, against the
-        live model; the deadline budget applies per call.  *raw* is the
-        raw object the context carries (its ``name`` is the stream's);
-        *record_result* receives the ``record_video_result`` calls,
-        deferred to the caller.  Under ``fail_fast`` a failure is
-        re-raised once the pass stops (rolling back is the caller's).
+        *chunk* is the axiom token (its ``name`` is the stream's) and
+        *video_id* the stream's raw-layer record in the live model.  The
+        chunk runs through the same runner, retries, isolation policy
+        and fault injection as :meth:`index_video`; the deadline budget
+        applies per call.  A non-final chunk runs nothing below a
+        detector whose outputs are all empty (a chunk that closes no
+        shot runs ``segment`` alone); a *final* chunk runs the whole
+        DAG, as a clip does.  *record_result* receives the
+        ``record_video_result`` calls, deferred to the caller.  Under
+        ``fail_fast`` a failure is re-raised once the pass stops
+        (rolling back is the caller's).  Returns the chunk's context;
+        its ``health`` is the chunk's report.
         """
-        producer = self.grammar.producer_of("shot").name
         context = IndexingContext(
-            clip=raw, model=self.model, video_id=video_id, axiom=self.grammar.axiom
+            clip=chunk, model=self.model, video_id=video_id, axiom=self.grammar.axiom
         )
-        context.tokens["shot"] = shots
-        health, failure = self._parse(context, self._downstream[producer], record_result)
+        _, failure = self._parse(context, self._order, record_result, prune_empty=not final)
         if failure is not None:
             self._raise_outcome(failure)
-        return health
+        return context
 
     def _run_video_pass(
         self,
@@ -478,7 +389,7 @@ class FeatureDetectorEngine:
             versions[name] = self.registry.version(name)
 
         health, failure = self._parse(
-            context, set(self.execution_order()), record_result, decisions, on_ok
+            context, self._order, record_result, decisions, on_ok
         )
         return StagedVideo(
             clip=clip,
@@ -515,10 +426,6 @@ class FeatureDetectorEngine:
         failing subtree's meta-data missing and its raw-layer record
         flagged degraded.  The pass's health report is available as
         ``context.health``, :attr:`last_health` and :meth:`health_of`.
-
-        With ``policy.max_workers > 1`` independent detectors of each
-        dependency wave run concurrently; results are byte-identical to
-        a sequential pass (see :mod:`repro.grammar.schedule`).
         """
         self._check_registry()
         if clip.name in self._states:
@@ -631,8 +538,8 @@ class FeatureDetectorEngine:
         """Replay *scratch* into the shared model, layer by layer.
 
         Identifiers are handed out by the shared model's per-layer
-        counters in scratch insertion order — the same order the
-        detectors created them under the wave turnstile — so the merged
+        counters in scratch insertion order — the order the detectors
+        created them in — so the merged
         entities get exactly the ids a sequential pass would have
         assigned.  Returns the scratch→shared raw-layer id map.
         """
@@ -744,7 +651,7 @@ class FeatureDetectorEngine:
         # Serve every unaffected detector from the cache up front; each
         # token has a unique producer, so cached values cannot collide
         # with tokens the affected subset will (re)produce.
-        for name in self.execution_order():
+        for name in self._order:
             if name in affected:
                 continue
             staged_outputs[name] = state.outputs[name]

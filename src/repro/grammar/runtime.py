@@ -161,11 +161,6 @@ class RunPolicy:
             historical all-or-nothing behaviour).
         quarantine_after: under ``quarantine``, disable a detector
             engine-wide after it fails on this many consecutive videos.
-        max_workers: thread-pool width for the engine's wave scheduler
-            (``1`` = the historical strictly-sequential walk).  Whatever
-            the width, detector outputs, health reports and meta-index
-            identifiers are byte-identical to a sequential pass — see
-            :mod:`repro.grammar.schedule`.
     """
 
     max_retries: int = 0
@@ -178,7 +173,6 @@ class RunPolicy:
     deadline: float | None = None
     isolation: IsolationPolicy = IsolationPolicy.FAIL_FAST
     quarantine_after: int = 3
-    max_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -187,8 +181,6 @@ class RunPolicy:
             raise ValueError("backoff_base must be >= 0 and backoff_factor >= 1")
         if self.quarantine_after < 1:
             raise ValueError(f"quarantine_after must be >= 1, got {self.quarantine_after}")
-        if self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         object.__setattr__(self, "isolation", IsolationPolicy(self.isolation))
 
     def retries_for(self, detector: str) -> int:
@@ -378,12 +370,10 @@ class DetectorRunner:
     One runner serves one engine: it owns the engine-wide quarantine
     state (consecutive per-detector failure counts across videos).
 
-    The quarantine state is thread-safe: the parallel wave scheduler and
-    the per-video staging pool call :meth:`is_quarantined` /
-    :meth:`record_video_result` from many threads concurrently, so every
+    The quarantine state is thread-safe: the per-video staging pool
+    calls :meth:`is_quarantined` from many threads concurrently, so every
     read-modify-write of the counters happens under one re-entrant lock.
-    :meth:`run` itself touches no shared mutable state and may be called
-    concurrently for *different* detectors of the same pass.
+    :meth:`run` itself touches no shared mutable state.
 
     Args:
         registry: the detector implementations.
@@ -482,9 +472,8 @@ class DetectorRunner:
         :attr:`RunPolicy.quarantine_after` consecutive failing videos
         disable the detector until its version changes.
 
-        Thread-safe: concurrent calls from the wave scheduler or the
-        per-video staging pool serialise on the runner's lock, so no
-        increment is ever lost.
+        Thread-safe: concurrent calls serialise on the runner's lock, so
+        no increment is ever lost.
         """
         with self._lock:
             if failed:

@@ -41,7 +41,6 @@ __all__ = [
     "TENNIS_FEATURE_GRAMMAR",
     "TrackedPlayer",
     "build_tennis_fde",
-    "register_shot",
     "shot_features_dict",
     "track_shot_player",
     "player_shape_summary",
@@ -89,20 +88,6 @@ def shot_features_dict(shot: DetectedShot) -> dict[str, float]:
         "mean": shot.features.mean,
         "variance": shot.features.variance,
     }
-
-
-def register_shot(model: CobraModel, video_id: int, shot: DetectedShot, frames) -> tuple:
-    """Add one detected shot to the feature layer (for the batch ``segment``
-    detector and a stream alike); returns its ``shot`` token entry
-    ``(shot, shot_id, frames)``, whose frames the downstream detectors read."""
-    record = model.add_shot(
-        video_id,
-        start=shot.start,
-        stop=shot.stop,
-        category=shot.category,
-        features=shot_features_dict(shot),
-    )
-    return shot, record.shot_id, frames
 
 
 def track_shot_player(
@@ -194,16 +179,41 @@ def detect_player_events(model: CobraModel, player: TrackedPlayer, grammar) -> l
 
 
 def _segment_impl(segmenter: SegmentDetector):
-    """Build the segment detector: clip -> classified shots + ShotRecords."""
+    """Build the segment detector: one chunk -> classified shots + ShotRecords.
+
+    The one body of both ingest paths is the incremental step: the
+    ``video`` token is read as a
+    :class:`~repro.streaming.segmenter.SegmentChunk` (a clip is the
+    final chunk of a fresh segmenter), its frames go into a fork of the
+    chunk's segmenter, and the shots they finalise are registered.  A
+    retry re-forks and first drops the shots at or after the fork's
+    watermark — the previous attempt's, or for a clip every shot of the
+    video — so it neither re-pushes frames nor doubles a shot.  Each
+    ``shot`` token entry is ``(shot, shot_id, frames)``.
+    """
+    # Imported here: repro.streaming imports the library, which imports this module.
+    from repro.streaming.segmenter import SegmentChunk
 
     def run(context: IndexingContext) -> None:
-        context.model.clear_shots_of_video(context.video_id)
-        clip = context.require("video")
-        frames = list(clip)
-        context.tokens["shot"] = [
-            register_shot(context.model, context.video_id, shot, frames[shot.start : shot.stop])
-            for shot in segmenter.detect(clip)
-        ]
+        chunk = SegmentChunk.of(context.require("video"), segmenter)
+        stream = chunk.segmenter.fork()
+        model = context.model
+        model.clear_shots_of_video(context.video_id, since=stream.watermark)
+        emitted = stream.push(chunk.frames, start=chunk.start)
+        if chunk.final:
+            emitted += stream.finalize()
+        shots = []
+        for shot, frames in emitted:
+            record = model.add_shot(
+                context.video_id,
+                start=shot.start,
+                stop=shot.stop,
+                category=shot.category,
+                features=shot_features_dict(shot),
+            )
+            shots.append((shot, record.shot_id, frames))
+        context.tokens["shot"] = shots
+        chunk.advanced = stream
 
     return run
 

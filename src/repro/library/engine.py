@@ -27,6 +27,7 @@ from repro.ir.inverted_index import InvertedIndex
 from repro.ir.ranking import RankedHit, rank_full_scan
 from repro.ir.topn import FragmentedIndex, full_scan_postings
 from repro.library.indexing import LibraryIndexer
+from repro.library.persistence import model_to_catalog
 from repro.library.query import LibraryQuery
 from repro.library.results import SceneResult, fuse_scores
 from repro.library.service import QueryTrace
@@ -420,7 +421,10 @@ class DigitalLibraryEngine:
         """
         from repro.webspace.relational import RelationalConceptEvaluator
 
-        self._meta_catalog = self.indexer.export_to_catalog()
+        meta = model_to_catalog(self.indexer.model)
+        meta.create_hash_index("events", "label")
+        meta.create_hash_index("shots", "video_id")
+        self._meta_catalog = meta
         self._ws_evaluator = RelationalConceptEvaluator(self.dataset.instance)
 
     def search_relational(

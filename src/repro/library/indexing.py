@@ -2,9 +2,7 @@
 
 :class:`LibraryIndexer` owns the tennis FDE and the bookkeeping around
 it: materialising video plans, linking the resulting Video objects into
-the webspace graph, and exporting the meta-index into the column store
-(the paper's "database approach" — queries run against tables, not
-Python object graphs).
+the webspace graph, and checkpointing the meta-index.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.library.persistence import (
     catalog_to_stream_state,
     save_model,
 )
-from repro.storage.catalog import Catalog
 from repro.storage.journal import IndexingJournal
 from repro.storage.persist import DeltaLog, load_catalog
 from repro.video.ground_truth import GroundTruth
@@ -51,8 +48,8 @@ class IndexedVideo:
             by detectors).
         n_frames: clip length.
         health: the FDE's per-detector health report for this video —
-            for a streamed one the merge of its chunks' reports (only
-            the detectors downstream of ``segment`` run per chunk);
+            for a streamed one the merge of its chunks' reports, with
+            the same detectors, ``segment`` included, as a batch one;
             ``None`` for restored entries, which were never run here.
     """
 
@@ -497,90 +494,3 @@ class LibraryIndexer:
             )
             restored += 1
         return restored
-
-    # ------------------------------------------------------------------ #
-    # Export to the column store
-    # ------------------------------------------------------------------ #
-
-    def export_to_catalog(self, catalog: Catalog | None = None) -> Catalog:
-        """Materialise the meta-index as relational tables.
-
-        Tables: ``videos``, ``shots``, ``objects``, ``events`` — the
-        representation the paper's Monet-based engine queried.
-        """
-        catalog = catalog or Catalog()
-        model = self.model
-
-        videos = catalog.create_table(
-            "videos", {"video_id": "int", "name": "str", "fps": "float", "n_frames": "int"}
-        )
-        for video in model.videos:
-            videos.append(
-                {
-                    "video_id": video.video_id,
-                    "name": video.name,
-                    "fps": video.fps,
-                    "n_frames": video.n_frames,
-                }
-            )
-
-        shots = catalog.create_table(
-            "shots",
-            {
-                "shot_id": "int",
-                "video_id": "int",
-                "start": "int",
-                "stop": "int",
-                "category": "str",
-            },
-        )
-        for shot in model.shots:
-            shots.append(
-                {
-                    "shot_id": shot.shot_id,
-                    "video_id": shot.video_id,
-                    "start": shot.start,
-                    "stop": shot.stop,
-                    "category": shot.category,
-                }
-            )
-
-        objects = catalog.create_table(
-            "objects",
-            {"object_id": "int", "shot_id": "int", "label": "str", "found_fraction": "float"},
-        )
-        for obj in model.objects:
-            objects.append(
-                {
-                    "object_id": obj.object_id,
-                    "shot_id": obj.shot_id,
-                    "label": obj.label,
-                    "found_fraction": obj.found_fraction,
-                }
-            )
-
-        events = catalog.create_table(
-            "events",
-            {
-                "event_id": "int",
-                "shot_id": "int",
-                "label": "str",
-                "start": "int",
-                "stop": "int",
-                "confidence": "float",
-            },
-        )
-        for event in model.events:
-            events.append(
-                {
-                    "event_id": event.event_id,
-                    "shot_id": event.shot_id,
-                    "label": event.label,
-                    "start": event.start,
-                    "stop": event.stop,
-                    "confidence": event.confidence,
-                }
-            )
-        catalog.create_hash_index("events", "label")
-        catalog.create_hash_index("shots", "video_id")
-        return catalog

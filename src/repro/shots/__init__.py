@@ -7,7 +7,7 @@ It classifies shots in four different categories: tennis, close-up,
 audience, and other."
 
 - :mod:`repro.shots.boundary` — histogram-difference cut detection
-  (fixed and adaptive thresholds) plus the twin-comparison detector for
+  (fixed threshold) plus the twin-comparison detector for
   gradual transitions.
 - :mod:`repro.shots.classify` — the four-way shot classifier using
   dominant colour, skin ratio, entropy, mean and variance (rule-based and
@@ -23,7 +23,6 @@ from repro.shots.boundary import (
     frame_distances,
     frame_distances_reference,
     ThresholdCutDetector,
-    AdaptiveCutDetector,
     TwinComparisonDetector,
 )
 from repro.shots.classify import (
@@ -41,7 +40,6 @@ __all__ = [
     "frame_distances",
     "frame_distances_reference",
     "ThresholdCutDetector",
-    "AdaptiveCutDetector",
     "TwinComparisonDetector",
     "ShotFeatureExtractor",
     "ShotFeatures",

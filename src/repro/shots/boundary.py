@@ -1,12 +1,10 @@
 """Shot-boundary detection from colour-histogram differences.
 
-Three detectors, in increasing sophistication:
+Two detectors, in increasing sophistication:
 
 - :class:`ThresholdCutDetector` — the paper's method: declare a cut where
   the histogram difference between neighbouring frames exceeds a fixed
   threshold.
-- :class:`AdaptiveCutDetector` — threshold set from the clip's own
-  difference statistics (mean + k·std), robust across noise levels.
 - :class:`TwinComparisonDetector` — Zhang et al.'s twin-comparison
   extension that also recovers *gradual* transitions (fades, dissolves)
   by accumulating consecutive moderate differences.
@@ -33,7 +31,6 @@ __all__ = [
     "frame_distances",
     "frame_distances_reference",
     "ThresholdCutDetector",
-    "AdaptiveCutDetector",
     "TwinComparisonDetector",
 ]
 
@@ -161,45 +158,6 @@ class ThresholdCutDetector:
         return boundaries
 
 
-class AdaptiveCutDetector(ThresholdCutDetector):
-    """Cut detection with a data-driven threshold.
-
-    The threshold is ``median + k * MAD_std`` of the clip's difference
-    series (median/MAD rather than mean/std so the cuts themselves do not
-    inflate the threshold), floored at *min_threshold*.
-
-    Args:
-        k: number of robust standard deviations above the median.
-        min_threshold: lower bound protecting against near-static clips
-            where any flicker would otherwise fire.
-        bins: histogram quantisation per channel.
-    """
-
-    def __init__(
-        self,
-        k: float = 6.0,
-        min_threshold: float = 0.12,
-        bins: int = 8,
-        color_space: str = "rgb",
-    ):
-        super().__init__(threshold=min_threshold, bins=bins, color_space=color_space)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self.k = k
-        self.min_threshold = min_threshold
-
-    def detect(self, clip: VideoClip | Sequence[np.ndarray]) -> list[Boundary]:
-        distances = frame_distances(clip, bins=self.bins, color_space=self.color_space)
-        if len(distances) < 3:
-            return []
-        body = distances[1:]
-        median = float(np.median(body))
-        mad = float(np.median(np.abs(body - median)))
-        robust_std = 1.4826 * mad
-        self.threshold = max(self.min_threshold, median + self.k * robust_std)
-        return self._from_distances(distances)
-
-
 class TwinComparisonDetector:
     """Twin-comparison detection of cuts *and* gradual transitions.
 
@@ -236,7 +194,7 @@ class TwinComparisonDetector:
     def detect(self, clip: VideoClip | Sequence[np.ndarray]) -> list[Boundary]:
         """Detect both cut and gradual boundaries."""
         distances = frame_distances(clip, bins=self.bins)
-        return self._merge(self._raw_events(distances))
+        return [event for event, _ in self._merge(self._raw_events(distances))]
 
     def _raw_events(self, distances: np.ndarray) -> list[Boundary]:
         """First pass: spike runs as cuts, accumulation runs as gradual."""
@@ -272,20 +230,24 @@ class TwinComparisonDetector:
             i += 1
         return events
 
-    def _merge(self, events: list[Boundary]) -> list[Boundary]:
-        """Second pass: merge nearby events; long merged spans are gradual."""
-        merged: list[Boundary] = []
-        for event in events:
-            if merged and event.span[0] - merged[-1].span[1] <= self.merge_gap:
-                prev = merged[-1]
+    def _merge(self, events: list[Boundary]) -> list[tuple[Boundary, int]]:
+        """Second pass: merge nearby events; long merged spans are gradual.
+
+        Each merged event is paired with the index of its last raw
+        constituent, where an incremental scan resumes.
+        """
+        merged: list[tuple[Boundary, int]] = []
+        for i, event in enumerate(events):
+            if merged and event.span[0] - merged[-1][0].span[1] <= self.merge_gap:
+                prev = merged[-1][0]
                 start = prev.span[0]
                 stop = event.span[1]
-                merged[-1] = Boundary(
+                event = Boundary(
                     frame=start,
                     kind="gradual" if stop - start >= 3 else "cut",
                     length=(stop - start) if stop - start >= 3 else 0,
                     score=max(prev.score, event.score),
                 )
-            else:
-                merged.append(event)
+                merged.pop()
+            merged.append((event, i))
         return merged

@@ -16,9 +16,9 @@ Robustness ladder per stream:
   at once, ``last_error`` naming the error: its frames were consumed,
   so only a resume from the durable state goes on;
 - shed gaps route through
-  :meth:`~repro.streaming.session.StreamSession.record_gap` (tail
-  finalised, boundary state restarted past the gap, stream marked
-  degraded);
+  :meth:`~repro.streaming.session.StreamSession.record_gap` (the next
+  chunk finalises the tail and restarts the boundary state past the
+  gap; the stream is marked degraded);
 - a stream making no commit progress within ``stall_deadline`` trips
   its breaker and is quarantined — its queue drops, its thread exits,
   and *other* streams are unaffected.
@@ -318,7 +318,7 @@ class StreamIngestor:
                 stream=name,
                 state=state.state,
                 chunks_committed=state.chunks_committed,
-                frames=session.segmenter.frames_seen,
+                frames=session.next_frame,
                 shots=session.shots_total,
                 watermark=session.watermark,
                 lag_sheds=state.lag_sheds,

@@ -29,18 +29,16 @@ whose boundary frame is the watermark itself).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.shots.boundary import (
-    AdaptiveCutDetector,
-    Boundary,
-    ThresholdCutDetector,
-    TwinComparisonDetector,
-)
+from repro.shots.boundary import Boundary, ThresholdCutDetector, TwinComparisonDetector
 from repro.shots.segmenter import DetectedShot, SegmentDetector
 from repro.vision.histogram import color_histograms
 
-__all__ = ["StreamingSegmenter"]
+__all__ = ["SegmentChunk", "StreamingSegmenter"]
 
 
 class StreamingSegmenter:
@@ -52,9 +50,7 @@ class StreamingSegmenter:
             boundary detector must be a
             :class:`~repro.shots.boundary.TwinComparisonDetector` or a
             fixed-threshold
-            :class:`~repro.shots.boundary.ThresholdCutDetector`;
-            adaptive thresholds need the whole clip's statistics and
-            cannot stream.
+            :class:`~repro.shots.boundary.ThresholdCutDetector`.
         origin: absolute stream index of the first frame that will be
             pushed (0 for a fresh stream, the committed watermark on
             resume).
@@ -75,8 +71,6 @@ class StreamingSegmenter:
     ):
         seg = segmenter or SegmentDetector(boundary_detector=TwinComparisonDetector())
         detector = seg.boundary_detector
-        if isinstance(detector, AdaptiveCutDetector):
-            raise TypeError("AdaptiveCutDetector needs whole-clip statistics; cannot stream")
         if not isinstance(detector, (TwinComparisonDetector, ThresholdCutDetector)):
             raise TypeError(
                 f"unsupported boundary detector {type(detector).__name__}; "
@@ -112,17 +106,29 @@ class StreamingSegmenter:
         """Absolute start of the first still-pending boundary run."""
         return self._scan_base
 
+    def fork(self) -> "StreamingSegmenter":
+        """An independent copy: pushing into it leaves this one as it was."""
+        twin = object.__new__(StreamingSegmenter)
+        twin.__dict__.update(self.__dict__)
+        twin._distances = list(self._distances)
+        twin._frames = list(self._frames)
+        return twin
+
     # -- ingest --------------------------------------------------------- #
 
-    def push(self, frames) -> list[tuple[DetectedShot, list]]:
+    def push(self, frames, start: int | None = None) -> list[tuple[DetectedShot, list]]:
         """Ingest consecutive frames; return newly-final shots.
 
         Each element is ``(shot, frames)`` — the classified shot plus
         its frames (needed downstream for player tracking; the internal
-        buffer is trimmed as shots finalise)."""
+        buffer is trimmed as shots finalise).  *start* is the absolute
+        index of ``frames[0]`` (default: the next frame); past it, the
+        frames in between were dropped and :meth:`gap` runs first, its
+        tail shots leading the returned list."""
+        shots = [] if start is None or start == self._n else self.gap(start)
         frames = list(frames)
         if not frames:
-            return []
+            return shots
         hists = color_histograms(frames, bins=self.detector.bins)
         fresh = np.zeros(len(frames))
         if self._prev_hist is not None:
@@ -133,7 +139,7 @@ class StreamingSegmenter:
         self._distances.extend(float(d) for d in fresh)
         self._frames.extend(frames)
         self._n += len(frames)
-        return self._drain(final=False)
+        return shots + self._drain(final=False)
 
     def finalize(self) -> list[tuple[DetectedShot, list]]:
         """End of stream: flush every pending boundary + the tail shot."""
@@ -174,31 +180,6 @@ class StreamingSegmenter:
             raw = [b for b in raw if b.frame + self._origin >= self._suppress]
         return raw
 
-    def _merge_counted(self, events: list[Boundary]) -> list[tuple[Boundary, int]]:
-        """The detector's merge pass, tracking each merged event's last
-        raw constituent (for :attr:`scan_base`)."""
-        gap = getattr(self.detector, "merge_gap", None)
-        if gap is None:
-            return [(event, i) for i, event in enumerate(events)]
-        merged: list[tuple[Boundary, int]] = []
-        for i, event in enumerate(events):
-            if merged and event.span[0] - merged[-1][0].span[1] <= gap:
-                prev = merged[-1][0]
-                start = prev.span[0]
-                stop = event.span[1]
-                merged[-1] = (
-                    Boundary(
-                        frame=start,
-                        kind="gradual" if stop - start >= 3 else "cut",
-                        length=(stop - start) if stop - start >= 3 else 0,
-                        score=max(prev.score, event.score),
-                    ),
-                    i,
-                )
-            else:
-                merged.append((event, i))
-        return merged
-
     def _tail_start(self, arr: np.ndarray) -> int:
         """Relative start of the regime run still open at the end."""
         n = len(arr)
@@ -229,7 +210,11 @@ class StreamingSegmenter:
     def _drain(self, final: bool) -> list[tuple[DetectedShot, list]]:
         arr = np.asarray(self._distances)
         raw = self._raw_events(arr)
-        merged = self._merge_counted(raw)
+        # Each merged boundary with its last raw constituent (for scan_base).
+        if isinstance(self.detector, TwinComparisonDetector):
+            merged = self.detector._merge(raw)
+        else:
+            merged = [(event, i) for i, event in enumerate(raw)]
         tail = self._tail_start(arr)
         gap = getattr(self.detector, "merge_gap", 0) or 0
         if final:
@@ -276,3 +261,35 @@ class StreamingSegmenter:
         if drop > 0:
             del self._frames[:drop]
             self._frames_base = self._cursor
+
+
+@dataclass
+class SegmentChunk:
+    """The ``video`` token as the ``segment`` detector reads it.
+
+    Attributes:
+        name: the stream (video) name.
+        start: absolute index of ``frames[0]``.
+        frames: the chunk's frames.
+        final: the last chunk: the tail shot is flushed.
+        segmenter: the stream's segmenter before this chunk; ``segment``
+            pushes into a :meth:`~StreamingSegmenter.fork` of it, so a
+            failed attempt leaves it as it was.
+        advanced: the fork after a successful ``segment`` run, for the
+            stream to adopt (``None`` until then).
+    """
+
+    name: str
+    start: int
+    frames: Sequence
+    final: bool
+    segmenter: StreamingSegmenter
+    advanced: StreamingSegmenter | None = None
+
+    @classmethod
+    def of(cls, token, segmenter: SegmentDetector) -> "SegmentChunk":
+        """*token* as a chunk: a stream's chunk is itself; a clip is the
+        final chunk of a fresh segmenter mirroring *segmenter*."""
+        if isinstance(token, cls):
+            return token
+        return cls(token.name, 0, token, True, StreamingSegmenter(segmenter))

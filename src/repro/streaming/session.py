@@ -5,7 +5,7 @@ batches of one stream to a :class:`~repro.library.indexing.LibraryIndexer`.
 Each accepted chunk lands with the commit protocol::
 
     journal chunk_begin          (intent)
-    detect + mutate meta-index   (in memory only)
+    FDE parse + mutate meta-index  (in memory only, under the commit lock)
     delta-log append             (the chunk's new rows + stream_state)
     journal chunk_commit         (promise: base ⊕ log holds the chunk)
     generation += 1              (readers see the new shots)
@@ -24,13 +24,16 @@ the folded ``stream_state`` row names the exactly-once resume point
 deduplication drops anything re-delivered below it — no lost and no
 duplicated shots, proved per crash point by the E20 kill matrix.
 
-The FDE parses each chunk's shots
-(:meth:`~repro.grammar.fde.FeatureDetectorEngine.parse_shots`, after the
-incremental form of its own ``segment`` detector finalised them), so a
-stream ingested without interference ends byte-identical to
-``index_checkpointed`` over the same frames, and a failing detector
-does to a stream what it does to a batch video: skipped subtree and a
-degraded video, or under ``fail_fast`` the chunk rolled back and raised.
+The FDE parses each chunk
+(:meth:`~repro.grammar.fde.FeatureDetectorEngine.parse_chunk`),
+``segment`` included: its one body is the incremental step, pushing the
+chunk into the stream's segmenter, which the session owns and adopts
+once ``segment`` succeeded.  A stream ingested without interference
+therefore ends byte-identical to ``index_checkpointed`` over the same
+frames, and a failing detector does to a stream what it does to a batch
+video: skipped subtree and a degraded video (a chunk ``segment`` could
+not parse leaves segmentation like a shed one), or under ``fail_fast``
+the chunk rolled back and raised.
 """
 
 from __future__ import annotations
@@ -40,13 +43,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.grammar.runtime import IndexingHealthReport
-from repro.grammar.tennis import register_shot
 from repro.library.persistence import model_delta, save_model
 from repro.library.stats import LatencyReservoir
 from repro.storage.crashpoints import trip
 from repro.storage.persist import DeltaLog
 from repro.streaming.chunker import FrameChunk
-from repro.streaming.segmenter import StreamingSegmenter
+from repro.streaming.segmenter import SegmentChunk, StreamingSegmenter
 
 __all__ = ["StreamSession", "ChunkCommit", "StreamGapError"]
 
@@ -55,9 +57,10 @@ class StreamGapError(RuntimeError):
     """A chunk arrived beyond the next expected frame (frames missing).
 
     Raised by :meth:`StreamSession.push_chunk`; the ingestor handles it
-    by force-finalising the tail at the last ingested frame and
-    restarting the boundary state past the gap (a labeled
-    ``degraded_freshness`` shed, never a silent hole in a shot).
+    with :meth:`StreamSession.record_gap`: the next chunk finalises the
+    tail at the last ingested frame and restarts the boundary state past
+    the gap (a labeled ``degraded_freshness`` shed, never a silent hole
+    in a shot).
     """
 
     def __init__(self, stream: str, expected: int, got: int):
@@ -89,7 +92,8 @@ class StreamSession:
 
     Args:
         indexer: the :class:`~repro.library.indexing.LibraryIndexer`;
-            its FDE segments (``fde.segmenter``) and parses the shots.
+            its FDE parses every chunk (``fde.segmenter`` configures the
+            stream's segmenter).
         plan: the stream's video plan (names the stream and its match).
         path: snapshot path; ``None`` runs memory-only (no durability —
             shard workers rebuild from scratch and use this mode).
@@ -100,8 +104,8 @@ class StreamSession:
         clock: monotonic clock for freshness sampling.
 
     :attr:`health` merges every chunk's FDE health report (it is also
-    the stream's ``IndexedVideo.health``).  Use :meth:`resume` to continue an interrupted session from a
-    restored snapshot.
+    the stream's ``IndexedVideo.health``).  Use :meth:`resume` to
+    continue an interrupted session from a restored snapshot.
     """
 
     def __init__(
@@ -131,7 +135,7 @@ class StreamSession:
         self.degraded = False  # a gap() shed broke batch identity
         self.health = IndexingHealthReport(video_name=self.name)
         self._results: dict[str, bool] = {}  # detector -> failed in any chunk
-        self._pending: list = []  # gap-flushed shots, parsed by the next push
+        self._restart: int | None = None  # gap target the next chunk starts at
 
         segmenter = indexer.fde.segmenter
         if _resume_state is not None:
@@ -179,7 +183,7 @@ class StreamSession:
     @property
     def next_frame(self) -> int:
         """The next absolute frame index this session will accept."""
-        return self.segmenter.frames_seen
+        return self.segmenter.frames_seen if self._restart is None else self._restart
 
     @property
     def watermark(self) -> int:
@@ -193,7 +197,7 @@ class StreamSession:
             "seq": self.seq,
             "watermark": self.segmenter.watermark,
             "scan_base": self.segmenter.scan_base,
-            "frames": self.segmenter.frames_seen,
+            "frames": self.next_frame,
             "shots": self.shots_total,
         }
 
@@ -223,15 +227,17 @@ class StreamSession:
             self.failed = True
             raise
 
-    def record_gap(self, new_start: int) -> int:
-        """Shed recovery: finalise the tail at the last ingested frame
-        and restart past the dropped frames.  Returns the number of
-        tail shots flushed; the next chunk registers and parses them
-        with its own.  The stream is marked degraded."""
-        emitted = self.segmenter.gap(new_start)
-        self._pending.extend(emitted)
+    def record_gap(self, new_start: int) -> None:
+        """Shed recovery: the frames before *new_start* were dropped.
+        Only the restart point is recorded — the next chunk's ``segment``
+        run finalises the tail at the last ingested frame and restarts
+        past the gap.  The stream is marked degraded."""
+        if new_start < self.next_frame:
+            raise ValueError(
+                f"gap target {new_start} precedes ingested frames ({self.next_frame})"
+            )
+        self._restart = new_start
         self.degraded = True
-        return len(emitted)
 
     # -- internals ------------------------------------------------------ #
 
@@ -241,17 +247,12 @@ class StreamSession:
             self.journal.chunk_begin(self.name, self.seq, accepted.start, accepted.stop)
         trip("chunk-post-begin")
 
-        emitted, self._pending = self._pending, []
-        emitted.extend(self.segmenter.push(accepted.frames))
-        if chunk.final:
-            emitted.extend(self.segmenter.finalize())
-
         indexer = self.indexer
         model = indexer.model
         with self._lock():
             marks = model.high_water()
             try:
-                self._parse(emitted, chunk.fps)
+                new_shots = self._parse(accepted, chunk.final)
             except BaseException:
                 # Nothing of this chunk may reach a reader or another
                 # stream's delta: back to the marks, ids included.
@@ -259,8 +260,8 @@ class StreamSession:
                 if self.name not in indexer.indexed:
                     self.video_id = None
                 raise
-            self.shots_total += len(emitted)
-            total = self.segmenter.frames_seen
+            self.shots_total += new_shots
+            total = self.next_frame
             watermark = self.segmenter.watermark
             model.set_video_frames(self.video_id, total if chunk.final else watermark)
             if chunk.final:
@@ -296,28 +297,38 @@ class StreamSession:
             seq=self.seq,
             accepted_frames=len(accepted),
             deduped_frames=deduped,
-            new_shots=len(emitted),
+            new_shots=new_shots,
             watermark=self.segmenter.watermark,
             generation=indexer.generation,
             final=chunk.final,
             freshness_seconds=freshness,
         )
 
-    def _parse(self, emitted, fps: float) -> None:
-        """Register the newly final shots and have the FDE parse them (no
-        shot, no detector); link the video once a first chunk succeeded."""
+    def _parse(self, accepted: FrameChunk, final: bool) -> int:
+        """Have the FDE parse the chunk and adopt the segmenter its
+        ``segment`` run advanced; returns the number of new shots.  A
+        chunk ``segment`` did not parse leaves segmentation the way a
+        shed chunk does: a gap past its frames.  Links the video once a
+        first chunk succeeded."""
         indexer = self.indexer
         model = indexer.model
         if self.video_id is None:
-            self.video_id = model.add_video(self.name, fps=fps, n_frames=0).video_id
-        if emitted:
-            shots = [register_shot(model, self.video_id, shot, frames) for shot, frames in emitted]
-            health = indexer.fde.parse_shots(self.plan, self.video_id, shots, self._defer_result)
-            self.health.absorb(health)
-            if health.degraded:
-                model.mark_degraded(self.video_id)
+            self.video_id = model.add_video(self.name, fps=accepted.fps, n_frames=0).video_id
+        chunk = SegmentChunk(self.name, accepted.start, accepted.frames, final, self.segmenter)
+        context = indexer.fde.parse_chunk(chunk, self.video_id, self._defer_result, final)
+        health = context.health
+        self.health.absorb(health)
+        if health.degraded:
+            model.mark_degraded(self.video_id)
+        new_shots = 0
+        if "segment" in health.ok:
+            self.segmenter, self._restart = chunk.advanced, None
+            new_shots = len(context.tokens["shot"])
+        else:
+            self._restart = accepted.stop
         if self.name not in indexer.indexed:
             indexer.register_streamed_video(self.plan, self.video_id, self.health)
+        return new_shots
 
     def _defer_result(self, name: str, failed: bool) -> None:
         self._results[name] = self._results.get(name, False) or failed

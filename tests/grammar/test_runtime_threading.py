@@ -1,24 +1,18 @@
-"""Thread-safety of the detector runtime and the wave scheduler.
+"""Thread-safety of the detector runtime, and the FDE's execution order.
 
-The runner's quarantine accounting is shared by every worker thread the
-engine spawns; these tests hammer it from many threads (with injected
-latency so interleavings actually happen) and check no update is lost,
-then exercise the wave scheduler itself: overlap without reordering.
+The runner's quarantine accounting is shared by every staging worker
+thread; these tests hammer it from many threads (with injected latency
+so interleavings actually happen) and check no update is lost.
 """
 
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-import pytest
-
-from repro.grammar.detectors import DetectorRegistry, IndexingContext
+from repro.grammar.detectors import DetectorRegistry
 from repro.grammar.fde import FeatureDetectorEngine
 from repro.grammar.grammar import parse_feature_grammar
 from repro.grammar.runtime import DetectorRunner, IsolationPolicy, RunPolicy
-from repro.grammar.schedule import WaveTurnstile, wave_partition
-from repro.video.frames import VideoClip
 
 WIDE = """
 FEATURE GRAMMAR wide ;
@@ -28,11 +22,6 @@ DETECTOR c : x -> y2 ;
 DETECTOR d : x -> y3 ;
 DETECTOR e : y1, y2, y3 -> w ;
 """
-
-
-def tiny_clip(name="clip"):
-    frames = [np.zeros((8, 8, 3), dtype=np.uint8) for _ in range(3)]
-    return VideoClip(frames, name=name)
 
 
 class TestRunnerThreadSafety:
@@ -119,116 +108,38 @@ class TestRunnerThreadSafety:
         assert counts == sorted(counts)  # monotone: no torn/lost reads
 
 
-def build_wide_fde(workers: int, delays: dict[str, float] | None = None):
-    """A one-wide-wave FDE whose middle detectors sleep, then commit."""
-    grammar = parse_feature_grammar(WIDE)
+DIAMOND = """
+FEATURE GRAMMAR diamond ;
+DETECTOR a : video -> x ;
+DETECTOR b : x -> y1 ;
+DETECTOR c : x -> y2 ;
+DETECTOR d : y1, y2 -> w ;
+"""
+
+TWO_ROOTS = """
+FEATURE GRAMMAR two_roots ;
+DETECTOR z : video -> p ;
+DETECTOR a : video -> q ;
+DETECTOR m : p, q -> w ;
+"""
+
+
+def order_of(text: str) -> list[str]:
+    grammar = parse_feature_grammar(text)
     registry = DetectorRegistry()
-    commits: list[str] = []
-    delays = delays or {}
-
-    def make(name, outputs, inputs=()):
-        def run(context: IndexingContext) -> None:
-            for token in inputs:
-                context.require(token)
-            time.sleep(delays.get(name, 0.0))
-            # First model access passes the wave turnstile; commits must
-            # therefore land in canonical order even though the sleeps
-            # above finish in any order.
-            context.model.add_shot(
-                context.video_id, start=0, stop=1, category=name
-            )
-            commits.append(name)
-            for token in outputs:
-                context.tokens[token] = name
-
-        return run
-
-    registry.register("a", make("a", ["x"]))
-    registry.register("b", make("b", ["y1"], ["x"]))
-    registry.register("c", make("c", ["y2"], ["x"]))
-    registry.register("d", make("d", ["y3"], ["x"]))
-    registry.register("e", make("e", ["w"], ["y1", "y2", "y3"]))
-    fde = FeatureDetectorEngine(
-        grammar, registry, policy=RunPolicy(max_workers=workers)
-    )
-    return fde, commits
+    for decl in grammar.detectors:
+        registry.register(decl.name, lambda context: None)
+    return FeatureDetectorEngine(grammar, registry).execution_order()
 
 
-class TestWaveScheduler:
-    def test_wave_partition_shape(self):
-        fde, _ = build_wide_fde(1)
-        assert fde.waves() == [["a"], ["b", "c", "d"], ["e"]]
-        assert fde.execution_order() == ["a", "b", "c", "d", "e"]
+class TestExecutionOrder:
+    """Longest path from the axiom first, then name."""
 
-    def test_parallel_commits_in_canonical_order(self):
-        """Reverse-sorted sleeps cannot reorder the model commits."""
-        fde, commits = build_wide_fde(
-            4, delays={"b": 0.08, "c": 0.04, "d": 0.0}
-        )
-        fde.index_video(tiny_clip())
-        assert commits == ["a", "b", "c", "d", "e"]
-        assert [shot.category for shot in fde.model.shots] == ["a", "b", "c", "d", "e"]
+    def test_wide_order(self):
+        assert order_of(WIDE) == ["a", "b", "c", "d", "e"]
 
-    def test_parallel_overlaps_independent_detectors(self):
-        """The wide wave's sleeps overlap: the pass beats their sum."""
-        delay = 0.15
-        fde, _ = build_wide_fde(4, delays={"b": delay, "c": delay, "d": delay})
-        started = time.perf_counter()
-        fde.index_video(tiny_clip())
-        elapsed = time.perf_counter() - started
-        assert elapsed < 3 * delay  # sequential would sleep 3x
+    def test_diamond_order(self):
+        assert order_of(DIAMOND) == ["a", "b", "c", "d"]
 
-    def test_parallel_matches_sequential_model(self):
-        sequential, _ = build_wide_fde(1)
-        parallel, _ = build_wide_fde(8, delays={"b": 0.03, "d": 0.06})
-        sequential.index_video(tiny_clip())
-        parallel.index_video(tiny_clip())
-        seq = [(s.shot_id, s.category) for s in sequential.model.shots]
-        par = [(s.shot_id, s.category) for s in parallel.model.shots]
-        assert seq == par
-
-
-class TestWaveTurnstile:
-    def test_wait_turn_enforces_rank_order(self):
-        gate = WaveTurnstile(["p", "q", "r"])
-        order: list[str] = []
-
-        def member(name, delay):
-            time.sleep(delay)
-            gate.wait_turn(name)
-            order.append(name)
-            gate.finish(name)
-
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = [
-                pool.submit(member, "p", 0.05),
-                pool.submit(member, "q", 0.0),
-                pool.submit(member, "r", 0.02),
-            ]
-            for future in futures:
-                future.result()
-        assert order == ["p", "q", "r"]
-
-    def test_wave_partition_diamond(self):
-        import networkx as nx
-
-        graph = nx.DiGraph(
-            [("video", "a"), ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
-        )
-        assert wave_partition(graph, "video") == [["a"], ["b", "c"], ["d"]]
-
-    def test_partition_rejects_nothing_but_orders_everything(self):
-        import networkx as nx
-
-        graph = nx.DiGraph([("video", "a"), ("video", "z"), ("a", "m"), ("z", "m")])
-        waves = wave_partition(graph, "video")
-        assert waves == [["a", "z"], ["m"]]
-
-
-class TestRunPolicyValidation:
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            RunPolicy(max_workers=0)
-
-    def test_default_is_sequential(self):
-        assert RunPolicy().max_workers == 1
+    def test_roots_sort_by_name(self):
+        assert order_of(TWO_ROOTS) == ["a", "z", "m"]

@@ -10,7 +10,6 @@ snapshot round trip through ``repro fsck``.
 """
 
 import base64
-import dataclasses
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from repro.budget import DeadlineExceeded, QueryBudget
 from repro.cli import main
 from repro.dataset import build_australian_open
-from repro.grammar.runtime import RunPolicy
 from repro.grammar.tennis import build_tennis_fde
 from repro.ir.ann import AnnSnapshotError
 from repro.library import DigitalLibraryEngine, LibraryQuery
@@ -32,8 +30,7 @@ TEXT_QUERY = LibraryQuery(text="net volley approach dream", top_n=10)
 
 def build_engine(workers: int = 1) -> DigitalLibraryEngine:
     dataset = build_australian_open(seed=7, video_shots=4)
-    policy = dataclasses.replace(RunPolicy(), max_workers=workers)
-    engine = DigitalLibraryEngine(dataset, fde=build_tennis_fde(policy=policy))
+    engine = DigitalLibraryEngine(dataset, fde=build_tennis_fde())
     engine.indexer.index_all(limit=N_VIDEOS, workers=workers)
     engine.build_ann_index(n_cells=4, seed=0)
     return engine

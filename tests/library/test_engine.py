@@ -231,22 +231,26 @@ class TestTextBaseline:
 
 
 class TestCatalogExport:
-    def test_export_tables(self, engine):
-        catalog = engine.indexer.export_to_catalog()
-        assert set(catalog.table_names) == {"videos", "shots", "objects", "events"}
+    """The relational snapshot ``build_relational`` queries."""
+
+    @pytest.fixture
+    def catalog(self, engine):
+        engine.build_relational()
+        return engine._meta_catalog
+
+    def test_export_tables(self, catalog):
+        assert {"videos", "shots", "objects", "events"} <= set(catalog.table_names)
         assert len(catalog.table("videos")) == 3
         assert len(catalog.table("shots")) > 0
 
-    def test_relational_queries_work(self, engine):
-        catalog = engine.indexer.export_to_catalog()
+    def test_relational_queries_work(self, engine, catalog):
         net_ids = catalog.hash_index("events", "label").lookup("net_play")
         model_count = len(
             [e for e in engine.indexer.model.events if e.label == "net_play"]
         )
         assert len(net_ids) == model_count
 
-    def test_join_shots_to_videos(self, engine):
-        catalog = engine.indexer.export_to_catalog()
+    def test_join_shots_to_videos(self, catalog):
         videos = catalog.hash_index("videos", "video_id")
         shot_video_ids = catalog.table("shots").column("video_id")
         assert len(shot_video_ids) > 0

@@ -1,13 +1,12 @@
 """Parallel indexing must be invisible in the results.
 
-The acceptance property of the wave scheduler and the staged committer:
+The acceptance property of the staged committer:
 for any worker count, the final snapshot (tables *and* checksum), the
 journal, and every health report are identical to a sequential run —
 including under fault injection, where failure accounting and quarantine
 transitions happen on worker threads.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -26,12 +25,9 @@ N_VIDEOS = 4
 WORKER_MATRIX = [1, 2, 8]
 
 
-def make_indexer(workers: int, policy: RunPolicy | None = None) -> LibraryIndexer:
+def make_indexer(policy: RunPolicy | None = None) -> LibraryIndexer:
     dataset = build_australian_open(seed=7, video_shots=4)
-    if policy is None:
-        policy = RunPolicy()
-    fde = build_tennis_fde(policy=dataclasses.replace(policy, max_workers=workers))
-    return LibraryIndexer(dataset, fde=fde)
+    return LibraryIndexer(dataset, fde=build_tennis_fde(policy=policy))
 
 
 def snapshot_document(path) -> dict:
@@ -69,7 +65,7 @@ def health_projection(indexer: LibraryIndexer) -> list:
 def checkpointed_run(tmp_path, workers, policy=None, fault_plan=None):
     path = tmp_path / f"w{workers}" / "meta.json"
     path.parent.mkdir()
-    indexer = make_indexer(workers, policy=policy)
+    indexer = make_indexer(policy)
     if fault_plan is not None:
         FaultInjector(fault_plan(), indexer.fde.registry).install()
     records = indexer.index_checkpointed(path, limit=N_VIDEOS, workers=workers)
@@ -185,16 +181,16 @@ class TestCrashRecoveryParallel:
 
     def test_resume_after_crash_with_workers(self, tmp_path):
         reference_path = tmp_path / "reference.json"
-        make_indexer(1).index_checkpointed(reference_path, limit=3)
+        make_indexer().index_checkpointed(reference_path, limit=3)
         reference = snapshot_document(reference_path)
 
         path = tmp_path / "meta.json"
-        crashed = make_indexer(4)
+        crashed = make_indexer()
         with CrashPoint("snapshot-pre-replace", after=1):
             with pytest.raises(SimulatedCrash):
                 crashed.index_checkpointed(path, limit=3, workers=4)
 
-        fresh = make_indexer(4)
+        fresh = make_indexer()
         restored = fresh.restore_snapshot(path)
         assert restored == 1
         records = fresh.index_checkpointed(path, limit=3, resume=True, workers=4)

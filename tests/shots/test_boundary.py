@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.shots.boundary import (
-    AdaptiveCutDetector,
     Boundary,
     ThresholdCutDetector,
     TwinComparisonDetector,
@@ -80,23 +79,6 @@ class TestThresholdCutDetector:
             ThresholdCutDetector(0.0)
         with pytest.raises(ValueError):
             ThresholdCutDetector(1.5)
-
-
-class TestAdaptiveCutDetector:
-    def test_finds_cut(self):
-        cuts = AdaptiveCutDetector().detect(two_shot_sequence())
-        assert [b.frame for b in cuts] == [10]
-
-    def test_short_clip_returns_nothing(self):
-        assert AdaptiveCutDetector().detect(solid(10, 2)) == []
-
-    def test_floor_protects_static_clip(self):
-        # Pure noise-free static clip: median/MAD are 0; floor prevents firing.
-        assert AdaptiveCutDetector().detect(solid(77, 30)) == []
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveCutDetector(k=0)
 
 
 class TestTwinComparison:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataset import build_australian_open
-from repro.shots.boundary import AdaptiveCutDetector, TwinComparisonDetector
+from repro.shots.boundary import TwinComparisonDetector
 from repro.shots.segmenter import SegmentDetector
 from repro.streaming import StreamingSegmenter
 
@@ -60,11 +60,6 @@ class TestChunkingInvariance:
 
 
 class TestGuards:
-    def test_rejects_adaptive_detector(self):
-        batch = SegmentDetector(boundary_detector=AdaptiveCutDetector())
-        with pytest.raises(TypeError):
-            StreamingSegmenter(batch)
-
     def test_gap_target_before_ingested_frames(self, clip):
         seg = StreamingSegmenter()
         seg.push([clip[i] for i in range(24)])

@@ -316,9 +316,9 @@ class TestCrashResume:
     def test_record_gap_then_kill_loses_and_doubles_no_shot(
         self, tmp_path, plan_and_clip, batch_bytes
     ):
-        """Tail shots flushed by ``record_gap`` live in memory until the
-        next commit; a kill before it must neither lose them (resume
-        replays from the durable watermark) nor double them."""
+        """The tail a ``record_gap`` leaves is finalised by the next
+        chunk's ``segment`` run; a kill before that commit must neither
+        lose it (resume replays from the durable watermark) nor double it."""
         plan, clip = plan_and_clip
         path = tmp_path / "meta.json"
         journal_path = tmp_path / "meta.journal"
@@ -328,7 +328,8 @@ class TestCrashResume:
         chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
         for chunk in chunks[:3]:
             session.push_chunk(chunk)
-        assert session.record_gap(chunks[4].start) > 0  # chunk 3 was shed
+        session.record_gap(chunks[4].start)  # chunk 3 was shed
+        assert session.watermark < chunks[3].start  # a tail is pending
         with CrashPoint("chunk-pre-snapshot"), pytest.raises(SimulatedCrash):
             session.push_chunk(chunks[4])
         resume_and_finish(path, journal_path, plan, clip)
@@ -342,10 +343,12 @@ class TestCrashResume:
         chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
         for chunk in chunks[:3]:
             session.push_chunk(chunk)
-        flushed = session.record_gap(chunks[4].start)
+        watermark = session.watermark
+        session.record_gap(chunks[4].start)
         session.push_chunk(chunks[4])
         durable = load_model(path)
-        assert flushed > 0
+        flushed = [s for s in durable.shots if watermark <= s.start and s.stop <= chunks[3].start]
+        assert flushed
         assert [(s.start, s.stop) for s in durable.shots] == [
             (s.start, s.stop) for s in indexer.model.shots
         ]

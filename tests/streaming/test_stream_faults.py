@@ -1,12 +1,12 @@
 """One fault semantics for both ingest paths.
 
-A stream's shots are parsed by the FDE, so a failing detector does to a
-chunked run what it does to a batch run: the runner retries it, the
-isolation policy skips its subtree (the video commits degraded) or,
-under ``fail_fast``, rolls the chunk back and raises.  The regression
-tests pin the holes the separate streaming detector path had; the fault
-matrix states the gate once: E12's detectors downstream of ``segment``
-× {permanent every attempt, transient once} × {``skip_subtree``,
+The FDE parses every chunk of a stream, ``segment`` included, so a
+failing detector does to a chunked run what it does to a batch run: the
+runner retries it, the isolation policy skips its subtree (the video
+commits degraded) or, under ``fail_fast``, rolls the chunk back and
+raises.  The regression tests pin the holes separate streaming detector
+paths had; the fault matrix states the gate once: E12's detectors ×
+{permanent every attempt, transient once} × {``skip_subtree``,
 ``quarantine``}, batch vs ``chunk_frames=24``, same health, same
 degraded commits, same bytes.
 """
@@ -33,7 +33,7 @@ from repro.streaming import StreamSession, iter_chunks
 
 CHUNK = 24
 N_VIDEOS = 3
-SHOT_DETECTORS = ("tennis", "shape", "rules")
+DETECTORS = ("segment", "tennis", "shape", "rules")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -83,7 +83,7 @@ def degraded_everywhere(indexer, path, name):
 
 
 def statuses(report):
-    return {name: report.outcomes[name].status for name in SHOT_DETECTORS}
+    return {name: report.outcomes[name].status for name in DETECTORS}
 
 
 def layers(indexer, name):
@@ -194,6 +194,36 @@ class TestRegressions:
             assert layers(fresh, plan.name) == layers(control, plan.name)
         assert fsck(path, tmp_path / "meta.journal").problems == []
 
+    @pytest.mark.parametrize("chunk_frames", [None, CHUNK])
+    def test_segment_retry_after_its_body_ran_leaves_no_trace(self, tmp_path, chunk_frames):
+        """``segment``'s first attempt that registers a shot raises after
+        its body ran; the retry must neither re-push the frames nor keep
+        that attempt's shots."""
+        policy = RunPolicy(max_retries=1, backoff_base=0.0)
+        control, _ = index(tmp_path, "control", chunk_frames=chunk_frames, policy=policy)
+        fired = []
+
+        def raise_once_after(fn):
+            def run(context):
+                fn(context)
+                if not fired and context.tokens["shot"]:
+                    fired.append(context.clip.name)
+                    raise TransientDetectorError("after the body ran", detector="segment")
+
+            return run
+
+        indexer = make_indexer(policy=policy)
+        indexer.fde.registry.wrap("segment", raise_once_after)
+        path = tmp_path / "faulted" / "meta.json"
+        path.parent.mkdir()
+        indexer.index_checkpointed(path, limit=1, chunk_frames=chunk_frames)
+        name = indexer.dataset.video_plans[0].name
+        assert fired == [name]
+        assert layers(indexer, name) == layers(control, name)
+        segment = indexer.health_reports()[0].outcomes["segment"]
+        assert (segment.status.value, segment.retries) == ("ok", 1)
+        assert fsck(path, default_journal_path(path)).problems == []
+
 
 POLICIES = {
     "skip_subtree": RunPolicy(
@@ -214,7 +244,7 @@ FAULTS = {
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("detector", SHOT_DETECTORS)
+@pytest.mark.parametrize("detector", DETECTORS)
 def test_chunked_fault_semantics_equal_batch(tmp_path, detector, fault, policy):
     """The same fault on every video gives the same per-detector status,
     degraded flags, quarantine and snapshot bytes, batch or chunked."""
