@@ -51,6 +51,7 @@ from repro.grammar.runtime import (
     IsolationPolicy,
     RunPolicy,
 )
+from repro.grammar.schedule import execution_order
 
 __all__ = ["FeatureDetectorEngine", "RevalidationReport", "StagedVideo"]
 
@@ -174,12 +175,7 @@ class FeatureDetectorEngine:
         # The grammar is validated here and never mutated after, so the
         # DAG, its order and every node's downstream set are derived once.
         self._graph = self._build_graph()
-        depth: dict[str, int] = {}
-        for node in nx.topological_sort(self._graph):
-            preds = self._graph.predecessors(node)
-            depth[node] = max((depth[p] for p in preds), default=-1) + 1
-        del depth[grammar.axiom]
-        self._order = tuple(sorted(depth, key=lambda node: (depth[node], node)))
+        self._order = execution_order(self._graph, grammar.axiom)
         self._downstream = {
             node: frozenset(nx.descendants(self._graph, node)) for node in self._graph
         }

@@ -1,121 +1,36 @@
-"""Wave-scheduling primitives for the parallel Feature Detector Engine.
+"""The Feature Detector Engine's execution order.
 
-The FDE walks the detector dependency DAG (Figure 1 of the paper) in a
-deterministic topological order.  Independent branches of that DAG —
-audio vs. vision features, sibling extractors over the same token — are
-embarrassingly parallel, but naive concurrency would destroy a property
-the storage layer depends on: meta-index identifiers are handed out by
-per-layer sequential counters, so the *order* of model mutations decides
-the bytes of every snapshot.
-
-This module provides the pieces that make concurrency deterministic:
-
-- :func:`wave_partition` — split the DAG into *waves* (all detectors at
-  the same longest-path depth, lexicographically ordered).  Detectors in
-  one wave are mutually independent; the concatenation of the waves is
-  the engine's canonical execution order, identical for sequential and
-  parallel runs.
-- :class:`WaveTurnstile` — the commit gate of one wave.  Detector *i*
-  of the wave may first touch the shared meta-index only once detectors
-  ``0..i-1`` have finished, so model mutations happen in canonical order
-  even though detector *compute* overlaps freely.
-- :class:`GatedModel` — a transparent model proxy that blocks on the
-  turnstile at the first attribute access and then delegates verbatim.
-
-Deadlock freedom: waves are submitted to a FIFO thread pool in turnstile
-order, so the lowest-ranked unfinished detector of a wave has always
-been started and never waits on anything unfinished.  Every other
-detector waits only on lower ranks, which finish first.
+The FDE walks the detector dependency DAG (Figure 1 of the paper) in one
+deterministic topological order.  Meta-index identifiers are handed out
+by per-layer sequential counters, so the *order* of model mutations
+decides the bytes of every snapshot: the order must not depend on set
+iteration, insertion order or anything but the grammar itself.
 """
 
 from __future__ import annotations
 
-import threading
-
 import networkx as nx
 
-__all__ = ["wave_partition", "WaveTurnstile", "GatedModel"]
+__all__ = ["execution_order"]
 
 
-def wave_partition(graph: nx.DiGraph, axiom: str) -> list[list[str]]:
-    """Partition the detector DAG into dependency waves.
+def execution_order(graph: nx.DiGraph, axiom: str) -> tuple[str, ...]:
+    """Order the detectors of a dependency DAG for execution.
 
-    A detector's wave is its longest-path depth from the axiom; within a
-    wave, detectors are sorted lexicographically.  Every detector's
-    producers live in strictly earlier waves, so the detectors of one
-    wave are mutually independent and may run concurrently.
+    Detectors sort by their longest-path depth from the axiom, then by
+    name.  Every detector's producers have a strictly smaller depth, so
+    the order is topological.
 
     Args:
         graph: the dependency DAG (axiom plus detectors).
-        axiom: the axiom node, excluded from the partition.
+        axiom: the axiom node, excluded from the order.
 
     Returns:
-        Waves in dependency order; flattening them yields the canonical
-        execution order.
+        The detector names in execution order.
     """
     depth: dict[str, int] = {}
     for node in nx.topological_sort(graph):
-        preds = list(graph.predecessors(node))
+        preds = graph.predecessors(node)
         depth[node] = max((depth[p] for p in preds), default=-1) + 1
-    buckets: dict[int, list[str]] = {}
-    for node, level in depth.items():
-        if node == axiom:
-            continue
-        buckets.setdefault(level, []).append(node)
-    return [sorted(buckets[level]) for level in sorted(buckets)]
-
-
-class WaveTurnstile:
-    """Commit-order gate for the detectors of one wave.
-
-    Args:
-        order: the wave's runnable detectors, in canonical order.  Rank
-            *i* may pass :meth:`wait_turn` only once ranks ``0..i-1``
-            have called :meth:`finish`.
-    """
-
-    def __init__(self, order: list[str]):
-        self._rank = {name: index for index, name in enumerate(order)}
-        self._finished: set[int] = set()
-        self._prefix_done = 0
-        self._cond = threading.Condition()
-
-    def wait_turn(self, name: str) -> None:
-        """Block until every lower-ranked detector of the wave finished."""
-        rank = self._rank[name]
-        with self._cond:
-            self._cond.wait_for(lambda: self._prefix_done >= rank)
-
-    def finish(self, name: str) -> None:
-        """Mark *name* finished, releasing the next rank(s) in line.
-
-        Must be called exactly once per detector, success or failure —
-        schedulers call it from a ``finally`` block.
-        """
-        with self._cond:
-            self._finished.add(self._rank[name])
-            while self._prefix_done in self._finished:
-                self._prefix_done += 1
-            self._cond.notify_all()
-
-
-class GatedModel:
-    """Meta-index proxy that defers first access to the commit turn.
-
-    Detector compute (segmentation, tracking, classification) runs
-    freely in parallel; the moment the detector reaches for the shared
-    model — to register a shot, object or event — it waits for its wave
-    turn, so identifier assignment is byte-identical to a sequential
-    pass.  After the first access every attribute delegates verbatim.
-    """
-
-    __slots__ = ("_model", "_gate", "_name")
-
-    def __init__(self, model, gate: WaveTurnstile, name: str):
-        self._model = model
-        self._gate = gate
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        self._gate.wait_turn(self._name)
-        return getattr(self._model, attr)
+    del depth[axiom]
+    return tuple(sorted(depth, key=lambda node: (depth[node], node)))
