@@ -28,10 +28,6 @@ class WordSegment:
         if self.start < 0 or self.stop <= self.start:
             raise ValueError(f"invalid segment [{self.start}, {self.stop})")
 
-    @property
-    def length(self) -> int:
-        return self.stop - self.start
-
 
 def segment_words(
     signal: AudioSignal,

@@ -42,10 +42,6 @@ class KeywordSpotter:
             for word in vocabulary
         }
 
-    @property
-    def vocabulary(self) -> list[str]:
-        return sorted(self._signatures)
-
     def classify_segment(
         self, signal: AudioSignal, segment: WordSegment
     ) -> tuple[str | None, float]:

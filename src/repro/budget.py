@@ -138,13 +138,6 @@ class QueryBudget:
             raise ValueError(f"tick_stride must be >= 1, got {self.tick_stride}")
         self.started = self.clock()
 
-    @property
-    def deadline(self) -> float | None:
-        """Absolute expiry on the budget's clock (``None`` = never)."""
-        if self.seconds is None:
-            return None
-        return self.started + self.seconds
-
     def remaining(self) -> float | None:
         """Seconds left before expiry (may be negative; ``None`` = unbounded)."""
         if self.seconds is None:

@@ -921,13 +921,13 @@ def _cmd_stream(args) -> int:
         iter_chunks,
     )
 
+    config = StreamConfig(
+        queue_chunks=args.queue_chunks, freshness_slo=args.slo_ms / 1e3
+    )
     dataset = build_australian_open(seed=args.seed)
     engine = DigitalLibraryEngine(dataset)
     service = LibrarySearchService(engine)
     journal = IndexingJournal(args.journal or default_journal_path(args.out))
-    config = StreamConfig(
-        queue_chunks=args.queue_chunks, freshness_slo=args.slo_ms / 1e3
-    )
 
     in_flight: set[str] = set()
     if args.resume:

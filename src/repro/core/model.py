@@ -187,12 +187,6 @@ class CobraModel:
     def shot(self, shot_id: int) -> ShotRecord:
         return self._shots[shot_id]
 
-    def object(self, object_id: int) -> VideoObject:
-        return self._objects[object_id]
-
-    def event(self, event_id: int) -> Event:
-        return self._events[event_id]
-
     def shots_of(self, video_id: int, category: str | None = None) -> list[ShotRecord]:
         """Shots of a video, optionally filtered by category, in time order."""
         shots = [s for s in self._shots.values() if s.video_id == video_id]
@@ -281,10 +275,6 @@ class CobraModel:
     def clear_events_of_video(self, video_id: int) -> int:
         """Remove all events of a video; returns how many were removed."""
         return self.clear_events_of_shots(self._shot_ids_of(video_id))
-
-    def clear_objects_of_video(self, video_id: int) -> int:
-        """Remove all objects of a video (cascades to their events)."""
-        return self.clear_objects_of_shots(self._shot_ids_of(video_id))
 
     def clear_shots_of_video(self, video_id: int, since: int = 0) -> int:
         """Remove the shots of a video starting at or after frame *since*

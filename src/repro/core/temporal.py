@@ -63,9 +63,6 @@ class Interval:
     def contains_frame(self, frame: int) -> bool:
         return self.start <= frame < self.stop
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.start < other.stop and other.start < self.stop
-
     def intersection(self, other: "Interval") -> "Interval | None":
         start = max(self.start, other.start)
         stop = min(self.stop, other.stop)

@@ -79,12 +79,6 @@ class TournamentDataset:
     match_objects: dict[str, WebspaceObject] = field(default_factory=dict)
     player_objects: dict[str, WebspaceObject] = field(default_factory=dict)
 
-    def plan_for(self, match_title: str) -> VideoPlan:
-        for plan in self.video_plans:
-            if plan.match_title == match_title:
-                return plan
-        raise KeyError(f"no video plan for match {match_title!r}")
-
 
 def build_australian_open(
     seed: int = 0,

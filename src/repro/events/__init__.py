@@ -12,7 +12,7 @@ adds a stochastic recogniser; we implement both:
 - :mod:`repro.events.quantize` — trajectories to court zones and
   observation symbols.
 - :mod:`repro.events.hmm` — discrete hidden Markov models
-  (forward/backward, Viterbi, Baum–Welch).
+  (forward/backward, Baum–Welch).
 - :mod:`repro.events.recognizer` — shot-level recognisers: rule-based,
   HMM maximum-likelihood, and a combined voter.
 

@@ -2,9 +2,9 @@
 
 The stochastic event recogniser of Petković & Jonker (2001) models each
 event class with an HMM over quantised trajectory symbols and classifies
-by maximum likelihood.  This is a complete discrete-HMM implementation:
-scaled forward/backward, Viterbi decoding, and Baum–Welch training over
-multiple observation sequences.
+by maximum likelihood.  This discrete-HMM implementation has what that
+classifier needs: scaled forward/backward for the likelihood, and
+Baum–Welch training over multiple observation sequences.
 """
 
 from __future__ import annotations
@@ -100,27 +100,6 @@ class DiscreteHMM:
         seq = self._check_sequence(sequence)
         _alpha, scales = self._forward(seq)
         return float(np.log(scales).sum())
-
-    def viterbi(self, sequence: np.ndarray) -> np.ndarray:
-        """Most probable hidden state path (log-space Viterbi)."""
-        seq = self._check_sequence(sequence)
-        with np.errstate(divide="ignore"):
-            log_start = np.log(self.start)
-            log_trans = np.log(self.transition)
-            log_emit = np.log(self.emission)
-        t_len = len(seq)
-        delta = np.zeros((t_len, self.n_states))
-        psi = np.zeros((t_len, self.n_states), dtype=np.int64)
-        delta[0] = log_start + log_emit[:, seq[0]]
-        for t in range(1, t_len):
-            candidates = delta[t - 1][:, None] + log_trans
-            psi[t] = candidates.argmax(axis=0)
-            delta[t] = candidates.max(axis=0) + log_emit[:, seq[t]]
-        path = np.zeros(t_len, dtype=np.int64)
-        path[-1] = int(delta[-1].argmax())
-        for t in range(t_len - 2, -1, -1):
-            path[t] = psi[t + 1][path[t + 1]]
-        return path
 
     # ------------------------------------------------------------------ #
     # Training

@@ -107,9 +107,6 @@ class DetectorRegistry:
             raise KeyError(f"no detector implementation registered for {name!r}")
         return self._entries[name].fn
 
-    def kind(self, name: str) -> str:
-        return self._entries[name].kind
-
     def version(self, name: str) -> int:
         return self._entries[name].version
 

@@ -89,15 +89,6 @@ class FeatureGrammar:
                 return decl
         raise KeyError(f"no detector named {name!r}")
 
-    @property
-    def tokens(self) -> set[str]:
-        """All meta-data tokens, including the axiom."""
-        out = {self.axiom}
-        for decl in self.detectors:
-            out.update(decl.inputs)
-            out.update(decl.outputs)
-        return out
-
     def producer_of(self, token: str) -> DetectorDecl | None:
         """The detector producing *token* (None for the axiom)."""
         for decl in self.detectors:
@@ -149,16 +140,6 @@ class FeatureGrammar:
 
         for decl in self.detectors:
             visit(decl.name)
-
-    def dependencies_of(self, name: str) -> list[str]:
-        """Names of detectors whose outputs *name* consumes."""
-        decl = self.detector(name)
-        deps = []
-        for token in decl.inputs:
-            producer = self.producer_of(token)
-            if producer is not None and producer.name not in deps:
-                deps.append(producer.name)
-        return deps
 
 
 _HEADER_RE = re.compile(r"^\s*FEATURE\s+GRAMMAR\s+(\w+)\s*;\s*", re.IGNORECASE)

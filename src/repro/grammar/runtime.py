@@ -282,10 +282,6 @@ class IndexingHealthReport:
         return self._names(DetectorStatus.QUARANTINED)
 
     @property
-    def total_attempts(self) -> int:
-        return sum(o.attempts for o in self.outcomes.values())
-
-    @property
     def total_retries(self) -> int:
         return sum(o.retries for o in self.outcomes.values())
 

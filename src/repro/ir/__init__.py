@@ -13,8 +13,8 @@ fragmentation:
 - :mod:`repro.ir.collection` — the document collection,
 - :mod:`repro.ir.inverted_index` — the inverted index over packed
   postings arrays,
-- :mod:`repro.ir.packed` — the packed storage substrate: delta+varint
-  codecs, roaring-style bitmaps, pooled scoring buffers,
+- :mod:`repro.ir.packed` — the packed storage substrate: parallel
+  postings arrays, exact scoring kernels, pooled scoring buffers,
 - :mod:`repro.ir.ranking` — tf-idf and BM25 scoring (vectorized),
 - :mod:`repro.ir.topn` — horizontally fragmented index with
   early-terminating top-N evaluation (the Blok et al. optimization),
@@ -31,7 +31,7 @@ from repro.ir.stopwords import STOPWORDS
 from repro.ir.stemmer import porter_stem
 from repro.ir.collection import Document, DocumentCollection
 from repro.ir.inverted_index import InvertedIndex, Posting
-from repro.ir.packed import Bitmap, PackedPostings, ScorePool
+from repro.ir.packed import PackedPostings, ScorePool
 from repro.ir.ranking import tf_idf_score, bm25_score, RankedHit
 from repro.ir.topn import FragmentedIndex, TopNResult
 from repro.ir.ann import AnnIndex, AnnSnapshotError, ShotVectorizer
@@ -39,7 +39,6 @@ from repro.ir.ann import AnnIndex, AnnSnapshotError, ShotVectorizer
 __all__ = [
     "AnnIndex",
     "AnnSnapshotError",
-    "Bitmap",
     "PackedPostings",
     "ScorePool",
     "ShotVectorizer",

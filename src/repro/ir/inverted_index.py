@@ -7,9 +7,6 @@ rewrite each term's postings live as *packed parallel NumPy arrays*
 :class:`Posting` objects — the layout a main-memory column engine like
 the paper's Monet substrate scans.  The object API (:meth:`postings`)
 is preserved for callers that want materialised pairs.
-
-The index can export its relational representation to
-:mod:`repro.storage` tables (the paper runs IR *inside* the DBMS).
 """
 
 from __future__ import annotations
@@ -19,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ir.collection import DocumentCollection
-from repro.ir.packed import (
-    PackedPostings,
-    bm25_term_weights,
-    intersect_sorted,
-    tfidf_term_weights,
-    union_sorted,
-)
-from repro.storage.catalog import Catalog
+from repro.ir.packed import PackedPostings, bm25_term_weights, tfidf_term_weights
 
 __all__ = ["Posting", "InvertedIndex"]
 
@@ -170,72 +160,3 @@ class InvertedIndex:
 
     def total_postings(self) -> int:
         return sum(p.df for p in self._packed.values())
-
-    # ------------------------------------------------------------------ #
-    # Boolean retrieval — packed AND/OR
-    # ------------------------------------------------------------------ #
-
-    def matching_docs(self, query_terms: list[str], mode: str = "and") -> np.ndarray:
-        """Ascending doc ids matching the AND/OR of *query_terms*.
-
-        Dense terms (>= 1/16 of the collection) take the roaring-style
-        bitmap path — bitwise words instead of sorted merges; sparse
-        combinations use whole-array sorted intersection/union.  Results
-        match :func:`repro.ir.reference.boolean_docs_reference` exactly.
-        """
-        if mode not in ("and", "or"):
-            raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
-        if not query_terms:
-            return np.empty(0, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        arrays: list[np.ndarray] = []
-        packs: list[PackedPostings | None] = []
-        for term in query_terms:
-            packed = self._packed.get(term)
-            packs.append(packed)
-            arrays.append(empty if packed is None else packed.doc_ids)
-        universe = max(self._indexed_docs, 1)
-        all_dense = all(p is not None and p.is_dense(universe) for p in packs)
-        if all_dense and len(arrays) > 1:
-            bitmap = packs[0].bitmap(universe)
-            for packed in packs[1:]:
-                other = packed.bitmap(universe)
-                bitmap = bitmap & other if mode == "and" else bitmap | other
-            return bitmap.ids()
-        result = arrays[0]
-        for ids in arrays[1:]:
-            result = intersect_sorted(result, ids) if mode == "and" else union_sorted(result, ids)
-            if mode == "and" and result.size == 0:
-                break
-        return np.asarray(result, dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    # Database export — "the database approach"
-    # ------------------------------------------------------------------ #
-
-    def export_to_catalog(self, catalog: Catalog, prefix: str = "ir") -> None:
-        """Materialise the index as ``<prefix>_postings`` / ``<prefix>_docs``.
-
-        This is the relational representation the Blok et al. engine
-        operates on: one postings table (term, doc, tf) and one document
-        statistics table.
-        """
-        postings = catalog.create_table(
-            f"{prefix}_postings", {"term": "str", "doc_id": "int", "tf": "int"}
-        )
-        for term in self.vocabulary:
-            packed = self._packed[term]
-            for doc_id, tf in zip(packed.doc_ids.tolist(), packed.tfs.tolist()):
-                postings.append({"term": term, "doc_id": doc_id, "tf": tf})
-        docs = catalog.create_table(
-            f"{prefix}_docs", {"doc_id": "int", "name": "str", "length": "int"}
-        )
-        for doc in self.collection:
-            docs.append(
-                {
-                    "doc_id": doc.doc_id,
-                    "name": doc.name,
-                    "length": self.doc_length(doc.doc_id),
-                }
-            )
-        catalog.create_hash_index(f"{prefix}_postings", "term")

@@ -7,12 +7,6 @@ same substrate:
 
 - **Packed arrays** — a term's postings are two parallel NumPy vectors
   (``doc_ids`` ascending, ``tfs``), scanned whole-array at a time.
-- **Delta + varint compression** — sorted doc ids are gap-encoded and
-  LEB128-packed (:func:`encode_delta_varint`), the classic inverted-file
-  compression; both codecs are fully vectorized (no per-value Python).
-- **Roaring-style bitmaps** — dense terms additionally expose a
-  :class:`Bitmap` (one bit per document) so AND/OR intersection becomes
-  bitwise ops over ``uint64`` words instead of merges.
 - **Pooled scoring buffers** — :class:`ScorePool` hands out reusable
   dense accumulator arrays so per-query allocation disappears from the
   top-N path.
@@ -33,176 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Bitmap",
     "PackedPostings",
     "ScoreBuffer",
     "ScorePool",
     "bm25_term_weights",
-    "decode_delta_varint",
-    "decode_varint",
-    "encode_delta_varint",
-    "encode_varint",
-    "intersect_sorted",
     "tfidf_term_weights",
-    "union_sorted",
 ]
-
-#: Longest legal LEB128 encoding of a uint64 value.
-_MAX_VARINT_BYTES = 10
-
-#: A term is "dense" when it covers at least this fraction of documents;
-#: dense terms get a bitmap and boolean ops use bitwise words.
-DENSE_FRACTION = 1.0 / 16.0
-
-
-# ---------------------------------------------------------------------- #
-# Varint (LEB128) + delta codecs, vectorized
-# ---------------------------------------------------------------------- #
-
-
-def encode_varint(values: np.ndarray) -> bytes:
-    """LEB128-encode an array of unsigned integers, vectorized.
-
-    Each value is written as 1..10 bytes of 7 payload bits with the high
-    bit flagging continuation.  The loop below runs once per *byte
-    position* (at most 10 iterations), never per value.
-    """
-    v = np.ascontiguousarray(np.asarray(values, dtype=np.uint64))
-    if v.size == 0:
-        return b""
-    # Bytes needed per value: number of 7-bit groups, at least one.
-    nbytes = np.ones(v.shape, dtype=np.int64)
-    shifted = v >> np.uint64(7)
-    while shifted.any():
-        nbytes += (shifted != 0).astype(np.int64)
-        shifted >>= np.uint64(7)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    out = np.empty(int(ends[-1]), dtype=np.uint8)
-    for pos in range(int(nbytes.max())):
-        member = nbytes > pos
-        payload = (v[member] >> np.uint64(7 * pos)) & np.uint64(0x7F)
-        cont = (nbytes[member] > pos + 1).astype(np.uint8) << 7
-        out[starts[member] + pos] = payload.astype(np.uint8) | cont
-    return out.tobytes()
-
-
-def decode_varint(blob: bytes) -> np.ndarray:
-    """Decode a LEB128 byte string back to a ``uint64`` array, vectorized.
-
-    Raises:
-        ValueError: on a truncated stream (trailing continuation bit) or
-            an over-long encoding (> 10 bytes for one value).
-    """
-    raw = np.frombuffer(blob, dtype=np.uint8)
-    if raw.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    terminal = (raw & 0x80) == 0
-    if not terminal[-1]:
-        raise ValueError("truncated varint stream: ends mid-value")
-    ends = np.nonzero(terminal)[0]
-    starts = np.concatenate(([0], ends[:-1] + 1)).astype(np.int64)
-    lengths = ends - starts + 1
-    if int(lengths.max()) > _MAX_VARINT_BYTES:
-        raise ValueError("over-long varint encoding (> 10 bytes)")
-    # Position of every byte inside its value: index minus value start.
-    within = np.arange(raw.size, dtype=np.int64) - np.repeat(starts, lengths)
-    shifted = (raw & 0x7F).astype(np.uint64) << (np.uint64(7) * within.astype(np.uint64))
-    return np.add.reduceat(shifted, starts)
-
-
-def encode_delta_varint(sorted_ids: np.ndarray) -> bytes:
-    """Gap-encode ascending ids, then varint-pack the gaps.
-
-    The first id is stored absolutely; every later entry stores its
-    difference from the predecessor.  Ids must be non-decreasing.
-    """
-    ids = np.asarray(sorted_ids, dtype=np.uint64)
-    if ids.size == 0:
-        return b""
-    deltas = np.empty(ids.shape, dtype=np.uint64)
-    deltas[0] = ids[0]
-    deltas[1:] = ids[1:] - ids[:-1]
-    if ids.size > 1 and (ids[1:] < ids[:-1]).any():
-        raise ValueError("ids must be sorted ascending for delta encoding")
-    return encode_varint(deltas)
-
-
-def decode_delta_varint(blob: bytes) -> np.ndarray:
-    """Invert :func:`encode_delta_varint` back to the ascending id array."""
-    deltas = decode_varint(blob)
-    return np.cumsum(deltas, dtype=np.uint64)
-
-
-# ---------------------------------------------------------------------- #
-# Roaring-style bitmap
-# ---------------------------------------------------------------------- #
-
-
-class Bitmap:
-    """A dense document-id set: one bit per document in ``uint64`` words.
-
-    This is the "dense container" half of a roaring bitmap — terms whose
-    postings cover a meaningful fraction of the collection intersect and
-    union via single bitwise operations over packed words.
-
-    Args:
-        words: little-endian bit-packed membership words.
-        universe: number of representable ids (``0 .. universe - 1``).
-    """
-
-    __slots__ = ("words", "universe")
-
-    def __init__(self, words: np.ndarray, universe: int):
-        self.words = np.asarray(words, dtype=np.uint64)
-        self.universe = int(universe)
-
-    @classmethod
-    def from_ids(cls, ids: np.ndarray, universe: int) -> "Bitmap":
-        """Build from an array of unique ids below *universe*."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= universe):
-            raise ValueError("bitmap ids out of universe range")
-        words = np.zeros((universe + 63) // 64, dtype=np.uint64)
-        if ids.size:
-            word_index = (ids >> 6).astype(np.int64)
-            bits = np.uint64(1) << (ids.astype(np.uint64) & np.uint64(63))
-            np.bitwise_or.at(words, word_index, bits)
-        return cls(words, universe)
-
-    def ids(self) -> np.ndarray:
-        """Member ids, ascending ``int64``."""
-        if self.words.size == 0:
-            return np.empty(0, dtype=np.int64)
-        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        members = np.nonzero(bits[: self.universe])[0]
-        return members.astype(np.int64)
-
-    def count(self) -> int:
-        """Popcount: number of member ids."""
-        if self.words.size == 0:
-            return 0
-        return int(np.unpackbits(self.words.view(np.uint8), bitorder="little").sum())
-
-    def _aligned(self, other: "Bitmap") -> None:
-        if self.universe != other.universe:
-            raise ValueError(
-                f"bitmap universes differ: {self.universe} vs {other.universe}"
-            )
-
-    def __and__(self, other: "Bitmap") -> "Bitmap":
-        self._aligned(other)
-        return Bitmap(self.words & other.words, self.universe)
-
-    def __or__(self, other: "Bitmap") -> "Bitmap":
-        self._aligned(other)
-        return Bitmap(self.words | other.words, self.universe)
-
-    def __contains__(self, doc_id: int) -> bool:
-        if not 0 <= doc_id < self.universe:
-            return False
-        word = int(self.words[doc_id >> 6])
-        return bool((word >> (doc_id & 63)) & 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -235,44 +65,6 @@ class PackedPostings:
     def df(self) -> int:
         """Document frequency: how many documents hold the term."""
         return int(self.doc_ids.size)
-
-    def is_dense(self, universe: int) -> bool:
-        """Whether this term qualifies for the bitmap boolean path."""
-        return universe > 0 and self.df >= universe * DENSE_FRACTION
-
-    def bitmap(self, universe: int) -> Bitmap:
-        """Membership bitmap over ``0 .. universe - 1``."""
-        return Bitmap.from_ids(self.doc_ids, universe)
-
-    # -- wire format ---------------------------------------------------- #
-
-    def to_blobs(self) -> tuple[bytes, bytes]:
-        """Serialise to ``(delta-varint ids, varint tfs)`` byte strings."""
-        return encode_delta_varint(self.doc_ids), encode_varint(self.tfs)
-
-    @classmethod
-    def from_blobs(cls, id_blob: bytes, tf_blob: bytes) -> "PackedPostings":
-        """Decode :meth:`to_blobs` output back into packed arrays."""
-        doc_ids = decode_delta_varint(id_blob).astype(np.int64)
-        tfs = decode_varint(tf_blob).astype(np.int64)
-        if doc_ids.shape != tfs.shape:
-            raise ValueError("postings blobs decode to mismatched lengths")
-        return cls(doc_ids=doc_ids, tfs=tfs)
-
-
-# ---------------------------------------------------------------------- #
-# Sorted-array boolean ops
-# ---------------------------------------------------------------------- #
-
-
-def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AND of two ascending unique id arrays."""
-    return np.intersect1d(a, b, assume_unique=True)
-
-
-def union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """OR of two ascending unique id arrays."""
-    return np.union1d(a, b)
 
 
 # ---------------------------------------------------------------------- #

@@ -21,7 +21,6 @@ from repro.ir.topn import TopNResult
 
 __all__ = [
     "ReferenceFragmentedIndex",
-    "boolean_docs_reference",
     "rank_full_scan_reference",
     "replicate_collection",
 ]
@@ -77,25 +76,6 @@ def rank_full_scan_reference(
     hits = [RankedHit(score=s, doc_id=d) for d, s in accumulators.items()]
     hits.sort(key=lambda h: (-h.score, h.doc_id))
     return hits[:n]
-
-
-def boolean_docs_reference(
-    index: InvertedIndex, query_terms: list[str], mode: str = "and"
-) -> list[int]:
-    """AND/OR document sets by Python set algebra (reference semantics).
-
-    Unknown terms contribute the empty set: an AND containing one is
-    empty, an OR ignores it.  An empty term list is empty either way.
-    """
-    if mode not in ("and", "or"):
-        raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
-    sets = [{p.doc_id for p in index.postings(term)} for term in query_terms]
-    if not sets:
-        return []
-    result = sets[0]
-    for docs in sets[1:]:
-        result = result & docs if mode == "and" else result | docs
-    return sorted(result)
 
 
 class ReferenceFragmentedIndex:

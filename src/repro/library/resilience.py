@@ -10,10 +10,10 @@ failure count, the classic closed → open → half-open machine) and
 immediately instead of timing out every time.
 
 :class:`ResilienceConfig` bundles every knob of the overload story
-(admission capacity, queue bounds, default budgets, breaker tuning,
+(admission capacity, queue bounds, default budget, breaker tuning,
 ladder toggles) so :class:`~repro.library.service.LibrarySearchService`
-takes one optional argument; ``resilience=None`` keeps the PR 4
-fast path byte-identical.
+takes one optional argument; ``resilience=None`` serves without
+admission, breakers or the ladder, results byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ __all__ = ["BreakerState", "DEGRADABLE_STAGES", "ResilienceConfig", "StageBreake
 #: Stages the degradation ladder may skip: everything except the
 #: concept filter (the query's core) and the final cheap rank merge.
 DEGRADABLE_STAGES = ("text_topn", "sequence_match")
+
+#: Weight of the newest sample in a breaker's EWMA latency.
+EWMA_ALPHA = 0.2
 
 
 class BreakerState(str, Enum):
@@ -46,8 +49,7 @@ class StageBreaker:
     State machine:
 
     - **closed** — the stage runs normally.  ``failure_threshold``
-      consecutive failures, or an EWMA latency above
-      ``latency_threshold``, trip the breaker.
+      consecutive failures trip the breaker.
     - **open** — :meth:`allow` answers ``False`` (the serving layer
       skips the stage) until ``cooldown`` seconds have passed.
     - **half-open** — one probe request runs the stage; success closes
@@ -56,28 +58,24 @@ class StageBreaker:
       than ``cooldown`` — e.g. its query died in an earlier stage — is
       replaced rather than wedging the breaker).
 
-    All methods are thread-safe; the clock is injectable for tests.
+    Every success and timed failure also feeds :attr:`ewma_seconds`
+    (the replica router ranks siblings by it).  All methods are
+    thread-safe; the clock is injectable for tests.
     """
 
     def __init__(
         self,
         *,
         failure_threshold: int = 3,
-        latency_threshold: float | None = None,
         cooldown: float = 1.0,
-        alpha: float = 0.2,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
         if cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.failure_threshold = failure_threshold
-        self.latency_threshold = latency_threshold
         self.cooldown = cooldown
-        self.alpha = alpha
         self._clock = clock
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
@@ -128,21 +126,13 @@ class StageBreaker:
             return True
 
     def record_success(self, seconds: float) -> None:
-        """The stage completed in *seconds*; may close or (on latency) trip."""
+        """The stage completed in *seconds*; a half-open probe closes."""
         with self._lock:
             self._update_ewma(seconds)
             if self._state is BreakerState.HALF_OPEN:
                 self._state = BreakerState.CLOSED
-                self._failures = 0
                 self._probe_at = None
-                return
             self._failures = 0
-            if (
-                self.latency_threshold is not None
-                and self.ewma_seconds is not None
-                and self.ewma_seconds > self.latency_threshold
-            ):
-                self._trip()
 
     def record_failure(self, seconds: float | None = None) -> None:
         """The stage failed (deadline, error); may trip the breaker."""
@@ -168,7 +158,7 @@ class StageBreaker:
         if self.ewma_seconds is None:
             self.ewma_seconds = seconds
         else:
-            self.ewma_seconds = self.alpha * seconds + (1.0 - self.alpha) * self.ewma_seconds
+            self.ewma_seconds = EWMA_ALPHA * seconds + (1.0 - EWMA_ALPHA) * self.ewma_seconds
 
     def _trip(self) -> None:
         self._state = BreakerState.OPEN
@@ -180,7 +170,8 @@ class StageBreaker:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Every knob of the serving layer's overload story.
+    """The knobs of the serving layer's overload story (the read-lock
+    cap is :data:`repro.library.service.LOCK_TIMEOUT`).
 
     Attributes:
         max_concurrent: queries evaluating at once (admission capacity).
@@ -190,32 +181,23 @@ class ResilienceConfig:
             (``queue_timeout``); ``0`` sheds on any queueing.
         budget_seconds: default per-query wall-clock budget applied when
             the caller passes no :class:`~repro.budget.QueryBudget`.
-        budget_postings: default per-query postings budget.
-        lock_timeout: cap on read-lock acquisition (further clamped to
-            the query's remaining budget); ``None`` = budget-only.
         stale_serving: ladder rung 1 — serve the previous generation's
             cached result, labeled ``stale=True``.
         degraded_serving: ladder rung 2 — serve a concept-only partial
             evaluation, labeled ``degraded=True``.
-        breaker_stages: stages guarded by circuit breakers.
-        breaker_failure_threshold / breaker_latency_threshold /
-            breaker_cooldown / breaker_alpha: :class:`StageBreaker`
-            tuning.
+        breaker_failure_threshold / breaker_cooldown:
+            :class:`StageBreaker` tuning for the breakers guarding
+            :data:`DEGRADABLE_STAGES`.
     """
 
     max_concurrent: int = 8
     max_queue: int = 16
     queue_timeout: float = 0.05
     budget_seconds: float | None = None
-    budget_postings: int | None = None
-    lock_timeout: float | None = 1.0
     stale_serving: bool = True
     degraded_serving: bool = True
-    breaker_stages: tuple[str, ...] = DEGRADABLE_STAGES
     breaker_failure_threshold: int = 3
-    breaker_latency_threshold: float | None = None
     breaker_cooldown: float = 1.0
-    breaker_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:

@@ -27,9 +27,9 @@ concurrent use:
   cached result labeled ``stale=True``, (2) a concept-only partial
   evaluation labeled ``degraded=True`` with the skipped stages listed,
   (3) a typed rejection.  Shed requests are rejected fast without
-  touching the read lock.  ``resilience=None`` (the default) keeps the
-  original fast path: results are byte-identical to the unresilient
-  service.
+  touching the read lock.  With ``resilience=None`` (the default) the
+  same evaluation body runs without admission, breakers or the ladder:
+  a deadline or stage error reaches the caller as raised.
 - **Observability.**  Per-stage wall-clock timers (a synthetic ``cache``
   stage for hits, then concept filter, text top-N, scene scan, sequence
   match, rank merge), cache hit/miss/eviction counters,
@@ -59,6 +59,11 @@ from repro.library.query import LibraryQuery
 from repro.library.resilience import DEGRADABLE_STAGES, ResilienceConfig, StageBreaker
 from repro.library.results import SceneResult
 from repro.library.stats import LatencyReservoir
+
+#: Cap on a resilient query's read-lock wait, in seconds (further
+#: clamped to its remaining budget); past it the query is shed as
+#: ``lock_timeout``.
+LOCK_TIMEOUT = 1.0
 
 __all__ = [
     "AdmissionController",
@@ -507,10 +512,11 @@ class LibrarySearchService:
         cache_size: maximum cached result sets (LRU beyond that).
         resilience: optional
             :class:`~repro.library.resilience.ResilienceConfig` enabling
-            admission control, default budgets, circuit breakers and the
-            degradation ladder.  ``None`` keeps the plain path: no
-            admission, no shedding, results byte-identical to the
-            unresilient service.
+            admission control, a default budget, bounded read-lock
+            waits, circuit breakers and the degradation ladder.  With
+            ``None`` the same evaluation runs without them: nothing is
+            shed or degraded, and a deadline or stage error reaches the
+            caller as raised.
 
     Readers call :meth:`search`; writers go through :meth:`index_plan`,
     :meth:`index_checkpointed`, :meth:`refresh_text_index` or
@@ -551,11 +557,9 @@ class LibrarySearchService:
             self._breakers = {
                 stage: StageBreaker(
                     failure_threshold=resilience.breaker_failure_threshold,
-                    latency_threshold=resilience.breaker_latency_threshold,
                     cooldown=resilience.breaker_cooldown,
-                    alpha=resilience.breaker_alpha,
                 )
-                for stage in resilience.breaker_stages
+                for stage in DEGRADABLE_STAGES
             }
         else:
             self._admission = None
@@ -598,59 +602,33 @@ class LibrarySearchService:
         """
         started = time.perf_counter()
         if self.resilience is None:
-            return self._serve_plain(query, started, bypass_cache, budget)
+            return self._serve(query, started, bypass_cache, budget)
         if budget is None:
-            budget = QueryBudget(
-                seconds=self.resilience.budget_seconds,
-                postings=self.resilience.budget_postings,
-            )
+            budget = QueryBudget(seconds=self.resilience.budget_seconds)
         try:
             with self._admission.admit():
-                return self._serve_admitted(query, started, bypass_cache, budget)
+                return self._serve(query, started, bypass_cache, budget)
         except OverloadedError as exc:
             return self._serve_unadmitted(query, started, exc.reason, bypass_cache)
 
-    def _serve_plain(
+    def _serve(
         self,
         query: LibraryQuery,
         started: float,
         bypass_cache: bool,
         budget: QueryBudget | None,
     ) -> ServedQuery:
-        """The original fast path: no admission, no ladder, no shedding."""
-        with self._rw.read():
-            generation = self.engine.generation
-            if not bypass_cache:
-                cached = self._cache.get((generation, query.key))
-                if cached is not None:
-                    return self._serve_hit(cached, generation, started)
-            trace = QueryTrace()
-            results = self.engine.search(query, trace=trace, budget=budget)
-            if not bypass_cache:
-                self._cache.put((generation, query.key), tuple(results))
-        seconds = time.perf_counter() - started
-        self._record(hit=False, seconds=seconds, trace=trace)
-        return ServedQuery(
-            results=results,
-            generation=generation,
-            cache_hit=False,
-            seconds=seconds,
-            trace=trace,
-        )
+        """Evaluate under the read lock (cache first).
 
-    def _serve_admitted(
-        self,
-        query: LibraryQuery,
-        started: float,
-        bypass_cache: bool,
-        budget: QueryBudget,
-    ) -> ServedQuery:
-        """Serve while holding an admission slot; may degrade or shed."""
-        timeout = self.resilience.lock_timeout
-        remaining = budget.remaining()
-        if remaining is not None:
-            timeout = remaining if timeout is None else min(timeout, remaining)
-            timeout = max(0.0, timeout)
+        Without a resilience config a deadline or stage error propagates
+        to the caller; with one (the caller holds an admission slot) the
+        read-lock wait is bounded, tripped breakers skip their stages
+        and a failure walks the degradation ladder.
+        """
+        timeout = None
+        if self.resilience is not None:
+            remaining = budget.remaining()
+            timeout = LOCK_TIMEOUT if remaining is None else max(0.0, min(LOCK_TIMEOUT, remaining))
         with self._rw.read(timeout=timeout):
             generation = self.engine.generation
             if not bypass_cache:
@@ -663,22 +641,21 @@ class LibrarySearchService:
                 results = self.engine.search(
                     query, trace=trace, budget=budget, skip_stages=frozenset(skipped)
                 )
-            except DeadlineExceeded as exc:
-                with self._stats_lock:
-                    self._deadline_exceeded += 1
-                self._breaker_failure(exc.stage, trace)
-                return self._degrade(
-                    query, generation, started, exc.stage, "deadline", budget,
-                    bypass_cache,
-                )
             except OverloadedError:
                 raise
             except Exception as exc:
+                if self.resilience is None:
+                    raise
                 stage = getattr(exc, "stage", None)
+                if isinstance(exc, DeadlineExceeded):
+                    reason = "deadline"
+                    with self._stats_lock:
+                        self._deadline_exceeded += 1
+                else:
+                    reason = "stage_error"
                 self._breaker_failure(stage, trace)
                 return self._degrade(
-                    query, generation, started, stage, "stage_error", budget,
-                    bypass_cache,
+                    query, generation, started, stage, reason, budget, bypass_cache
                 )
             self._record_stage_health(trace, skipped)
             seconds = time.perf_counter() - started
@@ -828,6 +805,8 @@ class LibrarySearchService:
     def _breaker_skips(self, query: LibraryQuery) -> list[str]:
         """Stages a tripped breaker proactively removes from this query."""
         skipped = []
+        if not self._breakers:
+            return skipped
         for stage in self._degradable_for(query):
             breaker = self._breakers.get(stage)
             if breaker is not None and not breaker.allow():

@@ -140,9 +140,24 @@ def assign_shards(video_names: list[str], n_shards: int) -> list[list[str]]:
     return slices
 
 
+#: Per-query-key entries of the coordinator's stale store (ladder rung 3).
+RECENT_SIZE = 256
+#: Fraction of the remaining request budget each shard (and each
+#: failover re-issue) gets as its local deadline.
+SHARD_SLICE = 0.8
+#: Gather/hedge horizon, in seconds, for unbudgeted requests.
+GATHER_FLOOR_SECONDS = 5.0
+#: Reservoir percentile a replica's hedge trigger tracks.
+HEDGE_PERCENTILE = 95.0
+#: Worker start method: ``fork`` re-imports nothing, and a worker
+#: inherits nothing mutable that it uses.
+START_METHOD = "fork"
+
+
 @dataclass(frozen=True)
 class ShardingConfig:
-    """Every knob of the sharded serving layer.
+    """The sharded serving layer's knobs (fixed values are the module
+    constants above).
 
     Attributes:
         n_shards: catalog partitions (replica groups).
@@ -153,55 +168,36 @@ class ShardingConfig:
             a hedged duplicate overtake a per-delivery hang fault).
         cache_size: coordinator result-cache entries (keyed by
             generation vector + ``query.key``).
-        recent_size: per-query-key stale store entries (ladder rung 3).
         budget_seconds: default per-request wall budget when the caller
             passes none (``None`` = unbounded — hedging and gather then
-            wait up to ``gather_floor_seconds``).
-        shard_slice: fraction of the remaining request budget each
-            shard (and each failover re-issue) gets as its local
-            deadline.
-        gather_floor_seconds: gather/hedge horizon for unbudgeted
-            requests.
+            wait up to :data:`GATHER_FLOOR_SECONDS`).
         min_coverage: fewest responding shards a *partial* answer may
             be built from (ladder rung 2); fewer falls through to
             stale/reject.
-        hedge: enable hedged re-issue of stragglers.
         hedge_min_seconds: hedge-trigger floor (and the trigger itself
             until a replica has latency history).
-        hedge_percentile: reservoir percentile the trigger tracks.
-        failure_threshold / quarantine_cooldown / breaker_alpha:
+        failure_threshold / quarantine_cooldown:
             per-replica :class:`StageBreaker` tuning (process death
             trips immediately regardless).
         probe_interval: seconds between background prober sweeps.
         restart_dead: respawn dead replicas (deterministic slice
             rebuild + generation-verified rejoin) instead of leaving
             them out of rotation forever.
-        partial_serving: ladder rung 2 toggle.
         stale_serving: ladder rung 3 toggle.
-        start_method: multiprocessing start method (``fork`` on Linux:
-            no re-import, worker inherits nothing mutable it uses).
     """
 
     n_shards: int = 4
     replication: int = 1
     worker_threads: int = 2
     cache_size: int = 256
-    recent_size: int = 256
     budget_seconds: float | None = 1.0
-    shard_slice: float = 0.8
-    gather_floor_seconds: float = 5.0
     min_coverage: int = 1
-    hedge: bool = True
     hedge_min_seconds: float = 0.05
-    hedge_percentile: float = 95.0
     failure_threshold: int = 3
     quarantine_cooldown: float = 1.0
-    breaker_alpha: float = 0.2
     probe_interval: float = 0.25
     restart_dead: bool = True
-    partial_serving: bool = True
     stale_serving: bool = True
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -210,8 +206,6 @@ class ShardingConfig:
             raise ValueError(f"replication must be >= 1, got {self.replication}")
         if self.worker_threads < 1:
             raise ValueError(f"worker_threads must be >= 1, got {self.worker_threads}")
-        if not 0.0 < self.shard_slice <= 1.0:
-            raise ValueError(f"shard_slice must be in (0, 1], got {self.shard_slice}")
         if not 1 <= self.min_coverage <= self.n_shards:
             raise ValueError(
                 f"min_coverage must be in [1, {self.n_shards}], got {self.min_coverage}"
@@ -897,14 +891,14 @@ class ShardedSearchService:
         self.seed = seed
         self.dataset_args = dict(dataset_args or {})
         self._fault_plan = fault_plan
-        self._ctx = mp.get_context(self.config.start_method)
+        self._ctx = mp.get_context(START_METHOD)
         self._lock = threading.Lock()  # replica table + counters + close/restart
         self._pending_lock = threading.Lock()
         # req_id -> (gather, gather key, target replica)
         self._pending: dict[int, tuple[_Gather, object, _Replica]] = {}
         self._req_counter = 0
         self._cache: LRUCache = LRUCache(self.config.cache_size)
-        self._recent: LRUCache = LRUCache(self.config.recent_size)
+        self._recent: LRUCache = LRUCache(RECENT_SIZE)
         self._write_lock = threading.Lock()  # serializes writes and rejoin catch-up
         self._closed = False
 
@@ -930,7 +924,6 @@ class ShardedSearchService:
                         StageBreaker(
                             failure_threshold=self.config.failure_threshold,
                             cooldown=self.config.quarantine_cooldown,
-                            alpha=self.config.breaker_alpha,
                         ),
                     )
                     for index in range(self.config.replication)
@@ -1337,9 +1330,7 @@ class ShardedSearchService:
         bypass_cache: bool,
         started: float,
     ) -> ShardedServedQuery:
-        slice_seconds = (
-            budget.slice_seconds(self.config.shard_slice) if budget is not None else None
-        )
+        slice_seconds = budget.slice_seconds(SHARD_SLICE) if budget is not None else None
 
         # Scatter: one healthiest replica per routable group.  Groups
         # with no routable replica are missing up front.
@@ -1428,10 +1419,7 @@ class ShardedSearchService:
                 failovers=state.failovers,
             )
 
-        if (
-            self.config.partial_serving
-            and len(coverage.responded) >= self.config.min_coverage
-        ):
+        if len(coverage.responded) >= self.config.min_coverage:
             results = merge_scene_results(
                 [parts[sid] for sid in coverage.responded], query.top_n
             )
@@ -1492,13 +1480,8 @@ class ShardedSearchService:
         same worker.
         """
         groups = {group.id: group for group, _ in plan}
-        if budget is not None:
-            remaining = budget.remaining()
-            horizon = (
-                remaining if remaining is not None else self.config.gather_floor_seconds
-            )
-        else:
-            horizon = self.config.gather_floor_seconds
+        remaining = budget.remaining() if budget is not None else None
+        horizon = GATHER_FLOOR_SECONDS if remaining is None else remaining
         deadline = time.perf_counter() + max(0.0, horizon)
         poll = max(self.config.hedge_min_seconds / 4.0, 0.002)
 
@@ -1535,11 +1518,7 @@ class ShardedSearchService:
                 if target is None:
                     gather.exhaust(sid)
                     continue
-                failover_slice = (
-                    budget.slice_seconds(self.config.shard_slice)
-                    if budget is not None
-                    else None
-                )
+                failover_slice = budget.slice_seconds(SHARD_SLICE) if budget is not None else None
                 self._dispatch(
                     gather,
                     group,
@@ -1551,8 +1530,6 @@ class ShardedSearchService:
                     failover=True,
                 )
 
-            if not self.config.hedge:
-                continue
             now = time.perf_counter()
             for sid, group in groups.items():
                 if sid in settled or sid in state.hedged:
@@ -1562,7 +1539,7 @@ class ShardedSearchService:
                     continue
                 trigger = max(
                     current.reservoir.percentile_or(
-                        self.config.hedge_percentile,
+                        HEDGE_PERCENTILE,
                         self.config.hedge_min_seconds,
                         min_samples=8,
                     ),

@@ -109,16 +109,6 @@ class _NumpyColumn(Column):
     def equals_mask(self, value) -> np.ndarray:
         return self._buffer[: self._size] == self._cast(value)
 
-    def range_mask(self, low=None, high=None) -> np.ndarray:
-        """Mask of rows with ``low <= value <= high`` (either side optional)."""
-        data = self._buffer[: self._size]
-        mask = np.ones(self._size, dtype=bool)
-        if low is not None:
-            mask &= data >= self._cast(low)
-        if high is not None:
-            mask &= data <= self._cast(high)
-        return mask
-
 
 class IntColumn(_NumpyColumn):
     """64-bit integer column."""

@@ -89,10 +89,6 @@ class Table:
             raise
         return row_id
 
-    def extend(self, rows: Iterable[Mapping[str, object]]) -> None:
-        for row in rows:
-            self.append(row)
-
     def load_columns(self, columns: Mapping[str, list]) -> None:
         """Bulk-load whole column value lists into an empty table.
 

@@ -67,6 +67,14 @@ class StreamConfig:
     stall_deadline: float = 30.0
     freshness_slo: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.queue_chunks < 1:
+            raise ValueError(f"queue_chunks must be >= 1, got {self.queue_chunks}")
+        if self.stall_deadline <= 0:
+            raise ValueError(f"stall_deadline must be > 0, got {self.stall_deadline}")
+        if self.freshness_slo <= 0:
+            raise ValueError(f"freshness_slo must be > 0, got {self.freshness_slo}")
+
 
 @dataclass
 class StreamHealth:

@@ -82,12 +82,6 @@ class VideoClip:
         """Clip duration in seconds."""
         return len(self._frames) / self.fps
 
-    def frame_time(self, index: int) -> float:
-        """Timestamp (seconds) of frame *index*."""
-        if not 0 <= index < len(self._frames):
-            raise IndexError(f"frame index {index} out of range 0..{len(self) - 1}")
-        return index / self.fps
-
     def subclip(self, start: int, stop: int, name: str | None = None) -> "VideoClip":
         """A new clip holding frames ``[start, stop)`` (shared arrays)."""
         if not 0 <= start < stop <= len(self._frames):

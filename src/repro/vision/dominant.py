@@ -18,7 +18,6 @@ __all__ = [
     "dominant_colors",
     "color_coverage",
     "color_coverages",
-    "color_distance",
 ]
 
 
@@ -66,15 +65,6 @@ def dominant_colors(frames, bins: int = 16) -> list[tuple[np.ndarray, float]]:
         sums = np.compress(member, colour.planes, axis=1).sum(axis=1)
         out.append((sums / float(win_count), win_count / member.size))
     return out
-
-
-def color_distance(c1: np.ndarray, c2: np.ndarray) -> float:
-    """Euclidean distance between two RGB colours (0..~441)."""
-    a = np.asarray(c1, dtype=np.float64)
-    b = np.asarray(c2, dtype=np.float64)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValueError("colours must be RGB triples")
-    return float(np.linalg.norm(a - b))
 
 
 def color_coverage(

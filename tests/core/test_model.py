@@ -89,13 +89,6 @@ class TestInvalidation:
         assert model.events == []
         assert len(model.objects) == 1  # objects survive
 
-    def test_clear_objects_cascades_events(self, populated):
-        model, video, *_ = populated
-        model.clear_objects_of_video(video.video_id)
-        assert model.objects == []
-        assert model.events == []
-        assert len(model.shots) == 2
-
     def test_clear_shots_cascades_all(self, populated):
         model, video, *_ = populated
         model.clear_shots_of_video(video.video_id)

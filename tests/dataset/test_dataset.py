@@ -151,12 +151,6 @@ class TestBuild:
             assert len(winners) == 1
             assert winners[0].get("name") == match.winner
 
-    def test_plan_lookup(self, dataset):
-        plan = dataset.video_plans[0]
-        assert dataset.plan_for(plan.match_title) is plan
-        with pytest.raises(KeyError):
-            dataset.plan_for("no such match")
-
     def test_reproducible(self):
         a = build_australian_open(seed=3, n_per_gender=4, years=[2001])
         b = build_australian_open(seed=3, n_per_gender=4, years=[2001])

@@ -59,23 +59,6 @@ class TestLikelihood:
         assert hmm.log_likelihood(np.array([2])) == pytest.approx(expected)
 
 
-class TestViterbi:
-    def test_path_length(self):
-        hmm = make_hmm()
-        path = hmm.viterbi(np.array([0, 1, 2, 3, 0]))
-        assert len(path) == 5
-        assert path.min() >= 0 and path.max() < hmm.n_states
-
-    def test_deterministic_chain_decoded(self):
-        # Two states, state i emits symbol i almost surely.
-        hmm = DiscreteHMM(2, 2, rng=np.random.default_rng(0))
-        hmm.start = np.array([0.5, 0.5])
-        hmm.transition = np.array([[0.9, 0.1], [0.1, 0.9]])
-        hmm.emission = np.array([[0.99, 0.01], [0.01, 0.99]])
-        path = hmm.viterbi(np.array([0, 0, 1, 1, 1, 0]))
-        assert list(path) == [0, 0, 1, 1, 1, 0]
-
-
 class TestBaumWelch:
     def test_likelihood_never_decreases(self):
         rng = np.random.default_rng(3)

@@ -101,7 +101,7 @@ class TestAxiom:
     def test_axiom_declaration(self):
         grammar = parse_feature_grammar(self.AUDIO)
         assert grammar.axiom == "audio"
-        assert "audio" in grammar.tokens
+        assert grammar.producer_of("audio") is None
 
     def test_axiom_cannot_be_produced(self):
         text = """
@@ -128,12 +128,3 @@ class TestDependencies:
         grammar = parse_feature_grammar(SIMPLE)
         assert grammar.producer_of("shot").name == "segment"
         assert grammar.producer_of("video") is None
-
-    def test_dependencies_of(self):
-        grammar = parse_feature_grammar(SIMPLE)
-        assert grammar.dependencies_of("rules") == ["tennis"]
-        assert grammar.dependencies_of("segment") == []
-
-    def test_tokens(self):
-        grammar = parse_feature_grammar(SIMPLE)
-        assert grammar.tokens == {"video", "shot", "player", "event"}

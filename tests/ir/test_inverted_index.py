@@ -4,7 +4,6 @@ import pytest
 
 from repro.ir.collection import DocumentCollection
 from repro.ir.inverted_index import InvertedIndex, Posting
-from repro.storage.catalog import Catalog
 
 
 @pytest.fixture
@@ -56,15 +55,3 @@ class TestIndex:
         before = index.total_postings()
         index.refresh()
         assert index.total_postings() == before
-
-
-class TestExport:
-    def test_export_to_catalog(self, index):
-        catalog = Catalog()
-        index.export_to_catalog(catalog)
-        postings = catalog.table("ir_postings")
-        docs = catalog.table("ir_docs")
-        assert len(postings) == index.total_postings()
-        assert len(docs) == 3
-        ids = catalog.hash_index("ir_postings", "term").lookup("ralli")
-        assert len(ids) == 2

@@ -4,9 +4,9 @@ For random corpora and query mixes, every retrieval path of the packed
 engine must be *byte-identical* to the seed's per-posting loops kept in
 :mod:`repro.ir.reference` — same floats (bit for bit), same ids, same
 order, same accounting.  The strategies deliberately reach the layout
-edges: empty and singleton postings lists, terms dense enough to take
-the bitmap path, unseen query terms, repeated query terms, fragment
-counts that leave uneven fragment boundaries, and incremental refresh.
+edges: empty and singleton postings lists, a term in most documents,
+unseen query terms, repeated query terms, fragment counts that leave
+uneven fragment boundaries, and incremental refresh.
 """
 
 from hypothesis import given, settings
@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 from repro.ir.collection import DocumentCollection
 from repro.ir.inverted_index import InvertedIndex
 from repro.ir.ranking import rank_full_scan
-from repro.ir.reference import (
-    ReferenceFragmentedIndex,
-    boolean_docs_reference,
-    rank_full_scan_reference,
-)
+from repro.ir.reference import ReferenceFragmentedIndex, rank_full_scan_reference
 from repro.ir.topn import FragmentedIndex
 
 VOCAB = [
@@ -27,8 +23,7 @@ VOCAB = [
     "champion", "court", "crowd", "press", "coach",
 ]  # already-stemmed forms so queries and postings share terms
 
-# "common" appears in most documents -> comfortably past the 1/16
-# density threshold, forcing the bitmap boolean path.
+# "common" appears in most documents: long postings, low idf.
 DENSE_TERM = "common"
 
 corpora = st.lists(
@@ -87,25 +82,6 @@ class TestFragmented:
         assert got.postings_processed == want.postings_processed
         assert got.postings_total == want.postings_total
         assert got.fragments_processed == want.fragments_processed
-
-
-class TestBoolean:
-    @settings(max_examples=40, deadline=None)
-    @given(docs=corpora, terms=queries, mode=st.sampled_from(["and", "or"]))
-    def test_matching_docs_identical(self, docs, terms, mode):
-        index = build_index(docs)
-        got = index.matching_docs(terms, mode=mode).tolist()
-        want = boolean_docs_reference(index, terms, mode=mode)
-        assert got == want
-
-    @settings(max_examples=20, deadline=None)
-    @given(docs=corpora, mode=st.sampled_from(["and", "or"]))
-    def test_dense_terms_take_bitmap_path_identically(self, docs, mode):
-        # Every-document density: both query terms dense -> bitmap ops.
-        index = build_index(docs, dense_every=1)
-        terms = [DENSE_TERM, DENSE_TERM]
-        got = index.matching_docs(terms, mode=mode).tolist()
-        assert got == boolean_docs_reference(index, terms, mode=mode)
 
 
 class TestRefresh:

@@ -302,15 +302,30 @@ class TestStageBreaker:
         clock.advance(1.5)
         assert breaker.allow()  # replacement probe
 
-    def test_latency_threshold_trips_on_ewma(self):
+
+class TestPlainService:
+    def test_spent_budget_reraises_without_degrading(self, engine):
+        """No resilience config: a deadline reaches the caller as raised.
+
+        The shard worker turns exactly this exception into its
+        ``"deadline"`` reply, so the plain service must neither degrade
+        nor serve stale on it.
+        """
+        service = LibrarySearchService(engine)
         clock = FakeClock()
-        breaker = StageBreaker(
-            failure_threshold=100, latency_threshold=0.1, alpha=1.0, clock=clock
-        )
-        breaker.record_success(0.05)
-        assert breaker.state == "closed"
-        breaker.record_success(0.5)
-        assert breaker.state == "open"
+        budget = QueryBudget(seconds=1.0, clock=clock)
+        clock.advance(5.0)
+        with pytest.raises(DeadlineExceeded) as info:
+            service.search(TEXT_QUERY, budget=budget)
+        assert info.value.stage == "concept_filter"
+        assert info.value.partial == []
+        stats = service.stats()
+        assert stats.degraded_served == 0
+        assert stats.stale_served == 0
+        assert stats.shed == {}
+        served = service.search(TEXT_QUERY)
+        assert not served.cache_hit  # the failed query cached nothing
+        assert served.results == engine.search(TEXT_QUERY)
 
 
 class TestDegradationLadder:

@@ -47,11 +47,6 @@ class TestIntColumn:
         col = IntColumn([1, 2, 1])
         assert list(col.equals_mask(1)) == [True, False, True]
 
-    def test_range_mask(self):
-        col = IntColumn([1, 5, 3, 7])
-        assert list(col.range_mask(2, 6)) == [False, True, True, False]
-        assert list(col.range_mask(low=5)) == [False, True, False, True]
-
     def test_take(self):
         col = IntColumn([10, 20, 30])
         assert col.take(np.array([2, 0])) == [30, 10]

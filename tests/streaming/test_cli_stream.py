@@ -26,6 +26,12 @@ class TestStreamCommand:
         text = capsys.readouterr().out
         assert "done" in text
 
+    def test_zero_queue_chunks_rejected_before_ingest(self, tmp_path):
+        out = tmp_path / "meta.json"
+        with pytest.raises(ValueError, match="queue_chunks"):
+            main(["stream", "--videos", "1", "--out", str(out), "--queue-chunks", "0"])
+        assert not out.exists()
+
     def test_fsck_clean_after_stream(self, tmp_path, capsys):
         out = tmp_path / "meta.json"
         journal = tmp_path / "meta.journal"

@@ -33,6 +33,22 @@ def wait_for(predicate, timeout=30.0, message="condition"):
         time.sleep(0.005)
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("queue_chunks", 0),
+            ("queue_chunks", -1),
+            ("stall_deadline", 0.0),
+            ("freshness_slo", 0.0),
+            ("freshness_slo", -2.0),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StreamConfig(**{field: value})
+
+
 class TestLifecycle:
     def test_full_feed_ends_done(self, plan_and_clip):
         plan, clip = plan_and_clip

@@ -48,14 +48,7 @@ class TestAccess:
         clip = VideoClip(frames(50), fps=25.0)
         assert clip.duration == pytest.approx(2.0)
 
-    def test_frame_time(self):
-        clip = VideoClip(frames(10), fps=10.0)
-        assert clip.frame_time(5) == pytest.approx(0.5)
 
-    def test_frame_time_bounds(self):
-        clip = VideoClip(frames(3))
-        with pytest.raises(IndexError):
-            clip.frame_time(3)
 
 
 class TestSubclip:

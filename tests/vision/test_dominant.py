@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.vision.dominant import color_coverage, color_distance, dominant_color
+from repro.vision.dominant import color_coverage, dominant_color
 
 
 def solid(color, h=8, w=8):
@@ -32,18 +32,6 @@ class TestDominantColor:
         color, coverage = dominant_color(frame, bins=8)
         assert coverage == pytest.approx(1.0)
         assert np.allclose(color, (101, 101, 101))
-
-
-class TestColorDistance:
-    def test_zero_for_same(self):
-        assert color_distance(np.array([1, 2, 3]), np.array([1, 2, 3])) == 0.0
-
-    def test_euclidean(self):
-        assert color_distance(np.zeros(3), np.array([3, 4, 0])) == pytest.approx(5.0)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            color_distance(np.zeros(4), np.zeros(3))
 
 
 class TestColorCoverage:
