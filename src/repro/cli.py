@@ -768,20 +768,26 @@ def _restore_engine_with_ann(args):
 def _cmd_ann_build(args) -> int:
     from repro.dataset import build_australian_open
     from repro.library import DigitalLibraryEngine
-    from repro.library.persistence import load_model_with_state, save_model
+    from repro.library.persistence import save_model
 
     dataset = build_australian_open(seed=args.seed)
     engine = DigitalLibraryEngine(dataset)
-    model, runner_state = load_model_with_state(args.metaindex)
-    restored = engine.indexer.restore(model)
+    indexer = engine.indexer
+    restored = indexer.restore_snapshot(args.metaindex)
     print(f"restored {restored} indexed video(s)")
     index = engine.build_ann_index(
         n_cells=args.cells, seed=args.ann_seed, samples=args.samples
     )
     out = args.out or args.metaindex
+    # In-flight streams keep their resume rows: the snapshot this
+    # rewrites may be a mid-stream one.
+    states = indexer.stream_states
     save_model(
-        engine.indexer.model, out, runner_state=runner_state,
+        indexer.model,
+        out,
+        runner_state=indexer.fde.runner.export_state(),
         ann=(index, engine.ann_meta),
+        stream_state=[states[name] for name in sorted(states)],
     )
     print(
         f"wrote {out}: {index.n_vectors} shot vectors in {index.n_cells} cells "
@@ -1061,7 +1067,7 @@ def _shard_fleet(args):
     initial = [] if chunked else names
     with ShardedSearchService(initial, seed=args.seed, config=config) as service:
         if chunked:
-            result = service.stream_videos(names, chunk_frames=chunked)
+            result = service.index_videos(names, chunk_frames=chunked)
             status = "ok" if result.ok else "PARTIAL"
             print(
                 f"streamed {len(names)} video(s) in {chunked}-frame chunks: {status}"

@@ -26,7 +26,6 @@ __all__ = [
     "model_delta",
     "load_model",
     "load_model_with_ann",
-    "load_model_with_state",
     "RUNNER_STATE_TABLE",
     "STREAM_STATE_TABLE",
 ]
@@ -416,9 +415,3 @@ def load_model_with_ann(path: str | Path):
     catalog = load_catalog(path)
     ann = load_ann_from_catalog(catalog) if has_ann_tables(catalog) else None
     return catalog_to_model(catalog), ann
-
-
-def load_model_with_state(path: str | Path) -> tuple[CobraModel, dict | None]:
-    """Load a meta-index plus its persisted runner state (if any)."""
-    catalog = load_catalog(path)
-    return catalog_to_model(catalog), catalog_to_runner_state(catalog)

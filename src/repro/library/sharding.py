@@ -41,18 +41,21 @@ Robustness, the point of the exercise:
   exists (falling back to the same worker, whose second thread can
   overtake a per-delivery hang); first ok response wins, duplicates
   are discarded.
+- **Aligned writes over one write log.**  A group's committed writes
+  are an append-only log of ``(names, chunk_frames)`` entries
+  (``None`` = batch, else chunked).  ``index_videos`` appends one entry
+  per targeted group and sends it to *all* live replicas behind a group
+  commit barrier; a replica that fails or times out a write is pulled
+  from rotation and rebuilt (its state is unknown).  The call returns
+  **per-shard typed outcomes** instead of raising away partial progress.
 - **Live replica recovery.**  A dead replica is respawned and rebuilt
   *in the background* while its siblings keep serving full-coverage
-  answers.  Before rejoining rotation it catches up to the group's
-  authoritative video list and its generation is **verified against
-  the group's generation vector** — a replica that cannot align is
-  rebuilt again, never trusted.
-- **Aligned write fan-out.**  ``index_videos`` fans each shard's slice
-  out to *all* live replicas of the owning group behind a group commit
-  barrier; a replica that fails or times out a write is pulled from
-  rotation and rebuilt (its state is unknown), so in-rotation replicas
-  always agree on the generation vector.  The call returns **per-shard
-  typed outcomes** instead of raising away partial progress.
+  answers.  The spawn build, a live write and the rejoin catch-up all
+  replay log entries through one worker ingest body; before rejoining
+  rotation the replica must have applied every entry and stand at the
+  generation the group last committed at, whatever the ingest mode — a
+  replica that cannot align is rebuilt again, never trusted, so a
+  group's generation never decreases.
 - **Typed partial results.**  Every answer carries a
   :class:`~repro.library.results.Coverage` — which shards responded,
   which are missing.  Partial coverage is a labeled outcome, never a
@@ -327,8 +330,9 @@ class ShardedStats:
         fanout: request-latency percentiles (seconds).
         shards: per-group health rows (with per-replica sub-rows).
         stream_freshness: per-shard chunk-commit freshness from the last
-            :meth:`ShardedSearchService.stream_videos` batch — chunk
-            count plus frame-arrival -> queryable percentiles (seconds).
+            chunked write (``index_videos(..., chunk_frames=F)``) each
+            shard committed — chunk count plus frame-arrival ->
+            queryable percentiles (seconds) from one committed replica.
     """
 
     queries: int = 0
@@ -470,7 +474,7 @@ def _shard_worker_main(
     replica: int,
     seed: int,
     dataset_args: dict,
-    video_names: list[str],
+    log: list[tuple[tuple[str, ...], int | None]],
     worker_threads: int,
     cache_size: int,
     fault_specs: tuple[ShardFaultSpec, ...],
@@ -479,12 +483,13 @@ def _shard_worker_main(
     """Entry point of one replica worker process.
 
     Builds the full dataset from *seed* (global concept graph, pages
-    and term statistics), indexes only *video_names* (the group's
-    catalog slice), then serves the command loop: ``query`` deliveries
-    fan out to a small thread pool (so a hedged duplicate can overtake
-    a per-delivery hang fault), ``ping`` / ``index`` / ``shutdown`` are
-    handled inline.  Replies are sent under a lock — a Connection is
-    not write-atomic across threads.
+    and term statistics), replays *log* (the group's committed write
+    log) through the one ingest body, then serves the command loop:
+    ``query`` and ``index`` deliveries run on a small thread pool (so a
+    hedged duplicate can overtake a per-delivery hang fault, and the
+    receive loop stays responsive during a write), ``ping`` /
+    ``shutdown`` are handled inline.  Replies are sent under a lock — a
+    Connection is not write-atomic across threads.
     """
     import os
     from concurrent.futures import ThreadPoolExecutor
@@ -496,19 +501,19 @@ def _shard_worker_main(
     dataset = build_australian_open(seed=seed, **dataset_args)
     engine = DigitalLibraryEngine(dataset)
     service = LibrarySearchService(engine, cache_size=cache_size)
-    for name in video_names:
-        service.index_plan(engine.indexer.plan_named(name))
-
     faults = ShardFaultState(shard, fault_specs, replica)
     send_lock = threading.Lock()
 
-    def reply(payload: dict) -> None:
+    def answer(req_id: int, handler, *args) -> None:
+        """Reply with *handler*'s fields; an exception is the typed error."""
+        try:
+            fields = handler(*args)
+        except Exception as exc:  # noqa: BLE001 — typed error reply, never silence
+            fields = {"status": "error", "message": f"{type(exc).__name__}: {exc}"}
         with send_lock:
-            conn.send(payload)
+            conn.send({"kind": "result", "req_id": req_id, **fields})
 
-    def handle_query(
-        req_id: int, query: LibraryQuery, slice_seconds, bypass_cache: bool
-    ) -> None:
+    def handle_query(query: LibraryQuery, slice_seconds, bypass_cache: bool) -> dict:
         started = time.perf_counter()
         budget = (
             QueryBudget(seconds=slice_seconds) if slice_seconds is not None else None
@@ -521,81 +526,30 @@ def _shard_worker_main(
             if spec.mode == "delay":
                 time.sleep(spec.delay_seconds)
             elif spec.mode == "error":
-                reply(
-                    {
-                        "kind": "result",
-                        "req_id": req_id,
-                        "status": "error",
-                        "message": f"injected shard {shard} replica {replica} fault",
-                    }
-                )
-                return
+                raise RuntimeError(f"injected shard {shard} replica {replica} fault")
             elif spec.mode == "stale_generation":
                 generation_lag = spec.generation_lag
         try:
             served = service.search(query, bypass_cache=bypass_cache, budget=budget)
         except DeadlineExceeded:
-            reply({"kind": "result", "req_id": req_id, "status": "deadline"})
-            return
-        except Exception as exc:  # noqa: BLE001 — typed error reply, never silence
-            reply(
-                {
-                    "kind": "result",
-                    "req_id": req_id,
-                    "status": "error",
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            return
-        reply(
-            {
-                "kind": "result",
-                "req_id": req_id,
-                "status": "ok",
-                "results": served.results,
-                "generation": max(0, service.generation - generation_lag),
-                "seconds": time.perf_counter() - started,
-            }
-        )
+            return {"status": "deadline"}
+        return {
+            "status": "ok",
+            "results": served.results,
+            "generation": max(0, service.generation - generation_lag),
+            "seconds": time.perf_counter() - started,
+        }
 
-    def handle_index(req_id: int, batch: list[str]) -> None:
-        """Index a batch of plans; one reply when the whole batch lands.
+    def ingest(entries: list[tuple[tuple[str, ...], int | None]]) -> dict:
+        """Apply write-log entries in order; the one write body.
 
-        Runs on the pool (the receive loop stays responsive for
-        queries); commits serialize through the service's write lock.
+        A batch entry (``chunk_frames is None``) commits each video
+        whole; a chunked one streams it through the service's
+        chunk-append path (memory-only on workers — durability is the
+        coordinator's concern), so concurrent queries see its shots at
+        chunk granularity.  The reply carries the new generation and the
+        chunk commits' frame-arrival -> queryable freshness.
         """
-        try:
-            for name in batch:
-                service.index_plan(engine.indexer.plan_named(name))
-            reply(
-                {
-                    "kind": "result",
-                    "req_id": req_id,
-                    "status": "ok",
-                    "generation": service.generation,
-                }
-            )
-        except Exception as exc:  # noqa: BLE001
-            reply(
-                {
-                    "kind": "result",
-                    "req_id": req_id,
-                    "status": "error",
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-            )
-
-    def handle_index_chunked(req_id: int, batch: list[str], chunk_frames: int) -> None:
-        """Chunk-append a batch of plans; generations bump per chunk.
-
-        Each video streams through the service's chunk-append path
-        (memory-only on workers — durability is the coordinator's
-        concern), so concurrent queries on this replica see shots at
-        chunk granularity.  The reply carries per-chunk freshness
-        percentiles for the coordinator's stream stats.
-        """
-        from repro.library.stats import LatencyReservoir
-
         reservoir = LatencyReservoir()
         chunks = 0
 
@@ -605,71 +559,44 @@ def _shard_worker_main(
             if commit.freshness_seconds is not None:
                 reservoir.add(commit.freshness_seconds)
 
-        try:
-            for name in batch:
-                service.stream_plan(
-                    engine.indexer.plan_named(name),
-                    chunk_frames=chunk_frames,
-                    clock=time.monotonic,
-                    on_commit=on_commit,
-                )
-            reply(
-                {
-                    "kind": "result",
-                    "req_id": req_id,
-                    "status": "ok",
-                    "generation": service.generation,
-                    "chunks": chunks,
-                    "freshness": reservoir.summary(),
-                }
-            )
-        except Exception as exc:  # noqa: BLE001
-            reply(
-                {
-                    "kind": "result",
-                    "req_id": req_id,
-                    "status": "error",
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-            )
+        for names, chunk_frames in entries:
+            for name in names:
+                plan = engine.indexer.plan_named(name)
+                if chunk_frames is None:
+                    service.index_plan(plan)
+                else:
+                    service.stream_plan(
+                        plan,
+                        chunk_frames=chunk_frames,
+                        clock=time.monotonic,
+                        on_commit=on_commit,
+                    )
+        return {
+            "status": "ok",
+            "generation": service.generation,
+            "chunks": chunks,
+            "freshness": reservoir.summary(),
+        }
 
+    ingest(log)
     pool = ThreadPoolExecutor(
         max_workers=worker_threads, thread_name_prefix=f"shard-{shard}r{replica}"
     )
-    reply(
-        {
-            "kind": "ready",
-            "shard": shard,
-            "replica": replica,
-            "generation": service.generation,
-        }
-    )
+    with send_lock:
+        conn.send({"kind": "ready", "generation": service.generation})
     try:
         while True:
             try:
                 command = conn.recv()
             except (EOFError, OSError):
                 break
-            kind = command[0]
+            kind, req_id, *args = command
             if kind == "query":
-                _, req_id, query, slice_seconds, bypass_cache = command
-                pool.submit(handle_query, req_id, query, slice_seconds, bypass_cache)
+                pool.submit(answer, req_id, handle_query, *args)
+            elif kind == "index":
+                pool.submit(answer, req_id, ingest, *args)
             elif kind == "ping":
-                reply(
-                    {
-                        "kind": "result",
-                        "req_id": command[1],
-                        "status": "ok",
-                        "pong": True,
-                        "generation": service.generation,
-                    }
-                )
-            elif kind == "index_batch":
-                _, req_id, batch = command
-                pool.submit(handle_index, req_id, batch)
-            elif kind == "index_chunked":
-                _, req_id, batch, chunk_frames = command
-                pool.submit(handle_index_chunked, req_id, batch, chunk_frames)
+                answer(req_id, lambda: {"status": "ok", "generation": service.generation})
             elif kind == "shutdown":
                 break
     finally:
@@ -729,6 +656,20 @@ class _Gather:
             key in self.responses or key in self.exhausted for key in self.expected
         )
 
+    def wait(self, seconds: float) -> bool:
+        """Block until every key settles or *seconds* pass; ``True`` when done.
+
+        Waits in bounded slices, never on a bare ``Condition.wait()``.
+        """
+        deadline = time.perf_counter() + seconds
+        with self.cond:
+            while not self.done():
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    return False
+                self.cond.wait(timeout=min(remaining, 1.0))
+        return True
+
 
 class _Replica:
     """Coordinator-side state for one replica worker process."""
@@ -739,6 +680,7 @@ class _Replica:
         self.breaker = breaker
         self.reservoir = LatencyReservoir(capacity=512)
         self.generation = 0
+        self.applied = 0  # entries of the group's write log this worker holds
         self.ready = threading.Event()
         self.in_rotation = False
         self.needs_rebuild = False
@@ -769,16 +711,22 @@ class _Replica:
 
 
 class _ShardGroup:
-    """One shard's replica group and its authoritative catalog slice.
+    """One shard's replica group and its committed write log.
 
-    ``videos`` is *replaced* on commit (never mutated in place), so a
-    concurrent reader of the list always sees a consistent prefix — the
-    rejoin catch-up depends on every replica holding a prefix of it.
+    ``log`` holds the committed writes as ``(names, chunk_frames)``
+    entries (``chunk_frames is None`` for a batch write).  It is
+    *replaced* on commit (never mutated in place), so a concurrent
+    reader always sees a consistent prefix.  ``committed_generation``
+    is the generation the group last committed at — the one a rebuilt
+    replica must stand at to rejoin rotation.
     """
 
     def __init__(self, shard_id: int, videos: list[str], replicas: list[_Replica]):
         self.id = shard_id
-        self.videos = videos
+        self.log: list[tuple[tuple[str, ...], int | None]] = (
+            [(tuple(videos), None)] if videos else []
+        )
+        self.committed_generation = 0
         self.replicas = replicas
         self._rr = 0
         self._rr_lock = threading.Lock()
@@ -942,6 +890,7 @@ class ShardedSearchService:
                         "failed to become ready"
                     )
                 replica.in_rotation = True
+            group.committed_generation = max(r.generation for r in group.replicas)
 
         self._prober_stop = threading.Event()
         self._prober = threading.Thread(
@@ -952,19 +901,17 @@ class ShardedSearchService:
     # -- lifecycle ------------------------------------------------------ #
 
     def _spawn(
-        self,
-        group: _ShardGroup,
-        replica: _Replica,
-        with_faults: bool = True,
-        videos: list[str] | None = None,
+        self, group: _ShardGroup, replica: _Replica, with_faults: bool = True
     ) -> None:
         """Start (or restart) one replica worker and its receiver thread.
 
-        Fault specs ship only on the *initial* spawn: a respawned
+        The worker builds by replaying the group's committed log as of
+        now.  Fault specs ship only on the *initial* spawn: a respawned
         worker is a fresh replacement, not a re-run of the failure —
         a ``kill`` spec means "this worker dies once", and
         recovery is the part under test.
         """
+        log = group.log
         specs = ()
         if with_faults and self._fault_plan is not None:
             specs = self._fault_plan.matching(group.id, replica.index)
@@ -976,7 +923,7 @@ class ShardedSearchService:
                 replica.index,
                 self.seed,
                 self.dataset_args,
-                list(videos if videos is not None else group.videos),
+                log,
                 self.config.worker_threads,
                 self.config.cache_size,
                 specs,
@@ -986,6 +933,7 @@ class ShardedSearchService:
             daemon=True,
         )
         replica.ready.clear()
+        replica.applied = len(log)
         replica.conn = parent_conn
         replica.process = process
         process.start()
@@ -1055,7 +1003,7 @@ class ShardedSearchService:
             for group in self.groups:
                 for replica in group.replicas:
                     replica.in_rotation = False
-                    replica.send(("shutdown",))
+                    replica.send(("shutdown", None))
             for group in self.groups:
                 for replica in group.replicas:
                     if replica.process is not None:
@@ -1099,10 +1047,10 @@ class ShardedSearchService:
     def _restart(self, group: _ShardGroup, replica: _Replica) -> None:
         """Respawn a dead (or unknown-state) replica, then rebuild + rejoin.
 
-        The rebuild is deterministic — same seed, same slice — and the
-        worker runs it in the background while siblings keep serving;
-        :meth:`_rejoin` verifies generation alignment before the
-        replica re-enters rotation.
+        The rebuild is deterministic — same seed, same write log — and
+        the worker runs it in the background while siblings keep
+        serving; :meth:`_rejoin` verifies generation alignment before
+        the replica re-enters rotation.
         """
         with self._lock:
             if self._closed:
@@ -1146,9 +1094,9 @@ class ShardedSearchService:
         """Catch a rebuilt replica up and verify alignment before rotation.
 
         Under the write lock (no commit may interleave with catch-up):
-        index the suffix of the group's authoritative video list the
-        replica has not seen, then require its generation to *equal*
-        the group's expected value.  A replica that cannot align is
+        send the log entries the replica has not applied through the
+        write barrier, then require its generation to *equal* the one
+        the group last committed at.  A replica that cannot align is
         marked for rebuild — an out-of-step generation vector never
         serves.
         """
@@ -1157,14 +1105,13 @@ class ShardedSearchService:
         with self._write_lock:
             if self._closed or replica.needs_rebuild or not replica.alive:
                 return False
-            expected = len(group.videos)
-            if replica.generation < expected:
-                missing = group.videos[replica.generation :]
-                if not self._index_on_replica(replica, missing):
-                    replica.needs_rebuild = True
-                    replica.in_rotation = False
-                    return False
-            if replica.generation != expected:
+            log = group.log
+            if replica.applied < len(log):
+                self._write([(replica, log)], timeout=600.0)
+            if (
+                replica.applied != len(log)
+                or replica.generation != group.committed_generation
+            ):
                 replica.needs_rebuild = True
                 replica.in_rotation = False
                 return False
@@ -1173,53 +1120,47 @@ class ShardedSearchService:
             self._ping(replica)
         return True
 
-    def _index_on_replica(
-        self, replica: _Replica, names: list[str], timeout: float = 600.0
-    ) -> bool:
-        """Single-replica write barrier (rejoin catch-up); updates generation."""
-        key = (replica.shard_id, replica.index)
-        gather = _Gather([key], settle_on_failure=True)
-        req_id = self._register(gather, key, replica)
+    def _write(self, targets: list[tuple[_Replica, list]], timeout: float) -> _Gather:
+        """The write barrier: bring each replica up to the tip of its log.
+
+        Sends every ``(replica, log)`` target the entries of *log* it has
+        not applied (one ``index`` command), waits up to *timeout* for
+        every reply, and advances ``applied`` and ``generation`` of the
+        replicas that acked.  A timeout is left unsettled in the
+        returned gather, never raised.
+        """
+        keys = [(r.shard_id, r.index) for r, _ in targets]
+        gather = _Gather(keys, settle_on_failure=True)
+        req_ids: list[int] = []
         try:
-            if not replica.send(("index_batch", req_id, list(names))):
-                return False
-            deadline = time.perf_counter() + timeout
-            with gather.cond:
-                while not gather.done():
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        return False
-                    gather.cond.wait(timeout=min(remaining, 1.0))
+            for (replica, log), key in zip(targets, keys):
+                req_ids.append(self._register(gather, key, replica))
+                if not replica.send(("index", req_ids[-1], log[replica.applied :])):
+                    gather.fail(key, "dead")
+            gather.wait(timeout)
         finally:
-            self._unregister(req_id)
-        payload = gather.responses.get(key)
-        if payload is not None and payload.get("status") == "ok":
-            replica.generation = payload["generation"]
-            return True
-        return False
+            for req_id in req_ids:
+                self._unregister(req_id)
+        for (replica, log), key in zip(targets, keys):
+            payload = gather.responses.get(key)
+            if payload is not None:
+                replica.generation = payload["generation"]
+                replica.applied = len(log)
+        return gather
 
     def _ping(self, replica: _Replica) -> bool:
         key = (replica.shard_id, replica.index)
         gather = _Gather([key], settle_on_failure=True)
         req_id = self._register(gather, key, replica)
         started = time.perf_counter()
-        if not replica.send(("ping", req_id)):
-            self._unregister(req_id)
-            replica.breaker.record_failure()
-            return False
-        deadline = started + max(self.config.quarantine_cooldown, 0.1)
         try:
-            with gather.cond:
-                while not gather.done():
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    gather.cond.wait(timeout=remaining)
+            if replica.send(("ping", req_id)):
+                gather.wait(max(self.config.quarantine_cooldown, 0.1))
         finally:
             self._unregister(req_id)
         payload = gather.responses.get(key)
-        if payload is not None and payload.get("status") == "ok":
-            replica.generation = payload.get("generation", replica.generation)
+        if payload is not None:
+            replica.generation = payload["generation"]
             replica.breaker.record_success(time.perf_counter() - started)
             return True
         replica.breaker.record_failure()
@@ -1581,21 +1522,6 @@ class ShardedSearchService:
             )
         return shard_id
 
-    def stream_videos(
-        self, names: list[str], chunk_frames: int = 32, timeout: float = 600.0
-    ) -> BatchIndexResult:
-        """Chunk-append a batch of videos; generations bump per chunk.
-
-        The scatter/barrier discipline of :meth:`index_videos`, but each
-        home replica ingests its slice through the streaming path — so
-        queries racing the write observe the stream's shots at chunk
-        granularity rather than all-at-once, and the workers report
-        frame-arrival -> queryable freshness percentiles that surface in
-        :meth:`stats` (``stream freshness`` rows in
-        ``repro health``/``repro query-stats``).
-        """
-        return self.index_videos(names, timeout=timeout, chunk_frames=chunk_frames)
-
     def index_videos(
         self,
         names: list[str],
@@ -1607,23 +1533,25 @@ class ShardedSearchService:
 
         The batch is striped across shards with :func:`assign_shards`
         (the initial-catalog discipline — balanced to within one video;
-        a lone video routes by pure :func:`shard_of`); per-shard slices
-        scatter to *all* in-rotation replicas of the owning group
-        concurrently behind a group commit barrier, keeping the
-        generation vectors of serving replicas aligned.  A replica that
-        fails or times out its commit is in an unknown state: it is
-        pulled from rotation and rebuilt in the background, while the
-        slice counts as committed if *any* replica landed it.
+        a lone video routes by pure :func:`shard_of`).  Each shard's
+        slice becomes one write-log entry, sent to *all* in-rotation
+        replicas of the owning group concurrently behind a group commit
+        barrier, keeping the generation vectors of serving replicas
+        aligned.  A replica that fails or times out its commit is in an
+        unknown state: it is pulled from rotation and rebuilt in the
+        background, while the entry counts as committed if *any*
+        replica landed it.
+
+        With *chunk_frames* set, the replicas ingest the slice through
+        the streaming path — queries racing the write see its shots at
+        chunk granularity, and the workers' frame-arrival -> queryable
+        freshness surfaces in :attr:`ShardedStats.stream_freshness`.
 
         Never raises for shard-side trouble: the returned
         :class:`BatchIndexResult` carries a typed per-shard outcome
         (``committed`` with the new generation, ``failed``, or
         ``down``), so a timeout cannot raise away the shards that did
         commit.  Callers needing all-or-nothing check ``result.ok``.
-
-        With *chunk_frames* set (see :meth:`stream_videos`) the slices
-        go down the workers' chunk-append path instead of the batch
-        path.
         """
         if not names:
             return BatchIndexResult(assignments={}, outcomes={})
@@ -1633,12 +1561,13 @@ class ShardedSearchService:
         else:
             slices = assign_shards(names, self.config.n_shards)
         assignments = {name: sid for sid, batch in enumerate(slices) for name in batch}
-        by_shard = {sid: batch for sid, batch in enumerate(slices) if batch}
         outcomes: dict[int, ShardWriteOutcome] = {}
 
         with self._write_lock:
-            targets: dict[int, list[_Replica]] = {}
-            for sid in by_shard:
+            targets: dict[int, tuple[list, list[_Replica]]] = {}
+            for sid, batch in enumerate(slices):
+                if not batch:
+                    continue
                 group = self.groups[sid]
                 live = [r for r in group.replicas if r.alive and r.in_rotation]
                 if not live:
@@ -1648,53 +1577,25 @@ class ShardedSearchService:
                         error="no live replica in rotation",
                     )
                     continue
-                targets[sid] = live
+                targets[sid] = (group.log + [(tuple(batch), chunk_frames)], live)
 
-            keys = [(sid, r.index) for sid, live in targets.items() for r in live]
-            gather = _Gather(keys, settle_on_failure=True)
-            req_ids: list[int] = []
-            try:
-                for sid, live in targets.items():
-                    batch = by_shard[sid]
-                    for replica in live:
-                        req_id = self._register(gather, (sid, replica.index), replica)
-                        req_ids.append(req_id)
-                        if chunk_frames is not None:
-                            command = ("index_chunked", req_id, list(batch), chunk_frames)
-                        else:
-                            command = ("index_batch", req_id, list(batch))
-                        if not replica.send(command):
-                            self._unregister(req_id)
-                            gather.deliver(
-                                (sid, replica.index),
-                                {"status": "dead", "replica": replica.index},
-                            )
-                deadline = time.perf_counter() + timeout
-                with gather.cond:
-                    while not gather.done():
-                        remaining = deadline - time.perf_counter()
-                        if remaining <= 0:
-                            break  # timeout is a per-replica outcome, not a raise
-                        gather.cond.wait(timeout=min(remaining, 1.0))
-            finally:
-                for req_id in req_ids:
-                    self._unregister(req_id)
+            gather = self._write(
+                [(r, log) for log, live in targets.values() for r in live], timeout
+            )
 
-            for sid, live in targets.items():
-                batch = by_shard[sid]
+            for sid, (log, live) in targets.items():
                 group = self.groups[sid]
                 committed: list[int] = []
                 failed: list[int] = []
                 error: str | None = None
                 for replica in live:
                     payload = gather.responses.get((sid, replica.index))
-                    if payload is not None and payload.get("status") == "ok":
-                        replica.generation = payload["generation"]
+                    if payload is not None:
                         committed.append(replica.index)
-                        if chunk_frames is not None and "freshness" in payload:
+                        if chunk_frames is not None:
                             self._stream_freshness[sid] = {
-                                "chunks": payload.get("chunks", 0),
-                                **(payload.get("freshness") or {}),
+                                "chunks": payload["chunks"],
+                                **payload["freshness"],
                             }
                         continue
                     failures = gather.failures.get((sid, replica.index), [])
@@ -1710,13 +1611,14 @@ class ShardedSearchService:
                     replica.needs_rebuild = True
                     replica.breaker.trip()
                 if committed:
-                    group.videos = group.videos + list(batch)
+                    group.log = log
+                    group.committed_generation = max(
+                        group.replicas[index].generation for index in committed
+                    )
                     outcomes[sid] = ShardWriteOutcome(
                         shard=sid,
                         status="committed",
-                        generation=max(
-                            group.replicas[index].generation for index in committed
-                        ),
+                        generation=group.committed_generation,
                         error=error,
                         replicas_committed=tuple(committed),
                         replicas_failed=tuple(failed),
@@ -1796,7 +1698,7 @@ class ShardedSearchService:
                         key=lambda s: order.get(s, 3),
                     ),
                     generation=group.generation,
-                    videos=len(group.videos),
+                    videos=sum(len(names) for names, _ in group.log),
                     queries=sum(row.queries for row in rows),
                     failures=sum(row.failures for row in rows),
                     hedges=sum(row.hedges for row in rows),

@@ -7,12 +7,12 @@ from repro.library.persistence import (
     catalog_to_model,
     catalog_to_runner_state,
     load_model,
-    load_model_with_state,
     model_to_catalog,
     runner_state_to_catalog,
     save_model,
 )
 from repro.storage.catalog import Catalog
+from repro.storage.persist import load_catalog
 
 
 @pytest.fixture
@@ -140,16 +140,16 @@ class TestRunnerStatePersistence:
     def test_round_trip_via_file(self, model, tmp_path):
         path = tmp_path / "m.json"
         save_model(model, path, runner_state=self.STATE)
-        loaded, state = load_model_with_state(path)
-        assert loaded.counts() == model.counts()
+        catalog = load_catalog(path)
+        state = catalog_to_runner_state(catalog)
+        assert catalog_to_model(catalog).counts() == model.counts()
         assert state["quarantined_version"] == {"tennis": 5}
         assert state["consecutive_failures"] == {"tennis": 2, "shape": 1}
 
     def test_absent_state_loads_as_none(self, model, tmp_path):
         path = tmp_path / "m.json"
         save_model(model, path)
-        _loaded, state = load_model_with_state(path)
-        assert state is None
+        assert catalog_to_runner_state(load_catalog(path)) is None
 
     def test_plain_load_model_ignores_state(self, model, tmp_path):
         path = tmp_path / "m.json"

@@ -8,9 +8,12 @@ exercise the replication contracts against live processes:
 - a killed replica costs **zero coverage** — reads fail over to the
   sibling within the request budget — and the rebuilt replica rejoins
   rotation only after its generation aligns with the group's;
-- writes fan out to every live replica behind a group commit barrier,
-  and ``index_videos`` reports typed per-shard outcomes instead of
-  raising away partial progress;
+- writes, batch or chunked, fan out to every live replica behind a
+  group commit barrier, and ``index_videos`` reports typed per-shard
+  outcomes instead of raising away partial progress;
+- a replica rebuilt after a chunked write replays it chunked and
+  rejoins at its sibling's generation, so the group's generation
+  never decreases;
 - the hedged re-issue path: the reservoir-empty trigger (the
   ``percentile_or`` fallback), losing-reply discard, and hedging
   racing failover under a replica kill;
@@ -117,29 +120,43 @@ class TestReplicatedHealthyServing:
         assert len(served.generations) == 2  # one entry per group, not per worker
 
 
+def _assert_siblings_aligned(service):
+    """Every replica of every group reports its group's generation."""
+    for row in service.stats().shards:
+        assert {rep.generation for rep in row.replicas} == {row.generation}
+
+
 class TestWriteFanout:
     def test_batch_commits_on_every_replica(self, dataset, names):
-        extra = [plan.name for plan in dataset.video_plans[N_VIDEOS : N_VIDEOS + 2]]
+        """A batch write, then a chunked one, on the same fleet."""
         config = ShardingConfig(n_shards=2, replication=2, budget_seconds=30.0)
+        plans = dataset.video_plans[N_VIDEOS : N_VIDEOS + 3]
         with ShardedSearchService(names, seed=0, config=config) as service:
-            before = service.generations
-            result = service.index_videos(extra)
-            assert isinstance(result, BatchIndexResult)
-            assert result.ok and result.failed_shards == ()
-            assert set(result.assignments) == set(extra)
-            for name in extra:
-                assert result.assignments[name] == shard_of(name, 2)
-            for sid, outcome in result.outcomes.items():
-                assert outcome.committed
-                assert outcome.replicas_committed == (0, 1)
-                assert outcome.replicas_failed == ()
-                assert outcome.generation is not None
-            after = service.generations
-            assert sum(after) == sum(before) + len(extra)
-            # the commit barrier leaves every sibling generation-aligned
-            for row in service.stats().shards:
-                for rep in row.replicas:
-                    assert rep.generation == row.generation
+            # two videos striped in one batch, then one (routed by
+            # shard_of) in chunks
+            for batch, chunk_frames in ((plans[:2], None), (plans[2:], 24)):
+                extra = [plan.name for plan in batch]
+                before = service.generations
+                result = service.index_videos(extra, chunk_frames=chunk_frames)
+                assert isinstance(result, BatchIndexResult)
+                assert result.ok and result.failed_shards == ()
+                assert set(result.assignments) == set(extra)
+                for name in extra:
+                    assert result.assignments[name] == shard_of(name, 2)
+                for sid, outcome in result.outcomes.items():
+                    assert outcome.committed
+                    assert outcome.replicas_committed == (0, 1)
+                    assert outcome.replicas_failed == ()
+                    assert outcome.generation is not None
+                after = service.generations
+                if chunk_frames is None:
+                    assert sum(after) == sum(before) + len(extra)
+                else:  # one generation per committed chunk
+                    chunks = service.stats().stream_freshness
+                    for sid in result.outcomes:
+                        assert after[sid] == before[sid] + chunks[sid]["chunks"]
+                # the commit barrier leaves every sibling generation-aligned
+                _assert_siblings_aligned(service)
 
     def test_index_video_routes_to_the_home_shard(self, dataset, names):
         extra = dataset.video_plans[N_VIDEOS].name
@@ -178,6 +195,40 @@ class TestWriteFanout:
             assert not result.outcomes[0].committed
             assert result.outcomes[1].committed  # partial progress stands
             assert result.failed_shards == (0,)
+
+
+class TestChunkedRejoin:
+    def test_rebuilt_replica_replays_the_chunked_write(self, names):
+        """A replica rebuilt after a chunked write replays it chunked: it
+        rejoins at its sibling's generation, so losing that sibling next
+        never moves the group's generation backwards."""
+        config = ShardingConfig(
+            n_shards=1,
+            replication=2,
+            budget_seconds=30.0,
+            quarantine_cooldown=0.2,
+            probe_interval=0.05,
+        )
+        with ShardedSearchService(
+            [], seed=0, config=config, dataset_args={"video_shots": 4}
+        ) as service:
+            assert service.index_videos(names[:2], chunk_frames=24).ok
+            seen = [service.generations]
+            replicas = service.groups[0].replicas
+            for victim in (1, 0):
+                replicas[victim].process.kill()
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() < deadline:
+                    seen.append(service.generations)
+                    if replicas[victim].restarts == 1 and all(
+                        rep.alive and rep.in_rotation for rep in replicas
+                    ):
+                        break
+                    time.sleep(0.02)
+                assert replicas[victim].restarts == 1
+                _assert_siblings_aligned(service)
+            seen.append(service.generations)
+            assert all(later >= earlier for earlier, later in zip(seen, seen[1:])), seen
 
 
 class TestReadFailover:

@@ -25,6 +25,7 @@ from repro.library.sharding import (
     ShardingConfig,
     format_sharded_stats,
 )
+from repro.sim import query_mix
 
 N_VIDEOS = 4
 
@@ -108,6 +109,40 @@ class TestHealthyServing:
             assert after[shard_id] == before[shard_id] + 1
             served = service.search(MIX[0])
             assert served.generations == after
+
+
+class TestChunkedWrite:
+    """``index_videos(chunk_frames=F)``: the chunked write path lands the
+    same catalog as a batch-indexed fleet, chunk by chunk."""
+
+    @pytest.fixture(scope="class")
+    def chunked(self, names):
+        config = ShardingConfig(n_shards=2, replication=2, budget_seconds=30.0)
+        with ShardedSearchService([], seed=0, config=config) as service:
+            before = service.generations
+            result = service.index_videos(names, chunk_frames=24)
+            assert result.ok and set(result.outcomes) == {0, 1}
+            yield service, before
+
+    def test_answers_equal_a_batch_indexed_fleet(self, chunked, sharded):
+        service, _ = chunked
+        for query in query_mix():
+            served = service.search(query, bypass_cache=True)
+            assert served.coverage.complete, served.coverage
+            assert served.results == sharded.search(query, bypass_cache=True).results
+
+    def test_siblings_share_one_generation_per_group(self, chunked):
+        service, _ = chunked
+        for row in service.stats().shards:
+            assert {rep.generation for rep in row.replicas} == {row.generation}
+
+    def test_freshness_has_one_row_per_shard(self, chunked):
+        service, before = chunked
+        freshness = service.stats().stream_freshness
+        assert set(freshness) == {0, 1}
+        for sid, row in freshness.items():
+            assert row["chunks"] == service.generations[sid] - before[sid] > 0
+            assert row["p95"] >= 0.0
 
 
 class TestShardLoss:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cli import main
+from repro.library.persistence import catalog_to_stream_state
 from repro.storage.crashpoints import CrashPoint
+from repro.storage.persist import load_catalog
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +74,23 @@ class TestStreamCommand:
         text = capsys.readouterr().out
         assert "fsck: clean" in text
         assert "resume" in text
+
+    def test_ann_build_keeps_an_in_flight_stream(self, tmp_path, batch_bytes, capsys):
+        """``ann-build`` on a mid-stream snapshot keeps its resume rows,
+        so ``--resume`` still finishes the video."""
+        out = tmp_path / "meta.json"
+        journal = tmp_path / "meta.journal"
+        argv = ["stream", "--seed", "7", "--videos", "1", "--out", str(out),
+                "--journal", str(journal), "--chunk-frames", "24"]
+        with CrashPoint("chunk-pre-commit", after=6):
+            assert main(argv) == 1
+        rows = catalog_to_stream_state(load_catalog(out))
+        assert rows, "the stream should be in flight"
+
+        assert main(["ann-build", "--seed", "7", "--metaindex", str(out)]) == 0
+        assert catalog_to_stream_state(load_catalog(out)) == rows
+
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        assert "nothing to stream" not in capsys.readouterr().out
+        assert out.read_bytes() == batch_bytes
