@@ -38,6 +38,9 @@ __all__ = [
     "ServingError",
 ]
 
+#: Loop iterations between clock samples in :meth:`QueryBudget.tick`.
+TICK_STRIDE = 32
+
 
 class ServingError(Exception):
     """Base class of classified query-serving faults."""
@@ -103,7 +106,7 @@ class QueryBudget:
 
     The budget starts ticking at construction.  Pipeline code calls
     :meth:`check` at stage boundaries, :meth:`tick` inside hot loops
-    (samples the clock once every :attr:`tick_stride` calls, so the
+    (samples the clock once every :data:`TICK_STRIDE` calls, so the
     common case is one integer increment), and :meth:`charge_postings`
     before doing text-scan work whose cost is known up front.
 
@@ -111,8 +114,6 @@ class QueryBudget:
         seconds: wall-clock allowance (``None`` = unbounded time).
         postings: postings-processed allowance (``None`` = unbounded).
         clock: monotonic time source (injectable for tests).
-        tick_stride: loop iterations between clock samples in
-            :meth:`tick`.
 
     Attributes:
         started: clock reading at construction.
@@ -123,7 +124,6 @@ class QueryBudget:
     seconds: float | None = None
     postings: int | None = None
     clock: Callable[[], float] = time.monotonic
-    tick_stride: int = 32
     started: float = field(init=False)
     postings_used: int = field(default=0, init=False)
     checks: int = field(default=0, init=False)
@@ -134,8 +134,6 @@ class QueryBudget:
             raise ValueError(f"seconds must be >= 0 or None, got {self.seconds}")
         if self.postings is not None and self.postings < 0:
             raise ValueError(f"postings must be >= 0 or None, got {self.postings}")
-        if self.tick_stride < 1:
-            raise ValueError(f"tick_stride must be >= 1, got {self.tick_stride}")
         self.started = self.clock()
 
     def remaining(self) -> float | None:
@@ -176,9 +174,9 @@ class QueryBudget:
             )
 
     def tick(self, stage: str) -> None:
-        """Cheap loop-body check: samples the clock every ``tick_stride`` calls."""
+        """Cheap loop-body check: samples the clock every :data:`TICK_STRIDE` calls."""
         self._ticks += 1
-        if self._ticks % self.tick_stride == 0:
+        if self._ticks % TICK_STRIDE == 0:
             self.check(stage)
 
     def tick_batch(self, n: int, stage: str) -> None:
@@ -193,7 +191,7 @@ class QueryBudget:
             return
         before = self._ticks
         self._ticks += n
-        if self._ticks // self.tick_stride > before // self.tick_stride:
+        if self._ticks // TICK_STRIDE > before // TICK_STRIDE:
             self.check(stage)
 
     def charge_postings(self, n: int, stage: str = "text_topn") -> None:

@@ -180,22 +180,6 @@ class ConceptGrammar:
     event_rules: list = field(default_factory=list)
     object_rules: list[ObjectRule] = field(default_factory=list)
 
-    @property
-    def event_names(self) -> list[str]:
-        return [r.name for r in self.event_rules]
-
-    def event_rule(self, name: str):
-        for rule in self.event_rules:
-            if rule.name == name:
-                return rule
-        raise KeyError(f"no event rule named {name!r}")
-
-    def object_rule(self, name: str) -> ObjectRule:
-        for rule in self.object_rules:
-            if rule.name == name:
-                return rule
-        raise KeyError(f"no object rule named {name!r}")
-
 
 # --------------------------------------------------------------------- #
 # Tokeniser

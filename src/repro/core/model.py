@@ -245,9 +245,6 @@ class CobraModel:
     def video_of_shot(self, shot_id: int) -> Video:
         return self._videos[self._shots[shot_id].video_id]
 
-    def video_of_event(self, event_id: int) -> Video:
-        return self.video_of_shot(self._events[event_id].shot_id)
-
     # ------------------------------------------------------------------ #
     # Invalidation (FDE revalidation replaces stale meta-data)
     # ------------------------------------------------------------------ #

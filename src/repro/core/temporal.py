@@ -60,14 +60,6 @@ class Interval:
     def length(self) -> int:
         return self.stop - self.start
 
-    def contains_frame(self, frame: int) -> bool:
-        return self.start <= frame < self.stop
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        start = max(self.start, other.start)
-        stop = min(self.stop, other.stop)
-        return Interval(start, stop) if start < stop else None
-
     def union_span(self, other: "Interval") -> "Interval":
         """Smallest interval covering both (even if disjoint)."""
         return Interval(min(self.start, other.start), max(self.stop, other.stop))

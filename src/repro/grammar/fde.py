@@ -85,7 +85,7 @@ class _VideoState:
     """Cached indexing state of one multimedia object."""
 
     clip: object
-    context: IndexingContext
+    video_id: int  # raw-layer id in the engine's model
     outputs: dict[str, dict[str, object]]  # detector -> {token: value}
     versions: dict[str, int]  # detector -> registry version used
     health: IndexingHealthReport | None = None
@@ -440,7 +440,7 @@ class FeatureDetectorEngine:
             self.model.mark_degraded(passed.video_id)
         self._states[clip.name] = _VideoState(
             clip=clip,
-            context=passed.context,
+            video_id=passed.video_id,
             outputs=passed.outputs,
             versions=passed.versions,
             health=passed.health,
@@ -523,7 +523,7 @@ class FeatureDetectorEngine:
         context.health = staged.health
         self._states[name] = _VideoState(
             clip=staged.clip,
-            context=context,
+            video_id=video_id,
             outputs={},
             versions={},
             health=staged.health,
@@ -586,9 +586,6 @@ class FeatureDetectorEngine:
     def indexed_videos(self) -> list[str]:
         return sorted(self._states)
 
-    def context_of(self, video_name: str) -> IndexingContext:
-        return self._states[video_name].context
-
     def health_of(self, video_name: str) -> IndexingHealthReport | None:
         """Health report of the last pass over *video_name*."""
         return self._states[video_name].health
@@ -620,11 +617,11 @@ class FeatureDetectorEngine:
 
         The pass is *crash-consistent*: re-runs are staged and committed
         to the cached state only when the pass completes.  Under
-        ``fail_fast`` a failing detector leaves the cached outputs,
-        versions and context exactly as they were; under the skip
-        policies the pass commits, the failing subtree stays stale (so a
-        later revalidation retries it) and the video's degraded flag
-        tracks whether every detector now has meta-data.
+        ``fail_fast`` a failing detector leaves the cached outputs and
+        versions exactly as they were; under the skip policies the pass
+        commits, the failing subtree stays stale (so a later
+        revalidation retries it) and the video's degraded flag tracks
+        whether every detector now has meta-data.
         """
         self._check_registry()
         if video_name not in self._states:
@@ -639,7 +636,7 @@ class FeatureDetectorEngine:
         context = IndexingContext(
             clip=state.clip,
             model=self.model,
-            video_id=state.context.video_id,
+            video_id=state.video_id,
             axiom=self.grammar.axiom,
         )
         staged_outputs: dict[str, dict[str, object]] = {}
@@ -671,13 +668,12 @@ class FeatureDetectorEngine:
         self.last_health = health
         if failure is not None:
             # Crash consistency: nothing staged is committed, the
-            # cached outputs/versions/context are untouched.
+            # cached outputs/versions are untouched.
             self._raise_outcome(failure)
         state.outputs = staged_outputs
         state.versions = staged_versions
-        state.context = context
         state.health = health
-        self.model.mark_degraded(state.context.video_id, degraded=health.degraded)
+        self.model.mark_degraded(state.video_id, degraded=health.degraded)
         return report
 
     def revalidate_all(self) -> RevalidationReport:

@@ -79,10 +79,6 @@ class FeatureGrammar:
     detectors: list[DetectorDecl] = field(default_factory=list)
     axiom: str = AXIOM
 
-    @property
-    def detector_names(self) -> list[str]:
-        return [d.name for d in self.detectors]
-
     def detector(self, name: str) -> DetectorDecl:
         for decl in self.detectors:
             if decl.name == name:

@@ -9,8 +9,8 @@ through instead of calling them directly:
 
 - an **error taxonomy** (:class:`DetectorError` and its ``Transient`` /
   ``Permanent`` / ``Timeout`` subclasses) that retry decisions key on;
-- a :class:`RunPolicy` configuring per-detector retries, exponential
-  backoff, per-attempt timeouts and a per-video deadline budget — with
+- a :class:`RunPolicy` configuring retries, exponential backoff,
+  per-attempt timeouts and a per-video deadline budget — with
   injectable ``clock``/``sleep`` so every test is deterministic;
 - a :class:`DetectorRunner` that executes one detector under the policy
   and reports a :class:`DetectorOutcome` instead of letting exceptions
@@ -133,6 +133,12 @@ def classify_error(exc: BaseException) -> str:
 # ---------------------------------------------------------------------- #
 
 
+#: Multiplier on the backoff sleep per further retry (exponential).
+BACKOFF_FACTOR = 2.0
+#: Cap on any single backoff sleep, in seconds.
+MAX_BACKOFF = 30.0
+
+
 class IsolationPolicy(str, Enum):
     """What a permanent detector failure does to the rest of the video."""
 
@@ -147,14 +153,14 @@ class RunPolicy:
 
     Attributes:
         max_retries: extra attempts after the first, for transient and
-            timeout failures (permanent failures never retry).
-        per_detector_retries: per-detector override of ``max_retries``.
-        backoff_base: sleep before the first retry, in seconds.
-        backoff_factor: multiplier per further retry (exponential).
-        max_backoff: cap on any single backoff sleep.
+            timeout failures (permanent failures never retry); the same
+            for every detector.
+        backoff_base: sleep before the first retry, in seconds; each
+            further retry multiplies it by :data:`BACKOFF_FACTOR`, capped
+            at :data:`MAX_BACKOFF`.
         timeout: per-attempt wall-clock budget in seconds (``None`` =
-            unbounded); enforced cooperatively by the runner's clock.
-        per_detector_timeout: per-detector override of ``timeout``.
+            unbounded), the same for every detector; enforced
+            cooperatively by the runner's clock.
         deadline: per-video wall-clock budget in seconds (``None`` =
             unbounded).  Once spent, remaining detectors are not started.
         isolation: failure-isolation policy (default ``fail_fast`` — the
@@ -164,12 +170,8 @@ class RunPolicy:
     """
 
     max_retries: int = 0
-    per_detector_retries: dict[str, int] = field(default_factory=dict)
     backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    max_backoff: float = 30.0
     timeout: float | None = None
-    per_detector_timeout: dict[str, float] = field(default_factory=dict)
     deadline: float | None = None
     isolation: IsolationPolicy = IsolationPolicy.FAIL_FAST
     quarantine_after: int = 3
@@ -177,21 +179,15 @@ class RunPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff_base must be >= 0 and backoff_factor >= 1")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
         if self.quarantine_after < 1:
             raise ValueError(f"quarantine_after must be >= 1, got {self.quarantine_after}")
         object.__setattr__(self, "isolation", IsolationPolicy(self.isolation))
 
-    def retries_for(self, detector: str) -> int:
-        return self.per_detector_retries.get(detector, self.max_retries)
-
-    def timeout_for(self, detector: str) -> float | None:
-        return self.per_detector_timeout.get(detector, self.timeout)
-
     def backoff(self, retry_index: int) -> float:
         """Sleep before retry *retry_index* (0-based), in seconds."""
-        return min(self.backoff_base * self.backoff_factor**retry_index, self.max_backoff)
+        return min(self.backoff_base * BACKOFF_FACTOR**retry_index, MAX_BACKOFF)
 
 
 # ---------------------------------------------------------------------- #
@@ -498,8 +494,8 @@ class DetectorRunner:
             A :class:`DetectorOutcome`; callers decide, per isolation
             policy, whether a FAILED outcome aborts, skips or re-raises.
         """
-        max_retries = self.policy.retries_for(name)
-        timeout = self.policy.timeout_for(name)
+        max_retries = self.policy.max_retries
+        timeout = self.policy.timeout
         started = self.clock()
         attempts = 0
         while True:

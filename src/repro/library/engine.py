@@ -6,8 +6,8 @@ Combines the three query facilities of the demo:
   and videos connected to them;
 - content constraints resolve to event scenes in those videos via the
   COBRA meta-index;
-- text constraints score the players' interview transcripts with the
-  top-N IR engine.
+- text constraints score the players' interview transcripts by an
+  exact full scan of the text index.
 
 ``search`` evaluates a :class:`~repro.library.query.LibraryQuery` by
 intersecting the three; ``keyword_search`` is the crawler-style baseline
@@ -25,7 +25,7 @@ from repro.dataset.build import TournamentDataset
 from repro.grammar.fde import FeatureDetectorEngine
 from repro.ir.inverted_index import InvertedIndex
 from repro.ir.ranking import RankedHit, rank_full_scan
-from repro.ir.topn import FragmentedIndex, full_scan_postings
+from repro.ir.topn import full_scan_postings
 from repro.library.indexing import LibraryIndexer
 from repro.library.persistence import model_to_catalog
 from repro.library.query import LibraryQuery
@@ -48,19 +48,19 @@ class DigitalLibraryEngine:
     Args:
         dataset: the tournament dataset (concept graph + pages + plans).
         fde: optional FDE override for video indexing.
-        n_fragments: fragmentation of the text index (top-N tuning).
+
+    Text queries are scored by an exact full scan of :attr:`text_index`;
+    the engine maintains no fragmented top-N index.
     """
 
     def __init__(
         self,
         dataset: TournamentDataset,
         fde: FeatureDetectorEngine | None = None,
-        n_fragments: int = 4,
     ):
         self.dataset = dataset
         self.indexer = LibraryIndexer(dataset, fde=fde)
         self.text_index = InvertedIndex(dataset.pages)
-        self.fragmented_index = FragmentedIndex(self.text_index, n_fragments=n_fragments)
         self._text_generation = 0
         #: ``(interviewed_in link count, doc id -> interviewee names)``:
         #: the access path :meth:`_text_scores_per_video` reads.
@@ -127,17 +127,12 @@ class DigitalLibraryEngine:
     def refresh_text_index(self) -> None:
         """Re-index pages added since construction.
 
-        A no-op when no pages were added: the fragmented index is kept
-        as-is and the generation does not move, so warm caches stay
-        warm.  (It used to rebuild the full fragmented index on every
-        call.)
+        A no-op when no pages were added: the generation does not move,
+        so warm caches stay warm.
         """
         if len(self.dataset.pages) == self.text_index.n_documents:
             return
         self.text_index.refresh()
-        self.fragmented_index = FragmentedIndex(
-            self.text_index, n_fragments=self.fragmented_index.n_fragments
-        )
         self._text_generation += 1
 
     # ------------------------------------------------------------------ #

@@ -10,9 +10,9 @@ failure count, the classic closed → open → half-open machine) and
 immediately instead of timing out every time.
 
 :class:`ResilienceConfig` bundles every knob of the overload story
-(admission capacity, queue bounds, default budget, breaker tuning,
-ladder toggles) so :class:`~repro.library.service.LibrarySearchService`
-takes one optional argument; ``resilience=None`` serves without
+(admission capacity, queue bounds, default budget, breaker tuning) so
+:class:`~repro.library.service.LibrarySearchService` takes one
+optional argument; ``resilience=None`` serves without
 admission, breakers or the ladder, results byte-identical.
 """
 
@@ -179,23 +179,23 @@ class ResilienceConfig:
             more is shed immediately (``queue_full``).
         queue_timeout: seconds a queued request waits before being shed
             (``queue_timeout``); ``0`` sheds on any queueing.
-        budget_seconds: default per-query wall-clock budget applied when
-            the caller passes no :class:`~repro.budget.QueryBudget`.
-        stale_serving: ladder rung 1 — serve the previous generation's
-            cached result, labeled ``stale=True``.
-        degraded_serving: ladder rung 2 — serve a concept-only partial
-            evaluation, labeled ``degraded=True``.
+        budget_seconds: default per-query wall-clock budget (>= 0)
+            applied when the caller passes no
+            :class:`~repro.budget.QueryBudget`.
         breaker_failure_threshold / breaker_cooldown:
             :class:`StageBreaker` tuning for the breakers guarding
             :data:`DEGRADABLE_STAGES`.
+
+    Both rungs of the degradation ladder are always on: rung 1 serves
+    the previous generation's cached result, labeled ``stale=True``
+    (skipped by ``bypass_cache``); rung 2 serves a concept-only partial
+    evaluation, labeled ``degraded=True``.
     """
 
     max_concurrent: int = 8
     max_queue: int = 16
     queue_timeout: float = 0.05
     budget_seconds: float | None = None
-    stale_serving: bool = True
-    degraded_serving: bool = True
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 1.0
 
@@ -206,3 +206,5 @@ class ResilienceConfig:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
         if self.queue_timeout < 0:
             raise ValueError(f"queue_timeout must be >= 0, got {self.queue_timeout}")
+        if self.budget_seconds is not None and self.budget_seconds < 0:
+            raise ValueError(f"budget_seconds must be >= 0, got {self.budget_seconds}")

@@ -221,10 +221,6 @@ class QueryStats:
         return self.cache_hits / self.queries
 
     @property
-    def total_seconds(self) -> float:
-        return self.hit_seconds + self.miss_seconds
-
-    @property
     def shed_total(self) -> int:
         return sum(self.shed.values())
 
@@ -499,10 +495,6 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
 
 class LibrarySearchService:
     """Concurrent, cached, overload-resilient query serving.
@@ -700,13 +692,12 @@ class LibrarySearchService:
         the same pinned generation); the retry runs on a *fresh* budget
         of the same size, bounding total lock-hold time at two budgets.
         """
-        cfg = self.resilience
-        if cfg.stale_serving and not bypass_cache and generation > 0:
+        if not bypass_cache and generation > 0:
             cached = self._cache.get((generation - 1, query.key))
             if cached is not None:
                 return self._serve_hit(cached, generation - 1, started, stale=True)
         relevant = self._degradable_for(query)
-        if cfg.degraded_serving and relevant and stage != "concept_filter":
+        if relevant and stage != "concept_filter":
             skip = set(DEGRADABLE_STAGES)
             if stage is not None:
                 skip.add(stage)
@@ -751,7 +742,7 @@ class LibrarySearchService:
             cached = self._cache.get((generation, query.key))
             if cached is not None:
                 return self._serve_hit(cached, generation, started)
-            if self.resilience.stale_serving and generation > 0:
+            if generation > 0:
                 cached = self._cache.get((generation - 1, query.key))
                 if cached is not None:
                     return self._serve_hit(cached, generation - 1, started, stale=True)
@@ -983,7 +974,3 @@ class LibrarySearchService:
             self._stale_served = self._degraded_served = 0
             self._deadline_exceeded = 0
             self._cache.evictions = 0
-
-    def clear_cache(self) -> None:
-        """Drop every cached result set."""
-        self._cache.clear()

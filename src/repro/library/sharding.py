@@ -171,9 +171,9 @@ class ShardingConfig:
             a hedged duplicate overtake a per-delivery hang fault).
         cache_size: coordinator result-cache entries (keyed by
             generation vector + ``query.key``).
-        budget_seconds: default per-request wall budget when the caller
-            passes none (``None`` = unbounded — hedging and gather then
-            wait up to :data:`GATHER_FLOOR_SECONDS`).
+        budget_seconds: default per-request wall budget (>= 0) when the
+            caller passes none (``None`` = unbounded — hedging and gather
+            then wait up to :data:`GATHER_FLOOR_SECONDS`).
         min_coverage: fewest responding shards a *partial* answer may
             be built from (ladder rung 2); fewer falls through to
             stale/reject.
@@ -182,11 +182,12 @@ class ShardingConfig:
         failure_threshold / quarantine_cooldown:
             per-replica :class:`StageBreaker` tuning (process death
             trips immediately regardless).
-        probe_interval: seconds between background prober sweeps.
-        restart_dead: respawn dead replicas (deterministic slice
-            rebuild + generation-verified rejoin) instead of leaving
-            them out of rotation forever.
-        stale_serving: ladder rung 3 toggle.
+        probe_interval: seconds between background prober sweeps; each
+            sweep respawns dead replicas (deterministic slice rebuild +
+            generation-verified rejoin).
+
+    Ladder rung 3 (the last full-coverage answer, labelled stale) is
+    always on; a ``bypass_cache`` request skips it.
     """
 
     n_shards: int = 4
@@ -199,8 +200,6 @@ class ShardingConfig:
     failure_threshold: int = 3
     quarantine_cooldown: float = 1.0
     probe_interval: float = 0.25
-    restart_dead: bool = True
-    stale_serving: bool = True
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -209,6 +208,8 @@ class ShardingConfig:
             raise ValueError(f"replication must be >= 1, got {self.replication}")
         if self.worker_threads < 1:
             raise ValueError(f"worker_threads must be >= 1, got {self.worker_threads}")
+        if self.budget_seconds is not None and self.budget_seconds < 0:
+            raise ValueError(f"budget_seconds must be >= 0, got {self.budget_seconds}")
         if not 1 <= self.min_coverage <= self.n_shards:
             raise ValueError(
                 f"min_coverage must be in [1, {self.n_shards}], got {self.min_coverage}"
@@ -1032,8 +1033,7 @@ class ShardedSearchService:
                     if self._closed or self._prober_stop.is_set():
                         return
                     if not replica.alive or replica.needs_rebuild:
-                        if self.config.restart_dead:
-                            self._restart(group, replica)
+                        self._restart(group, replica)
                         continue
                     if not replica.in_rotation:
                         self._rejoin(group, replica)
@@ -1374,7 +1374,7 @@ class ShardedSearchService:
                 failovers=state.failovers,
             )
 
-        if self.config.stale_serving and not bypass_cache:
+        if not bypass_cache:
             stale = self._recent.get(query.key)
             if stale is not None:
                 results, stale_coverage, stale_vector = stale

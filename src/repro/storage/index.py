@@ -45,6 +45,3 @@ class HashIndex:
     def lookup(self, value) -> np.ndarray:
         """Row ids with the given value (empty array when absent)."""
         return np.asarray(self._map.get(value, []), dtype=np.int64)
-
-    def distinct_values(self) -> list:
-        return list(self._map)

@@ -19,8 +19,8 @@ Robustness ladder per stream:
   :meth:`~repro.streaming.session.StreamSession.record_gap` (the next
   chunk finalises the tail and restarts the boundary state past the
   gap; the stream is marked degraded);
-- a stream making no commit progress within ``stall_deadline`` trips
-  its breaker and is quarantined — its queue drops, its thread exits,
+- a stream making no commit progress within :data:`STALL_DEADLINE`
+  trips its breaker and is quarantined — its queue drops, its thread exits,
   and *other* streams are unaffected.
 
 Freshness SLO: every committed chunk samples frame-arrival ->
@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+#: Seconds without a chunk commit (while work is queued) before a
+#: stream's breaker trips and it is quarantined.
+STALL_DEADLINE = 30.0
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """Ingest-loop tuning knobs.
@@ -56,22 +61,16 @@ class StreamConfig:
     Attributes:
         queue_chunks: bounded per-stream queue depth; overflow sheds the
             oldest queued chunk (labeled, never silent).
-        stall_deadline: seconds without a chunk commit (while work is
-            queued) before the stream's breaker trips and it is
-            quarantined.
         freshness_slo: declared p95 frame-arrival -> queryable bound in
             seconds (reported in health; gated by E20).
     """
 
     queue_chunks: int = 8
-    stall_deadline: float = 30.0
     freshness_slo: float = 2.0
 
     def __post_init__(self) -> None:
         if self.queue_chunks < 1:
             raise ValueError(f"queue_chunks must be >= 1, got {self.queue_chunks}")
-        if self.stall_deadline <= 0:
-            raise ValueError(f"stall_deadline must be > 0, got {self.stall_deadline}")
         if self.freshness_slo <= 0:
             raise ValueError(f"freshness_slo must be > 0, got {self.freshness_slo}")
 
@@ -120,7 +119,7 @@ class StreamIngestor:
         indexer: the shared :class:`~repro.library.indexing.LibraryIndexer`.
         path / journal: durability targets passed to each session
             (``None`` for memory-only ingest, e.g. inside shard workers).
-        config: ingest tuning (queue depth, stall deadline, SLO).
+        config: ingest tuning (queue depth, SLO).
         commit_lock: context-manager factory serialising chunk commits
             across streams (the serving layer's write lock); defaults to
             a private lock so concurrent sessions never interleave
@@ -302,7 +301,7 @@ class StreamIngestor:
         if last is None:
             state.last_progress = self._clock()
             return
-        if self._clock() - last > self.config.stall_deadline:
+        if self._clock() - last > STALL_DEADLINE:
             self._quarantine(state, "stalled: no chunk progress within deadline")
 
     def _quarantine(self, state: _StreamState, reason: str) -> None:

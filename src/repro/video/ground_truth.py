@@ -129,9 +129,6 @@ class GroundTruth:
         shot = self.shot_at(frame)
         return shot.category if shot else None
 
-    def events_labelled(self, label: str) -> list[EventTruth]:
-        return [e for e in self.events if e.label == label]
-
     def validate(self, total_frames: int) -> None:
         """Sanity-check internal consistency against the clip length."""
         for shot in self.shots:

@@ -140,6 +140,3 @@ class WebspaceSchema:
     @property
     def association_names(self) -> list[str]:
         return sorted(self._associations)
-
-    def associations_from(self, source: str) -> list[AssociationDef]:
-        return [a for a in self._associations.values() if a.source == source]

@@ -58,7 +58,7 @@ class TestParsing:
 
     def test_comments_ignored(self):
         grammar = parse_grammar("# hello\nEVENT x := HOLDS zone = net FOR 5 ; # bye\n")
-        assert grammar.event_names == ["x"]
+        assert [rule.name for rule in grammar.event_rules] == ["x"]
 
     def test_not_and_or(self):
         text = "EVENT x := HOLDS NOT zone = net OR (speed > 1 AND speed < 3) FOR 2 ;"
@@ -68,7 +68,7 @@ class TestParsing:
 
     def test_case_insensitive_keywords(self):
         grammar = parse_grammar("event x := holds zone = net for 5 ;")
-        assert grammar.event_names == ["x"]
+        assert [rule.name for rule in grammar.event_rules] == ["x"]
 
 
 class TestErrors:
@@ -103,17 +103,3 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(GrammarError):
             parse_grammar("EVENT x := HOLDS zone = net FOR 5 @ ;")
-
-
-class TestLookup:
-    def test_event_rule_lookup(self):
-        grammar = parse_grammar("EVENT x := HOLDS zone = net FOR 5 ;")
-        assert grammar.event_rule("x").name == "x"
-        with pytest.raises(KeyError):
-            grammar.event_rule("y")
-
-    def test_object_rule_lookup(self):
-        grammar = parse_grammar("OBJECT p := area > 1 ;")
-        assert grammar.object_rule("p").name == "p"
-        with pytest.raises(KeyError):
-            grammar.object_rule("q")

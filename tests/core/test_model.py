@@ -67,11 +67,6 @@ class TestLookups:
         assert [o.object_id for o in model.objects_of(shot_a.shot_id)] == [obj.object_id]
         assert model.objects_of(shot_b.shot_id) == []
 
-    def test_video_of_event(self, populated):
-        model, video, *_ = populated
-        event = model.events[0]
-        assert model.video_of_event(event.event_id).video_id == video.video_id
-
     def test_counts(self, populated):
         model = populated[0]
         assert model.counts() == {"raw": 1, "feature": 2, "object": 1, "event": 2}

@@ -19,16 +19,6 @@ class TestInterval:
     def test_length(self):
         assert Interval(3, 8).length == 5
 
-    def test_contains_frame(self):
-        iv = Interval(3, 8)
-        assert iv.contains_frame(3)
-        assert iv.contains_frame(7)
-        assert not iv.contains_frame(8)
-
-    def test_intersection(self):
-        assert Interval(0, 5).intersection(Interval(3, 9)) == Interval(3, 5)
-        assert Interval(0, 3).intersection(Interval(3, 9)) is None
-
     def test_union_span(self):
         assert Interval(0, 2).union_span(Interval(8, 9)) == Interval(0, 9)
 
@@ -92,4 +82,5 @@ class TestAllenRelations:
     def test_intersection_consistent_with_relation(self, a, b):
         relation = allen_relation(a, b)
         disjoint = relation in ("before", "after", "meets", "met_by")
-        assert (a.intersection(b) is None) == disjoint
+        overlap = max(a.start, b.start) < min(a.stop, b.stop)
+        assert overlap != disjoint

@@ -150,9 +150,9 @@ class TestRevalidation:
         fde.registry.bump_version("d")
         fde.revalidate("v")
         # d re-ran and saw b's cached y token.
-        context = fde.context_of("v")
-        assert context.tokens["y"] == "b:0"
-        assert context.tokens["w"].startswith("d:")
+        outputs = fde._states["v"].outputs
+        assert outputs["b"]["y"] == "b:0"
+        assert outputs["d"]["w"].startswith("d:")
 
     def test_revalidate_unknown_video(self, fde):
         with pytest.raises(KeyError):

@@ -21,7 +21,7 @@ class TestParsing:
     def test_parses_simple(self):
         grammar = parse_feature_grammar(SIMPLE)
         assert grammar.name == "demo"
-        assert grammar.detector_names == ["segment", "tennis", "rules"]
+        assert [d.name for d in grammar.detectors] == ["segment", "tennis", "rules"]
 
     def test_guard_parsed(self):
         grammar = parse_feature_grammar(SIMPLE)
@@ -49,11 +49,12 @@ class TestParsing:
         grammar = parse_feature_grammar(
             "# top\nFEATURE GRAMMAR g ;\n# middle\nDETECTOR a : video -> x ;\n"
         )
-        assert grammar.detector_names == ["a"]
+        assert [d.name for d in grammar.detectors] == ["a"]
 
     def test_tennis_grammar_parses(self):
         grammar = parse_feature_grammar(TENNIS_FEATURE_GRAMMAR)
-        assert grammar.detector_names == ["segment", "tennis", "shape", "rules"]
+        names = [d.name for d in grammar.detectors]
+        assert names == ["segment", "tennis", "shape", "rules"]
         assert grammar.detector("rules").inputs == ("player", "shape")
 
 

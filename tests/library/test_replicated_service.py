@@ -169,14 +169,15 @@ class TestWriteFanout:
             assert after[shard_id] == before[shard_id] + 1
 
     def test_down_group_yields_typed_outcome_not_an_exception(self, dataset, names):
-        """replication=1, no restarts: a dead group reports ``"down"``."""
+        """replication=1, no prober sweep within the test (so no
+        restart): a dead group reports ``"down"``."""
         plan = FaultPlan([ShardFaultSpec(shard=0, mode="kill")])
         config = ShardingConfig(
             n_shards=2,
             replication=1,
             budget_seconds=5.0,
-            restart_dead=False,
             quarantine_cooldown=60.0,
+            probe_interval=3600.0,
         )
         extra = [plan_.name for plan_ in dataset.video_plans[N_VIDEOS : N_VIDEOS + 4]]
         with ShardedSearchService(

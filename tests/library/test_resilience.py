@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.budget import DeadlineExceeded, OverloadedError, QueryBudget
+from repro.budget import TICK_STRIDE, DeadlineExceeded, OverloadedError, QueryBudget
 from repro.dataset import build_australian_open
 from repro.faults import FaultPlan, QueryFaultInjector, QueryFaultSpec, StageFault
 from repro.ir.collection import DocumentCollection
@@ -87,12 +87,12 @@ class TestQueryBudget:
 
     def test_tick_samples_clock_every_stride(self):
         clock = FakeClock()
-        budget = QueryBudget(seconds=1.0, clock=clock, tick_stride=10)
+        budget = QueryBudget(seconds=1.0, clock=clock)
         clock.advance(2.0)
-        for _ in range(9):
+        for _ in range(TICK_STRIDE - 1):
             budget.tick("scene_scan")  # under the stride: no clock sample
         with pytest.raises(DeadlineExceeded):
-            budget.tick("scene_scan")  # 10th call samples and raises
+            budget.tick("scene_scan")  # the 32nd call samples and raises
 
     def test_postings_charged_before_work(self):
         budget = QueryBudget(postings=100)
@@ -107,8 +107,13 @@ class TestQueryBudget:
             QueryBudget(seconds=-1)
         with pytest.raises(ValueError):
             QueryBudget(postings=-1)
-        with pytest.raises(ValueError):
-            QueryBudget(tick_stride=0)
+
+    def test_negative_default_budget_refused_at_config(self):
+        """A negative default budget fails when the config is built, not
+        out of every ``search()`` as a ``QueryBudget`` error."""
+        with pytest.raises(ValueError, match="budget_seconds"):
+            ResilienceConfig(budget_seconds=-0.005)
+        assert ResilienceConfig(budget_seconds=0.0).budget_seconds == 0.0
 
 
 class TestTopNBudget:
@@ -358,11 +363,11 @@ class TestDegradationLadder:
         assert service.stats().degraded_served == 1
 
     def test_reject_when_ladder_disabled(self, engine):
-        """Rung 3: with both fallbacks off, the deadline is a rejection."""
-        service = resilient_service(
-            engine, stale_serving=False, degraded_serving=False
-        )
-        plan = FaultPlan([QueryFaultSpec("text_topn", SLOW_S)])
+        """Rung 3: rung 1 is bypassed and rung 2 never retries a
+        ``concept_filter`` deadline (the query's core), so the deadline is
+        a rejection — even though a retry would now run fault-free."""
+        service = resilient_service(engine)
+        plan = FaultPlan([QueryFaultSpec("concept_filter", SLOW_S, times=1)])
         with QueryFaultInjector(plan, engine).install():
             served = service.search(TEXT_QUERY, bypass_cache=True)
         assert served.rejected and served.rejection == "deadline"

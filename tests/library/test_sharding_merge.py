@@ -21,7 +21,7 @@ from repro.library.results import (
     merge_scene_results,
     scene_order,
 )
-from repro.library.sharding import assign_shards, shard_of
+from repro.library.sharding import ShardingConfig, assign_shards, shard_of
 
 VIDEO_NAMES = [f"video_{i:03d}" for i in range(12)]
 
@@ -143,6 +143,14 @@ def test_assign_shards_deterministic_in_name_set():
 def test_assign_shards_rejects_duplicates():
     with pytest.raises(ValueError):
         assign_shards(["a", "a"], 2)
+
+
+def test_sharding_config_rejects_negative_budget():
+    # Refused when the config is built, before any worker spawns; not
+    # out of every search() as a QueryBudget error.
+    with pytest.raises(ValueError, match="budget_seconds"):
+        ShardingConfig(budget_seconds=-0.005)
+    assert ShardingConfig(budget_seconds=0.0).budget_seconds == 0.0
 
 
 def test_shard_of_is_crc32_stable():

@@ -30,7 +30,3 @@ class TestHashIndex:
         index.refresh()
         assert not index.stale
         assert list(index.lookup("rally")) == [0, 2, 4]
-
-    def test_distinct_values(self, table):
-        index = HashIndex(table, "label")
-        assert set(index.distinct_values()) == {"rally", "net_play", "service"}

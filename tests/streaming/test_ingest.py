@@ -9,6 +9,7 @@ from repro.dataset import build_australian_open
 from repro.grammar.tennis import build_tennis_fde
 from repro.library.indexing import LibraryIndexer
 from repro.streaming import FrameChunk, StreamConfig, StreamIngestor, iter_chunks
+from repro.streaming.ingest import STALL_DEADLINE
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,6 @@ class TestConfig:
         [
             ("queue_chunks", 0),
             ("queue_chunks", -1),
-            ("stall_deadline", 0.0),
             ("freshness_slo", 0.0),
             ("freshness_slo", -2.0),
         ],
@@ -128,8 +128,8 @@ class TestBackpressure:
     def test_stall_quarantines_stream(self, plan_and_clip):
         plan, clip = plan_and_clip
         lock = threading.Lock()
-        config = StreamConfig(stall_deadline=0.02)
-        ingestor = make_ingestor(config=config, commit_lock=lambda: lock)
+        now = [0.0]
+        ingestor = make_ingestor(commit_lock=lambda: lock, clock=lambda: now[0])
         ingestor.open_stream(plan)
         chunks = list(iter_chunks(clip, 24, stream=plan.name))
         with lock:
@@ -139,7 +139,7 @@ class TestBackpressure:
                 message="consumer to pick up the first chunk",
             )
             ingestor.offer(chunks[1])  # primes the progress watchdog
-            time.sleep(0.1)
+            now[0] += STALL_DEADLINE + 1.0
             ingestor.offer(chunks[2])  # watchdog sees no progress -> trip
         row = ingestor.health()[plan.name]
         assert row.state == "quarantined"

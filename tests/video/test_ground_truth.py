@@ -72,11 +72,6 @@ class TestGroundTruth:
         assert truth.shot_at(52) is None  # inside the fade
         assert truth.category_at(60) == "audience"
 
-    def test_events_labelled(self):
-        truth = self.make()
-        assert len(truth.events_labelled("rally")) == 1
-        assert truth.events_labelled("net_play") == []
-
     def test_validate_passes(self):
         self.make().validate(80)
 

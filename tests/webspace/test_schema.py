@@ -67,7 +67,3 @@ class TestAssociations:
     def test_unknown_endpoint(self, schema):
         with pytest.raises(SchemaViolation):
             schema.add_association("coached", "Coach", "Player")
-
-    def test_associations_from(self, schema):
-        assert [a.name for a in schema.associations_from("Player")] == ["played"]
-        assert schema.associations_from("Match") == []
