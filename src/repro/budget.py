@@ -4,16 +4,14 @@ Interactive serving only works when every query is *bounded*: a slow
 stage must not hold the read lock (and a user) hostage.  This module is
 the substrate the serving layer builds its overload story on:
 
-- :class:`QueryBudget` — a wall-clock deadline plus an optional
-  postings/work budget, carried through the query pipeline and checked
-  cooperatively at stage boundaries and inside the hot scan loops
-  (:meth:`~repro.ir.topn.FragmentedIndex.search`, the scene/sequence
-  scans of :class:`~repro.library.engine.DigitalLibraryEngine`).  The
-  clock is injectable, so tests drive expiry deterministically.
+- :class:`QueryBudget` — a wall-clock deadline, carried through the
+  query pipeline and checked cooperatively at stage boundaries and
+  inside the hot scan loops (:meth:`~repro.ir.topn.FragmentedIndex.search`,
+  the scene/sequence scans of
+  :class:`~repro.library.engine.DigitalLibraryEngine`).  The clock is
+  injectable, so tests drive expiry deterministically.
 - :class:`DeadlineExceeded` — raised when a budget runs out; carries
-  the stage that blew it, the reason (``deadline`` or ``postings``),
-  and whatever ranked partial results the evaluation had accumulated,
-  so the degradation ladder can decide what is still servable.
+  the stage that blew it.
 - :class:`OverloadedError` / :class:`LockTimeout` — admission-control
   and lock-acquisition rejections, the load-shedding half of the
   taxonomy.
@@ -45,35 +43,17 @@ TICK_STRIDE = 32
 class ServingError(Exception):
     """Base class of classified query-serving faults."""
 
-    #: Taxonomy tag, mirroring ``repro.grammar.runtime.classify_error``.
-    kind = "serving"
-
 
 class DeadlineExceeded(ServingError):
     """A query budget ran out mid-evaluation.
 
     Attributes:
         stage: the pipeline stage that tripped the check.
-        reason: ``"deadline"`` (wall clock) or ``"postings"`` (work).
-        partial: ranked results accumulated before expiry (``None`` when
-            nothing useful was produced) — the degradation ladder's raw
-            material.
     """
 
-    kind = "deadline"
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        stage: str | None = None,
-        reason: str = "deadline",
-        partial: list | None = None,
-    ) -> None:
+    def __init__(self, message: str, *, stage: str | None = None) -> None:
         super().__init__(message)
         self.stage = stage
-        self.reason = reason
-        self.partial = partial
 
 
 class OverloadedError(ServingError):
@@ -84,8 +64,6 @@ class OverloadedError(ServingError):
             ``"lock_timeout"`` — which shedding mechanism fired.
     """
 
-    kind = "overload"
-
     def __init__(self, message: str, *, reason: str = "overloaded") -> None:
         super().__init__(message)
         self.reason = reason
@@ -94,46 +72,35 @@ class OverloadedError(ServingError):
 class LockTimeout(OverloadedError):
     """A timed readers-writer-lock acquisition gave up."""
 
-    kind = "lock_timeout"
-
     def __init__(self, message: str, *, reason: str = "lock_timeout") -> None:
         super().__init__(message, reason=reason)
 
 
 @dataclass
 class QueryBudget:
-    """A per-query deadline and work budget, checked cooperatively.
+    """A per-query deadline, checked cooperatively.
 
     The budget starts ticking at construction.  Pipeline code calls
-    :meth:`check` at stage boundaries, :meth:`tick` inside hot loops
+    :meth:`check` at stage boundaries and :meth:`tick` inside hot loops
     (samples the clock once every :data:`TICK_STRIDE` calls, so the
-    common case is one integer increment), and :meth:`charge_postings`
-    before doing text-scan work whose cost is known up front.
+    common case is one integer increment).
 
     Args:
         seconds: wall-clock allowance (``None`` = unbounded time).
-        postings: postings-processed allowance (``None`` = unbounded).
         clock: monotonic time source (injectable for tests).
 
     Attributes:
         started: clock reading at construction.
-        postings_used: postings charged so far.
-        checks: how many clock checks actually ran (observability).
     """
 
     seconds: float | None = None
-    postings: int | None = None
     clock: Callable[[], float] = time.monotonic
     started: float = field(init=False)
-    postings_used: int = field(default=0, init=False)
-    checks: int = field(default=0, init=False)
     _ticks: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.seconds is not None and self.seconds < 0:
             raise ValueError(f"seconds must be >= 0 or None, got {self.seconds}")
-        if self.postings is not None and self.postings < 0:
-            raise ValueError(f"postings must be >= 0 or None, got {self.postings}")
         self.started = self.clock()
 
     def remaining(self) -> float | None:
@@ -166,7 +133,6 @@ class QueryBudget:
 
     def check(self, stage: str) -> None:
         """Raise :class:`DeadlineExceeded` if the wall clock ran out."""
-        self.checks += 1
         if self.expired:
             raise DeadlineExceeded(
                 f"query deadline of {self.seconds * 1e3:.1f} ms exceeded in {stage!r}",
@@ -193,19 +159,3 @@ class QueryBudget:
         self._ticks += n
         if self._ticks // TICK_STRIDE > before // TICK_STRIDE:
             self.check(stage)
-
-    def charge_postings(self, n: int, stage: str = "text_topn") -> None:
-        """Charge *n* postings; raise when the work budget is exhausted.
-
-        Charging happens *before* the work runs, so an evaluation whose
-        known up-front cost already exceeds the allowance is rejected
-        without scanning a single posting.
-        """
-        self.postings_used += n
-        if self.postings is not None and self.postings_used > self.postings:
-            raise DeadlineExceeded(
-                f"postings budget of {self.postings} exceeded in {stage!r} "
-                f"({self.postings_used} charged)",
-                stage=stage,
-                reason="postings",
-            )

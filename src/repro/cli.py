@@ -112,13 +112,6 @@ Subcommands::
         it) misbehaves — delay / error / kill / stale_generation; exits
         non-zero on any invariant violation.
 
-    repro profile --target {e6,e9,all} --out DIR
-        Profile the retrieval (packed top-N vs the pure-Python
-        reference) and indexing (tennis FDE pipeline) hot paths with a
-        stack sampler + cProfile, and write a flamegraph SVG and a
-        stats JSON per target — the artifacts the CI benchmark gate
-        uploads next to benchmark-report.json.
-
 All commands are deterministic in their seeds.
 """
 
@@ -541,36 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-point",
         default="chunk-pre-commit",
         help="crash point of the soak's mid-stream kill drill",
-    )
-
-    profile_cmd = sub.add_parser(
-        "profile",
-        help="profile the IR and vision hot paths; write flamegraph + stats artifacts",
-    )
-    profile_cmd.add_argument(
-        "--target",
-        choices=("e6", "e9", "all"),
-        default="all",
-        help="hot path to profile: e6 (packed top-N), e9 (FDE pipeline), or all",
-    )
-    profile_cmd.add_argument(
-        "--out", default="profile-artifacts", help="artifact output directory"
-    )
-    profile_cmd.add_argument("--seed", type=int, default=1234, help="dataset seed")
-    profile_cmd.add_argument(
-        "--copies",
-        type=int,
-        default=25,
-        help="corpus replication factor for the e6 target",
-    )
-    profile_cmd.add_argument(
-        "--shots", type=int, default=16, help="broadcast shots for the e9 target"
-    )
-    profile_cmd.add_argument(
-        "--interval-ms",
-        type=float,
-        default=2.0,
-        help="stack sampling interval in milliseconds",
     )
 
     faults_cmd = sub.add_parser(
@@ -1370,121 +1333,6 @@ def _sharded_health(args) -> int:
     return 0
 
 
-def _profile_e6(args, out_dir) -> list:
-    """Profile packed top-N retrieval on the replicated tournament corpus."""
-    import time
-
-    from repro.dataset import build_australian_open
-    from repro.ir.inverted_index import InvertedIndex
-    from repro.ir.reference import ReferenceFragmentedIndex, replicate_collection
-    from repro.ir.topn import FragmentedIndex
-    from repro.profiling import SamplingProfiler, profile_call, write_artifacts
-
-    queries = [
-        "net volley approach",
-        "long rallies baseline",
-        "serve percentage first",
-        "Australian Open champion dream",
-        "crowd Melbourne press conference",
-    ]
-    dataset = build_australian_open(seed=args.seed, video_shots=6)
-    pages = replicate_collection(dataset.pages, args.copies)
-    index = InvertedIndex(pages)
-    packed = FragmentedIndex(index, n_fragments=4)
-    reference = ReferenceFragmentedIndex(index, n_fragments=4)
-    terms = [pages.query_terms(q) for q in queries]
-    print(
-        f"e6 corpus: {len(pages)} documents ({args.copies}x replicated), "
-        f"{len(index.vocabulary)} terms"
-    )
-
-    def run_packed(rounds: int = 20):
-        for _ in range(rounds):
-            for q in terms:
-                packed.search(q, 10)
-
-    def run_reference(rounds: int = 20):
-        for _ in range(rounds):
-            for q in terms:
-                reference.search(q, 10)
-
-    run_packed(rounds=1)  # warm the weight caches
-    started = time.perf_counter()
-    run_reference()
-    ref_seconds = time.perf_counter() - started
-
-    sampler = SamplingProfiler(interval=args.interval_ms / 1e3)
-    with sampler:
-        started = time.perf_counter()
-        run_packed()
-        packed_seconds = time.perf_counter() - started
-    _, report = profile_call(run_packed, 5)
-
-    speedup = ref_seconds / packed_seconds if packed_seconds > 0 else float("inf")
-    print(
-        f"e6 top-N: reference {ref_seconds * 1e3:.0f}ms, packed "
-        f"{packed_seconds * 1e3:.0f}ms -> {speedup:.1f}x "
-        f"({sampler.samples} stack samples)"
-    )
-    return write_artifacts(
-        out_dir,
-        sampler.folded(),
-        report,
-        name="e6-packed-topn",
-        meta={
-            "documents": len(pages),
-            "copies": args.copies,
-            "reference_seconds": ref_seconds,
-            "packed_seconds": packed_seconds,
-            "speedup": speedup,
-        },
-    )
-
-
-def _profile_e9(args, out_dir) -> list:
-    """Profile the tennis FDE pipeline on the reference broadcast."""
-    from repro.grammar.tennis import build_tennis_fde
-    from repro.profiling import SamplingProfiler, profile_call, write_artifacts
-    from repro.video.generator import BroadcastConfig, BroadcastGenerator
-
-    generator = BroadcastGenerator(BroadcastConfig(gradual_fraction=0.25), seed=1001)
-    clip, _truth = generator.generate(args.shots, name="profile_broadcast")
-    build_tennis_fde().index_video(clip)  # warm imports and caches
-
-    sampler = SamplingProfiler(interval=args.interval_ms / 1e3)
-    with sampler:
-        _, report = profile_call(lambda: build_tennis_fde().index_video(clip))
-
-    fps = len(clip) / report.seconds if report.seconds > 0 else float("inf")
-    print(
-        f"e9 pipeline: {len(clip)} frames in {report.seconds * 1e3:.0f}ms "
-        f"({fps:.0f} frames/s, {sampler.samples} stack samples)"
-    )
-    return write_artifacts(
-        out_dir,
-        sampler.folded(),
-        report,
-        name="e9-fde-pipeline",
-        meta={
-            "frames": len(clip),
-            "shots": args.shots,
-            "seconds": report.seconds,
-            "fps": fps,
-        },
-    )
-
-
-def _cmd_profile(args) -> int:
-    paths = []
-    if args.target in ("e6", "all"):
-        paths += _profile_e6(args, args.out)
-    if args.target in ("e9", "all"):
-        paths += _profile_e9(args, args.out)
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_faults(args) -> int:
     from repro.faults import FaultPlan
     from repro.grammar.runtime import (
@@ -1529,7 +1377,6 @@ _COMMANDS = {
     "stream": _cmd_stream,
     "health": _cmd_health,
     "faults": _cmd_faults,
-    "profile": _cmd_profile,
 }
 
 

@@ -242,9 +242,6 @@ class CobraModel:
             key=lambda v: v.video_id,
         )
 
-    def video_of_shot(self, shot_id: int) -> Video:
-        return self._videos[self._shots[shot_id].video_id]
-
     # ------------------------------------------------------------------ #
     # Invalidation (FDE revalidation replaces stale meta-data)
     # ------------------------------------------------------------------ #

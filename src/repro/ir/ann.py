@@ -326,7 +326,7 @@ class AnnIndex:
         byte-for-byte.
 
         *budget* hooks the serving deadlines: the probe checks the
-        deadline up front and charges one posting per candidate.
+        deadline up front and ticks once per candidate.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -350,7 +350,6 @@ class AnnIndex:
         if ids.shape[0] == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         if budget is not None:
-            budget.charge_postings(int(ids.shape[0]), stage="ann_search")
             budget.tick_batch(int(ids.shape[0]), "ann_search")
         pool = pool if pool is not None else DEFAULT_DISTANCE_POOL
         buffer = pool.acquire(int(ids.shape[0]))

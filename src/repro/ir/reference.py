@@ -30,11 +30,11 @@ def replicate_collection(pages, copies: int):
     """Scale a document collection by replicating every page *copies* times.
 
     The seed tournament corpus is too small for vectorization wins to
-    show above per-query overhead, so the E6 gate and the profiling
-    harness measure on a replicated corpus: same vocabulary and term
-    statistics shape, ``copies``-times the postings.  Document names are
-    suffixed ``~r`` to stay unique; term normalisation settings carry
-    over from the source collection.
+    show above per-query overhead, so the E6 gate measures on a
+    replicated corpus: same vocabulary and term statistics shape,
+    ``copies``-times the postings.  Document names are suffixed ``~r``
+    to stay unique; term normalisation settings carry over from the
+    source collection.
     """
     from repro.ir.collection import DocumentCollection
 

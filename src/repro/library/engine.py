@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.budget import DeadlineExceeded, QueryBudget
+from repro.budget import QueryBudget
 from repro.dataset.build import TournamentDataset
 from repro.grammar.fde import FeatureDetectorEngine
 from repro.ir.inverted_index import InvertedIndex
@@ -29,17 +29,12 @@ from repro.ir.topn import full_scan_postings
 from repro.library.indexing import LibraryIndexer
 from repro.library.persistence import model_to_catalog
 from repro.library.query import LibraryQuery
-from repro.library.results import SceneResult, fuse_scores
+from repro.library.results import SceneResult, fuse_scores, scene_order
 from repro.library.service import QueryTrace
 from repro.webspace.instances import WebspaceObject
 from repro.webspace.schema import SchemaViolation
 
 __all__ = ["DigitalLibraryEngine"]
-
-
-def _ranked(results: list[SceneResult], top_n: int) -> list[SceneResult]:
-    """The canonical result ordering (best first, deterministic ties)."""
-    return sorted(results, key=lambda r: (-r.score, r.video_name, r.start))[:top_n]
 
 
 class DigitalLibraryEngine:
@@ -182,17 +177,11 @@ class DigitalLibraryEngine:
     ) -> dict[int, float]:
         """doc id -> score for the free-text part (full evaluation).
 
-        With a *budget*, the full-scan postings cost is charged *before*
-        the scan runs (rejecting over-budget work up front) and the wall
-        clock is re-checked after ranking.
+        With a *budget*, the wall clock is re-checked after ranking.
         """
         terms = self.dataset.pages.query_terms(text)
-        if trace is not None or budget is not None:
-            postings = full_scan_postings(self.text_index, terms)
-            if trace is not None:
-                trace.add_postings(postings)
-            if budget is not None:
-                budget.charge_postings(postings)
+        if trace is not None:
+            trace.add_postings(full_scan_postings(self.text_index, terms))
         hits = rank_full_scan(self.text_index, terms, n)
         if budget is not None:
             budget.check("text_topn")
@@ -220,8 +209,7 @@ class DigitalLibraryEngine:
             budget: optional :class:`~repro.budget.QueryBudget` checked
                 cooperatively at every stage boundary and inside the
                 scan loops; expiry raises
-                :class:`~repro.budget.DeadlineExceeded` carrying the
-                ranked partial results accumulated so far.
+                :class:`~repro.budget.DeadlineExceeded` naming the stage.
             skip_stages: degradable stages (``text_topn``,
                 ``sequence_match``) to leave out — the concept-only
                 evaluation the degradation ladder serves.  A skipped
@@ -235,93 +223,88 @@ class DigitalLibraryEngine:
         use_sequence = query.has_sequence_part and "sequence_match" not in skip_stages
 
         results: list[SceneResult] = []
-        try:
-            with trace.stage("concept_filter"):
-                self._enter_stage("concept_filter", budget)
-                if query.has_concept_part:
-                    players = self.concept_players(query.player)
-                    if not players:
-                        return []
-                    video_players = self.videos_of_players(players)
-                else:
-                    video_players = {video.name: set() for video in model.videos}
+        with trace.stage("concept_filter"):
+            self._enter_stage("concept_filter", budget)
+            if query.has_concept_part:
+                players = self.concept_players(query.player)
+                if not players:
+                    return []
+                video_players = self.videos_of_players(players)
+            else:
+                video_players = {video.name: set() for video in model.videos}
 
-            text_by_video: dict[str, float] = {}
-            if use_text:
-                with trace.stage("text_topn"):
-                    self._enter_stage("text_topn", budget)
-                    scores = self.text_scores(query.text, trace=trace, budget=budget)
-                    text_by_video = self._text_scores_per_video(scores, video_players)
+        text_by_video: dict[str, float] = {}
+        if use_text:
+            with trace.stage("text_topn"):
+                self._enter_stage("text_topn", budget)
+                scores = self.text_scores(query.text, trace=trace, budget=budget)
+                text_by_video = self._text_scores_per_video(scores, video_players)
 
-            with trace.stage("scene_scan"):
-                self._enter_stage("scene_scan", budget)
-                for video in model.videos:
-                    if budget is not None:
-                        budget.check("scene_scan")
-                    if video.name not in video_players:
-                        continue
-                    match_title = self._match_title_of(video.name)
-                    names = tuple(sorted(video_players[video.name]))
-                    text_score = text_by_video.get(video.name)
-                    if query.has_content_part:
-                        for event in model.events_of(
-                            video_id=video.video_id, label=query.event
-                        ):
-                            if budget is not None:
-                                budget.tick("scene_scan")
-                            results.append(
-                                SceneResult(
-                                    video_name=video.name,
-                                    start=event.start,
-                                    stop=event.stop,
-                                    event_label=event.label,
-                                    match_title=match_title,
-                                    players=names,
-                                    score=fuse_scores(event.confidence, text_score),
-                                )
-                            )
-                    elif use_sequence:
-                        with trace.stage("sequence_match"):
-                            self._enter_stage("sequence_match", budget)
-                            pairs = self._event_sequences(
-                                video.video_id, query.sequence, query.within,
-                                budget=budget,
-                            )
-                        for first, then in pairs:
-                            results.append(
-                                SceneResult(
-                                    video_name=video.name,
-                                    start=first.start,
-                                    stop=then.stop,
-                                    event_label=f"{first.label}->{then.label}",
-                                    match_title=match_title,
-                                    players=names,
-                                    score=fuse_scores(
-                                        min(first.confidence, then.confidence),
-                                        text_score,
-                                    ),
-                                )
-                            )
-                    else:
+        with trace.stage("scene_scan"):
+            self._enter_stage("scene_scan", budget)
+            for video in model.videos:
+                if budget is not None:
+                    budget.check("scene_scan")
+                if video.name not in video_players:
+                    continue
+                match_title = self._match_title_of(video.name)
+                names = tuple(sorted(video_players[video.name]))
+                text_score = text_by_video.get(video.name)
+                if query.has_content_part:
+                    for event in model.events_of(video_id=video.video_id, label=query.event):
+                        if budget is not None:
+                            budget.tick("scene_scan")
                         results.append(
                             SceneResult(
                                 video_name=video.name,
-                                start=0,
-                                stop=video.n_frames,
-                                event_label=None,
+                                start=event.start,
+                                stop=event.stop,
+                                event_label=event.label,
                                 match_title=match_title,
                                 players=names,
-                                score=fuse_scores(1.0, text_score),
+                                score=fuse_scores(event.confidence, text_score),
                             )
                         )
-            with trace.stage("rank_merge"):
-                self._enter_stage("rank_merge", budget)
-                results.sort(key=lambda r: (-r.score, r.video_name, r.start))
-                return results[: query.top_n]
-        except DeadlineExceeded as exc:
-            if exc.partial is None:
-                exc.partial = _ranked(results, query.top_n)
-            raise
+                elif use_sequence:
+                    with trace.stage("sequence_match"):
+                        self._enter_stage("sequence_match", budget)
+                        pairs = self._event_sequences(
+                            video.video_id,
+                            query.sequence,
+                            query.within,
+                            budget=budget,
+                        )
+                    for first, then in pairs:
+                        results.append(
+                            SceneResult(
+                                video_name=video.name,
+                                start=first.start,
+                                stop=then.stop,
+                                event_label=f"{first.label}->{then.label}",
+                                match_title=match_title,
+                                players=names,
+                                score=fuse_scores(
+                                    min(first.confidence, then.confidence),
+                                    text_score,
+                                ),
+                            )
+                        )
+                else:
+                    results.append(
+                        SceneResult(
+                            video_name=video.name,
+                            start=0,
+                            stop=video.n_frames,
+                            event_label=None,
+                            match_title=match_title,
+                            players=names,
+                            score=fuse_scores(1.0, text_score),
+                        )
+                    )
+        with trace.stage("rank_merge"):
+            self._enter_stage("rank_merge", budget)
+            results.sort(key=scene_order)
+            return results[: query.top_n]
 
     def _event_sequences(
         self,
@@ -560,7 +543,7 @@ class DigitalLibraryEngine:
                     )
         with trace.stage("rank_merge"):
             self._enter_stage("rank_merge", budget)
-            results.sort(key=lambda r: (-r.score, r.video_name, r.start))
+            results.sort(key=scene_order)
             return results[: query.top_n]
 
     @staticmethod
@@ -753,64 +736,57 @@ class DigitalLibraryEngine:
         if clip is None and query_vector is None:
             raise ValueError("pass an example clip or a precomputed query_vector")
 
-        results: list[SceneResult] = []
-        try:
-            if query_vector is None:
-                with trace.stage("ann_query"):
-                    self._enter_stage("ann_query", budget)
-                    query_vector = self.ann_vectorizer.vectorize_clip(clip)
+        if query_vector is None:
+            with trace.stage("ann_query"):
+                self._enter_stage("ann_query", budget)
+                query_vector = self.ann_vectorizer.vectorize_clip(clip)
 
-            with trace.stage("ann_search"):
-                self._enter_stage("ann_search", budget)
-                ids, distances = self.ann_index.search(
-                    query_vector, k=k, nprobe=nprobe, budget=budget
-                )
+        with trace.stage("ann_search"):
+            self._enter_stage("ann_search", budget)
+            ids, distances = self.ann_index.search(query_vector, k=k, nprobe=nprobe, budget=budget)
 
-            # Best similarity per video, plus each hit shot's provenance.
-            similarities = 1.0 / (1.0 + distances)
-            video_best: dict[str, float] = {}
-            hits: list[tuple[dict, float]] = []
-            for ann_id, similarity in zip(ids.tolist(), similarities.tolist()):
-                row = self.ann_meta[ann_id]
-                hits.append((row, similarity))
+        # Best similarity per video, plus each hit shot's provenance.
+        similarities = 1.0 / (1.0 + distances)
+        video_best: dict[str, float] = {}
+        hits: list[tuple[dict, float]] = []
+        for ann_id, similarity in zip(ids.tolist(), similarities.tolist()):
+            row = self.ann_meta[ann_id]
+            hits.append((row, similarity))
+            name = row["video_name"]
+            if similarity > video_best.get(name, -1.0):
+                video_best[name] = similarity
+
+        text_results: list[SceneResult] = []
+        if query is not None and w_text > 0.0:
+            text_results = self.search(query, trace=trace, budget=budget)
+
+        with trace.stage("rank_fuse"):
+            self._enter_stage("rank_fuse", budget)
+            stale = self.ann_stale
+            text_videos = {r.video_name for r in text_results}
+            results: list[SceneResult] = []
+            for r in text_results:
+                fused = w_text * r.score + w_ann * video_best.get(r.video_name, 0.0)
+                results.append(replace(r, score=fused, ann_stale=stale))
+            seen: set[str] = set()
+            for row, similarity in hits:
                 name = row["video_name"]
-                if similarity > video_best.get(name, -1.0):
-                    video_best[name] = similarity
-
-            text_results: list[SceneResult] = []
-            if query is not None and w_text > 0.0:
-                text_results = self.search(query, trace=trace, budget=budget)
-
-            with trace.stage("rank_fuse"):
-                self._enter_stage("rank_fuse", budget)
-                stale = self.ann_stale
-                text_videos = {r.video_name for r in text_results}
-                for r in text_results:
-                    fused = w_text * r.score + w_ann * video_best.get(r.video_name, 0.0)
-                    results.append(replace(r, score=fused, ann_stale=stale))
-                seen: set[str] = set()
-                for row, similarity in hits:
-                    name = row["video_name"]
-                    if name in text_videos or name in seen:
-                        continue
-                    seen.add(name)
-                    results.append(
-                        SceneResult(
-                            video_name=name,
-                            start=int(row["start"]),
-                            stop=int(row["stop"]),
-                            event_label=None,
-                            match_title=self._match_title_of(name),
-                            players=(),
-                            score=w_ann * similarity,
-                            ann_stale=stale,
-                        )
+                if name in text_videos or name in seen:
+                    continue
+                seen.add(name)
+                results.append(
+                    SceneResult(
+                        video_name=name,
+                        start=int(row["start"]),
+                        stop=int(row["stop"]),
+                        event_label=None,
+                        match_title=self._match_title_of(name),
+                        players=(),
+                        score=w_ann * similarity,
+                        ann_stale=stale,
                     )
-                return _ranked(results, top_n)
-        except DeadlineExceeded as exc:
-            if exc.partial is None:
-                exc.partial = _ranked(results, top_n)
-            raise
+                )
+            return sorted(results, key=scene_order)[:top_n]
 
     # ------------------------------------------------------------------ #
     # The keyword baseline

@@ -1552,6 +1552,10 @@ class ShardedSearchService:
         (``committed`` with the new generation, ``failed``, or
         ``down``), so a timeout cannot raise away the shards that did
         commit.  Callers needing all-or-nothing check ``result.ok``.
+
+        Raises:
+            ValueError: a requested video is already in some group's
+                committed log (checked before any write is sent).
         """
         if not names:
             return BatchIndexResult(assignments={}, outcomes={})
@@ -1564,6 +1568,10 @@ class ShardedSearchService:
         outcomes: dict[int, ShardWriteOutcome] = {}
 
         with self._write_lock:
+            indexed = {n for group in self.groups for batch, _ in group.log for n in batch}
+            already = [name for name in names if name in indexed]
+            if already:
+                raise ValueError(f"videos already indexed: {', '.join(map(repr, already))}")
             targets: dict[int, tuple[list, list[_Replica]]] = {}
             for sid, batch in enumerate(slices):
                 if not batch:

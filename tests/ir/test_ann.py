@@ -124,11 +124,6 @@ class TestSearch:
             index.search(corpus[0], k=5, budget=budget)
         assert excinfo.value.stage == "ann_search"
 
-    def test_postings_budget_charges_candidates(self, index, corpus):
-        budget = QueryBudget(postings=1)
-        with pytest.raises(DeadlineExceeded):
-            index.search(corpus[0], k=5, nprobe=index.n_cells, budget=budget)
-
 
 class TestDistancePool:
     def test_buffers_are_reused(self):

@@ -83,7 +83,6 @@ class TestQueryBudget:
         with pytest.raises(DeadlineExceeded) as info:
             budget.check("scene_scan")
         assert info.value.stage == "scene_scan"
-        assert info.value.reason == "deadline"
 
     def test_tick_samples_clock_every_stride(self):
         clock = FakeClock()
@@ -94,19 +93,9 @@ class TestQueryBudget:
         with pytest.raises(DeadlineExceeded):
             budget.tick("scene_scan")  # the 32nd call samples and raises
 
-    def test_postings_charged_before_work(self):
-        budget = QueryBudget(postings=100)
-        budget.charge_postings(60)
-        with pytest.raises(DeadlineExceeded) as info:
-            budget.charge_postings(60)
-        assert info.value.reason == "postings"
-        assert budget.postings_used == 120  # charged even though rejected
-
     def test_validation(self):
         with pytest.raises(ValueError):
             QueryBudget(seconds=-1)
-        with pytest.raises(ValueError):
-            QueryBudget(postings=-1)
 
     def test_negative_default_budget_refused_at_config(self):
         """A negative default budget fails when the config is built, not
@@ -140,13 +129,6 @@ class TestTopNBudget:
 
 
 class TestEngineBudget:
-    def test_postings_budget_rejects_before_scanning(self, engine):
-        budget = QueryBudget(postings=1)  # any text scan costs more
-        with pytest.raises(DeadlineExceeded) as info:
-            engine.search(TEXT_QUERY, budget=budget)
-        assert info.value.reason == "postings"
-        assert info.value.stage == "text_topn"
-
     def test_expiry_mid_pipeline_names_the_stage(self, engine):
         clock = FakeClock()
         budget = QueryBudget(seconds=1.0, clock=clock)
@@ -159,22 +141,6 @@ class TestEngineBudget:
         finally:
             engine.stage_hook = None
         assert info.value.stage == "scene_scan"
-
-    def test_partial_results_ride_the_exception(self, engine):
-        full = engine.search(TEXT_QUERY)
-        clock = FakeClock()
-        budget = QueryBudget(seconds=1.0, clock=clock)
-        engine.stage_hook = lambda stage: (
-            clock.advance(5.0) if stage == "rank_merge" else None
-        )
-        try:
-            with pytest.raises(DeadlineExceeded) as info:
-                engine.search(TEXT_QUERY, budget=budget)
-        finally:
-            engine.stage_hook = None
-        # By rank-merge every scene was accumulated: the partial state
-        # is the complete ranked answer.
-        assert info.value.partial == full
 
     def test_skip_stages_equals_stripped_query(self, engine):
         stripped = LibraryQuery(event=TEXT_QUERY.event)
@@ -323,7 +289,6 @@ class TestPlainService:
         with pytest.raises(DeadlineExceeded) as info:
             service.search(TEXT_QUERY, budget=budget)
         assert info.value.stage == "concept_filter"
-        assert info.value.partial == []
         stats = service.stats()
         assert stats.degraded_served == 0
         assert stats.stale_served == 0

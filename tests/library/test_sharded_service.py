@@ -11,6 +11,7 @@ indexes its catalog slice from scratch.
 
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
@@ -23,7 +24,9 @@ from repro.library.service import LibrarySearchService
 from repro.library.sharding import (
     ShardedSearchService,
     ShardingConfig,
+    assign_shards,
     format_sharded_stats,
+    shard_of,
 )
 from repro.sim import query_mix
 
@@ -109,6 +112,31 @@ class TestHealthyServing:
             assert after[shard_id] == before[shard_id] + 1
             served = service.search(MIX[0])
             assert served.generations == after
+
+
+class TestDuplicateWrites:
+    """A video already in the catalog is refused before any write is sent."""
+
+    @staticmethod
+    def _assert_refused(service, batch, duplicate):
+        before = service.generations
+        answers = {id(q): service.search(q, bypass_cache=True).results for q in MIX}
+        with pytest.raises(ValueError, match=re.escape(repr(duplicate))):
+            service.index_videos(batch)
+        assert service.generations == before
+        for query in MIX:
+            served = service.search(query, bypass_cache=True)
+            assert served.coverage.complete, served.coverage
+            assert served.results == answers[id(query)]
+
+    def test_lone_video_routed_off_its_home_shard(self, sharded, names):
+        home = {n: sid for sid, part in enumerate(assign_shards(names, 2)) for n in part}
+        name = next(n for n in names if shard_of(n, 2) != home[n])
+        self._assert_refused(sharded, [name], name)
+
+    def test_batch_with_one_indexed_video(self, sharded, dataset, names):
+        extra = dataset.video_plans[N_VIDEOS].name
+        self._assert_refused(sharded, [names[0], extra], names[0])
 
 
 class TestChunkedWrite:
