@@ -75,9 +75,9 @@ def test_e10_motivating_query(benchmark, engine):
     # qualifying videos is answered by an overlapping scene.
     truth_events = []
     for plan in relevant:
-        record = eng.indexer.indexed[plan.name]
+        _clip, truth = plan.materialise()
         truth_events.extend(
-            (plan.name, e) for e in record.truth.events if e.label == "net_play"
+            (plan.name, e) for e in truth.events if e.label == "net_play"
         )
     recovered = 0
     for video_name, true_event in truth_events:

@@ -132,6 +132,49 @@ class CobraModel:
         self._events[event.event_id] = event
         return event
 
+    def adopt(self, videos=(), shots=(), objects=(), events=(), next_ids=None) -> None:
+        """Take in entities that already carry their ids, keeping them.
+
+        The one way an entity with an id enters a model (a staged pass's
+        merge, a snapshot load).  All rows are checked before any is
+        taken in: per layer the ids must increase from the layer's
+        counter on (``ValueError`` for a repeated or reused id), and
+        every ``video_id`` / ``shot_id`` / ``object_id`` a row names
+        must exist here or in the batch (``KeyError``, as the ``add_*``
+        methods).  Each counter then resumes past the largest id taken
+        in, or at *next_ids* (per layer, :meth:`high_water`'s order)
+        when that is further on, so ids handed out and dropped stay
+        burned.
+        """
+        batches = (tuple(videos), tuple(shots), tuple(objects), tuple(events))
+        ids = [
+            [getattr(row, key) for row in batch]
+            for key, batch in zip(("video_id", "shot_id", "object_id", "event_id"), batches)
+        ]
+        for layer, layer_ids in zip(self._next_id, ids):
+            floor = self._next_id[layer]
+            for entity_id in layer_ids:
+                if entity_id < floor:
+                    raise ValueError(f"{layer.value}-layer id {entity_id} repeats or reuses an id")
+                floor = entity_id + 1
+        shots, objects, events = batches[1:]
+        for kind, rows, new, named in (
+            ("video", self._videos, ids[0], [s.video_id for s in shots]),
+            ("shot", self._shots, ids[1], [r.shot_id for r in (*objects, *events)]),
+            ("object", self._objects, ids[2], [e.object_id for e in events]),
+        ):
+            new = set(new)
+            for parent in named:
+                if parent is not None and parent not in rows and parent not in new:
+                    raise KeyError(f"unknown {kind} id {parent}")
+        layers = (self._videos, self._shots, self._objects, self._events)
+        for i, (layer, rows) in enumerate(zip(self._next_id, layers)):
+            rows.update(zip(ids[i], batches[i]))
+            taken = ids[i][-1] + 1 if ids[i] else 0
+            self._next_id[layer] = max(
+                self._next_id[layer], taken, next_ids[i] if next_ids is not None else 0
+            )
+
     # Monotone ids in insertion-ordered dicts: "added since" is a tail.
 
     def high_water(self) -> tuple[int, ...]:

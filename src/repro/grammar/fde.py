@@ -25,17 +25,21 @@ One parse serves both ingest paths: a clip is parsed whole
 (:meth:`FeatureDetectorEngine.index_video`), a stream chunk by chunk
 (:meth:`FeatureDetectorEngine.parse_chunk`), through the same runner.
 
-Parallelism is per video and deterministic by construction:
-:meth:`FeatureDetectorEngine.stage_video` runs a whole pass against a
-private scratch model so worker threads never contend on the shared
-meta-index; a single committer then replays stages in plan order via
-:meth:`FeatureDetectorEngine.commit_staged`, which reproduces the
-sequential identifier assignment exactly.
+Every whole-clip pass is staged: it runs against a private scratch
+model (:meth:`FeatureDetectorEngine.stage_video`), so worker threads
+never contend on the shared meta-index, and a single committer adopts
+stages in plan order (:meth:`FeatureDetectorEngine.commit_staged`).  An
+entity keeps the id its pass gave it, moved by one shift per layer, and
+the live counters advance by every id the pass handed out, burned ones
+included — so a staged commit assigns exactly the ids of a sequential
+one.  :meth:`FeatureDetectorEngine.index_video` is that sequential one:
+a stage whose scratch counters start at the live model's, committed at
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import networkx as nx
 
@@ -108,6 +112,8 @@ class StagedVideo:
         clip: the raw multimedia object the pass indexed.
         model: the scratch :class:`~repro.core.model.CobraModel` holding
             the pass's entities (scratch-local identifiers).
+        first_ids: the scratch model's per-layer next ids before the
+            pass (:meth:`~repro.core.model.CobraModel.high_water` order).
         video_id: the raw-layer id inside the scratch model.
         context: the pass's indexing context (scratch model, scratch id).
         health: the pass's health report.
@@ -124,6 +130,7 @@ class StagedVideo:
 
     clip: object
     model: CobraModel
+    first_ids: tuple[int, ...]
     video_id: int
     context: IndexingContext
     health: IndexingHealthReport
@@ -267,9 +274,6 @@ class FeatureDetectorEngine:
             )
         return None
 
-    def _record_live(self, name: str, failed: bool) -> None:
-        self.runner.record_video_result(name, failed=failed)
-
     def _parse(
         self,
         context: IndexingContext,
@@ -346,27 +350,18 @@ class FeatureDetectorEngine:
             self._raise_outcome(failure)
         return context
 
-    def _run_video_pass(
-        self,
-        model: CobraModel,
-        clip,
-        record_result=None,
-        decisions: dict[str, bool] | None = None,
-    ) -> StagedVideo:
-        """One full indexing pass over *clip* against *model*.
+    def _run_video_pass(self, clip, model: CobraModel) -> StagedVideo:
+        """One full indexing pass over *clip* against the scratch *model*.
 
-        The shared core of :meth:`index_video` (live model, live runner
-        accounting) and :meth:`stage_video` (scratch model, deferred
-        accounting).  When *record_result* is ``None``, the
-        ``record_video_result`` calls are deferred into the returned
-        stage's :attr:`~StagedVideo.results` instead of being applied.
+        The ``record_video_result`` calls are deferred into the stage's
+        :attr:`~StagedVideo.results` and the quarantine checks recorded
+        in its :attr:`~StagedVideo.decisions`, for :meth:`commit_staged`.
         """
+        self._check_registry()
+        self._check_new(clip.name)
+        first_ids = model.high_water()[:4]
         results: list[tuple[str, bool]] = []
-        if record_result is None:
-
-            def record_result(name: str, failed: bool) -> None:
-                results.append((name, failed))
-
+        decisions: dict[str, bool] = {}
         video = model.add_video(clip.name, fps=clip.fps, n_frames=len(clip))
         context = IndexingContext(
             clip=clip,
@@ -385,20 +380,31 @@ class FeatureDetectorEngine:
             versions[name] = self.registry.version(name)
 
         health, failure = self._parse(
-            context, self._order, record_result, decisions, on_ok
+            context,
+            self._order,
+            lambda name, failed: results.append((name, failed)),
+            decisions,
+            on_ok,
         )
         return StagedVideo(
             clip=clip,
             model=model,
+            first_ids=first_ids,
             video_id=video.video_id,
             context=context,
             health=health,
             outputs=outputs,
             versions=versions,
             results=results,
-            decisions=decisions if decisions is not None else {},
+            decisions=decisions,
             failure=failure,
         )
+
+    def _check_new(self, name: str) -> None:
+        if name in self._states:
+            raise ValueError(
+                f"video {name!r} already indexed; use revalidate() for updates"
+            )
 
     def _raise_outcome(self, outcome: DetectorOutcome):
         """Re-raise the failure behind *outcome* (``fail_fast`` path)."""
@@ -416,43 +422,26 @@ class FeatureDetectorEngine:
         and ``__len__`` — a video clip, or an audio signal for grammars
         declaring ``AXIOM audio``.
 
-        Under ``fail_fast`` a failing detector rolls the whole video
-        back (no trace in the meta-index) and re-raises; under
+        A stage whose scratch counters start at the live model's,
+        committed at once (:meth:`commit_staged`): nothing shifts, so
+        the cached outputs are kept for :meth:`revalidate`.  Under
+        ``fail_fast`` a failing detector rolls the whole video back (no
+        trace in the meta-index) and re-raises; under
         ``skip_subtree``/``quarantine`` the video is committed with the
         failing subtree's meta-data missing and its raw-layer record
         flagged degraded.  The pass's health report is available as
         ``context.health``, :attr:`last_health` and :meth:`health_of`.
         """
-        self._check_registry()
-        if clip.name in self._states:
-            raise ValueError(
-                f"video {clip.name!r} already indexed; use revalidate() for updates"
-            )
-        passed = self._run_video_pass(self.model, clip, record_result=self._record_live)
-        self.last_health = passed.health
-        if passed.failure is not None:
-            # A crashing detector must not leave a half-indexed video
-            # in the meta-index: roll the raw-layer record (and any
-            # partial meta-data) back so the video can be retried.
-            self.model.remove_video(passed.video_id)
-            self._raise_outcome(passed.failure)
-        if passed.health.degraded:
-            self.model.mark_degraded(passed.video_id)
-        self._states[clip.name] = _VideoState(
-            clip=clip,
-            video_id=passed.video_id,
-            outputs=passed.outputs,
-            versions=passed.versions,
-            health=passed.health,
-        )
-        return passed.context
+        scratch = CobraModel()
+        scratch.adopt(next_ids=self.model.high_water()[:4])
+        return self.commit_staged(self._run_video_pass(clip, scratch))
 
     # ------------------------------------------------------------------ #
     # Staged indexing (per-video parallelism)
     # ------------------------------------------------------------------ #
 
     def stage_video(self, clip) -> StagedVideo:
-        """Run a full pass over *clip* against a private scratch model.
+        """Run a full pass over *clip* against a fresh scratch model.
 
         Safe to call from any worker thread: nothing engine-shared is
         mutated.  Quarantine checks go against the live runner but the
@@ -461,22 +450,16 @@ class FeatureDetectorEngine:
         :attr:`StagedVideo.results`.  Commit stages in plan order via
         :meth:`commit_staged` to reproduce a sequential run exactly.
         """
-        self._check_registry()
-        if clip.name in self._states:
-            raise ValueError(
-                f"video {clip.name!r} already indexed; use revalidate() for updates"
-            )
-        return self._run_video_pass(
-            CobraModel(), clip, record_result=None, decisions={}
-        )
+        return self._run_video_pass(clip, CobraModel())
 
     def commit_staged(self, staged: StagedVideo) -> IndexingContext:
         """Adopt a staged pass into the engine (committer thread only).
 
-        Replays the scratch model into the shared one layer by layer —
-        identifier assignment consumes exactly the ranges a sequential
-        :meth:`index_video` call at this point would — then applies the
-        deferred health accounting in canonical order.
+        Moves the scratch entities into the shared model with their ids
+        shifted (:meth:`_merge_model`): the ids a sequential
+        :meth:`index_video` call at this point would assign, burned
+        ones included.  Then applies the deferred health accounting in
+        canonical order.
 
         If another video's commit changed the quarantine state a staged
         pass relied on (:attr:`StagedVideo.decisions` no longer match
@@ -484,20 +467,22 @@ class FeatureDetectorEngine:
         re-indexed in place, which at this plan position is exactly what
         a sequential run would have produced.
 
-        The committed video's cached detector outputs are reset (token
-        values from the stage may embed scratch-local identifiers), so
-        the first :meth:`revalidate` re-runs every detector rather than
+        The video's cached detector outputs are kept when no layer
+        shifted (as in :meth:`index_video`) and reset otherwise (their
+        token values embed scratch-local identifiers), so the first
+        :meth:`revalidate` then re-runs every detector rather than
         serving poisoned caches.
 
         Under ``fail_fast`` a staged failure is re-raised here, after
-        consuming the same identifier ranges a sequential failing pass
-        would have burned, so later videos keep byte-identical ids.
+        merging and removing the video, so it burns the same identifier
+        ranges a sequential failing pass would and later videos keep
+        byte-identical ids.
+
+        Returns the pass's context, re-pointed at the shared model and
+        the committed video id; its token values keep the scratch ids
+        unless nothing shifted.
         """
-        name = staged.clip.name
-        if name in self._states:
-            raise ValueError(
-                f"video {name!r} already indexed; use revalidate() for updates"
-            )
+        self._check_new(staged.clip.name)
         moved = any(
             self.runner.is_quarantined(detector) != quarantined
             for detector, quarantined in staged.decisions.items()
@@ -507,80 +492,61 @@ class FeatureDetectorEngine:
         for detector, failed in staged.results:
             self.runner.record_video_result(detector, failed=failed)
         self.last_health = staged.health
-        video_ids = self._merge_model(staged.model)
-        video_id = video_ids[staged.video_id]
+        shift = self._merge_model(staged)
+        video_id = staged.video_id + shift[0]
         if staged.failure is not None:
             self.model.remove_video(video_id)
             self._raise_outcome(staged.failure)
         if staged.health.degraded:
             self.model.mark_degraded(video_id)
-        context = IndexingContext(
-            clip=staged.clip,
-            model=self.model,
-            video_id=video_id,
-            axiom=self.grammar.axiom,
-        )
-        context.health = staged.health
-        self._states[name] = _VideoState(
+        context = staged.context
+        context.model = self.model
+        context.video_id = video_id
+        kept = not any(shift)
+        self._states[staged.clip.name] = _VideoState(
             clip=staged.clip,
             video_id=video_id,
-            outputs={},
-            versions={},
+            outputs=staged.outputs if kept else {},
+            versions=staged.versions if kept else {},
             health=staged.health,
         )
         return context
 
-    def _merge_model(self, scratch: CobraModel) -> dict[int, int]:
-        """Replay *scratch* into the shared model, layer by layer.
+    def _merge_model(self, staged: StagedVideo) -> tuple[int, ...]:
+        """Adopt *staged*'s scratch entities into the shared model.
 
-        Identifiers are handed out by the shared model's per-layer
-        counters in scratch insertion order — the order the detectors
-        created them in — so the merged
-        entities get exactly the ids a sequential pass would have
-        assigned.  Returns the scratch→shared raw-layer id map.
+        Every id moves by its layer's shift — the live next id minus the
+        scratch model's first — and so does every parent id a row names.
+        The live counters advance by the ids the pass handed out, not by
+        the rows it kept.  Returns the per-layer shifts.
         """
-        model = self.model
-        video_ids: dict[int, int] = {}
-        shot_ids: dict[int, int] = {}
-        object_ids: dict[int, int] = {}
-        for video in scratch.videos:
-            merged = model.add_video(
-                video.name, fps=video.fps, n_frames=video.n_frames,
-                match_id=video.match_id,
-            )
-            if video.degraded:
-                model.mark_degraded(merged.video_id)
-            video_ids[video.video_id] = merged.video_id
-        for shot in scratch.shots:
-            merged_shot = model.add_shot(
-                video_ids[shot.video_id],
-                start=shot.start,
-                stop=shot.stop,
-                category=shot.category,
-                features=shot.features,
-            )
-            shot_ids[shot.shot_id] = merged_shot.shot_id
-        for obj in scratch.objects:
-            merged_obj = model.add_object(
-                shot_ids[obj.shot_id],
-                label=obj.label,
-                trajectory=obj.trajectory,
-                dominant_color=obj.dominant_color,
-                mean_area=obj.mean_area,
-            )
-            object_ids[obj.object_id] = merged_obj.object_id
-        for event in scratch.events:
-            model.add_event(
-                shot_ids[event.shot_id],
-                label=event.label,
-                start=event.start,
-                stop=event.stop,
-                confidence=event.confidence,
-                object_id=(
-                    None if event.object_id is None else object_ids[event.object_id]
-                ),
-            )
-        return video_ids
+        scratch = staged.model
+        shift = tuple(
+            live - first for live, first in zip(self.model.high_water()[:4], staged.first_ids)
+        )
+        videos, shots, objects, events = shift
+        self.model.adopt(
+            videos=[replace(v, video_id=v.video_id + videos) for v in scratch.videos],
+            shots=[
+                replace(s, shot_id=s.shot_id + shots, video_id=s.video_id + videos)
+                for s in scratch.shots
+            ],
+            objects=[
+                replace(o, object_id=o.object_id + objects, shot_id=o.shot_id + shots)
+                for o in scratch.objects
+            ],
+            events=[
+                replace(
+                    e,
+                    event_id=e.event_id + events,
+                    shot_id=e.shot_id + shots,
+                    object_id=None if e.object_id is None else e.object_id + objects,
+                )
+                for e in scratch.events
+            ],
+            next_ids=tuple(end + by for end, by in zip(scratch.high_water()[:4], shift)),
+        )
+        return shift
 
     @property
     def indexed_videos(self) -> list[str]:
@@ -663,7 +629,9 @@ class FeatureDetectorEngine:
 
         # Skip policies: a non-OK detector keeps no staged entry, so it
         # stays stale and a later revalidation retries it.
-        health, failure = self._parse(context, affected, self._record_live, None, on_ok)
+        health, failure = self._parse(
+            context, affected, self.runner.record_video_result, None, on_ok
+        )
         report.health = health
         self.last_health = health
         if failure is not None:

@@ -26,7 +26,6 @@ from repro.library.persistence import (
 )
 from repro.storage.journal import IndexingJournal
 from repro.storage.persist import DeltaLog, load_catalog
-from repro.video.ground_truth import GroundTruth
 
 __all__ = ["LibraryIndexer", "IndexedVideo", "default_journal_path"]
 
@@ -44,8 +43,6 @@ class IndexedVideo:
     Attributes:
         plan: the video plan that was materialised.
         video_id: meta-index id.
-        truth: generator ground truth (kept for evaluation, never read
-            by detectors).
         n_frames: clip length.
         health: the FDE's per-detector health report for this video —
             for a streamed one the merge of its chunks' reports, with
@@ -55,7 +52,6 @@ class IndexedVideo:
 
     plan: VideoPlan
     video_id: int
-    truth: GroundTruth | None
     n_frames: int
     health: IndexingHealthReport | None = None
 
@@ -103,9 +99,8 @@ class LibraryIndexer:
         """Materialise one plan, run the FDE, link the webspace Video."""
         if plan.name in self.indexed:
             raise ValueError(f"video {plan.name!r} already indexed")
-        clip, truth = plan.materialise()
-        context = self.fde.index_video(clip)
-        return self._register_video(plan, clip, truth, context)
+        clip, _truth = plan.materialise()
+        return self._register_video(plan, self.fde.index_video(clip))
 
     def _link_video(self, plan: VideoPlan, n_frames: int):
         """Create the webspace Video object and link it to its Match."""
@@ -114,20 +109,17 @@ class LibraryIndexer:
         self.dataset.instance.link("recorded_in", match_obj, video_obj)
         return video_obj
 
-    def _register_video(self, plan: VideoPlan, clip, truth, context) -> IndexedVideo:
+    def _register_video(self, plan: VideoPlan, context) -> IndexedVideo:
         """Library-side bookkeeping for one committed video.
 
         Links the webspace Video and records the :class:`IndexedVideo`
         entry.  Mutates shared state, so in a parallel batch only the
         committer thread calls this.
         """
-        self._link_video(plan, len(clip))
+        n_frames = len(context.clip)
+        self._link_video(plan, n_frames)
         record = IndexedVideo(
-            plan=plan,
-            video_id=context.video_id,
-            truth=truth,
-            n_frames=len(clip),
-            health=getattr(context, "health", None),
+            plan=plan, video_id=context.video_id, n_frames=n_frames, health=context.health
         )
         self.indexed[plan.name] = record
         self.generation += 1
@@ -144,9 +136,7 @@ class LibraryIndexer:
         generation is *not* bumped here — every chunk commit bumps it.
         """
         self._stream_webspace[plan.name] = self._link_video(plan, 0)
-        record = IndexedVideo(
-            plan=plan, video_id=video_id, truth=None, n_frames=0, health=health
-        )
+        record = IndexedVideo(plan=plan, video_id=video_id, n_frames=0, health=health)
         self.indexed[plan.name] = record
         return record
 
@@ -183,7 +173,7 @@ class LibraryIndexer:
         from repro.streaming.session import StreamSession
 
         extra = {} if clock is None else {"clock": clock}
-        clip, truth = plan.materialise()
+        clip, _truth = plan.materialise()
         if resume:
             session = StreamSession.resume(
                 self, plan, path, journal=journal, commit_lock=commit_lock, **extra
@@ -201,19 +191,16 @@ class LibraryIndexer:
             commit = session.push_chunk(chunk)
             if on_commit is not None and commit is not None:
                 on_commit(commit)
-        record = self.indexed[plan.name]
-        record.truth = truth
-        return record
+        return self.indexed[plan.name]
 
-    def commit_staged_plan(self, plan: VideoPlan, clip, truth, staged) -> IndexedVideo:
+    def commit_staged_plan(self, plan: VideoPlan, staged) -> IndexedVideo:
         """Commit one staged detector pass and register its video.
 
         The counterpart of :meth:`FeatureDetectorEngine.stage_video`:
         staging runs anywhere, this merge mutates shared state and must
         run on (or be serialized with) the committer thread.
         """
-        context = self.fde.commit_staged(staged)
-        return self._register_video(plan, clip, truth, context)
+        return self._register_video(plan, self.fde.commit_staged(staged))
 
     def index_all(
         self,
@@ -297,7 +284,7 @@ class LibraryIndexer:
             futures = [pool.submit(self._stage_plan, plan) for plan in todo]
             for plan, future in zip(todo, futures):
                 staged = future.result()
-                commit(plan, lambda: self.commit_staged_plan(plan, *staged))
+                commit(plan, lambda: self.commit_staged_plan(plan, staged))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
         return records
@@ -310,8 +297,8 @@ class LibraryIndexer:
 
     def _stage_plan(self, plan: VideoPlan):
         """Worker-thread half of one video: materialise + stage."""
-        clip, truth = plan.materialise()
-        return clip, truth, self.fde.stage_video(clip)
+        clip, _truth = plan.materialise()
+        return self.fde.stage_video(clip)
 
     def index_checkpointed(
         self,
@@ -470,9 +457,9 @@ class LibraryIndexer:
         """Adopt a previously-saved meta-index (see repro.library.persistence).
 
         Replaces the FDE's model and relinks each restored video to its
-        plan and webspace Match.  Generator ground truth is not part of
-        the saved state, so restored entries carry ``truth=None``, and
-        FDE revalidation is unavailable until videos are re-indexed.
+        plan and webspace Match.  The FDE never ran the restored
+        videos, so revalidation is unavailable until they are
+        re-indexed.
 
         Returns:
             How many videos were restored (videos whose plan no longer
@@ -490,7 +477,7 @@ class LibraryIndexer:
                 continue
             self._link_video(plan, video.n_frames)
             self.indexed[plan.name] = IndexedVideo(
-                plan=plan, video_id=video.video_id, truth=None, n_frames=video.n_frames
+                plan=plan, video_id=video.video_id, n_frames=video.n_frames
             )
             restored += 1
         return restored

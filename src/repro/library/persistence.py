@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.core.entities import Event, ShotRecord, Video, VideoObject
 from repro.core.model import CobraModel
 from repro.storage.catalog import Catalog
 from repro.storage.persist import load_catalog, save_catalog, tables_document
@@ -167,69 +168,61 @@ def _entity_tables(all_videos, all_shots, all_objects, all_events) -> Catalog:
 def catalog_to_model(catalog: Catalog) -> CobraModel:
     """Rebuild a meta-index from :func:`model_to_catalog` tables.
 
-    Identifiers are reassigned by the fresh model in original order; the
-    cross-references (video->shot->object/event) are remapped.
+    Every entity keeps its stored id, so load and save are inverse
+    (:meth:`CobraModel.adopt` checks the rows: a repeated id raises
+    ``ValueError``, a dangling parent id ``KeyError``).  Next ids are
+    not stored: each layer's counter resumes at its largest stored id
+    + 1, below any ids the saving model had burned after it.
     """
-    model = CobraModel()
-
-    video_map: dict[int, int] = {}
-    for row in sorted(catalog.table("videos").scan(), key=lambda r: r["video_id"]):
-        # Files written before the has_match flag used a -1 sentinel.
-        has_match = row.get("has_match", row["match_id"] >= 0)
-        video = model.add_video(
-            name=row["name"],
-            fps=row["fps"],
-            n_frames=row["n_frames"],
-            match_id=row["match_id"] if has_match else None,
-        )
-        # Files written before degraded indexing existed lack the column.
-        if row.get("degraded"):
-            model.mark_degraded(video.video_id)
-        video_map[row["video_id"]] = video.video_id
-
     features_by_shot: dict[int, dict[str, float]] = {}
     for row in catalog.table("shot_features").scan():
         features_by_shot.setdefault(row["shot_id"], {})[row["name"]] = row["value"]
-
-    shot_map: dict[int, int] = {}
-    for row in sorted(catalog.table("shots").scan(), key=lambda r: r["shot_id"]):
-        shot = model.add_shot(
-            video_map[row["video_id"]],
-            start=row["start"],
-            stop=row["stop"],
-            category=row["category"],
-            features=features_by_shot.get(row["shot_id"], {}),
-        )
-        shot_map[row["shot_id"]] = shot.shot_id
-
     points_by_object: dict[int, list] = {}
     for row in catalog.table("trajectories").scan():
         points_by_object.setdefault(row["object_id"], []).append(row)
 
-    object_map: dict[int, int] = {}
-    for row in sorted(catalog.table("objects").scan(), key=lambda r: r["object_id"]):
-        points = sorted(points_by_object.get(row["object_id"], []), key=lambda p: p["frame"])
-        trajectory = [
-            (p["row"], p["col"]) if p["found"] else None for p in points
-        ]
-        obj = model.add_object(
-            shot_map[row["shot_id"]],
-            label=row["label"],
-            trajectory=trajectory,
-            dominant_color=(row["r"], row["g"], row["b"]),
-            mean_area=row["mean_area"],
-        )
-        object_map[row["object_id"]] = obj.object_id
+    def rows(name: str, key: str) -> list[dict]:
+        return sorted(catalog.table(name).scan(), key=lambda row: row[key])
 
-    for row in sorted(catalog.table("events").scan(), key=lambda r: r["event_id"]):
-        model.add_event(
-            shot_map[row["shot_id"]],
-            label=row["label"],
-            start=row["start"],
-            stop=row["stop"],
-            confidence=row["confidence"],
-            object_id=object_map.get(row["object_id"]) if row["object_id"] >= 0 else None,
-        )
+    def trajectory(object_id: int) -> tuple:
+        points = sorted(points_by_object.get(object_id, []), key=lambda p: p["frame"])
+        return tuple((p["row"], p["col"]) if p["found"] else None for p in points)
+
+    model = CobraModel()
+    model.adopt(
+        videos=[
+            Video(
+                video_id=row["video_id"],
+                name=row["name"],
+                fps=row["fps"],
+                n_frames=row["n_frames"],
+                # Files written before the has_match flag used a -1 sentinel.
+                match_id=row["match_id"] if row.get("has_match", row["match_id"] >= 0) else None,
+                # Files written before degraded indexing existed lack the column.
+                degraded=bool(row.get("degraded")),
+            )
+            for row in rows("videos", "video_id")
+        ],
+        shots=[
+            ShotRecord(**row, features=features_by_shot.get(row["shot_id"], {}))
+            for row in rows("shots", "shot_id")
+        ],
+        objects=[
+            VideoObject(
+                object_id=row["object_id"],
+                shot_id=row["shot_id"],
+                label=row["label"],
+                trajectory=trajectory(row["object_id"]),
+                dominant_color=(row["r"], row["g"], row["b"]),
+                mean_area=row["mean_area"],
+            )
+            for row in rows("objects", "object_id")
+        ],
+        events=[
+            Event(**row | {"object_id": row["object_id"] if row["object_id"] >= 0 else None})
+            for row in rows("events", "event_id")
+        ],
+    )
     return model
 
 

@@ -840,10 +840,10 @@ class LibrarySearchService:
         .stage_video`); only the commit — meta-index merge, webspace
         linking, generation bump — excludes readers.
         """
-        clip, truth = plan.materialise()
+        clip, _truth = plan.materialise()
         staged = self.engine.indexer.fde.stage_video(clip)
         with self._rw.write():
-            return self.engine.indexer.commit_staged_plan(plan, clip, truth, staged)
+            return self.engine.indexer.commit_staged_plan(plan, staged)
 
     def index_checkpointed(self, path, **kwargs):
         """Checkpointed batch indexing with per-video commit locking.

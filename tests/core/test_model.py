@@ -46,6 +46,31 @@ class TestRegistration:
         assert model.shot(shot_a.shot_id).features["entropy"] == 2.5
 
 
+class TestAdopt:
+    """Entities that carry ids keep them; the counters burn past them."""
+
+    def test_ids_kept_and_next_ids_burn(self, populated):
+        model = populated[0]
+        target = CobraModel()
+        target.adopt(model.videos, model.shots, model.objects, model.events, next_ids=(5, 1, 9, 1))
+        assert target.high_water()[:4] == (5, 3, 9, 3)
+        assert target.shots == model.shots
+        assert target.add_object(1, "player", []).object_id == 9
+
+    def test_reused_id_rejected_before_any_row(self, populated):
+        model = populated[0]
+        with pytest.raises(ValueError):
+            model.adopt(videos=[model.video(1)])
+        assert model.high_water() == (2, 3, 2, 3, 1, 2, 1, 2)
+
+    def test_parent_may_arrive_in_the_same_batch(self, populated):
+        model, video, shot_a, *_ = populated
+        target = CobraModel()
+        target.adopt(videos=[video], shots=[shot_a])
+        with pytest.raises(KeyError):
+            target.adopt(events=model.events)
+
+
 class TestLookups:
     def test_shots_of_filters_category(self, populated):
         model, video, *_ = populated

@@ -17,6 +17,7 @@ from repro.grammar.runtime import (
     IsolationPolicy,
     PermanentDetectorError,
     RunPolicy,
+    TransientDetectorError,
 )
 from repro.grammar.tennis import build_tennis_fde
 from repro.library.indexing import LibraryIndexer
@@ -62,17 +63,20 @@ def health_projection(indexer: LibraryIndexer) -> list:
     return out
 
 
-def checkpointed_run(tmp_path, workers, policy=None, fault_plan=None):
+def checkpointed_run(tmp_path, workers, policy=None, fault_plan=None, wrap=None):
     path = tmp_path / f"w{workers}" / "meta.json"
     path.parent.mkdir()
     indexer = make_indexer(policy)
     if fault_plan is not None:
         FaultInjector(fault_plan(), indexer.fde.registry).install()
+    if wrap is not None:
+        wrap(indexer.fde.registry)
     records = indexer.index_checkpointed(path, limit=N_VIDEOS, workers=workers)
     journal = path.with_name(path.name + ".journal").read_bytes()
     return {
         "records": [record.plan.name for record in records],
         "document": snapshot_document(path),
+        "snapshot": path.read_bytes(),
         "journal": journal,
         "health": health_projection(indexer),
         "runner_state": indexer.fde.runner.export_state(),
@@ -123,6 +127,24 @@ def failing_tennis_plan() -> FaultPlan:
     )
 
 
+def fail_after_writing(registry) -> None:
+    """``tennis`` registers its objects, then fails transiently once per
+    video: the retry clears them and registers them again, so the first
+    attempt's object ids are burned."""
+    failed: set[str] = set()
+
+    def wrapper(run):
+        def flaky(context):
+            run(context)
+            if context.clip.name not in failed:
+                failed.add(context.clip.name)
+                raise TransientDetectorError("tennis: lost after writing its objects")
+
+        return flaky
+
+    registry.wrap("tennis", wrapper)
+
+
 class TestFaultInjectionMatrix:
     """Degraded commits and quarantine transitions stay deterministic."""
 
@@ -145,6 +167,17 @@ class TestFaultInjectionMatrix:
             )
             for w in WORKER_MATRIX
         }
+
+    def test_retry_after_partial_write_keeps_sequential_ids(self, tmp_path):
+        policy = RunPolicy(max_retries=1, backoff_base=0)
+        runs = {
+            w: checkpointed_run(tmp_path, w, policy=policy, wrap=fail_after_writing)
+            for w in (1, 2)
+        }
+        assert runs[2]["snapshot"] == runs[1]["snapshot"]
+        assert runs[2]["journal"] == runs[1]["journal"]
+        objects = runs[1]["document"]["tables"]["objects"]["columns"]["object_id"]
+        assert objects[0] > 1  # the first attempt's ids stay burned
 
     def test_skip_subtree_snapshots_identical(self, skip_runs):
         for workers in WORKER_MATRIX[1:]:

@@ -71,6 +71,54 @@ class TestCatalogMapping:
         assert tennis.features == {"entropy": 3.1}
 
 
+@pytest.fixture
+def gapped():
+    """Three videos with the middle one removed: every layer has a gap."""
+    model = CobraModel()
+    for name in ("v1", "v2", "v3"):
+        video = model.add_video(name, fps=25.0, n_frames=100)
+        shot = model.add_shot(video.video_id, 0, 100, "tennis", {"entropy": 1.5})
+        obj = model.add_object(shot.shot_id, "player", [(1.0, 2.0), None])
+        model.add_event(shot.shot_id, "rally", 10, 20, object_id=obj.object_id)
+    model.remove_video(2)
+    return model
+
+
+def entities(model) -> tuple:
+    return (model.videos, model.shots, model.objects, model.events)
+
+
+class TestIdsAreKept:
+    """A load keeps every stored id; ids are checked, never reassigned."""
+
+    def test_round_trip_keeps_gapped_ids(self, gapped):
+        loaded = catalog_to_model(model_to_catalog(gapped))
+        assert entities(loaded) == entities(gapped)
+        assert [v.video_id for v in loaded.videos] == [1, 3]
+        assert loaded.add_video("v4", fps=25.0, n_frames=1).video_id == 4
+
+    def test_load_then_save_is_byte_identity(self, gapped, tmp_path):
+        path, again = tmp_path / "m.json", tmp_path / "again.json"
+        save_model(gapped, path)
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("table, key", [("videos", "video_id"), ("shots", "shot_id")])
+    def test_repeated_id_raises(self, gapped, table, key):
+        catalog = model_to_catalog(gapped)
+        catalog.table(table).append(next(iter(catalog.table(table).scan())))
+        with pytest.raises(ValueError, match="repeats"):
+            catalog_to_model(catalog)
+
+    def test_dangling_parent_raises(self, gapped):
+        catalog = model_to_catalog(gapped)
+        catalog.table("shots").append(
+            {"shot_id": 9, "video_id": 2, "start": 0, "stop": 5, "category": "tennis"}
+        )
+        with pytest.raises(KeyError):
+            catalog_to_model(catalog)
+
+
 class TestMatchIdNullability:
     """Regression: match_id=None must come back as None, not a sentinel."""
 
