@@ -26,7 +26,10 @@ class IndexingContext:
         clip: the raw object (the axiom token's value) — a
             :class:`~repro.video.frames.VideoClip` for video grammars,
             any raw object with ``name``/``fps``/``__len__`` otherwise
-            (e.g. an :class:`~repro.audio.signal.AudioSignal`).
+            (e.g. an :class:`~repro.audio.signal.AudioSignal`).  Only
+            the pass holds it: the FDE keeps a video's *source*, which
+            a revalidation calls to read the object again, and no
+            cached token references it.
         model: the COBRA meta-index being populated.
         video_id: meta-index id of this object's raw-layer record.
         tokens: meta-data blackboard: token name -> value.  The grammar's

@@ -25,6 +25,15 @@ One parse serves both ingest paths: a clip is parsed whole
 (:meth:`FeatureDetectorEngine.index_video`), a stream chunk by chunk
 (:meth:`FeatureDetectorEngine.parse_chunk`), through the same runner.
 
+Like Acoi, the FDE indexes by reference: it keeps, per video, a
+*source* — a zero-argument callable that re-reads the raw object — and
+never the object itself.  Only a running pass holds frames: the
+indexing pass reads the clip it was given, and :meth:`revalidate` calls
+the source again, once, and only when a detector is stale.  No cached
+token value references a frame (a ``shot`` entry is ``(shot,
+shot_id)``; ``tennis`` reads a shot's frames from the pass's axiom
+token).
+
 Every whole-clip pass is staged: it runs against a private scratch
 model (:meth:`FeatureDetectorEngine.stage_video`), so worker threads
 never contend on the shared meta-index, and a single committer adopts
@@ -39,6 +48,7 @@ once.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import networkx as nx
@@ -86,9 +96,15 @@ class RevalidationReport:
 
 @dataclass
 class _VideoState:
-    """Cached indexing state of one multimedia object."""
+    """Cached indexing state of one multimedia object, held by reference.
 
-    clip: object
+    *source* re-reads the raw object (:meth:`FeatureDetectorEngine
+    .revalidate` calls it once per pass that runs a detector); no field
+    holds a frame.  Empty *outputs* and *versions* make every detector
+    stale, so the first revalidation runs the whole DAG.
+    """
+
+    source: Callable[[], object]
     video_id: int  # raw-layer id in the engine's model
     outputs: dict[str, dict[str, object]]  # detector -> {token: value}
     versions: dict[str, int]  # detector -> registry version used
@@ -109,7 +125,11 @@ class StagedVideo:
     commit changed them in the meantime.
 
     Attributes:
-        clip: the raw multimedia object the pass indexed.
+        clip: the raw multimedia object the pass indexed; held only
+            until the commit (a re-index after a quarantine shift reads
+            it again).
+        source: zero-argument callable re-reading the raw object; the
+            committed video keeps this, not :attr:`clip`.
         model: the scratch :class:`~repro.core.model.CobraModel` holding
             the pass's entities (scratch-local identifiers).
         first_ids: the scratch model's per-layer next ids before the
@@ -129,6 +149,7 @@ class StagedVideo:
     """
 
     clip: object
+    source: Callable[[], object]
     model: CobraModel
     first_ids: tuple[int, ...]
     video_id: int
@@ -350,12 +371,14 @@ class FeatureDetectorEngine:
             self._raise_outcome(failure)
         return context
 
-    def _run_video_pass(self, clip, model: CobraModel) -> StagedVideo:
+    def _run_video_pass(self, clip, model: CobraModel, source) -> StagedVideo:
         """One full indexing pass over *clip* against the scratch *model*.
 
-        The ``record_video_result`` calls are deferred into the stage's
-        :attr:`~StagedVideo.results` and the quarantine checks recorded
-        in its :attr:`~StagedVideo.decisions`, for :meth:`commit_staged`.
+        *source* re-reads the clip later; ``None`` makes the clip its
+        own source.  The ``record_video_result`` calls are deferred into
+        the stage's :attr:`~StagedVideo.results` and the quarantine
+        checks recorded in its :attr:`~StagedVideo.decisions`, for
+        :meth:`commit_staged`.
         """
         self._check_registry()
         self._check_new(clip.name)
@@ -388,6 +411,7 @@ class FeatureDetectorEngine:
         )
         return StagedVideo(
             clip=clip,
+            source=source if source is not None else lambda: clip,
             model=model,
             first_ids=first_ids,
             video_id=video.video_id,
@@ -415,12 +439,15 @@ class FeatureDetectorEngine:
             detector=outcome.name,
         )
 
-    def index_video(self, clip) -> IndexingContext:
+    def index_video(self, clip, *, source: Callable[[], object] | None = None) -> IndexingContext:
         """Run the full pipeline over *clip* and cache all outputs.
 
         *clip* is any raw multimedia object exposing ``name``, ``fps``
         and ``__len__`` — a video clip, or an audio signal for grammars
-        declaring ``AXIOM audio``.
+        declaring ``AXIOM audio``.  *source* is a zero-argument callable
+        returning the same object again; the engine keeps it, not the
+        clip, and :meth:`revalidate` calls it.  Omitted, the clip is its
+        own source (and stays referenced for as long as the engine).
 
         A stage whose scratch counters start at the live model's,
         committed at once (:meth:`commit_staged`): nothing shifts, so
@@ -434,14 +461,16 @@ class FeatureDetectorEngine:
         """
         scratch = CobraModel()
         scratch.adopt(next_ids=self.model.high_water()[:4])
-        return self.commit_staged(self._run_video_pass(clip, scratch))
+        return self.commit_staged(self._run_video_pass(clip, scratch, source))
 
     # ------------------------------------------------------------------ #
     # Staged indexing (per-video parallelism)
     # ------------------------------------------------------------------ #
 
-    def stage_video(self, clip) -> StagedVideo:
+    def stage_video(self, clip, *, source: Callable[[], object] | None = None) -> StagedVideo:
         """Run a full pass over *clip* against a fresh scratch model.
+
+        *source* is as for :meth:`index_video`.
 
         Safe to call from any worker thread: nothing engine-shared is
         mutated.  Quarantine checks go against the live runner but the
@@ -450,7 +479,7 @@ class FeatureDetectorEngine:
         :attr:`StagedVideo.results`.  Commit stages in plan order via
         :meth:`commit_staged` to reproduce a sequential run exactly.
         """
-        return self._run_video_pass(clip, CobraModel())
+        return self._run_video_pass(clip, CobraModel(), source)
 
     def commit_staged(self, staged: StagedVideo) -> IndexingContext:
         """Adopt a staged pass into the engine (committer thread only).
@@ -467,11 +496,11 @@ class FeatureDetectorEngine:
         re-indexed in place, which at this plan position is exactly what
         a sequential run would have produced.
 
-        The video's cached detector outputs are kept when no layer
-        shifted (as in :meth:`index_video`) and reset otherwise (their
-        token values embed scratch-local identifiers), so the first
-        :meth:`revalidate` then re-runs every detector rather than
-        serving poisoned caches.
+        The video is remembered by its :attr:`StagedVideo.source`.  Its
+        cached detector outputs are kept when no layer shifted (as in
+        :meth:`index_video`) and reset otherwise (their token values
+        embed scratch-local identifiers), so the first :meth:`revalidate`
+        then re-runs every detector rather than serving poisoned caches.
 
         Under ``fail_fast`` a staged failure is re-raised here, after
         merging and removing the video, so it burns the same identifier
@@ -488,7 +517,7 @@ class FeatureDetectorEngine:
             for detector, quarantined in staged.decisions.items()
         )
         if moved:
-            return self.index_video(staged.clip)
+            return self.index_video(staged.clip, source=staged.source)
         for detector, failed in staged.results:
             self.runner.record_video_result(detector, failed=failed)
         self.last_health = staged.health
@@ -503,14 +532,35 @@ class FeatureDetectorEngine:
         context.model = self.model
         context.video_id = video_id
         kept = not any(shift)
-        self._states[staged.clip.name] = _VideoState(
-            clip=staged.clip,
-            video_id=video_id,
+        self._remember(
+            staged.clip.name,
+            staged.source,
+            video_id,
+            staged.health,
             outputs=staged.outputs if kept else {},
             versions=staged.versions if kept else {},
-            health=staged.health,
         )
         return context
+
+    def register_stream(
+        self, name: str, video_id: int, source: Callable[[], object], health
+    ) -> None:
+        """Put a finished stream's video under revalidation.
+
+        A stream's chunks are parsed (:meth:`parse_chunk`) but never
+        cached: the video is remembered by *source* with an empty
+        cache, so its first :meth:`revalidate` runs the whole DAG over
+        the re-read object — as after a staged commit whose ids
+        shifted.  *health* is the stream's merged report.
+        """
+        self._remember(name, source, video_id, health, outputs={}, versions={})
+
+    def _remember(self, name: str, source, video_id: int, health, *, outputs, versions) -> None:
+        """The one writer of per-video FDE state: *name* is remembered
+        by *source*, never by its frames."""
+        self._states[name] = _VideoState(
+            source=source, video_id=video_id, outputs=outputs, versions=versions, health=health
+        )
 
     def _merge_model(self, staged: StagedVideo) -> tuple[int, ...]:
         """Adopt *staged*'s scratch entities into the shared model.
@@ -580,6 +630,8 @@ class FeatureDetectorEngine:
 
         Unaffected detectors contribute their cached token outputs, so
         downstream detectors see exactly the inputs a full run would.
+        The raw object is re-read from the video's source, once, and
+        only when some detector is stale; the pass drops it on return.
 
         The pass is *crash-consistent*: re-runs are staged and committed
         to the cached state only when the pass completes.  Under
@@ -600,7 +652,7 @@ class FeatureDetectorEngine:
             return report
 
         context = IndexingContext(
-            clip=state.clip,
+            clip=state.source(),
             model=self.model,
             video_id=state.video_id,
             axiom=self.grammar.axiom,

@@ -178,6 +178,24 @@ def detect_player_events(model: CobraModel, player: TrackedPlayer, grammar) -> l
     return events
 
 
+def _shot_frames(video, shot: DetectedShot) -> list:
+    """The frames of *shot*, read from the pass's ``video`` token.
+
+    A whole clip is sliced ``[shot.start:shot.stop]`` — the same frame
+    objects the segmenter emits for it.  A stream's
+    :class:`~repro.streaming.segmenter.SegmentChunk` hands over the
+    frames its ``segment`` run emitted (the shot may span earlier
+    chunks).  Either way the frames live only as long as the pass: the
+    axiom token is never cached.
+    """
+    # Imported here: repro.streaming imports the library, which imports this module.
+    from repro.streaming.segmenter import SegmentChunk
+
+    if isinstance(video, SegmentChunk):
+        return video.shot_frames[shot.start]
+    return video[shot.start : shot.stop]
+
+
 def _segment_impl(segmenter: SegmentDetector):
     """Build the segment detector: one chunk -> classified shots + ShotRecords.
 
@@ -189,7 +207,8 @@ def _segment_impl(segmenter: SegmentDetector):
     retry re-forks and first drops the shots at or after the fork's
     watermark — the previous attempt's, or for a clip every shot of the
     video — so it neither re-pushes frames nor doubles a shot.  Each
-    ``shot`` token entry is ``(shot, shot_id, frames)``.
+    ``shot`` token entry is ``(shot, shot_id)``: the token is cached per
+    video, so it holds no frame (:func:`_shot_frames` reads them).
     """
     # Imported here: repro.streaming imports the library, which imports this module.
     from repro.streaming.segmenter import SegmentChunk
@@ -203,7 +222,7 @@ def _segment_impl(segmenter: SegmentDetector):
         if chunk.final:
             emitted += stream.finalize()
         shots = []
-        for shot, frames in emitted:
+        for shot, _frames in emitted:
             record = model.add_shot(
                 context.video_id,
                 start=shot.start,
@@ -211,9 +230,10 @@ def _segment_impl(segmenter: SegmentDetector):
                 category=shot.category,
                 features=shot_features_dict(shot),
             )
-            shots.append((shot, record.shot_id, frames))
+            shots.append((shot, record.shot_id))
         context.tokens["shot"] = shots
         chunk.advanced = stream
+        chunk.shot_frames = {shot.start: frames for shot, frames in emitted}
 
     return run
 
@@ -230,10 +250,13 @@ def _tennis_impl(tracker: PlayerTracker, far_tracker: PlayerTracker | None = Non
 
     def run(context: IndexingContext) -> None:
         shots = context.require("shot")
-        context.model.clear_objects_of_shots(shot_id for _, shot_id, _ in shots)
+        video = context.require("video")
+        context.model.clear_objects_of_shots(shot_id for _, shot_id in shots)
         context.tokens["player"] = [
-            track_shot_player(context.model, frames, shot, shot_id, tracker, far_tracker)
-            for shot, shot_id, frames in shots
+            track_shot_player(
+                context.model, _shot_frames(video, shot), shot, shot_id, tracker, far_tracker
+            )
+            for shot, shot_id in shots
             if shot.category == ShotCategory.TENNIS
         ]
 

@@ -585,8 +585,10 @@ class DigitalLibraryEngine:
         """Write one keyframe image (PPM) per result scene.
 
         The demo front end shows retrieved scenes as thumbnails; this
-        re-materialises each scene's video plan (deterministic) and
-        writes the scene's histogram-medoid keyframe.
+        re-reads each result video's clip (:meth:`LibraryIndexer
+        .read_clip`, deterministic in the plan), one video at a time,
+        and writes each of its scenes' histogram-medoid keyframe.  An
+        unknown video is a ``KeyError`` before anything is written.
 
         Returns:
             The written file paths, aligned with *scenes*.
@@ -596,22 +598,24 @@ class DigitalLibraryEngine:
         from repro.shots.keyframes import keyframe_index
         from repro.vision.io import write_ppm
 
+        indexed = self.indexer.indexed
+        by_video: dict[str, list[int]] = {}
+        for index, scene in enumerate(scenes):
+            if scene.video_name not in indexed:
+                raise KeyError(f"video {scene.video_name!r} is not indexed here")
+            by_video.setdefault(scene.video_name, []).append(index)
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        clips: dict[str, object] = {}
-        paths = []
-        for index, scene in enumerate(scenes):
-            record = self.indexer.indexed.get(scene.video_name)
-            if record is None:
-                raise KeyError(f"video {scene.video_name!r} is not indexed here")
-            if scene.video_name not in clips:
-                clip, _truth = record.plan.materialise()
-                clips[scene.video_name] = clip
-            clip = clips[scene.video_name]
-            frame = keyframe_index(clip, scene.start, min(scene.stop, len(clip)))
-            path = out_dir / f"scene_{index:02d}_{scene.video_name[:40]}_f{frame}.ppm"
-            write_ppm(clip[frame], path)
-            paths.append(path)
+        paths: list = [None] * len(scenes)
+        for name, indices in by_video.items():
+            clip = self.indexer.read_clip(indexed[name].plan)
+            for index in indices:
+                scene = scenes[index]
+                frame = keyframe_index(clip, scene.start, min(scene.stop, len(clip)))
+                path = out_dir / f"scene_{index:02d}_{name[:40]}_f{frame}.ppm"
+                write_ppm(clip[frame], path)
+                paths[index] = path
+            del clip  # one video's frames at a time
         return paths
 
     # ------------------------------------------------------------------ #
@@ -621,12 +625,13 @@ class DigitalLibraryEngine:
     def build_ann_index(self, n_cells: int = 8, seed: int = 0, samples: int = 3):
         """Embed every indexed shot and build the IVF ANN index.
 
-        Each indexed video's plan is re-materialised (deterministic, the
-        same path :meth:`export_scene_keyframes` uses) and every shot is
-        embedded by :class:`~repro.ir.ann.ShotVectorizer`.  The k-means
-        quantizer is seeded from *seed* through an explicit generator,
-        so the build is reproducible regardless of worker count or call
-        order.  Returns the built :class:`~repro.ir.ann.AnnIndex`.
+        Each indexed video's clip is re-read (:meth:`LibraryIndexer
+        .read_clip`, deterministic in the plan, one video at a time) and
+        every shot is embedded by :class:`~repro.ir.ann.ShotVectorizer`.
+        The k-means quantizer is seeded from *seed* through an explicit
+        generator, so the build is reproducible regardless of worker
+        count or call order.  Returns the built
+        :class:`~repro.ir.ann.AnnIndex`.
         """
         from repro.ir.ann import AnnIndex, ShotVectorizer
 
@@ -636,7 +641,7 @@ class DigitalLibraryEngine:
         meta: list[dict] = []
         for record in sorted(self.indexer.indexed.values(), key=lambda r: r.video_id):
             video = model.video(record.video_id)
-            clip, _truth = record.plan.materialise()
+            clip = self.indexer.read_clip(record.plan)
             for shot in model.shots_of(record.video_id):
                 stop = min(shot.stop, len(clip))
                 if stop <= shot.start:
@@ -651,6 +656,7 @@ class DigitalLibraryEngine:
                         "category": shot.category,
                     }
                 )
+            del clip  # one video's frames at a time
         array = (
             np.stack(vectors) if vectors else np.zeros((0, vectorizer.dim), dtype=np.float64)
         )

@@ -2,14 +2,18 @@
 
 :class:`LibraryIndexer` owns the tennis FDE and the bookkeeping around
 it: materialising video plans, linking the resulting Video objects into
-the webspace graph, and checkpointing the meta-index.
+the webspace graph, and checkpointing the meta-index.  Every video the
+FDE indexes is remembered by its plan (:meth:`LibraryIndexer.read_clip`
+re-reads the clip), so no frame outlives the pass that parsed it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.core.model import CobraModel
@@ -95,12 +99,26 @@ class LibraryIndexer:
                 return plan
         raise KeyError(f"no video plan named {name!r}")
 
+    @staticmethod
+    def read_clip(plan: VideoPlan):
+        """Re-read *plan*'s clip (rendering is deterministic in the plan).
+
+        The one way the library reads a video's frames: ingest calls it
+        once per video, the FDE keeps ``partial(read_clip, plan)`` as the
+        video's source for revalidation, and ANN builds and keyframe
+        export call it again.  Static, so a source holds the plan alone:
+        a bound method would close a reference cycle (indexer → FDE →
+        source → indexer) that only the cyclic collector frees.
+        """
+        clip, _truth = plan.materialise()
+        return clip
+
     def index_plan(self, plan: VideoPlan) -> IndexedVideo:
         """Materialise one plan, run the FDE, link the webspace Video."""
         if plan.name in self.indexed:
             raise ValueError(f"video {plan.name!r} already indexed")
-        clip, _truth = plan.materialise()
-        return self._register_video(plan, self.fde.index_video(clip))
+        context = self.fde.index_video(self.read_clip(plan), source=partial(self.read_clip, plan))
+        return self._register_video(plan, context)
 
     def _link_video(self, plan: VideoPlan, n_frames: int):
         """Create the webspace Video object and link it to its Match."""
@@ -173,7 +191,7 @@ class LibraryIndexer:
         from repro.streaming.session import StreamSession
 
         extra = {} if clock is None else {"clock": clock}
-        clip, _truth = plan.materialise()
+        clip = self.read_clip(plan)
         if resume:
             session = StreamSession.resume(
                 self, plan, path, journal=journal, commit_lock=commit_lock, **extra
@@ -196,9 +214,9 @@ class LibraryIndexer:
     def commit_staged_plan(self, plan: VideoPlan, staged) -> IndexedVideo:
         """Commit one staged detector pass and register its video.
 
-        The counterpart of :meth:`FeatureDetectorEngine.stage_video`:
-        staging runs anywhere, this merge mutates shared state and must
-        run on (or be serialized with) the committer thread.
+        The counterpart of :meth:`stage_plan`: staging runs anywhere,
+        this merge mutates shared state and must run on (or be
+        serialized with) the committer thread.
         """
         return self._register_video(plan, self.fde.commit_staged(staged))
 
@@ -279,12 +297,15 @@ class LibraryIndexer:
         # private scratch models; this thread is the single committer,
         # in plan order — exactly the sequence (and bytes) of a
         # sequential batch, so the crash-safety invariants hold unchanged.
+        # A committed stage is dropped at once, so its frames do not wait
+        # for the batch to end.
         pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="indexer")
         try:
-            futures = [pool.submit(self._stage_plan, plan) for plan in todo]
-            for plan, future in zip(todo, futures):
-                staged = future.result()
+            futures = deque(pool.submit(self.stage_plan, plan) for plan in todo)
+            for plan in todo:
+                staged = futures.popleft().result()
                 commit(plan, lambda: self.commit_staged_plan(plan, staged))
+                del staged
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
         return records
@@ -295,10 +316,13 @@ class LibraryIndexer:
         video = self.model.video(self.indexed[name].video_id)
         journal.commit(name, degraded=video.degraded)
 
-    def _stage_plan(self, plan: VideoPlan):
-        """Worker-thread half of one video: materialise + stage."""
-        clip, _truth = plan.materialise()
-        return self.fde.stage_video(clip)
+    def stage_plan(self, plan: VideoPlan):
+        """Worker-thread half of one video: materialise + stage.
+
+        Safe on any thread; commit the result with
+        :meth:`commit_staged_plan`.  The stage's source is the plan.
+        """
+        return self.fde.stage_video(self.read_clip(plan), source=partial(self.read_clip, plan))
 
     def index_checkpointed(
         self,
@@ -458,8 +482,8 @@ class LibraryIndexer:
 
         Replaces the FDE's model and relinks each restored video to its
         plan and webspace Match.  The FDE never ran the restored
-        videos, so revalidation is unavailable until they are
-        re-indexed.
+        videos and a snapshot stores no FDE state, so revalidation is
+        unavailable until they are re-indexed.
 
         Returns:
             How many videos were restored (videos whose plan no longer

@@ -836,14 +836,14 @@ class LibrarySearchService:
         """Index one video plan with minimal reader disruption.
 
         Clip materialisation and the detector pass run *outside* the
-        write lock against a scratch model (:meth:`FeatureDetectorEngine
-        .stage_video`); only the commit — meta-index merge, webspace
+        write lock against a scratch model (:meth:`LibraryIndexer
+        .stage_plan`); only the commit — meta-index merge, webspace
         linking, generation bump — excludes readers.
         """
-        clip, _truth = plan.materialise()
-        staged = self.engine.indexer.fde.stage_video(clip)
+        indexer = self.engine.indexer
+        staged = indexer.stage_plan(plan)
         with self._rw.write():
-            return self.engine.indexer.commit_staged_plan(plan, staged)
+            return indexer.commit_staged_plan(plan, staged)
 
     def index_checkpointed(self, path, **kwargs):
         """Checkpointed batch indexing with per-video commit locking.

@@ -30,7 +30,7 @@ whose boundary frame is the watermark itself).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,6 +277,10 @@ class SegmentChunk:
             failed attempt leaves it as it was.
         advanced: the fork after a successful ``segment`` run, for the
             stream to adopt (``None`` until then).
+        shot_frames: the frames of the shots that run emitted, keyed by
+            shot start, for ``tennis`` to track (a shot may span earlier
+            chunks).  Safe to hold: the chunk is the axiom token, which
+            no cache keeps, so they go when the chunk's parse ends.
     """
 
     name: str
@@ -285,6 +289,7 @@ class SegmentChunk:
     final: bool
     segmenter: StreamingSegmenter
     advanced: StreamingSegmenter | None = None
+    shot_frames: dict[int, list] = field(default_factory=dict)
 
     @classmethod
     def of(cls, token, segmenter: SegmentDetector) -> "SegmentChunk":

@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from repro.grammar.runtime import IndexingHealthReport
 from repro.library.persistence import model_delta, save_model
@@ -356,11 +357,18 @@ class StreamSession:
         indexer.delta_logs[str(self.path)] = DeltaLog(self.path, model.high_water())
 
     def _finish(self, total: int) -> None:
+        """The finished stream's bookkeeping; the FDE now remembers the
+        video by its plan's source with an empty cache, so its first
+        revalidation runs the whole DAG over the re-read clip."""
         self.finalized = True
-        record = self.indexer.indexed.get(self.name)
+        indexer = self.indexer
+        record = indexer.indexed.get(self.name)
         if record is not None:
             record.n_frames = total
-        self.indexer.stream_states.pop(self.name, None)
-        video_obj = self.indexer.webspace_video(self.name)
+        indexer.stream_states.pop(self.name, None)
+        video_obj = indexer.webspace_video(self.name)
         if video_obj is not None:
             video_obj.attributes["n_frames"] = total
+        indexer.fde.register_stream(
+            self.name, self.video_id, partial(indexer.read_clip, self.plan), self.health
+        )
