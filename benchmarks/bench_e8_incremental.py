@@ -10,9 +10,10 @@ fraction of a full re-run; changing the root (segment) detector
 degenerates to the full cost — exactly the dependency-driven behaviour
 the feature grammar enables.
 
-The FDE keeps a video's source, not its frames, so a revalidation that
-runs any detector re-reads the raw object once; the plan-sourced row
-times that re-read inside a ``rules`` revalidation.
+The FDE keeps a video's source, not its frames, and reads the axiom on
+demand: a revalidation re-reads the raw object once, and only when a
+re-run detector reads the frames.  The plan-sourced row shows that a
+``rules`` revalidation re-renders nothing.
 """
 
 import time
@@ -128,7 +129,8 @@ def test_e8_plan_sourced_revalidation(benchmark):
     """Timed row: ``rules`` revalidation of a video indexed from its plan.
 
     The engine remembers the video by a source that re-renders the plan,
-    so the wall time includes that re-read (reported on its own too).
+    but ``rules`` reads no frame, so the source is never called: the
+    wall time is the detector's own (the re-read column stays 0 ms).
     """
     plan = VideoPlan(name="e8_plan_video", match_title="e8", n_shots=6, seed=8008)
     reads: list[float] = []
@@ -157,10 +159,10 @@ def test_e8_plan_sourced_revalidation(benchmark):
         f"{elapsed * 1e3:.0f}ms",
     ]
     print_table(
-        "E8: rules revalidation of a plan-sourced video (1 video, re-read included)",
+        "E8: rules revalidation of a plan-sourced video (1 video, no re-read)",
         ["changed detector", "invocations", "reused", "re-read", "wall time"],
         [row],
     )
     assert report.executed == {"rules": 1}
     assert report.total_reused == len(DETECTORS) - 1
-    assert len(reads) == 1
+    assert reads == []

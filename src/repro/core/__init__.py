@@ -32,7 +32,6 @@ from repro.core.grammars import ConceptGrammar, parse_grammar, GrammarError
 from repro.core.inference import (
     DetectedEvent,
     GrammarEventDetector,
-    ObjectClassifier,
     TrajectoryContext,
 )
 
@@ -51,6 +50,5 @@ __all__ = [
     "GrammarError",
     "DetectedEvent",
     "GrammarEventDetector",
-    "ObjectClassifier",
     "TrajectoryContext",
 ]

@@ -19,9 +19,10 @@ The concrete syntax (one rule per statement, ``;``-terminated,
 
 Rule forms:
 
-- ``OBJECT name := <predicate>`` — classify object-layer blobs from
+- ``OBJECT name := <predicate>`` — an object-layer concept over blob
   shape features (fields: ``area``, ``aspect_ratio``, ``eccentricity``,
-  ``height``, ``width``).
+  ``height``, ``width``); parsed and validated, not evaluated by any
+  detector.
 - ``EVENT name := HOLDS <predicate> FOR n [BRIDGE m] [REQUIRE <aggs>]
   [UNLESS e1, e2]`` — frames satisfying the per-frame predicate
   (fields: ``zone`` / ``side`` (= / != a zone or side name),

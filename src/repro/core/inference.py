@@ -1,12 +1,11 @@
 """Grammar rule evaluation over trajectories and observations.
 
 The inference engine turns a parsed :class:`~repro.core.grammars.ConceptGrammar`
-into detections:
-
-- event rules are evaluated frame-wise over a :class:`TrajectoryContext`
-  (positions, court zones, speeds) to produce event intervals, with
-  aggregate constraints checked per candidate run;
-- object rules classify blobs from their shape features.
+into detections: event rules are evaluated frame-wise over a
+:class:`TrajectoryContext` (positions, court zones, speeds) to produce
+event intervals, with aggregate constraints checked per candidate run.
+A grammar's OBJECT rules are parsed but not evaluated: no detector
+classifies blobs.
 
 This is the "white-box detector" path of the FDE: the rules themselves
 are data, authored in the grammar, and the engine interprets them.
@@ -26,14 +25,13 @@ from repro.core.grammars import (
     GrammarError,
     HoldsRule,
     Not,
-    ObjectRule,
     Or,
     SeqRule,
 )
 from repro.core.temporal import Interval
 from repro.events.quantize import SIDE_NAMES, ZONE_NAMES, CourtZones, median_filter
 
-__all__ = ["DetectedEvent", "TrajectoryContext", "GrammarEventDetector", "ObjectClassifier"]
+__all__ = ["DetectedEvent", "TrajectoryContext", "GrammarEventDetector"]
 
 
 @dataclass(frozen=True)
@@ -304,38 +302,3 @@ class GrammarEventDetector:
                 if 0 <= gap <= rule.within:
                     out.append(a.union_span(b))
         return sorted(set(out))
-
-
-class ObjectClassifier:
-    """Classify object blobs with the grammar's OBJECT rules.
-
-    A blob is described by a feature mapping with the
-    :data:`~repro.core.grammars.OBJECT_FIELDS` keys; the classifier
-    returns the first matching rule's name (declaration order), or
-    ``None``.
-    """
-
-    def __init__(self, grammar: ConceptGrammar):
-        self.grammar = grammar
-
-    def classify(self, features: dict[str, float]) -> str | None:
-        for rule in self.grammar.object_rules:
-            if self._matches(rule, features):
-                return rule.name
-        return None
-
-    def _matches(self, rule: ObjectRule, features: dict[str, float]) -> bool:
-        return bool(self._eval(rule.predicate, features))
-
-    def _eval(self, node, features: dict[str, float]) -> bool:
-        if isinstance(node, Comparison):
-            if node.fieldname not in features:
-                raise GrammarError(f"blob features missing field {node.fieldname!r}")
-            return _compare_scalar(features[node.fieldname], node.op, float(node.value))
-        if isinstance(node, And):
-            return all(self._eval(item, features) for item in node.items)
-        if isinstance(node, Or):
-            return any(self._eval(item, features) for item in node.items)
-        if isinstance(node, Not):
-            return not self._eval(node.item, features)
-        raise GrammarError(f"unknown predicate node {node!r}")

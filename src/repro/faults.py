@@ -462,7 +462,7 @@ class FaultInjector(DeliveryWindow):
     Wrapping goes through :meth:`DetectorRegistry.wrap`, which replaces
     the callable without bumping the version — injected faults must not
     look like implementation changes to the revalidation machinery.
-    Injection keys on ``context.clip.name``, the video the FDE is
+    Injection keys on ``context.name``, the video the FDE is
     indexing.  :meth:`install` returns the injector; :meth:`uninstall`
     (or leaving the context-manager form) restores the original
     implementations.
@@ -491,7 +491,7 @@ class FaultInjector(DeliveryWindow):
 
     def _wrapped(self, name: str, fn):
         def run(context: IndexingContext) -> None:
-            video = getattr(context.clip, "name", "<unnamed>")
+            video = context.name
             spec, _attempt = self.arbitrate(name, video, scope=video)
             if spec is not None:
                 if spec.error == HANG:

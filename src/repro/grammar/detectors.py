@@ -23,17 +23,18 @@ class IndexingContext:
     """Everything a detector sees while indexing one multimedia object.
 
     Attributes:
-        clip: the raw object (the axiom token's value) — a
+        name: the object's name (the video the pass indexes).
+        source: zero-argument callable reading the raw object — a
             :class:`~repro.video.frames.VideoClip` for video grammars,
             any raw object with ``name``/``fps``/``__len__`` otherwise
-            (e.g. an :class:`~repro.audio.signal.AudioSignal`).  Only
-            the pass holds it: the FDE keeps a video's *source*, which
-            a revalidation calls to read the object again, and no
-            cached token references it.
+            (e.g. an :class:`~repro.audio.signal.AudioSignal`).  The
+            axiom token is read on demand: the first :meth:`require` of
+            it calls *source*, once per pass, and the pass drops the
+            token when it ends, so no context outlives its pass holding
+            frames.  ``None`` when the pass was handed the object.
         model: the COBRA meta-index being populated.
         video_id: meta-index id of this object's raw-layer record.
-        tokens: meta-data blackboard: token name -> value.  The grammar's
-            axiom token maps to the raw object.
+        tokens: meta-data blackboard: token name -> value.
         axiom: the axiom token name (default ``video``).
         invocations: per-detector run counter (benchmark bookkeeping).
         current_detector: name of the detector the registry is currently
@@ -43,7 +44,8 @@ class IndexingContext:
             of the pass that produced this context (set by the FDE).
     """
 
-    clip: object
+    name: str
+    source: Callable[[], object] | None
     model: CobraModel
     video_id: int
     tokens: dict[str, object] = field(default_factory=dict)
@@ -52,11 +54,14 @@ class IndexingContext:
     current_detector: str | None = None
     health: object | None = None
 
-    def __post_init__(self) -> None:
-        self.tokens.setdefault(self.axiom, self.clip)
-
     def require(self, token: str):
-        """Read an input token, failing loudly when a dependency is missing."""
+        """Read an input token, failing loudly when a dependency is missing.
+
+        The axiom is read from :attr:`source` the first time it is
+        required in a pass.
+        """
+        if token == self.axiom and token not in self.tokens and self.source is not None:
+            self.tokens[token] = self.source()
         if token not in self.tokens:
             requester = (
                 f"detector {self.current_detector!r}"

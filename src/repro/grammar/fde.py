@@ -21,28 +21,35 @@ commit videos *degraded* — upstream meta-data kept, the failing
 detector's DAG subtree skipped — so one bad detector no longer erases a
 whole video from the library.
 
-One parse serves both ingest paths: a clip is parsed whole
-(:meth:`FeatureDetectorEngine.index_video`), a stream chunk by chunk
-(:meth:`FeatureDetectorEngine.parse_chunk`), through the same runner.
+One pass body serves every job: a staged clip
+(:meth:`FeatureDetectorEngine.stage_video`), a stream's chunk
+(:meth:`FeatureDetectorEngine.parse_chunk`) and a revalidation
+(:meth:`FeatureDetectorEngine.revalidate`) all go through it.  It builds
+the pass's context, runs the detectors through the runner and records
+every OK detector's outputs and version.
 
 Like Acoi, the FDE indexes by reference: it keeps, per video, a
 *source* — a zero-argument callable that re-reads the raw object — and
-never the object itself.  Only a running pass holds frames: the
-indexing pass reads the clip it was given, and :meth:`revalidate` calls
-the source again, once, and only when a detector is stale.  No cached
-token value references a frame (a ``shot`` entry is ``(shot,
-shot_id)``; ``tennis`` reads a shot's frames from the pass's axiom
-token).
+never the object itself.  Only a running pass holds frames, and only
+the detectors that read the axiom make it read: an indexing pass reads
+the clip it was given, and a revalidation calls the source at the first
+stale detector that requires the axiom, once per pass (so a ``rules``
+or ``shape`` bump reads nothing).  The pass drops the axiom token when
+it ends, and no cached token value references a frame (a ``shot`` entry
+is ``(shot, shot_id)``; ``tennis`` reads a shot's frames from the
+pass's axiom token).
 
 Every whole-clip pass is staged: it runs against a private scratch
-model (:meth:`FeatureDetectorEngine.stage_video`), so worker threads
-never contend on the shared meta-index, and a single committer adopts
-stages in plan order (:meth:`FeatureDetectorEngine.commit_staged`).  An
-entity keeps the id its pass gave it, moved by one shift per layer, and
-the live counters advance by every id the pass handed out, burned ones
-included — so a staged commit assigns exactly the ids of a sequential
-one.  :meth:`FeatureDetectorEngine.index_video` is that sequential one:
-a stage whose scratch counters start at the live model's, committed at
+model whose counters start at the live model's next ids, so worker
+threads never contend on the shared meta-index, and a single committer
+adopts stages in plan order (:meth:`FeatureDetectorEngine
+.commit_staged`).  An entity keeps the id its pass gave it, moved by one
+shift per layer, and the live counters advance by every id the pass
+handed out, burned ones included — so a staged commit assigns exactly
+the ids of a sequential one.  There is one cache rule: a commit keeps
+its pass's outputs unless another commit landed after staging (the
+shift is then non-zero and the cached token values would name scratch
+ids).  :meth:`FeatureDetectorEngine.index_video` is a stage committed at
 once.
 """
 
@@ -99,9 +106,10 @@ class _VideoState:
     """Cached indexing state of one multimedia object, held by reference.
 
     *source* re-reads the raw object (:meth:`FeatureDetectorEngine
-    .revalidate` calls it once per pass that runs a detector); no field
-    holds a frame.  Empty *outputs* and *versions* make every detector
-    stale, so the first revalidation runs the whole DAG.
+    .revalidate` calls it once per pass that runs a detector requiring
+    the axiom); no field holds a frame.  Empty *outputs* and *versions*
+    make every detector stale, so the first revalidation runs the whole
+    DAG.
     """
 
     source: Callable[[], object]
@@ -118,28 +126,25 @@ class StagedVideo:
     Produced by :meth:`FeatureDetectorEngine.stage_video` on any worker
     thread; consumed by :meth:`FeatureDetectorEngine.commit_staged` on
     the committer.  Nothing here has touched the engine's shared state:
-    entity identifiers are scratch-local, health accounting is recorded
-    in :attr:`results` instead of applied to the runner, and the
-    quarantine checks the pass made are remembered in
-    :attr:`decisions` so the committer can detect that another video's
-    commit changed them in the meantime.
+    entity identifiers are scratch-local (starting at the live model's
+    next ids when the stage began), health accounting is recorded in
+    :attr:`results` instead of applied to the runner, and the quarantine
+    checks the pass made are remembered in :attr:`decisions` so the
+    committer can detect that another video's commit changed them in the
+    meantime.  A stage holds no frame: the pass dropped its axiom token,
+    and the video is held by its :attr:`source`.
 
     Attributes:
-        clip: the raw multimedia object the pass indexed; held only
-            until the commit (a re-index after a quarantine shift reads
-            it again).
-        source: zero-argument callable re-reading the raw object; the
-            committed video keeps this, not :attr:`clip`.
         model: the scratch :class:`~repro.core.model.CobraModel` holding
             the pass's entities (scratch-local identifiers).
         first_ids: the scratch model's per-layer next ids before the
             pass (:meth:`~repro.core.model.CobraModel.high_water` order).
-        video_id: the raw-layer id inside the scratch model.
-        context: the pass's indexing context (scratch model, scratch id).
-        health: the pass's health report.
-        outputs: per-detector token outputs (values may embed
-            scratch-local identifiers — see :meth:`commit_staged`).
-        versions: per-detector registry versions used.
+        context: the pass's indexing context: the video's ``name``,
+            ``source``, scratch ``video_id`` and ``health`` report.
+        state: the per-video FDE state the commit remembers: source,
+            per-detector token outputs (values may embed scratch-local
+            identifiers — see :meth:`commit_staged`) and registry
+            versions.
         results: deferred ``record_video_result`` calls as
             ``(detector, failed)`` pairs, in canonical order.
         decisions: quarantine state observed per preflighted detector;
@@ -148,18 +153,18 @@ class StagedVideo:
             ``None``.
     """
 
-    clip: object
-    source: Callable[[], object]
     model: CobraModel
     first_ids: tuple[int, ...]
-    video_id: int
     context: IndexingContext
-    health: IndexingHealthReport
-    outputs: dict[str, dict[str, object]]
-    versions: dict[str, int]
+    state: _VideoState
     results: list[tuple[str, bool]]
     decisions: dict[str, bool]
     failure: DetectorOutcome | None
+
+    @property
+    def source(self) -> Callable[[], object]:
+        """Re-reads the raw object; the committed video keeps it."""
+        return self.context.source
 
 
 class FeatureDetectorEngine:
@@ -297,132 +302,117 @@ class FeatureDetectorEngine:
 
     def _parse(
         self,
-        context: IndexingContext,
-        names,
+        name: str,
+        source: Callable[[], object] | None,
+        model: CobraModel,
+        video_id: int,
         record_result,
+        *,
+        token=None,
+        names=None,
+        cached: _VideoState | None = None,
         decisions: dict[str, bool] | None = None,
-        on_ok=None,
         prune_empty: bool = False,
-    ) -> tuple[IndexingHealthReport, DetectorOutcome | None]:
-        """Run *names* over *context* in execution order, under one deadline budget.
+    ) -> tuple[IndexingContext, _VideoState, DetectorOutcome | None]:
+        """The one pass body: *names* (default: every detector) over the
+        object *name*, in execution order, under one deadline budget.
+
+        Builds the pass's context.  Its axiom token is *token* when the
+        caller holds the object already; otherwise the first detector
+        that requires the axiom calls *source*, once.  The pass drops
+        the token when it ends.  With *cached*, every detector outside
+        *names* is served from that state up front; each token has a
+        unique producer, so cached values cannot collide with tokens the
+        pass (re)produces.
 
         Every detector goes through the runner; ``record_result`` gets
         one call per detector that ran.  A failed or quarantined
         detector skips its DAG subtree.  With *prune_empty*, an OK
         detector whose outputs are all empty drops its subtree from the
         pass (no outcome rows): nothing new reached it.  Returns the
-        pass's health report (also set as ``context.health``) and the
-        fatal outcome under ``fail_fast``, else ``None``.
+        context (its ``health`` is the pass's report); the pass's state,
+        holding the outputs and registry version of every OK detector
+        (cached ones included; a non-OK detector has no entry, so it
+        stays stale); and the fatal outcome under ``fail_fast``, else
+        ``None``.
         """
         policy = self.policy
-        health = IndexingHealthReport(video_name=context.clip.name)
+        context = IndexingContext(
+            name=name, source=source, model=model, video_id=video_id, axiom=self.grammar.axiom
+        )
+        if token is not None:
+            context.tokens[context.axiom] = token
+        health = IndexingHealthReport(video_name=name)
+        state = _VideoState(source, video_id, outputs={}, versions={}, health=health)
+        names = self._order if names is None else names
+        if cached is not None:
+            for detector in self._order:
+                if detector not in names:
+                    state.outputs[detector] = cached.outputs[detector]
+                    state.versions[detector] = cached.versions[detector]
+                    context.tokens.update(cached.outputs[detector])
         started = self.runner.clock()
         deadline_at = started + policy.deadline if policy.deadline is not None else None
         skipped: dict[str, str] = {}
         pruned: set[str] = set()
         failure = None
-        for name in self._order:
-            if name not in names or name in pruned:
+        for detector in self._order:
+            if detector not in names or detector in pruned:
                 continue
-            outcome = self._preflight(name, deadline_at, skipped, decisions)
+            outcome = self._preflight(detector, deadline_at, skipped, decisions)
             if outcome is None:
-                outcome = self.runner.run(name, context, deadline_at=deadline_at)
-                record_result(name, outcome.status is not DetectorStatus.OK)
-            health.outcomes[name] = outcome
+                outcome = self.runner.run(detector, context, deadline_at=deadline_at)
+                record_result(detector, outcome.status is not DetectorStatus.OK)
+            health.outcomes[detector] = outcome
             if outcome.status is DetectorStatus.OK:
-                if on_ok is not None:
-                    on_ok(name)
-                outputs = self.grammar.detector(name).outputs
-                if prune_empty and not any(context.tokens.get(token) for token in outputs):
-                    pruned |= self._downstream[name]
+                outputs = {
+                    out: context.tokens.get(out) for out in self.grammar.detector(detector).outputs
+                }
+                state.outputs[detector] = outputs
+                state.versions[detector] = self.registry.version(detector)
+                if prune_empty and not any(outputs.values()):
+                    pruned |= self._downstream[detector]
                 continue
             if outcome.status in (DetectorStatus.FAILED, DetectorStatus.QUARANTINED):
-                for descendant in self._downstream[name]:
-                    skipped.setdefault(descendant, name)
+                for descendant in self._downstream[detector]:
+                    skipped.setdefault(descendant, detector)
             if policy.isolation is IsolationPolicy.FAIL_FAST:
                 failure = outcome
                 break
+        context.tokens.pop(context.axiom, None)
         health.elapsed = self.runner.clock() - started
         health.degraded = failure is not None or len(health.ok) < len(health.outcomes)
         context.health = health
-        return health, failure
+        return context, state, failure
 
     def parse_chunk(self, chunk, video_id: int, record_result, final: bool) -> IndexingContext:
         """The incremental parse: every detector over one chunk of a stream.
 
         *chunk* is the axiom token (its ``name`` is the stream's) and
         *video_id* the stream's raw-layer record in the live model.  The
-        chunk runs through the same runner, retries, isolation policy
-        and fault injection as :meth:`index_video`; the deadline budget
-        applies per call.  A non-final chunk runs nothing below a
-        detector whose outputs are all empty (a chunk that closes no
-        shot runs ``segment`` alone); a *final* chunk runs the whole
-        DAG, as a clip does.  *record_result* receives the
-        ``record_video_result`` calls, deferred to the caller.  Under
-        ``fail_fast`` a failure is re-raised once the pass stops
+        chunk runs through the same pass body, runner, retries,
+        isolation policy and fault injection as :meth:`stage_video`; the
+        deadline budget applies per call.  A non-final chunk runs
+        nothing below a detector whose outputs are all empty (a chunk
+        that closes no shot runs ``segment`` alone); a *final* chunk
+        runs the whole DAG, as a clip does.  *record_result* receives
+        the ``record_video_result`` calls, deferred to the caller.
+        Under ``fail_fast`` a failure is re-raised once the pass stops
         (rolling back is the caller's).  Returns the chunk's context;
         its ``health`` is the chunk's report.
         """
-        context = IndexingContext(
-            clip=chunk, model=self.model, video_id=video_id, axiom=self.grammar.axiom
+        context, _, failure = self._parse(
+            chunk.name,
+            None,
+            self.model,
+            video_id,
+            record_result,
+            token=chunk,
+            prune_empty=not final,
         )
-        _, failure = self._parse(context, self._order, record_result, prune_empty=not final)
         if failure is not None:
             self._raise_outcome(failure)
         return context
-
-    def _run_video_pass(self, clip, model: CobraModel, source) -> StagedVideo:
-        """One full indexing pass over *clip* against the scratch *model*.
-
-        *source* re-reads the clip later; ``None`` makes the clip its
-        own source.  The ``record_video_result`` calls are deferred into
-        the stage's :attr:`~StagedVideo.results` and the quarantine
-        checks recorded in its :attr:`~StagedVideo.decisions`, for
-        :meth:`commit_staged`.
-        """
-        self._check_registry()
-        self._check_new(clip.name)
-        first_ids = model.high_water()[:4]
-        results: list[tuple[str, bool]] = []
-        decisions: dict[str, bool] = {}
-        video = model.add_video(clip.name, fps=clip.fps, n_frames=len(clip))
-        context = IndexingContext(
-            clip=clip,
-            model=model,
-            video_id=video.video_id,
-            axiom=self.grammar.axiom,
-        )
-        outputs: dict[str, dict[str, object]] = {}
-        versions: dict[str, int] = {}
-
-        def on_ok(name: str) -> None:
-            decl = self.grammar.detector(name)
-            outputs[name] = {
-                token: context.tokens.get(token) for token in decl.outputs
-            }
-            versions[name] = self.registry.version(name)
-
-        health, failure = self._parse(
-            context,
-            self._order,
-            lambda name, failed: results.append((name, failed)),
-            decisions,
-            on_ok,
-        )
-        return StagedVideo(
-            clip=clip,
-            source=source if source is not None else lambda: clip,
-            model=model,
-            first_ids=first_ids,
-            video_id=video.video_id,
-            context=context,
-            health=health,
-            outputs=outputs,
-            versions=versions,
-            results=results,
-            decisions=decisions,
-            failure=failure,
-        )
 
     def _check_new(self, name: str) -> None:
         if name in self._states:
@@ -449,19 +439,16 @@ class FeatureDetectorEngine:
         clip, and :meth:`revalidate` calls it.  Omitted, the clip is its
         own source (and stays referenced for as long as the engine).
 
-        A stage whose scratch counters start at the live model's,
-        committed at once (:meth:`commit_staged`): nothing shifts, so
-        the cached outputs are kept for :meth:`revalidate`.  Under
-        ``fail_fast`` a failing detector rolls the whole video back (no
-        trace in the meta-index) and re-raises; under
+        ``commit_staged(stage_video(...))``: nothing lands between the
+        two, so the cached outputs are kept for :meth:`revalidate`.
+        Under ``fail_fast`` a failing detector rolls the whole video
+        back (no trace in the meta-index) and re-raises; under
         ``skip_subtree``/``quarantine`` the video is committed with the
         failing subtree's meta-data missing and its raw-layer record
         flagged degraded.  The pass's health report is available as
         ``context.health``, :attr:`last_health` and :meth:`health_of`.
         """
-        scratch = CobraModel()
-        scratch.adopt(next_ids=self.model.high_water()[:4])
-        return self.commit_staged(self._run_video_pass(clip, scratch, source))
+        return self.commit_staged(self.stage_video(clip, source=source))
 
     # ------------------------------------------------------------------ #
     # Staged indexing (per-video parallelism)
@@ -470,7 +457,9 @@ class FeatureDetectorEngine:
     def stage_video(self, clip, *, source: Callable[[], object] | None = None) -> StagedVideo:
         """Run a full pass over *clip* against a fresh scratch model.
 
-        *source* is as for :meth:`index_video`.
+        *source* is as for :meth:`index_video`.  The scratch counters
+        start at the live model's next ids, so a stage committed before
+        any other commit lands keeps its ids and its cache.
 
         Safe to call from any worker thread: nothing engine-shared is
         mutated.  Quarantine checks go against the live runner but the
@@ -479,7 +468,32 @@ class FeatureDetectorEngine:
         :attr:`StagedVideo.results`.  Commit stages in plan order via
         :meth:`commit_staged` to reproduce a sequential run exactly.
         """
-        return self._run_video_pass(clip, CobraModel(), source)
+        self._check_registry()
+        self._check_new(clip.name)
+        first_ids = self.model.high_water()[:4]
+        model = CobraModel()
+        model.adopt(next_ids=first_ids)
+        results: list[tuple[str, bool]] = []
+        decisions: dict[str, bool] = {}
+        video = model.add_video(clip.name, fps=clip.fps, n_frames=len(clip))
+        context, state, failure = self._parse(
+            clip.name,
+            source if source is not None else lambda: clip,
+            model,
+            video.video_id,
+            lambda name, failed: results.append((name, failed)),
+            token=clip,
+            decisions=decisions,
+        )
+        return StagedVideo(
+            model=model,
+            first_ids=first_ids,
+            context=context,
+            state=state,
+            results=results,
+            decisions=decisions,
+            failure=failure,
+        )
 
     def commit_staged(self, staged: StagedVideo) -> IndexingContext:
         """Adopt a staged pass into the engine (committer thread only).
@@ -493,14 +507,16 @@ class FeatureDetectorEngine:
         If another video's commit changed the quarantine state a staged
         pass relied on (:attr:`StagedVideo.decisions` no longer match
         the live runner), the stage is discarded and the video is
-        re-indexed in place, which at this plan position is exactly what
-        a sequential run would have produced.
+        re-read through :attr:`StagedVideo.source` and re-indexed in
+        place, which at this plan position is exactly what a sequential
+        run would have produced.
 
-        The video is remembered by its :attr:`StagedVideo.source`.  Its
-        cached detector outputs are kept when no layer shifted (as in
-        :meth:`index_video`) and reset otherwise (their token values
-        embed scratch-local identifiers), so the first :meth:`revalidate`
-        then re-runs every detector rather than serving poisoned caches.
+        The video is remembered by its source.  The one cache rule: its
+        detector outputs are kept unless another commit landed after
+        staging — then a layer shifted, the token values embed
+        scratch-local identifiers, and the cache is reset so the first
+        :meth:`revalidate` re-runs every detector rather than serving
+        poisoned values.
 
         Under ``fail_fast`` a staged failure is re-raised here, after
         merging and removing the video, so it burns the same identifier
@@ -511,35 +527,29 @@ class FeatureDetectorEngine:
         the committed video id; its token values keep the scratch ids
         unless nothing shifted.
         """
-        self._check_new(staged.clip.name)
+        context = staged.context
+        self._check_new(context.name)
         moved = any(
             self.runner.is_quarantined(detector) != quarantined
             for detector, quarantined in staged.decisions.items()
         )
         if moved:
-            return self.index_video(staged.clip, source=staged.source)
+            return self.index_video(staged.source(), source=staged.source)
         for detector, failed in staged.results:
             self.runner.record_video_result(detector, failed=failed)
-        self.last_health = staged.health
+        self.last_health = context.health
         shift = self._merge_model(staged)
-        video_id = staged.video_id + shift[0]
+        video_id = context.video_id + shift[0]
         if staged.failure is not None:
             self.model.remove_video(video_id)
             self._raise_outcome(staged.failure)
-        if staged.health.degraded:
+        if context.health.degraded:
             self.model.mark_degraded(video_id)
-        context = staged.context
         context.model = self.model
-        context.video_id = video_id
-        kept = not any(shift)
-        self._remember(
-            staged.clip.name,
-            staged.source,
-            video_id,
-            staged.health,
-            outputs=staged.outputs if kept else {},
-            versions=staged.versions if kept else {},
-        )
+        context.video_id = staged.state.video_id = video_id
+        if any(shift):
+            staged.state.outputs, staged.state.versions = {}, {}
+        self._states[context.name] = staged.state
         return context
 
     def register_stream(
@@ -553,14 +563,7 @@ class FeatureDetectorEngine:
         the re-read object — as after a staged commit whose ids
         shifted.  *health* is the stream's merged report.
         """
-        self._remember(name, source, video_id, health, outputs={}, versions={})
-
-    def _remember(self, name: str, source, video_id: int, health, *, outputs, versions) -> None:
-        """The one writer of per-video FDE state: *name* is remembered
-        by *source*, never by its frames."""
-        self._states[name] = _VideoState(
-            source=source, video_id=video_id, outputs=outputs, versions=versions, health=health
-        )
+        self._states[name] = _VideoState(source, video_id, outputs={}, versions={}, health=health)
 
     def _merge_model(self, staged: StagedVideo) -> tuple[int, ...]:
         """Adopt *staged*'s scratch entities into the shared model.
@@ -630,8 +633,9 @@ class FeatureDetectorEngine:
 
         Unaffected detectors contribute their cached token outputs, so
         downstream detectors see exactly the inputs a full run would.
-        The raw object is re-read from the video's source, once, and
-        only when some detector is stale; the pass drops it on return.
+        The raw object is re-read from the video's source only when a
+        re-run detector requires the axiom, once per pass, and the pass
+        drops it on return: a ``rules`` or ``shape`` bump reads nothing.
 
         The pass is *crash-consistent*: re-runs are staged and committed
         to the cached state only when the pass completes.  Under
@@ -646,55 +650,29 @@ class FeatureDetectorEngine:
             raise KeyError(f"video {video_name!r} was never indexed")
         state = self._states[video_name]
         affected = self.descendants_of(self.stale_detectors(video_name))
-        report = RevalidationReport()
         if not affected:
-            report.reused = {name: 1 for name in state.versions}
-            return report
-
-        context = IndexingContext(
-            clip=state.source(),
-            model=self.model,
-            video_id=state.video_id,
-            axiom=self.grammar.axiom,
+            return RevalidationReport(reused={name: 1 for name in state.versions})
+        context, fresh, failure = self._parse(
+            video_name,
+            state.source,
+            self.model,
+            state.video_id,
+            self.runner.record_video_result,
+            names=affected,
+            cached=state,
         )
-        staged_outputs: dict[str, dict[str, object]] = {}
-        staged_versions: dict[str, int] = {}
-        # Serve every unaffected detector from the cache up front; each
-        # token has a unique producer, so cached values cannot collide
-        # with tokens the affected subset will (re)produce.
-        for name in self._order:
-            if name in affected:
-                continue
-            staged_outputs[name] = state.outputs[name]
-            staged_versions[name] = state.versions[name]
-            for token, value in state.outputs[name].items():
-                context.tokens[token] = value
-            report.reused[name] = report.reused.get(name, 0) + 1
-
-        def on_ok(name: str) -> None:
-            decl = self.grammar.detector(name)
-            staged_outputs[name] = {
-                token: context.tokens.get(token) for token in decl.outputs
-            }
-            staged_versions[name] = self.registry.version(name)
-            report.executed[name] = report.executed.get(name, 0) + 1
-
-        # Skip policies: a non-OK detector keeps no staged entry, so it
-        # stays stale and a later revalidation retries it.
-        health, failure = self._parse(
-            context, affected, self.runner.record_video_result, None, on_ok
-        )
-        report.health = health
+        health = context.health
         self.last_health = health
         if failure is not None:
-            # Crash consistency: nothing staged is committed, the
-            # cached outputs/versions are untouched.
+            # Crash consistency: the cached outputs/versions are untouched.
             self._raise_outcome(failure)
-        state.outputs = staged_outputs
-        state.versions = staged_versions
-        state.health = health
+        self._states[video_name] = fresh
         self.model.mark_degraded(state.video_id, degraded=health.degraded)
-        return report
+        return RevalidationReport(
+            executed={name: 1 for name in health.ok},
+            reused={name: 1 for name in self._order if name not in affected},
+            health=health,
+        )
 
     def revalidate_all(self) -> RevalidationReport:
         """Revalidate every indexed video; reports are merged."""

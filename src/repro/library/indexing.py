@@ -134,7 +134,7 @@ class LibraryIndexer:
         entry.  Mutates shared state, so in a parallel batch only the
         committer thread calls this.
         """
-        n_frames = len(context.clip)
+        n_frames = self.model.video(context.video_id).n_frames
         self._link_video(plan, n_frames)
         record = IndexedVideo(
             plan=plan, video_id=context.video_id, n_frames=n_frames, health=context.health

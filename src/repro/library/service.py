@@ -15,8 +15,11 @@ concurrent use:
   readers-writer lock; commits (video registration, text refresh,
   relational rebuild) take the write side.  A query therefore evaluates
   against one pinned generation — it can never observe a half-committed
-  video — while expensive writer work (clip materialisation, detector
-  staging) happens outside the lock.
+  video.  :meth:`LibrarySearchService.index_plan` and
+  ``index_checkpointed(workers>1)`` keep the expensive writer work (clip
+  materialisation, detector staging) outside the lock;
+  ``index_checkpointed(workers=1)`` runs each video's whole detector
+  pass under it, so readers wait behind every detector.
 - **Overload resilience** (opt-in via
   :class:`~repro.library.resilience.ResilienceConfig`): per-query
   deadlines (:class:`~repro.budget.QueryBudget`) checked cooperatively
@@ -852,7 +855,11 @@ class LibrarySearchService:
         the service's write lock as the per-video ``commit_lock`` — each
         video's commit (and its snapshot/journal write) lands atomically
         between queries, and queries between commits see a consistent
-        prefix of the batch.
+        prefix of the batch.  With ``workers=1`` the lock is held across
+        each video's whole detector pass (the sequential path indexes
+        inside the commit), so a slow detector stalls every reader for
+        its duration; with ``workers>1`` passes are staged outside the
+        lock and only the merges exclude readers.
         """
         return self.engine.indexer.index_checkpointed(path, commit_lock=self._rw.write, **kwargs)
 

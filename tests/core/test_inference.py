@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.defaults import tennis_grammar
 from repro.core.grammars import parse_grammar
-from repro.core.inference import GrammarEventDetector, ObjectClassifier, TrajectoryContext
+from repro.core.inference import GrammarEventDetector, TrajectoryContext
 from repro.events.quantize import CourtZones
 
 
@@ -130,36 +130,3 @@ class TestGrammarEventDetector:
         detector = GrammarEventDetector(tennis_grammar(), zones)
         events = detector.detect(net_stand(20))
         assert any(e.label == "net_play" for e in events)
-
-
-class TestObjectClassifier:
-    def test_classify(self):
-        grammar = parse_grammar(
-            """
-            OBJECT ball := area < 5 ;
-            OBJECT player := area >= 12 AND aspect_ratio >= 0.8 ;
-            """
-        )
-        classifier = ObjectClassifier(grammar)
-        assert classifier.classify({"area": 3, "aspect_ratio": 1.0}) == "ball"
-        assert classifier.classify({"area": 50, "aspect_ratio": 2.0}) == "player"
-        assert classifier.classify({"area": 8, "aspect_ratio": 0.1}) is None
-
-    def test_declaration_order_wins(self):
-        grammar = parse_grammar(
-            """
-            OBJECT first := area > 0 ;
-            OBJECT second := area > 0 ;
-            """
-        )
-        assert ObjectClassifier(grammar).classify({"area": 1}) == "first"
-
-    def test_missing_feature_rejected(self):
-        grammar = parse_grammar("OBJECT player := area >= 12 ;")
-        with pytest.raises(Exception):
-            ObjectClassifier(grammar).classify({})
-
-    def test_default_grammar_accepts_player_blob(self):
-        classifier = ObjectClassifier(tennis_grammar())
-        features = {"area": 80, "aspect_ratio": 2.0, "eccentricity": 0.9, "height": 16, "width": 7}
-        assert classifier.classify(features) == "player"

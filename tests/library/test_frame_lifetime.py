@@ -74,6 +74,18 @@ def test_service_index_plan():
     assert_no_frame_alive(dataset.video_plans)
 
 
+def test_staged_video_holds_no_frame():
+    """Between a stage and its commit the video is held by its source:
+    the pass dropped its axiom token, so a staged video keeps no frame."""
+    dataset = watched_dataset()
+    indexer = LibraryIndexer(dataset, fde=build_tennis_fde())
+    for plan in dataset.video_plans:
+        staged = indexer.stage_plan(plan)
+        assert_no_frame_alive([plan])
+        indexer.commit_staged_plan(plan, staged)
+    assert indexer.fde.indexed_videos == sorted(p.name for p in dataset.video_plans)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_index_checkpointed(tmp_path, workers):
     dataset = watched_dataset()

@@ -136,8 +136,8 @@ def fail_after_writing(registry) -> None:
     def wrapper(run):
         def flaky(context):
             run(context)
-            if context.clip.name not in failed:
-                failed.add(context.clip.name)
+            if context.name not in failed:
+                failed.add(context.name)
                 raise TransientDetectorError("tennis: lost after writing its objects")
 
         return flaky

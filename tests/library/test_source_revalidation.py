@@ -116,6 +116,8 @@ def test_plan_source_equals_in_memory_clip_after_tennis_bump(tmp_path):
 
 @pytest.mark.parametrize("ingest", [batch, streamed])
 def test_source_called_once_per_revalidated_video(ingest):
+    """The axiom is read on demand: only a re-run detector that reads the
+    frames (``segment``, ``tennis``) re-reads the video, once per pass."""
     indexer = ingest(make_indexer())
     plans = indexer.dataset.video_plans
     # Ingest renders each video exactly once.
@@ -128,11 +130,23 @@ def test_source_called_once_per_revalidated_video(ingest):
     # Nothing stale: no re-read.
     assert fde.revalidate_all().total_executed == 0
     assert [plan.calls for plan in plans] == calls
-    # One stale detector: one re-read per video.
+    # Detectors that read no frame: no re-read.
     fde.registry.bump_version("rules")
     assert fde.revalidate_all().executed == {"rules": N_VIDEOS}
-    assert [plan.calls for plan in plans] == [c + 1 for c in calls]
-    # Only the stale video is re-read.
     fde.registry.bump_version("shape")
-    fde.revalidate(plans[0].name)
+    assert fde.revalidate_all().executed == {"shape": N_VIDEOS, "rules": N_VIDEOS}
+    assert [plan.calls for plan in plans] == calls
+    # A frame-reading detector: one re-read per video, shared by its
+    # descendants.
+    fde.registry.bump_version("tennis")
+    assert fde.revalidate_all().executed == {
+        "tennis": N_VIDEOS,
+        "shape": N_VIDEOS,
+        "rules": N_VIDEOS,
+    }
+    assert [plan.calls for plan in plans] == [c + 1 for c in calls]
+    # ``segment`` and ``tennis`` both read the frames: still one re-read,
+    # and only for the revalidated video.
+    fde.registry.bump_version("segment")
+    assert fde.revalidate(plans[0].name).executed == {detector: 1 for detector in DETECTORS}
     assert [plan.calls for plan in plans] == [calls[0] + 2, calls[1] + 1]

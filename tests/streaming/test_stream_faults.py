@@ -207,7 +207,7 @@ class TestRegressions:
             def run(context):
                 fn(context)
                 if not fired and context.tokens["shot"]:
-                    fired.append(context.clip.name)
+                    fired.append(context.name)
                     raise TransientDetectorError("after the body ran", detector="segment")
 
             return run
