@@ -138,18 +138,22 @@ def median_filter(values: np.ndarray, k: int) -> np.ndarray:
     Each output is the median of the non-NaN values in its window
     (tracker misses are NaN and never pull a neighbour); a window with
     no values keeps its NaN.  ``k < 1`` or fewer than 3 values returns
-    *values* unchanged.
+    *values* unchanged.  A window holds at most ``2k + 1`` values, so
+    its median is the middle of a sorted list of Python floats — with
+    ``(a + b) / 2`` for an even count, the float64 arithmetic
+    ``np.median`` does.
     """
     if k < 1 or len(values) < 3:
         return values
     out = values.copy()
-    for i in range(len(values)):
-        lo = max(0, i - k)
-        hi = min(len(values), i + k + 1)
-        window = values[lo:hi]
-        window = window[~np.isnan(window)]
-        if window.size:
-            out[i] = np.median(window)
+    series = values.tolist()
+    for i in range(len(series)):
+        window = sorted(v for v in series[max(0, i - k) : i + k + 1] if v == v)  # drops NaN
+        half, odd = divmod(len(window), 2)
+        if odd:
+            out[i] = window[half]
+        elif window:
+            out[i] = (window[half - 1] + window[half]) / 2
     return out
 
 

@@ -9,7 +9,10 @@ order).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_dot", "figure_one"]
 

@@ -2,7 +2,10 @@
 
 Generated from a feature grammar, the FDE:
 
-1. derives the detector dependency DAG (Figure 1 of the paper),
+1. derives the detector dependency DAG (Figure 1 of the paper) as a
+   plain ``(producer, consumer) -> token`` edge table — networkx is
+   imported only by :meth:`FeatureDetectorEngine.dependency_graph`,
+   for the callers that export or inspect the graph,
 2. runs detectors in one deterministic topological order (longest
    path from the axiom, then name),
 3. caches each detector's token outputs per video, and
@@ -57,8 +60,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.model import CobraModel
 from repro.grammar.detectors import DetectorRegistry, IndexingContext
@@ -73,6 +75,9 @@ from repro.grammar.runtime import (
     RunPolicy,
 )
 from repro.grammar.schedule import execution_order
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FeatureDetectorEngine", "RevalidationReport", "StagedVideo"]
 
@@ -167,6 +172,18 @@ class StagedVideo:
         return self.context.source
 
 
+def _reachable(consumers: dict[str, list[str]], node: str) -> frozenset[str]:
+    """Every node downstream of *node* (itself excluded) in the DAG."""
+    seen: set[str] = set()
+    stack = list(consumers[node])
+    while stack:
+        below = stack.pop()
+        if below not in seen:
+            seen.add(below)
+            stack.extend(consumers[below])
+    return frozenset(seen)
+
+
 class FeatureDetectorEngine:
     """The parser the feature grammar generates.
 
@@ -207,11 +224,13 @@ class FeatureDetectorEngine:
         self._states: dict[str, _VideoState] = {}
         # The grammar is validated here and never mutated after, so the
         # DAG, its order and every node's downstream set are derived once.
-        self._graph = self._build_graph()
-        self._order = execution_order(self._graph, grammar.axiom)
-        self._downstream = {
-            node: frozenset(nx.descendants(self._graph, node)) for node in self._graph
-        }
+        self._edges = self._build_edges()
+        nodes = [grammar.axiom, *(d.name for d in grammar.detectors)]
+        self._order = execution_order(nodes, self._edges, grammar.axiom)
+        consumers: dict[str, list[str]] = {node: [] for node in nodes}
+        for source, target in self._edges:
+            consumers[source].append(target)
+        self._downstream = {node: _reachable(consumers, node) for node in nodes}
 
     @property
     def policy(self) -> RunPolicy:
@@ -222,26 +241,34 @@ class FeatureDetectorEngine:
     # ------------------------------------------------------------------ #
 
     def dependency_graph(self) -> nx.DiGraph:
-        """Detector dependency DAG (a copy the caller may mutate).
+        """Detector dependency DAG as a fresh ``networkx.DiGraph``.
 
         Nodes are detectors plus the ``video`` axiom; an edge ``a -> b``
         means b consumes a token a produces.  Edges carry the token as
         the ``token`` attribute; nodes carry ``kind`` and ``guard``.
+        The engine itself keeps only the edge table, so networkx is
+        imported here, by the callers that export or inspect the graph.
         """
-        return self._graph.copy()
+        import networkx
 
-    def _build_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        axiom = self.grammar.axiom
-        graph.add_node(axiom, kind="axiom", guard=None)
+        graph = networkx.DiGraph()
+        graph.add_node(self.grammar.axiom, kind="axiom", guard=None)
         for decl in self.grammar.detectors:
             graph.add_node(decl.name, kind=decl.kind, guard=decl.guard)
+        for (source, target), token in self._edges.items():
+            graph.add_edge(source, target, token=token)
+        return graph
+
+    def _build_edges(self) -> dict[tuple[str, str], str]:
+        """``(producer, consumer) -> token``; a pair joined by several
+        tokens keeps the last, in first-seen order."""
+        edges: dict[tuple[str, str], str] = {}
         for decl in self.grammar.detectors:
             for token in decl.inputs:
                 producer = self.grammar.producer_of(token)
-                source = axiom if producer is None else producer.name
-                graph.add_edge(source, decl.name, token=token)
-        return graph
+                source = self.grammar.axiom if producer is None else producer.name
+                edges[source, decl.name] = token
+        return edges
 
     def execution_order(self) -> list[str]:
         """Deterministic topological order of the detectors: by longest

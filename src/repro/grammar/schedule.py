@@ -9,12 +9,14 @@ iteration, insertion order or anything but the grammar itself.
 
 from __future__ import annotations
 
-import networkx as nx
+from collections.abc import Iterable
 
 __all__ = ["execution_order"]
 
 
-def execution_order(graph: nx.DiGraph, axiom: str) -> tuple[str, ...]:
+def execution_order(
+    nodes: Iterable[str], edges: Iterable[tuple[str, str]], axiom: str
+) -> tuple[str, ...]:
     """Order the detectors of a dependency DAG for execution.
 
     Detectors sort by their longest-path depth from the axiom, then by
@@ -22,15 +24,22 @@ def execution_order(graph: nx.DiGraph, axiom: str) -> tuple[str, ...]:
     the order is topological.
 
     Args:
-        graph: the dependency DAG (axiom plus detectors).
+        nodes: the DAG's nodes (axiom plus detectors).
+        edges: ``(producer, consumer)`` pairs of an acyclic graph.
         axiom: the axiom node, excluded from the order.
 
     Returns:
         The detector names in execution order.
     """
+    producers: dict[str, list[str]] = {node: [] for node in nodes}
+    for source, target in edges:
+        producers[target].append(source)
     depth: dict[str, int] = {}
-    for node in nx.topological_sort(graph):
-        preds = graph.predecessors(node)
-        depth[node] = max((depth[p] for p in preds), default=-1) + 1
-    del depth[axiom]
-    return tuple(sorted(depth, key=lambda node: (depth[node], node)))
+
+    def depth_of(node: str) -> int:
+        if node not in depth:
+            depth[node] = max((depth_of(p) for p in producers[node]), default=-1) + 1
+        return depth[node]
+
+    detectors = [node for node in producers if node != axiom]
+    return tuple(sorted(detectors, key=lambda node: (depth_of(node), node)))

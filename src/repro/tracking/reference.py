@@ -12,7 +12,12 @@ and ``tests/vision/test_regions.py`` pin that, and the E4 gate measures
 the window-local tracker's speedup against exactly this code.
 
 Nothing here is on a production path — no module under ``src/repro``
-imports it — so keep it boring and obviously correct.
+imports it — so keep it boring and obviously correct.  It labels and
+opens with ``scipy.ndimage`` itself, so the differential suites compare
+the NumPy kernels of :mod:`repro.vision` with an independent
+implementation rather than with themselves; scipy is a development
+dependency, and this is the one module under ``src/repro`` that
+imports it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from scipy import ndimage
 from repro.tracking.court_model import CourtColorModel
 from repro.tracking.segmentation import (
     SearchWindow,
-    clean_mask,
     court_bounds,
     not_court_mask,
     restrict_to_bounds,
@@ -31,21 +35,29 @@ from repro.tracking.segmentation import (
 from repro.tracking.shape import PlayerObservation
 from repro.tracking.tracker import PlayerTracker, Track, TrackPoint
 from repro.vision.moments import shape_features
-from repro.vision.regions import Region, label_regions
+from repro.vision.regions import Region
 
 __all__ = [
     "ReferencePlayerTracker",
+    "clean_mask_reference",
     "initial_player_region_reference",
     "observe_player_reference",
     "regions_in_reference",
 ]
 
 
+def clean_mask_reference(mask: np.ndarray, open_size: int = 3) -> np.ndarray:
+    """scipy's own binary opening by an ``open_size`` square (the seed body)."""
+    return ndimage.binary_opening(mask, structure=np.ones((open_size, open_size), dtype=bool))
+
+
 def regions_in_reference(
     mask: np.ndarray, connectivity: int = 2, min_area: int = 1
 ) -> list[Region]:
-    """All regions of *mask* via scipy's labelled statistics (the seed body)."""
-    labels, count = label_regions(mask, connectivity=connectivity)
+    """All regions of *mask* via scipy's labelling and labelled statistics
+    (the seed body)."""
+    structure = ndimage.generate_binary_structure(2, connectivity)
+    labels, count = ndimage.label(mask, structure=structure)
     if count == 0:
         return []
     areas = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, count + 1))
@@ -77,7 +89,7 @@ def initial_player_region_reference(
     open_size: int = 3,
 ) -> Region | None:
     """Largest blob inside *bounds*, segmenting and labelling the whole frame."""
-    mask = clean_mask(not_court_mask(frame, model, k=k), open_size=open_size)
+    mask = clean_mask_reference(not_court_mask(frame, model, k=k), open_size=open_size)
     banded = restrict_to_bounds(mask, bounds)
     regions = regions_in_reference(banded, min_area=min_area)
     if not regions:
@@ -113,7 +125,7 @@ class ReferencePlayerTracker(PlayerTracker):
 
     def _cleaned(self, frame, model, bounds) -> np.ndarray:
         return restrict_to_bounds(
-            clean_mask(
+            clean_mask_reference(
                 not_court_mask(frame, model, k=self.court_k), open_size=self.open_size
             ),
             bounds,

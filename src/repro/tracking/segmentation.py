@@ -7,9 +7,10 @@ band) are removed by a morphological opening, and the largest remaining
 blob is the player.
 
 Every step is local — classification is per pixel, the opening reads a
-fixed neighbourhood — so :func:`segment_area` cleans any rectangle of the
-frame from that rectangle plus a halo, bit-equal to the same rectangle
-of the cleaned whole frame.  The tracker's window search, its near-half
+fixed neighbourhood and reads outside the crop as background
+(:mod:`repro.vision.morphology`) — so :func:`segment_area` cleans any
+rectangle of the frame from that rectangle plus a halo, bit-equal to the
+same rectangle of the cleaned whole frame.  The tracker's window search, its near-half
 (re-)acquisition and :func:`initial_player_region` are all callers of it.
 """
 
@@ -127,8 +128,8 @@ def segment_area(
     pixel depends on the raw mask within ``open_size - 1`` pixels of it,
     so classifying and opening the area plus an ``open_size`` halo
     (clipped to the frame) decides every pixel of the area.  Where the
-    halo is clipped the crop edge *is* the frame edge, and scipy's
-    outside-is-background border rule is the one the whole frame had.
+    halo is clipped the crop edge *is* the frame edge, and the opening's
+    outside-is-background rule is the one the whole frame had.
     Order matters and is kept: open first, restrict second.
 
     Args:

@@ -152,3 +152,23 @@ class TestMedianFilter:
         arr = np.array(values, dtype=np.float64)
         expected = _context_filter_reference(arr, k)
         assert np.array_equal(median_filter(arr, k), expected, equal_nan=True)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),  # up to the overflow edge
+                positions.map(lambda v: round(v, 1)),  # ties and even-count midpoints
+                st.just(float("nan")),
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_window_equals_np_median(self, values, k):
+        """The sorted-list median against the former ``np.median`` body,
+        on every float64 (two huge values overflow the same way)."""
+        arr = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            expected = _context_filter_reference(arr, k)
+        assert np.array_equal(median_filter(arr, k), expected, equal_nan=True)

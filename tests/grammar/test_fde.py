@@ -2,6 +2,8 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grammar.detectors import DetectorRegistry, IndexingContext
 from repro.grammar.fde import FeatureDetectorEngine
@@ -257,3 +259,42 @@ class TestFailureInjection:
             engine.index_video(tiny_clip("bad"))
         assert engine.indexed_videos == ["good"]
         assert engine.model.counts()["raw"] == 1
+
+
+class TestEdgeTableEqualsNetworkx:
+    """The engine keeps the DAG as an edge table; its order and downstream
+    sets equal what networkx computes on ``dependency_graph()``."""
+
+    @staticmethod
+    def networkx_order(graph, axiom):
+        """The former scheduler body, kept as the oracle."""
+        depth = {}
+        for node in nx.topological_sort(graph):
+            depth[node] = max((depth[p] for p in graph.predecessors(node)), default=-1) + 1
+        del depth[axiom]
+        return sorted(depth, key=lambda node: (depth[node], node))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+    )
+    def test_random_dags(self, n, seed, density):
+        rng = np.random.default_rng(seed)
+        names = [f"d{i}" for i in rng.permutation(n)]  # names independent of depth
+        lines = ["FEATURE GRAMMAR random ;"]
+        for i, name in enumerate(names):
+            inputs = [f"t{j}" for j in range(i) if rng.random() < density]
+            if not inputs or rng.random() < 0.3:
+                inputs.append("video")
+            lines.append(f"DETECTOR {name} : {', '.join(inputs)} -> t{i} ;")
+        grammar = parse_feature_grammar("\n".join(lines))
+        registry = DetectorRegistry()
+        for name in names:
+            registry.register(name, lambda ctx: {})
+        fde = FeatureDetectorEngine(grammar, registry)
+        graph = fde.dependency_graph()
+        assert fde.execution_order() == self.networkx_order(graph, "video")
+        for name in names:
+            assert fde.descendants_of({name}) == {name} | nx.descendants(graph, name)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from repro.tracking.reference import regions_in_reference
 from repro.vision.regions import label_regions, regions_in
@@ -38,6 +39,63 @@ class TestLabelRegions:
     def test_rejects_bad_connectivity(self):
         with pytest.raises(ValueError):
             label_regions(np.zeros((2, 2), dtype=bool), connectivity=3)
+
+
+def degenerate_masks():
+    """Empty, 1-pixel, single-row, single-column and all-true masks."""
+    row = np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool)
+    yield np.zeros((5, 6), dtype=bool)
+    yield np.zeros((1, 1), dtype=bool)
+    yield np.ones((1, 1), dtype=bool)
+    yield row
+    yield row.T
+    yield np.ones((1, 9), dtype=bool)
+    yield np.ones((9, 1), dtype=bool)
+    yield np.ones((5, 6), dtype=bool)
+
+
+class TestLabelRegionsEqualsScipy:
+    """``label_regions`` (run-length union-find) equals ``scipy.ndimage.label``:
+    the same label image — numbered by first raster appearance — and count."""
+
+    @staticmethod
+    def check(mask, connectivity):
+        structure = ndimage.generate_binary_structure(2, connectivity)
+        expected, expected_count = ndimage.label(mask, structure=structure)
+        labels, count = label_regions(mask, connectivity=connectivity)
+        assert count == expected_count
+        assert labels.dtype == expected.dtype
+        assert np.array_equal(labels, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        density=st.sampled_from([0.05, 0.3, 0.5, 0.6, 0.7, 0.95]),
+        connectivity=st.sampled_from([1, 2]),
+    )
+    def test_random_masks(self, seed, shape, density, connectivity):
+        self.check(np.random.default_rng(seed).random(shape) < density, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [1, 2])
+    def test_degenerate_masks(self, connectivity):
+        for mask in degenerate_masks():
+            self.check(mask, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [1, 2])
+    def test_merges_late_joins_and_spirals(self, connectivity):
+        """A U joined at its bottom, a W, and a spiral: components whose
+        runs meet only several rows after they start."""
+        u = np.zeros((6, 7), dtype=bool)
+        u[:, 0] = u[:, 6] = u[5, :] = True
+        w = np.zeros((5, 9), dtype=bool)
+        w[:, [0, 4, 8]] = True
+        w[4, :] = True
+        spiral = np.ones((9, 9), dtype=bool)
+        spiral[1:8, 1] = spiral[7, 1:8] = spiral[1:8, 7] = spiral[1, 3:8] = False
+        spiral[3:6, 3] = spiral[5, 3:6] = False
+        for mask in (u, w, spiral, ~spiral):
+            self.check(mask, connectivity)
 
 
 class TestRegionsIn:
@@ -90,7 +148,7 @@ class TestRegionsInEqualsScipyReference:
     def test_degenerate_masks(self, connectivity):
         single = np.zeros((7, 9), dtype=bool)
         single[3, 4] = True
-        for mask in (np.zeros((5, 6), dtype=bool), np.ones((5, 6), dtype=bool), single):
+        for mask in (single, *degenerate_masks()):
             self.check(mask, connectivity)
         assert regions_in(np.zeros((5, 6), dtype=bool)) == []
 
