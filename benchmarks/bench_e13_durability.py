@@ -10,10 +10,17 @@ Quantifies what the durability layer buys:
   only the uncommitted remainder instead of the whole batch, and the
   resumed snapshot is identical (same checksum) to an uninterrupted
   cold run.
+- **Batch kill matrix**: a checkpointed batch killed at every trip of
+  every snapshot, journal and delta-log point resumes to the
+  uninterrupted run's bytes, every video committed, ``fsck`` clean.
+- **O(video) commits**: a batch video's durable step writes as many
+  bytes into a 12-video catalog as into a 2-video one.
 """
 
 import json
+import statistics
 import time
+from functools import partial
 
 import pytest
 
@@ -26,13 +33,15 @@ from repro.faults import (
     SimulatedCrash,
 )
 from repro.grammar.tennis import build_tennis_fde
-from repro.library.indexing import LibraryIndexer
+from repro.library.indexing import LibraryIndexer, default_journal_path
 from repro.library.persistence import (
     catalog_to_stream_state,
     model_to_catalog,
     stream_state_to_catalog,
 )
 from repro.storage.catalog import Catalog
+from repro.storage.crashpoints import DELTA_POINTS
+from repro.storage.fsck import fsck
 from repro.storage.journal import IndexingJournal
 from repro.storage.persist import DeltaLog, load_catalog, save_catalog, tables_document
 
@@ -221,11 +230,12 @@ def test_e13_resume_savings(benchmark, tmp_path_factory):
         run_cold, rounds=1, iterations=1
     )
 
-    # Crash during the last video's snapshot: N-1 commits survive.
+    # Crash during the last video's durable step — its delta-log append
+    # (the first video's compaction opened the log): N-1 commits survive.
     crash_path = tmp / "crash.json"
     crashed = make_indexer()
     start = time.perf_counter()
-    with CrashPoint("snapshot-pre-replace", after=N_VIDEOS - 1):
+    with CrashPoint("delta-pre-append", after=N_VIDEOS - 2):
         try:
             crashed.index_checkpointed(crash_path, limit=N_VIDEOS)
         except SimulatedCrash:
@@ -239,7 +249,7 @@ def test_e13_resume_savings(benchmark, tmp_path_factory):
     resume_time = time.perf_counter() - start
 
     print_table(
-        f"E13: resume savings ({N_VIDEOS} videos, crash during the last snapshot)",
+        f"E13: resume savings ({N_VIDEOS} videos, crash during the last commit)",
         ["phase", "videos indexed", "wall time"],
         [
             ["cold run", cold_indexed, f"{cold_time:.2f} s"],
@@ -254,3 +264,149 @@ def test_e13_resume_savings(benchmark, tmp_path_factory):
     resumed_doc = json.loads(crash_path.read_text())
     assert resumed_doc["tables"] == cold_doc["tables"]
     assert resumed_doc["checksum"] == cold_doc["checksum"]
+
+
+def test_e13_batch_kill_matrix(benchmark, tmp_path_factory):
+    """Kill a checkpointed batch at every write point — snapshot, journal,
+    delta append, compaction — at every trip of it until the run
+    completes, at 1 and 2 workers; restore + resume always ends with the
+    uninterrupted run's snapshot bytes, every video committed, none
+    interrupted and a clean ``fsck``."""
+    tmp = tmp_path_factory.mktemp("e13_batch_kill")
+    reference = tmp / "reference.json"
+    make_indexer().index_checkpointed(reference, limit=N_VIDEOS)
+    expected = reference.read_bytes()
+    names = {plan.name for plan in make_indexer().dataset.video_plans[:N_VIDEOS]}
+
+    def kill_and_resume(point: str, after: int, workers: int) -> bool | None:
+        """``None`` when the run completed (*point* trips fewer times)."""
+        path = tmp / f"{point}-{after}-{workers}" / "meta.json"
+        path.parent.mkdir()
+        try:
+            with CrashPoint(point, after=after):
+                make_indexer().index_checkpointed(path, limit=N_VIDEOS, workers=workers)
+            return None
+        except SimulatedCrash:
+            pass
+        fresh = make_indexer()
+        try:
+            fresh.restore_snapshot(path)
+        except FileNotFoundError:
+            pass  # died before the first snapshot: resume starts over
+        fresh.index_checkpointed(path, limit=N_VIDEOS, resume=True, workers=workers)
+        journal = IndexingJournal(default_journal_path(path)).verify()
+        return (
+            path.read_bytes() == expected
+            and set(journal.committed) == names
+            and not journal.interrupted
+            and not fsck(path).problems
+        )
+
+    def evaluate():
+        results = []
+        for workers in (1, 2):
+            for point in SNAPSHOT_POINTS + JOURNAL_POINTS + DELTA_POINTS:
+                after = 0
+                while (good := kill_and_resume(point, after, workers)) is not None:
+                    results.append((workers, point, after, good))
+                    after += 1
+        return results
+
+    results = benchmark.pedantic(evaluate, rounds=1, iterations=1)
+    counts: dict[tuple, list[bool]] = {}
+    for workers, point, _after, good in results:
+        counts.setdefault((workers, point), []).append(good)
+    print_table(
+        f"E13: batch kill matrix ({N_VIDEOS} videos; kill at each trip, restore, resume)",
+        ["workers", "crash point", "kills", "byte-identical + committed + fsck clean"],
+        [
+            [workers, point, len(goods), f"{sum(goods)}/{len(goods)}"]
+            for (workers, point), goods in counts.items()
+        ],
+    )
+    failures = sum(1 for *_, good in results if not good)
+    benchmark.extra_info["kill_scenarios"] = len(results)
+    benchmark.extra_info["kill_failures"] = failures
+    # Every point trips at least once in a batch, at both worker counts.
+    assert len(counts) == 2 * len(SNAPSHOT_POINTS + JOURNAL_POINTS + DELTA_POINTS)
+    assert failures == 0
+
+
+def test_e13_batch_commit_scaling(benchmark, tmp_path_factory):
+    """A batch video's durable step is O(video): appending the same five
+    videos to a restored 12-video catalog writes as many bytes per commit
+    as appending them to a restored 2-video one.
+
+    Per video, the bytes ``LibraryIndexer.persist`` writes (its delta
+    record, or the whole snapshot when it compacts) and its wall time;
+    the first commit after a restore compacts by design and is left out
+    of the medians.  With a whole snapshot per video the ratio is about
+    the catalog-size ratio.
+    """
+    sizes, appended = (2, 12), 5
+    tmp = tmp_path_factory.mktemp("e13_scaling")
+    builder = make_indexer()
+    plans = builder.dataset.video_plans[: max(sizes) + appended]
+    catalog = tmp / "catalog.json"
+    snapshots = {}
+    for size in sizes:
+        builder.index_checkpointed(catalog, limit=size, resume=True)
+        snapshots[size] = catalog.read_bytes()
+
+    def commits(size: int) -> list[tuple[int, float]]:
+        """(bytes written, seconds) of each appended video's durable step."""
+        path = tmp / f"meta-{size}.json"
+        path.write_bytes(snapshots[size])
+        indexer = make_indexer()
+        indexer.restore_snapshot(path)
+        persist, samples = indexer.persist, []
+
+        def measured(*args, **kwargs):
+            log = indexer.delta_logs.get(str(path))
+            logged = log.log_bytes if log is not None else 0
+            start = time.perf_counter()
+            persist(*args, **kwargs)
+            seconds = time.perf_counter() - start
+            now = indexer.delta_logs[str(path)]
+            samples.append((now.log_bytes - logged if now is log else now.base_bytes, seconds))
+
+        indexer.persist = measured
+        # The batch body of ``index_checkpointed``, the same five videos
+        # appended to either catalog (the 2-video one skips plans 2-11).
+        indexer.index_all(
+            journal=IndexingJournal(tmp / f"meta-{size}.journal"),
+            checkpoint=partial(indexer.persist, path),
+            skip={plan.name for plan in plans[size : max(sizes)]},
+            limit=len(plans),
+            resume=True,
+        )
+        assert len(samples) == appended
+        return samples[1:]
+
+    def evaluate():
+        return {size: commits(size) for size in sizes}
+
+    samples = benchmark.pedantic(evaluate, rounds=1, iterations=1)
+    medians = {
+        size: (
+            statistics.median(written for written, _ in samples[size]),
+            statistics.median(seconds for _, seconds in samples[size]),
+        )
+        for size in sizes
+    }
+    ratio = medians[12][0] / medians[2][0]
+    print_table(
+        f"E13: per-video commit cost vs catalog size ({appended} videos appended, "
+        "first commit after the restore left out)",
+        ["catalog videos", "snapshot bytes", "bytes per commit", "median bytes", "median commit"],
+        [
+            [size, len(snapshots[size]), " ".join(str(b) for b, _ in samples[size]),
+             f"{medians[size][0]:.0f}", f"{medians[size][1] * 1e3:.2f} ms"]
+            for size in sizes
+        ]
+        + [["ratio 12 / 2", f"{len(snapshots[12]) / len(snapshots[2]):.1f}x", "",
+            f"{ratio:.2f}x", f"{medians[12][1] / medians[2][1]:.2f}x"]],
+    )
+    benchmark.extra_info["commit_bytes_ratio"] = ratio
+    benchmark.extra_info["model_size_ratio"] = len(snapshots[12]) / len(snapshots[2])
+    assert ratio <= 1.5

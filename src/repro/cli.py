@@ -614,7 +614,8 @@ def _cmd_index(args) -> int:
             pass  # nothing saved yet: resume degenerates to a fresh run
         else:
             print(f"resume: restored {restored} committed video(s) from {args.out}")
-            interrupted = journal.verify().interrupted
+            indexed = engine.indexer.indexed  # a restored video only needs its record
+            interrupted = [name for name in journal.verify().interrupted if name not in indexed]
             if interrupted:
                 print(f"resume: re-indexing interrupted video(s): {', '.join(interrupted)}")
 
@@ -744,14 +745,7 @@ def _cmd_ann_build(args) -> int:
     out = args.out or args.metaindex
     # In-flight streams keep their resume rows: the snapshot this
     # rewrites may be a mid-stream one.
-    states = indexer.stream_states
-    save_model(
-        indexer.model,
-        out,
-        runner_state=indexer.fde.runner.export_state(),
-        ann=(index, engine.ann_meta),
-        stream_state=[states[name] for name in sorted(states)],
-    )
+    save_model(indexer.model, out, ann=(index, engine.ann_meta), **indexer.state_tables())
     print(
         f"wrote {out}: {index.n_vectors} shot vectors in {index.n_cells} cells "
         f"(dim {index.dim})"

@@ -26,8 +26,10 @@ from repro.library.persistence import (
     catalog_to_model,
     catalog_to_runner_state,
     catalog_to_stream_state,
+    model_delta,
     save_model,
 )
+from repro.storage.crashpoints import trip
 from repro.storage.journal import IndexingJournal
 from repro.storage.persist import DeltaLog, load_catalog
 
@@ -77,8 +79,8 @@ class LibraryIndexer:
         #: :mod:`repro.library.service`).
         self.generation = 0
         #: In-flight streaming resume rows, stream name -> state dict
-        #: (see :mod:`repro.streaming.session`); persisted with every
-        #: chunk commit so a crash can resume *all* live streams.
+        #: (see :mod:`repro.streaming.session`); every :meth:`persist`
+        #: writes them all, so a crash can resume *all* live streams.
         self.stream_states: dict[str, dict] = {}
         #: Snapshot path -> delta log over the base this indexer saved there.
         self.delta_logs: dict[str, DeltaLog] = {}
@@ -244,8 +246,9 @@ class LibraryIndexer:
                 video and a ``commit`` record after it (and after
                 *checkpoint* ran), making the batch resumable.
             checkpoint: zero-argument callable run after each video and
-                *before* its commit record — typically an atomic
-                snapshot save, so a commit promises durable meta-data.
+                *before* its commit record — typically
+                :meth:`persist`, so a commit record promises "base ⊕
+                delta log holds the video".
             skip: plan names not to index (e.g. journalled commits).
             resume: when True, silently skip plans already indexed in
                 this indexer (restored from a snapshot) instead of
@@ -336,20 +339,21 @@ class LibraryIndexer:
     ) -> list[IndexedVideo]:
         """Checkpointed (and resumable) batch indexing.
 
-        After every video the whole meta-index — plus the detector
-        runner's quarantine state — is snapshotted atomically to
-        *path*, then a ``commit`` record is appended to the journal.  A
-        crash between the snapshot and the commit record costs nothing:
-        on resume the video is also skipped when it is already present
-        in the restored snapshot.
+        After every video :meth:`persist` makes it durable at *path*,
+        then its journal ``commit`` record promises "base ⊕ delta log
+        holds the video"; a crash between the two costs nothing (resume
+        writes the record).  The batch ends with one compaction if the
+        log holds records or no snapshot exists yet, so a finished batch
+        leaves the snapshot, ``.prev`` (the last compaction's base) and
+        the journal.
 
         Args:
             path: snapshot path (``catalog.json`` of this library).
             journal: defaults to :func:`default_journal_path` next to
                 *path*.
             limit: only the first *limit* plans.
-            resume: skip journalled/restored videos instead of starting
-                over; a fresh run (``resume=False``) clears the journal.
+            resume: skip the videos base ⊕ log restored (a journalled one
+                lost anyway is re-indexed); a fresh run clears the journal.
             workers: videos staged concurrently; journal and snapshot
                 writes stay serialized on this thread (see
                 :meth:`index_all`), so the snapshot bytes and resume
@@ -372,37 +376,57 @@ class LibraryIndexer:
         """
         path = Path(path)
         journal = journal if journal is not None else IndexingJournal(default_journal_path(path))
+        lock = commit_lock or nullcontext
         if resume:
             journal.recover()
-            # A commit record promises the video is in a durable
-            # snapshot.  If the snapshot was lost anyway (deleted, or
-            # rolled back past the commit), re-index the video instead
-            # of silently dropping it from the rebuilt meta-index.
-            committed = set(journal.committed()) & set(self.indexed)
+            with lock():  # whole in base ⊕ log: the kill only beat the record
+                for name in journal.interrupted():
+                    if name in self.indexed and name not in self.stream_states:
+                        self._journal_commit(journal, name)
         else:
             journal.clear()
-            committed = set()
-
-        def checkpoint() -> None:
-            save_model(self.model, path, runner_state=self.fde.runner.export_state())
-
         if chunk_frames is not None:
             records = self._index_checkpointed_chunked(
-                path, journal, limit, resume, commit_lock, chunk_frames, committed
+                path, journal, limit, resume, lock, chunk_frames
             )
         else:
             records = self.index_all(
                 limit=limit,
                 journal=journal,
-                checkpoint=checkpoint,
-                skip=committed,
+                checkpoint=partial(self.persist, path),
                 resume=resume,
                 workers=workers,
                 commit_lock=commit_lock,
             )
-        if not records and not path.exists():
-            checkpoint()  # an empty batch still leaves a loadable snapshot
+        with lock():
+            if not path.exists() or DeltaLog.path_of(path).exists():
+                self.persist(path, compact=True)  # an empty batch too leaves a snapshot
         return records
+
+    def state_tables(self) -> dict:
+        """``runner_state`` and the sorted in-flight ``stream_state`` rows."""
+        return {
+            "runner_state": self.fde.runner.export_state(),
+            "stream_state": [self.stream_states[name] for name in sorted(self.stream_states)],
+        }
+
+    def persist(self, path: str | Path, touched=(), *, compact: bool = False) -> None:
+        """The one durable write of the meta-index at *path*, under the
+        commit lock: a delta-log record (entities added since the last
+        one, the *touched* videos' cells, :meth:`state_tables`), or a
+        compaction — a snapshot and a new log — when *compact*, when no
+        log is open on *path*, when the log outgrew its base and when
+        entities were removed."""
+        model = self.model
+        tables = self.state_tables()
+        log = self.delta_logs.get(str(path))
+        if log is not None and not compact:
+            delta = model_delta(model, log.marks, touched, **tables)
+            if delta is not None and log.append(delta, model.high_water()):
+                return
+        save_model(model, path, **tables)
+        trip("compaction-pre-unlink")
+        self.delta_logs[str(path)] = DeltaLog(path, model.high_water())
 
     def _index_checkpointed_chunked(
         self,
@@ -410,32 +434,25 @@ class LibraryIndexer:
         journal: IndexingJournal,
         limit: int | None,
         resume: bool,
-        commit_lock,
+        lock,
         chunk_frames: int,
-        committed: set[str],
     ) -> list[IndexedVideo]:
         """Chunk-append checkpointing: per-chunk delta records and journal
         records inside each video's ``begin``/``commit`` bracket.
 
         On resume, a video with a ``stream_state`` row in the restored
-        snapshot continues from its committed watermark; videos with a
-        journalled commit are skipped; the rest stream from scratch.
+        snapshot continues from its committed watermark; restored and
+        journalled videos are skipped; the rest stream from scratch.
         """
         plans = self.dataset.video_plans
         if limit is not None:
             plans = plans[:limit]
         states = self.stream_states if resume else {}
-        lock = commit_lock if commit_lock is not None else nullcontext
         records: list[IndexedVideo] = []
         for plan in plans:
-            if plan.name in committed:
-                continue
             in_flight = resume and plan.name in states and plan.name in self.indexed
             if resume and plan.name in self.indexed and not in_flight:
-                # Whole in the snapshot: the kill only beat this record.
-                with lock():
-                    self._journal_commit(journal, plan.name)
-                continue
+                continue  # restored whole
             if not in_flight:
                 with lock():
                     journal.begin(plan.name)
@@ -444,7 +461,7 @@ class LibraryIndexer:
                 chunk_frames=chunk_frames,
                 path=path,
                 journal=journal,
-                commit_lock=commit_lock,
+                commit_lock=lock,
                 resume=in_flight,
             )
             with lock():
@@ -461,9 +478,7 @@ class LibraryIndexer:
         catalog = load_catalog(path)  # one read, one fold of base ⊕ delta log
         restored = self.restore(catalog_to_model(catalog))
         self.fde.runner.restore_state(catalog_to_runner_state(catalog))
-        # Adopt any in-flight stream rows so the next chunk commit — from
-        # whichever stream commits first — preserves the others' resume
-        # state.
+        # In-flight streams' rows: every later persist() keeps them durable.
         self.stream_states = catalog_to_stream_state(catalog)
         return restored
 

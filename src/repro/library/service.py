@@ -853,7 +853,7 @@ class LibrarySearchService:
 
         Delegates to :meth:`LibraryIndexer.index_checkpointed`, passing
         the service's write lock as the per-video ``commit_lock`` — each
-        video's commit (and its snapshot/journal write) lands atomically
+        video's commit (and its durable/journal write) lands atomically
         between queries, and queries between commits see a consistent
         prefix of the batch.  With ``workers=1`` the lock is held across
         each video's whole detector pass (the sequential path indexes

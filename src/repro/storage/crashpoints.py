@@ -23,6 +23,7 @@ __all__ = [
     "is_armed",
     "SNAPSHOT_POINTS",
     "JOURNAL_POINTS",
+    "DELTA_POINTS",
     "STREAM_POINTS",
     "WRITE_POINTS",
 ]
@@ -45,18 +46,22 @@ JOURNAL_POINTS = (
     "journal-post-append",
 )
 
-#: Crash points in the streaming chunk-commit path, in execution order.
-#: A chunk lands as journal ``chunk_begin`` → model mutation → delta-log
-#: append (``mid`` writes half the record) or compaction (snapshot save,
-#: ``compaction-pre-unlink``, log removal) → journal ``chunk_commit`` →
-#: generation bump; the kill matrix dies at every edge between them.
-STREAM_POINTS = (
-    "chunk-post-begin",
-    "chunk-pre-snapshot",
+#: Crash points of the durable step of a batch video or stream chunk: the
+#: delta-log append (``mid`` writes half), or compaction's log removal.
+DELTA_POINTS = (
     "delta-pre-append",
     "delta-mid-append",
     "delta-post-append",
     "compaction-pre-unlink",
+)
+
+#: Crash points in the streaming chunk-commit path, in execution order:
+#: journal ``chunk_begin`` → model mutation → :data:`DELTA_POINTS` → journal
+#: ``chunk_commit`` → generation bump; the kill matrix dies at each edge.
+STREAM_POINTS = (
+    "chunk-post-begin",
+    "chunk-pre-snapshot",
+    *DELTA_POINTS,
     "chunk-pre-commit",
     "chunk-pre-generation",
     "chunk-post-generation",

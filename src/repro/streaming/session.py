@@ -10,13 +10,13 @@ Each accepted chunk lands with the commit protocol::
     journal chunk_commit         (promise: base ⊕ log holds the chunk)
     generation += 1              (readers see the new shots)
 
-The durable step costs O(chunk): one checksummed, fsynced record in
-``<path>.delta`` holding what changed since the last durable commit on
-that path (:func:`~repro.library.persistence.model_delta`).  A whole
-snapshot (*compaction*: ``save_model``, then the folded log is removed)
-is written only on a stream's final chunk (a finished ingest leaves a
-batch run's files and bytes), on an indexer's first commit on a path
-and when the log has outgrown its base; ``load_catalog`` folds the two.
+The durable step, a batch video's too, is ``LibraryIndexer.persist``:
+O(chunk), one checksummed, fsynced ``<path>.delta`` record of what
+changed since the last one.  It compacts (``save_model``, then the
+folded log is removed) only on a stream's final chunk (a finished
+ingest leaves a batch run's bytes), on an indexer's first commit on a
+path, when the log has outgrown its base and when entities were
+removed; ``load_catalog`` folds base and log.
 
 A kill between any two steps loses at most in-memory work: on restart
 the folded ``stream_state`` row names the exactly-once resume point
@@ -44,10 +44,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.grammar.runtime import IndexingHealthReport
-from repro.library.persistence import model_delta, save_model
 from repro.library.stats import LatencyReservoir
 from repro.storage.crashpoints import trip
-from repro.storage.persist import DeltaLog
 from repro.streaming.chunker import FrameChunk
 from repro.streaming.segmenter import SegmentChunk, StreamingSegmenter
 
@@ -335,26 +333,14 @@ class StreamSession:
         self._results[name] = self._results.get(name, False) or failed
 
     def _persist(self, final: bool) -> None:
-        """The chunk's durable step: a delta-log record, or compaction."""
-        indexer = self.indexer
-        states = indexer.stream_states
+        """The chunk's durable step: this stream's resume row (dropped by
+        the final chunk), then the indexer's write, a compaction if final."""
+        states = self.indexer.stream_states
         if final:
             states.pop(self.name, None)
         else:
             states[self.name] = self.export_state()
-        model = indexer.model
-        tables = {
-            "runner_state": indexer.fde.runner.export_state(),
-            "stream_state": [states[name] for name in sorted(states)],
-        }
-        log = indexer.delta_logs.get(str(self.path))
-        if log is not None and not final:
-            delta = model_delta(model, log.marks, (self.video_id,), **tables)
-            if delta is not None and log.append(delta, model.high_water()):
-                return
-        save_model(model, self.path, **tables)
-        trip("compaction-pre-unlink")
-        indexer.delta_logs[str(self.path)] = DeltaLog(self.path, model.high_water())
+        self.indexer.persist(self.path, (self.video_id,), compact=final)
 
     def _finish(self, total: int) -> None:
         """The finished stream's bookkeeping; the FDE now remembers the

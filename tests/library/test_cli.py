@@ -97,12 +97,13 @@ class TestIndexQueryRoundTrip:
 
 
 class TestCrashResumeFsck:
-    """Crash a CLI index run mid-snapshot, fsck it, resume it."""
+    """Crash a CLI index run mid-commit, fsck it, resume it."""
 
     @pytest.fixture(scope="class")
     def crashed(self, tmp_path_factory):
+        """Die halfway through the second video's delta-log append."""
         path = tmp_path_factory.mktemp("crash") / "meta.json"
-        with CrashPoint("snapshot-pre-replace", after=1):
+        with CrashPoint("delta-mid-append"):
             with pytest.raises(SimulatedCrash):
                 main(["index", "--seed", "7", "--videos", "2", "--out", str(path)])
         return path
@@ -112,8 +113,9 @@ class TestCrashResumeFsck:
         out = capsys.readouterr().out
         assert "problem(s) found" in out
         assert "began but never committed" in out
-        # the previous generation is intact and fsck says so
-        assert "falls back" in out
+        # the half-written record is a recoverable torn tail and fsck says so
+        assert "delta: 0 record(s)" in out
+        assert "torn tail (recoverable)" in out
 
     def test_resume_completes_and_fsck_is_clean(self, crashed, capsys):
         assert main(

@@ -2,7 +2,7 @@
 
 The acceptance properties of the durability layer at library level:
 
-- a batch killed mid-checkpoint resumes from the journal, re-indexing
+- a batch killed mid-commit resumes from the journal, re-indexing
   only uncommitted videos, and the final snapshot is identical to an
   uninterrupted run (same tables, same checksum);
 - a detector quarantined by consecutive failures stays quarantined in a
@@ -55,10 +55,12 @@ def reference(tmp_path_factory):
 class TestResumeAfterCrash:
     @pytest.fixture(scope="class")
     def resumed(self, tmp_path_factory):
-        """Kill the batch during the second video's snapshot, then resume."""
+        """Kill the batch during the second video's durable step (its
+        delta-log append: the first video's compaction opened the log),
+        then resume."""
         path = tmp_path_factory.mktemp("resumed") / "meta.json"
         crashed = make_indexer()
-        with CrashPoint("snapshot-pre-replace", after=1):
+        with CrashPoint("delta-pre-append"):
             with pytest.raises(SimulatedCrash):
                 crashed.index_checkpointed(path, limit=N_VIDEOS)
 

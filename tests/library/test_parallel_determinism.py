@@ -219,7 +219,7 @@ class TestCrashRecoveryParallel:
 
         path = tmp_path / "meta.json"
         crashed = make_indexer()
-        with CrashPoint("snapshot-pre-replace", after=1):
+        with CrashPoint("delta-pre-append"):  # the second video's durable step
             with pytest.raises(SimulatedCrash):
                 crashed.index_checkpointed(path, limit=3, workers=4)
 

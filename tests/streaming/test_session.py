@@ -246,10 +246,12 @@ class TestDeltaCommits:
         clip, _truth = plan.materialise()
         session = StreamSession(indexer, plan, path=path)
         chunks = list(iter_chunks(clip, CHUNK, stream=plan.name))
-        session.push_chunk(chunks[0])
+        log = tmp_path / "meta.json.delta"
+        session.push_chunk(chunks[0])  # the batch's log stays open: a record too
+        before = log.stat().st_size
         commit = session.push_chunk(chunks[1])
         assert commit.new_shots == 0
-        assert 0 < (tmp_path / "meta.json.delta").stat().st_size < 1024 < path.stat().st_size
+        assert 0 < log.stat().st_size - before < 1024 < path.stat().st_size
 
     def test_replaced_base_forces_compaction_not_a_stale_append(self, tmp_path, plan_and_clip):
         plan, clip = plan_and_clip
