@@ -129,6 +129,38 @@ class TestCrashResumeFsck:
         assert main(["fsck", "--metaindex", str(crashed)]) == 0
         assert "fsck: clean" in capsys.readouterr().out
 
+    @pytest.fixture(scope="class")
+    def crashed_compacting(self, tmp_path_factory):
+        """Die in the batch-end compaction, between rotating the live
+        snapshot to ``.prev`` and replacing it: only ``.prev`` ⊕ the
+        second video's delta record holds the batch."""
+        path = tmp_path_factory.mktemp("crash_compaction") / "meta.json"
+        with CrashPoint("snapshot-pre-replace", after=1):
+            with pytest.raises(SimulatedCrash):
+                main(["index", "--seed", "7", "--videos", "2", "--out", str(path)])
+        return path
+
+    def test_fsck_reports_the_fallback(self, crashed_compacting, capsys):
+        assert main(["fsck", "--metaindex", str(crashed_compacting)]) == 1
+        out = capsys.readouterr().out
+        assert "problem(s) found" in out
+        assert "current snapshot: missing" in out
+        # the previous generation is intact and fsck says so
+        assert "falls back" in out
+        assert "delta: 1 record(s)" in out
+
+    def test_resume_from_prev_and_log_completes(self, crashed_compacting, capsys):
+        assert main(
+            ["index", "--seed", "7", "--videos", "2", "--out", str(crashed_compacting),
+             "--resume"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "resume: restored 2 committed video(s)" in out
+        document = json.loads(crashed_compacting.read_text())
+        assert len(document["tables"]["videos"]["columns"]["name"]) == 2
+        assert main(["fsck", "--metaindex", str(crashed_compacting)]) == 0
+        assert "fsck: clean" in capsys.readouterr().out
+
     def test_corrupt_snapshot_without_backup_fails_fsck(self, tmp_path, capsys):
         path = tmp_path / "meta.json"
         path.write_text('{"version": 2, "tables"')  # torn, no .prev
