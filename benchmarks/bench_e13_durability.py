@@ -358,6 +358,8 @@ def test_e13_batch_commit_scaling(benchmark, tmp_path_factory):
         path = tmp / f"meta-{size}.json"
         path.write_bytes(snapshots[size])
         indexer = make_indexer()
+        # The catalog's plans, then the same five: plans 12-16 either way.
+        indexer.dataset.video_plans = plans[:size] + plans[max(sizes) :]
         indexer.restore_snapshot(path)
         persist, samples = indexer.persist, []
 
@@ -372,12 +374,10 @@ def test_e13_batch_commit_scaling(benchmark, tmp_path_factory):
 
         indexer.persist = measured
         # The batch body of ``index_checkpointed``, the same five videos
-        # appended to either catalog (the 2-video one skips plans 2-11).
+        # appended to either catalog.
         indexer.index_all(
             journal=IndexingJournal(tmp / f"meta-{size}.journal"),
             checkpoint=partial(indexer.persist, path),
-            skip={plan.name for plan in plans[size : max(sizes)]},
-            limit=len(plans),
             resume=True,
         )
         assert len(samples) == appended

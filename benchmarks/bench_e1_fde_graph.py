@@ -45,7 +45,7 @@ def test_e1_figure_one_structure(benchmark):
         ["detector", "kind", "guard", "depends on"],
         rows,
     )
-    print("\nDOT rendering of Figure 1:\n" + to_dot(graph, title="tennis_fde"))
+    print("\nDOT rendering of Figure 1:\n" + to_dot(fde, title="tennis_fde"))
 
 
 def test_e1_schedule_derivation_speed(benchmark):

@@ -34,7 +34,7 @@ def main() -> None:
 
     fde = build_interview_fde(vocabulary=vocabulary)
     print("\nthe interview FDE (same machinery as the tennis FDE, new axiom):")
-    print(to_dot(fde.dependency_graph(), title="interview_fde"))
+    print(to_dot(fde, title="interview_fde"))
 
     for name, words in transcripts:
         signal, _truth = synthesize_utterance(words, name=name)

@@ -26,7 +26,7 @@ def main() -> None:
     print("derived execution order:", " -> ".join(fde.execution_order()))
 
     print("\nFigure 1 (detector dependencies) as DOT:")
-    print(to_dot(fde.dependency_graph(), title="tennis_fde"))
+    print(to_dot(fde, title="tennis_fde"))
 
     # Index three videos.
     generator = BroadcastGenerator(seed=55)

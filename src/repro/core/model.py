@@ -194,16 +194,6 @@ class CobraModel:
             added.append(list(islice(reversed(rows.values()), new))[::-1])
         return tuple(added)
 
-    def discard_since(self, marks: tuple[int, ...]) -> None:
-        """Undo every registration since *marks* (:meth:`high_water`),
-        ids included: the model is again exactly what it was at *marks*.
-        Only valid while nothing older was removed since."""
-        layers = (self._videos, self._shots, self._objects, self._events)
-        for layer, rows, first in zip(self._next_id, layers, marks):
-            while rows and next(reversed(rows)) >= first:
-                rows.popitem()
-            self._next_id[layer] = first
-
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #

@@ -5,7 +5,7 @@ Generated from a feature grammar, the FDE:
 1. derives the detector dependency DAG (Figure 1 of the paper) as a
    plain ``(producer, consumer) -> token`` edge table — networkx is
    imported only by :meth:`FeatureDetectorEngine.dependency_graph`,
-   for the callers that export or inspect the graph,
+   the view the tests check the table against,
 2. runs detectors in one deterministic topological order (longest
    path from the axiom, then name),
 3. caches each detector's token outputs per video, and
@@ -25,8 +25,8 @@ detector's DAG subtree skipped — so one bad detector no longer erases a
 whole video from the library.
 
 One pass body serves every job: a staged clip
-(:meth:`FeatureDetectorEngine.stage_video`), a stream's chunk
-(:meth:`FeatureDetectorEngine.parse_chunk`) and a revalidation
+(:meth:`FeatureDetectorEngine.stage_video`), a staged stream chunk
+(:meth:`FeatureDetectorEngine.stage_chunk`) and a revalidation
 (:meth:`FeatureDetectorEngine.revalidate`) all go through it.  It builds
 the pass's context, runs the detectors through the runner and records
 every OK detector's outputs and version.
@@ -42,18 +42,18 @@ it ends, and no cached token value references a frame (a ``shot`` entry
 is ``(shot, shot_id)``; ``tennis`` reads a shot's frames from the
 pass's axiom token).
 
-Every whole-clip pass is staged: it runs against a private scratch
-model whose counters start at the live model's next ids, so worker
-threads never contend on the shared meta-index, and a single committer
-adopts stages in plan order (:meth:`FeatureDetectorEngine
-.commit_staged`).  An entity keeps the id its pass gave it, moved by one
-shift per layer, and the live counters advance by every id the pass
-handed out, burned ones included — so a staged commit assigns exactly
-the ids of a sequential one.  There is one cache rule: a commit keeps
-its pass's outputs unless another commit landed after staging (the
-shift is then non-zero and the cached token values would name scratch
-ids).  :meth:`FeatureDetectorEngine.index_video` is a stage committed at
-once.
+Every indexing pass is staged against a private scratch model whose
+counters start at the live model's next ids, so worker and stream
+threads never contend on the shared meta-index; one merge writes every
+stage into the live model under the commit lock (:meth:`FeatureDetectorEngine
+.commit_staged` for a clip, :meth:`FeatureDetectorEngine.commit_chunk`
+for a chunk).  An id below the stage's first ids names a live row and
+stays; every id the scratch minted moves by one shift per layer, and the
+live counters advance by every id the pass handed out, burned ones
+included — the ids of a pass run at commit time.  One cache rule: a
+commit keeps its pass's outputs unless another commit landed after
+staging (the cached token values would then name scratch ids).
+:meth:`FeatureDetectorEngine.index_video` is a stage committed at once.
 """
 
 from __future__ import annotations
@@ -126,22 +126,23 @@ class _VideoState:
 
 @dataclass
 class StagedVideo:
-    """One full indexing pass, run against a private scratch model.
+    """One indexing pass, run against a private scratch model.
 
-    Produced by :meth:`FeatureDetectorEngine.stage_video` on any worker
-    thread; consumed by :meth:`FeatureDetectorEngine.commit_staged` on
-    the committer.  Nothing here has touched the engine's shared state:
-    entity identifiers are scratch-local (starting at the live model's
-    next ids when the stage began), health accounting is recorded in
-    :attr:`results` instead of applied to the runner, and the quarantine
-    checks the pass made are remembered in :attr:`decisions` so the
-    committer can detect that another video's commit changed them in the
-    meantime.  A stage holds no frame: the pass dropped its axiom token,
-    and the video is held by its :attr:`source`.
+    Produced by :meth:`FeatureDetectorEngine.stage_video` (a clip) or
+    :meth:`FeatureDetectorEngine.stage_chunk` (a stream chunk) on any
+    thread; consumed by :meth:`FeatureDetectorEngine.commit_staged` or
+    :meth:`FeatureDetectorEngine.commit_chunk` under the commit lock.
+    Nothing here has touched the engine's shared state: ids the pass
+    minted are scratch-local (from the live next ids at staging), health
+    accounting waits in :attr:`results`, and the quarantine checks the
+    pass made are kept in :attr:`decisions` so the committer can detect
+    that another commit changed them.  A clip's stage holds no frame
+    (the video is held by its :attr:`source`); a chunk's source is the
+    chunk, held until its commit.
 
     Attributes:
         model: the scratch :class:`~repro.core.model.CobraModel` holding
-            the pass's entities (scratch-local identifiers).
+            the pass's entities (and a continuing stream's live video row).
         first_ids: the scratch model's per-layer next ids before the
             pass (:meth:`~repro.core.model.CobraModel.high_water` order).
         context: the pass's indexing context: the video's ``name``,
@@ -170,6 +171,11 @@ class StagedVideo:
     def source(self) -> Callable[[], object]:
         """Re-reads the raw object; the committed video keeps it."""
         return self.context.source
+
+
+def _shifter(first: int, by: int) -> Callable[[int], int]:
+    """The id rule of one layer: ids from *first* on move by *by*."""
+    return lambda entity_id: entity_id if entity_id < first else entity_id + by
 
 
 def _reachable(consumers: dict[str, list[str]], node: str) -> frozenset[str]:
@@ -201,7 +207,7 @@ class FeatureDetectorEngine:
     ``segmenter`` is the segment detector configuration behind the
     ``shot`` producer, when the factory names one (``build_tennis_fde``
     does): a stream keeps its incremental state across
-    :meth:`parse_chunk` calls.
+    :meth:`stage_chunk` calls.
     """
 
     def __init__(
@@ -224,11 +230,12 @@ class FeatureDetectorEngine:
         self._states: dict[str, _VideoState] = {}
         # The grammar is validated here and never mutated after, so the
         # DAG, its order and every node's downstream set are derived once.
-        self._edges = self._build_edges()
+        #: The DAG as a read-only ``(producer, consumer) -> token`` table.
+        self.edges = self._build_edges()
         nodes = [grammar.axiom, *(d.name for d in grammar.detectors)]
-        self._order = execution_order(nodes, self._edges, grammar.axiom)
+        self._order = execution_order(nodes, self.edges, grammar.axiom)
         consumers: dict[str, list[str]] = {node: [] for node in nodes}
-        for source, target in self._edges:
+        for source, target in self.edges:
             consumers[source].append(target)
         self._downstream = {node: _reachable(consumers, node) for node in nodes}
 
@@ -246,8 +253,8 @@ class FeatureDetectorEngine:
         Nodes are detectors plus the ``video`` axiom; an edge ``a -> b``
         means b consumes a token a produces.  Edges carry the token as
         the ``token`` attribute; nodes carry ``kind`` and ``guard``.
-        The engine itself keeps only the edge table, so networkx is
-        imported here, by the callers that export or inspect the graph.
+        The engine keeps only the edge table (:attr:`edges`), so
+        networkx, a development dependency, is imported here, for tests.
         """
         import networkx
 
@@ -255,7 +262,7 @@ class FeatureDetectorEngine:
         graph.add_node(self.grammar.axiom, kind="axiom", guard=None)
         for decl in self.grammar.detectors:
             graph.add_node(decl.name, kind=decl.kind, guard=decl.guard)
-        for (source, target), token in self._edges.items():
+        for (source, target), token in self.edges.items():
             graph.add_edge(source, target, token=token)
         return graph
 
@@ -412,35 +419,6 @@ class FeatureDetectorEngine:
         context.health = health
         return context, state, failure
 
-    def parse_chunk(self, chunk, video_id: int, record_result, final: bool) -> IndexingContext:
-        """The incremental parse: every detector over one chunk of a stream.
-
-        *chunk* is the axiom token (its ``name`` is the stream's) and
-        *video_id* the stream's raw-layer record in the live model.  The
-        chunk runs through the same pass body, runner, retries,
-        isolation policy and fault injection as :meth:`stage_video`; the
-        deadline budget applies per call.  A non-final chunk runs
-        nothing below a detector whose outputs are all empty (a chunk
-        that closes no shot runs ``segment`` alone); a *final* chunk
-        runs the whole DAG, as a clip does.  *record_result* receives
-        the ``record_video_result`` calls, deferred to the caller.
-        Under ``fail_fast`` a failure is re-raised once the pass stops
-        (rolling back is the caller's).  Returns the chunk's context;
-        its ``health`` is the chunk's report.
-        """
-        context, _, failure = self._parse(
-            chunk.name,
-            None,
-            self.model,
-            video_id,
-            record_result,
-            token=chunk,
-            prune_empty=not final,
-        )
-        if failure is not None:
-            self._raise_outcome(failure)
-        return context
-
     def _check_new(self, name: str) -> None:
         if name in self._states:
             raise ValueError(
@@ -481,6 +459,37 @@ class FeatureDetectorEngine:
     # Staged indexing (per-video parallelism)
     # ------------------------------------------------------------------ #
 
+    def _stage(self, name, token, source, video, *, fps=None, n_frames=0, prune_empty=False):
+        """The one scratch setup (counters at the live next ids), then
+        the pass.  *video* is a continuing stream's live row, adopted
+        with its id; ``None`` adds the video from *name*, *fps* and
+        *n_frames*."""
+        first_ids = self.model.high_water()[:4]
+        model = CobraModel()
+        model.adopt(videos=() if video is None else (video,), next_ids=first_ids)
+        if video is None:
+            video = model.add_video(name, fps=fps, n_frames=n_frames)
+        results: list[tuple[str, bool]] = []
+        decisions: dict[str, bool] = {}
+        context, state, failure = self._parse(
+            name,
+            source,
+            model,
+            video.video_id,
+            lambda detector, failed: results.append((detector, failed)),
+            token=token,
+            decisions=decisions,
+            prune_empty=prune_empty,
+        )
+        return StagedVideo(model, first_ids, context, state, results, decisions, failure)
+
+    def _decisions_moved(self, staged: StagedVideo) -> bool:
+        """Did a commit since *staged* change a quarantine it checked?"""
+        return any(
+            self.runner.is_quarantined(detector) != quarantined
+            for detector, quarantined in staged.decisions.items()
+        )
+
     def stage_video(self, clip, *, source: Callable[[], object] | None = None) -> StagedVideo:
         """Run a full pass over *clip* against a fresh scratch model.
 
@@ -497,30 +506,49 @@ class FeatureDetectorEngine:
         """
         self._check_registry()
         self._check_new(clip.name)
-        first_ids = self.model.high_water()[:4]
-        model = CobraModel()
-        model.adopt(next_ids=first_ids)
-        results: list[tuple[str, bool]] = []
-        decisions: dict[str, bool] = {}
-        video = model.add_video(clip.name, fps=clip.fps, n_frames=len(clip))
-        context, state, failure = self._parse(
-            clip.name,
-            source if source is not None else lambda: clip,
-            model,
-            video.video_id,
-            lambda name, failed: results.append((name, failed)),
-            token=clip,
-            decisions=decisions,
+        source = source if source is not None else lambda: clip
+        return self._stage(clip.name, clip, source, None, fps=clip.fps, n_frames=len(clip))
+
+    def stage_chunk(self, chunk, fps: float, video_id: int | None) -> StagedVideo:
+        """The incremental parse, staged as :meth:`stage_video` stages a
+        clip, and as safe outside the commit lock.
+
+        *chunk* is the axiom token (its ``name`` is the stream's);
+        *video_id* is the stream's live raw-layer id, ``None`` before its
+        first chunk commits (the scratch then adds the video at *fps*).
+        The deadline budget applies per chunk.  A non-final chunk runs
+        nothing below a detector whose outputs are all empty (a chunk
+        that closes no shot runs ``segment`` alone); a final chunk runs
+        the whole DAG, as a clip does.  Land it with :meth:`commit_chunk`.
+        """
+        video = None if video_id is None else self.model.video(video_id)
+        return self._stage(
+            chunk.name, chunk, lambda: chunk, video, fps=fps, prune_empty=not chunk.final
         )
-        return StagedVideo(
-            model=model,
-            first_ids=first_ids,
-            context=context,
-            state=state,
-            results=results,
-            decisions=decisions,
-            failure=failure,
-        )
+
+    def commit_chunk(self, staged: StagedVideo, record_result) -> IndexingContext:
+        """Land a staged chunk in the live model (under the commit lock).
+
+        A chunk whose quarantine checks moved since staging is staged
+        again first, as :meth:`commit_staged` re-indexes a video.  Under
+        ``fail_fast`` a failure is re-raised and the scratch dropped: no
+        row lands and no id is burned.  Otherwise the stage merges and
+        its deferred results go to *record_result*.  Returns the chunk's
+        context on the live model and video id (``health`` is its report).
+        """
+        if self._decisions_moved(staged):
+            video = staged.model.video(staged.context.video_id)
+            live = video.video_id < staged.first_ids[0]
+            staged = self.stage_chunk(staged.source(), video.fps, video.video_id if live else None)
+        if staged.failure is not None:
+            self._raise_outcome(staged.failure)
+        for detector, failed in staged.results:
+            record_result(detector, failed)
+        shift = self._merge_model(staged)
+        context = staged.context
+        context.video_id = _shifter(staged.first_ids[0], shift[0])(context.video_id)
+        context.model = self.model
+        return context
 
     def commit_staged(self, staged: StagedVideo) -> IndexingContext:
         """Adopt a staged pass into the engine (committer thread only).
@@ -556,11 +584,7 @@ class FeatureDetectorEngine:
         """
         context = staged.context
         self._check_new(context.name)
-        moved = any(
-            self.runner.is_quarantined(detector) != quarantined
-            for detector, quarantined in staged.decisions.items()
-        )
-        if moved:
+        if self._decisions_moved(staged):
             return self.index_video(staged.source(), source=staged.source)
         for detector, failed in staged.results:
             self.runner.record_video_result(detector, failed=failed)
@@ -584,7 +608,7 @@ class FeatureDetectorEngine:
     ) -> None:
         """Put a finished stream's video under revalidation.
 
-        A stream's chunks are parsed (:meth:`parse_chunk`) but never
+        A stream's chunks are staged (:meth:`stage_chunk`) but never
         cached: the video is remembered by *source* with an empty
         cache, so its first :meth:`revalidate` runs the whole DAG over
         the re-read object — as after a staged commit whose ids
@@ -593,34 +617,37 @@ class FeatureDetectorEngine:
         self._states[name] = _VideoState(source, video_id, outputs={}, versions={}, health=health)
 
     def _merge_model(self, staged: StagedVideo) -> tuple[int, ...]:
-        """Adopt *staged*'s scratch entities into the shared model.
+        """Adopt *staged*'s scratch entities into the shared model: the
+        one write of every indexing pass into the live model.
 
-        Every id moves by its layer's shift — the live next id minus the
-        scratch model's first — and so does every parent id a row names.
-        The live counters advance by the ids the pass handed out, not by
-        the rows it kept.  Returns the per-layer shifts.
+        The one id rule: an id below the stage's first id of its layer
+        names a live row (a continuing stream's video, not handed back)
+        and stays; an id the scratch minted moves by its layer's shift —
+        the live next id minus the scratch model's first — and so does
+        every parent id a row names.  The live counters advance by the
+        ids the pass handed out, not by the rows it kept.  Returns the
+        per-layer shifts.
         """
-        scratch = staged.model
-        shift = tuple(
-            live - first for live, first in zip(self.model.high_water()[:4], staged.first_ids)
-        )
-        videos, shots, objects, events = shift
+        scratch, first = staged.model, staged.first_ids
+        shift = tuple(live - at for live, at in zip(self.model.high_water()[:4], first))
+        video_at, shot_at, object_at, event_at = map(_shifter, first, shift)
+        minted = [v for v in scratch.videos if v.video_id >= first[0]]
         self.model.adopt(
-            videos=[replace(v, video_id=v.video_id + videos) for v in scratch.videos],
+            videos=[replace(v, video_id=video_at(v.video_id)) for v in minted],
             shots=[
-                replace(s, shot_id=s.shot_id + shots, video_id=s.video_id + videos)
+                replace(s, shot_id=shot_at(s.shot_id), video_id=video_at(s.video_id))
                 for s in scratch.shots
             ],
             objects=[
-                replace(o, object_id=o.object_id + objects, shot_id=o.shot_id + shots)
+                replace(o, object_id=object_at(o.object_id), shot_id=shot_at(o.shot_id))
                 for o in scratch.objects
             ],
             events=[
                 replace(
                     e,
-                    event_id=e.event_id + events,
-                    shot_id=e.shot_id + shots,
-                    object_id=None if e.object_id is None else e.object_id + objects,
+                    event_id=event_at(e.event_id),
+                    shot_id=shot_at(e.shot_id),
+                    object_id=None if e.object_id is None else object_at(e.object_id),
                 )
                 for e in scratch.events
             ],

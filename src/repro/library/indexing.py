@@ -228,7 +228,6 @@ class LibraryIndexer:
         *,
         journal: IndexingJournal | None = None,
         checkpoint=None,
-        skip: set[str] | frozenset[str] = frozenset(),
         resume: bool = False,
         workers: int = 1,
         commit_lock=None,
@@ -249,11 +248,10 @@ class LibraryIndexer:
                 *before* its commit record — typically
                 :meth:`persist`, so a commit record promises "base ⊕
                 delta log holds the video".
-            skip: plan names not to index (e.g. journalled commits).
             resume: when True, silently skip plans already indexed in
-                this indexer (restored from a snapshot) instead of
-                raising; with ``resume=False`` the historical behaviour
-                — ``ValueError`` on a duplicate — is kept.
+                this indexer (restored from a snapshot, so a checkpointed
+                batch skips its journalled commits) instead of raising;
+                with ``resume=False`` a duplicate is a ``ValueError``.
             workers: videos materialised/staged concurrently.  All
                 shared-state mutation — meta-index merge, journal and
                 checkpoint writes, webspace linking — stays on the
@@ -273,11 +271,7 @@ class LibraryIndexer:
         plans = self.dataset.video_plans
         if limit is not None:
             plans = plans[:limit]
-        todo = [
-            plan
-            for plan in plans
-            if plan.name not in skip and not (resume and plan.name in self.indexed)
-        ]
+        todo = [plan for plan in plans if not (resume and plan.name in self.indexed)]
         lock = commit_lock if commit_lock is not None else nullcontext
         records: list[IndexedVideo] = []
 

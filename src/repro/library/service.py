@@ -15,11 +15,11 @@ concurrent use:
   readers-writer lock; commits (video registration, text refresh,
   relational rebuild) take the write side.  A query therefore evaluates
   against one pinned generation — it can never observe a half-committed
-  video.  :meth:`LibrarySearchService.index_plan` and
-  ``index_checkpointed(workers>1)`` keep the expensive writer work (clip
-  materialisation, detector staging) outside the lock;
-  ``index_checkpointed(workers=1)`` runs each video's whole detector
-  pass under it, so readers wait behind every detector.
+  video.  :meth:`LibrarySearchService.index_plan`,
+  ``index_checkpointed(workers>1)`` and every stream chunk keep the
+  expensive writer work (clip materialisation, detector staging) outside
+  the lock; ``index_checkpointed(workers=1)`` still runs each video's
+  whole detector pass under it, so readers wait behind every detector.
 - **Overload resilience** (opt-in via
   :class:`~repro.library.resilience.ResilienceConfig`): per-query
   deadlines (:class:`~repro.budget.QueryBudget`) checked cooperatively
@@ -876,10 +876,10 @@ class LibrarySearchService:
         """Chunk-append one video plan with per-chunk commit locking.
 
         Delegates to :meth:`LibraryIndexer.stream_plan`, passing the
-        service's write lock as the ``commit_lock`` — every chunk's
-        commit (shots, snapshot, generation bump) lands atomically
-        between queries, so readers see chunk-granular freshness instead
-        of waiting for the whole video.
+        service's write lock as the ``commit_lock`` — a chunk's
+        detectors run outside it, and its commit (merge, durable write,
+        generation bump) lands atomically between queries, so readers
+        see chunk-granular freshness and never wait on a detector.
         """
         return self.engine.indexer.stream_plan(
             plan, chunk_frames=chunk_frames, commit_lock=self._rw.write, **kwargs

@@ -280,7 +280,7 @@ class SegmentChunk:
         shot_frames: the frames of the shots that run emitted, keyed by
             shot start, for ``tennis`` to track (a shot may span earlier
             chunks).  Safe to hold: the chunk is the axiom token, which
-            no cache keeps, so they go when the chunk's parse ends.
+            no cache keeps, so they go when the chunk's commit ends.
     """
 
     name: str

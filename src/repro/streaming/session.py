@@ -5,7 +5,9 @@ batches of one stream to a :class:`~repro.library.indexing.LibraryIndexer`.
 Each accepted chunk lands with the commit protocol::
 
     journal chunk_begin          (intent)
-    FDE parse + mutate meta-index  (in memory only, under the commit lock)
+    FDE stage                    (detectors, against a scratch model; no lock)
+    --- under the commit lock ---
+    FDE merge into meta-index    (in memory only; the one adopt-with-shift)
     delta-log append             (the chunk's new rows + stream_state)
     journal chunk_commit         (promise: base ⊕ log holds the chunk)
     generation += 1              (readers see the new shots)
@@ -24,16 +26,17 @@ the folded ``stream_state`` row names the exactly-once resume point
 deduplication drops anything re-delivered below it — no lost and no
 duplicated shots, proved per crash point by the E20 kill matrix.
 
-The FDE parses each chunk
-(:meth:`~repro.grammar.fde.FeatureDetectorEngine.parse_chunk`),
-``segment`` included: its one body is the incremental step, pushing the
-chunk into the stream's segmenter, which the session owns and adopts
-once ``segment`` succeeded.  A stream ingested without interference
+The FDE stages each chunk outside the lock, as it stages a batch video
+(:meth:`~repro.grammar.fde.FeatureDetectorEngine.stage_chunk`), and
+merges it as it merges one (``commit_chunk``), ``segment`` included:
+its one body is the incremental step, pushing the chunk into a fork of
+the stream's segmenter, which the session owns and adopts once
+``segment`` succeeded.  A stream ingested without interference
 therefore ends byte-identical to ``index_checkpointed`` over the same
 frames, and a failing detector does to a stream what it does to a batch
 video: skipped subtree and a degraded video (a chunk ``segment`` could
 not parse leaves segmentation like a shed one), or under ``fail_fast``
-the chunk rolled back and raised.
+the chunk raised, its scratch model dropped.
 """
 
 from __future__ import annotations
@@ -91,15 +94,15 @@ class StreamSession:
 
     Args:
         indexer: the :class:`~repro.library.indexing.LibraryIndexer`;
-            its FDE parses every chunk (``fde.segmenter`` configures the
-            stream's segmenter).
+            its FDE stages and commits every chunk (``fde.segmenter``
+            configures the stream's segmenter).
         plan: the stream's video plan (names the stream and its match).
         path: snapshot path; ``None`` runs memory-only (no durability —
             shard workers rebuild from scratch and use this mode).
         journal: indexing journal for chunk records (requires *path*).
         commit_lock: zero-argument context-manager factory entered
-            around every chunk's shared-state mutation (the serving
-            layer passes its write lock).
+            around every chunk's shared-state mutation, after its
+            detectors ran (the serving layer passes its write lock).
         clock: monotonic clock for freshness sampling.
 
     :attr:`health` merges every chunk's FDE health report (it is also
@@ -247,18 +250,13 @@ class StreamSession:
         trip("chunk-post-begin")
 
         indexer = self.indexer
-        model = indexer.model
+        model, fde = indexer.model, indexer.fde
+        segment = SegmentChunk(
+            self.name, accepted.start, accepted.frames, chunk.final, self.segmenter
+        )
+        staged = fde.stage_chunk(segment, accepted.fps, self.video_id)
         with self._lock():
-            marks = model.high_water()
-            try:
-                new_shots = self._parse(accepted, chunk.final)
-            except BaseException:
-                # Nothing of this chunk may reach a reader or another
-                # stream's delta: back to the marks, ids included.
-                model.discard_since(marks)
-                if self.name not in indexer.indexed:
-                    self.video_id = None
-                raise
+            new_shots = self._adopt(fde.commit_chunk(staged, self._defer_result), segment)
             self.shots_total += new_shots
             total = self.next_frame
             watermark = self.segmenter.watermark
@@ -266,7 +264,7 @@ class StreamSession:
             if chunk.final:
                 # Quarantine counts videos: one result per detector per stream.
                 for name, failed in self._results.items():
-                    indexer.fde.runner.record_video_result(name, failed=failed)
+                    fde.runner.record_video_result(name, failed=failed)
             trip("chunk-pre-snapshot")
             if self.path is not None:
                 self._persist(final=chunk.final)
@@ -303,28 +301,24 @@ class StreamSession:
             freshness_seconds=freshness,
         )
 
-    def _parse(self, accepted: FrameChunk, final: bool) -> int:
-        """Have the FDE parse the chunk and adopt the segmenter its
+    def _adopt(self, context, segment: SegmentChunk) -> int:
+        """Take in a committed chunk: its health, and the segmenter its
         ``segment`` run advanced; returns the number of new shots.  A
         chunk ``segment`` did not parse leaves segmentation the way a
         shed chunk does: a gap past its frames.  Links the video once a
-        first chunk succeeded."""
+        first chunk landed."""
         indexer = self.indexer
-        model = indexer.model
-        if self.video_id is None:
-            self.video_id = model.add_video(self.name, fps=accepted.fps, n_frames=0).video_id
-        chunk = SegmentChunk(self.name, accepted.start, accepted.frames, final, self.segmenter)
-        context = indexer.fde.parse_chunk(chunk, self.video_id, self._defer_result, final)
+        self.video_id = context.video_id
         health = context.health
         self.health.absorb(health)
         if health.degraded:
-            model.mark_degraded(self.video_id)
+            indexer.model.mark_degraded(self.video_id)
         new_shots = 0
         if "segment" in health.ok:
-            self.segmenter, self._restart = chunk.advanced, None
+            self.segmenter, self._restart = segment.advanced, None
             new_shots = len(context.tokens["shot"])
         else:
-            self._restart = accepted.stop
+            self._restart = segment.start + len(segment.frames)
         if self.name not in indexer.indexed:
             indexer.register_streamed_video(self.plan, self.video_id, self.health)
         return new_shots

@@ -46,7 +46,7 @@ class TestFigureOne:
 
     def test_dot_export(self, indexed):
         fde, *_ = indexed
-        dot = to_dot(fde.dependency_graph(), title="tennis_fde")
+        dot = to_dot(fde, title="tennis_fde")
         assert dot.startswith("digraph tennis_fde")
         assert '"segment" -> "tennis"' in dot
         assert "category=tennis" in dot

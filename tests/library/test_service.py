@@ -1,8 +1,12 @@
 """Query-serving layer tests: cache keys, generations, stats, isolation."""
 
+import threading
+import time
+
 import pytest
 
 from repro.dataset import build_australian_open
+from repro.faults import FaultInjector, FaultPlan
 from repro.library import (
     DigitalLibraryEngine,
     LibraryQuery,
@@ -225,6 +229,40 @@ class TestLatencyPercentiles:
         stats = service.stats()
         assert stats.hit_latency == {}
         assert stats.miss_latency == {}
+
+
+class TestReadersDoNotWaitOnChunkDetectors:
+    def test_search_gets_the_read_lock_while_a_chunk_runs_its_detectors(self, service):
+        """A stream chunk runs its detectors outside the write lock: with
+        1 s injected into ``rules``, a query issued while ``rules``
+        sleeps is served at once instead of waiting for the chunk."""
+        indexer = service.engine.indexer
+        plan = indexer.dataset.video_plans[2]
+        in_rules = threading.Event()
+
+        def sleep(seconds):
+            in_rules.set()
+            time.sleep(seconds)
+
+        plan_latency = FaultPlan.latency(["rules"], 1.0)
+        FaultInjector(plan_latency, indexer.fde.registry, sleep=sleep).install()
+        # One final chunk: it runs the whole DAG, ``rules`` included.
+        writer = threading.Thread(
+            target=service.stream_plan, args=(plan,), kwargs={"chunk_frames": 10**6}
+        )
+        writer.start()
+        try:
+            assert in_rules.wait(timeout=60)
+            started = time.perf_counter()
+            served = service.search(LibraryQuery(event="rally"), bypass_cache=True)
+            waited = time.perf_counter() - started
+            staging = writer.is_alive()
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert waited < 0.05, f"the query waited {waited * 1e3:.0f} ms for the read lock"
+        assert staging and not served.rejected
+        assert plan.name in indexer.indexed
 
 
 class TestLRUCacheUnit:
