@@ -14,9 +14,15 @@ The FDE keeps a video's source, not its frames, and reads the axiom on
 demand: a revalidation re-reads the raw object once, and only when a
 re-run detector reads the frames.  The plan-sourced row shows that a
 ``rules`` revalidation re-renders nothing.
+
+Correctness oracle: after each bump, the incrementally maintained
+meta-index holds the same rows as a fresh index of the same clips,
+compared up to ids (a revalidation keeps the rows it did not touch and
+appends the ones it re-derived, so ids and row order differ).
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -42,9 +48,38 @@ def _fresh_indexed_fde(clips):
     return fde
 
 
+def rows_up_to_ids(model) -> dict:
+    """Per video name, its row and its shots in time order, each shot
+    with its objects and events; every id is dropped and an event names
+    its object by content.  Equal for two models that differ in ids and
+    row order alone."""
+    objects = {o.object_id: replace(o, object_id=0, shot_id=0) for o in model.objects}
+
+    def shot_rows(shot):
+        events = [
+            (replace(e, event_id=0, shot_id=0, object_id=None), objects.get(e.object_id))
+            for e in model.events
+            if e.shot_id == shot.shot_id
+        ]
+        return (
+            replace(shot, shot_id=0, video_id=0),
+            sorted(repr(objects[o.object_id]) for o in model.objects_of(shot.shot_id)),
+            sorted(map(repr, events)),
+        )
+
+    return {
+        video.name: (
+            replace(video, video_id=0),
+            [shot_rows(shot) for shot in model.shots_of(video.video_id)],
+        )
+        for video in model.videos
+    }
+
+
 def test_e8_invocations_per_changed_detector(benchmark, clips):
     def evaluate():
         out = []
+        fresh = rows_up_to_ids(_fresh_indexed_fde(clips).model)
         for changed in DETECTORS:
             fde = _fresh_indexed_fde(clips)
             fde.registry.bump_version(changed)
@@ -58,6 +93,7 @@ def test_e8_invocations_per_changed_detector(benchmark, clips):
                     report.total_reused,
                     len(DETECTORS) * N_VIDEOS,
                     elapsed,
+                    rows_up_to_ids(fde.model) == fresh,
                 )
             )
         return out
@@ -70,15 +106,18 @@ def test_e8_invocations_per_changed_detector(benchmark, clips):
             reused,
             f"{executed / full:.0%}",
             f"{elapsed * 1e3:.0f}ms",
+            "yes" if same else "NO",
         ]
-        for changed, executed, reused, full, elapsed in results
+        for changed, executed, reused, full, elapsed, same in results
     ]
     print_table(
         "E8: revalidation cost after changing one detector "
         f"({N_VIDEOS} videos, full run = {len(DETECTORS) * N_VIDEOS} invocations)",
-        ["changed detector", "invocations", "reused", "of full", "wall time"],
+        ["changed detector", "invocations", "reused", "of full", "wall time", "rows = fresh"],
         rows,
     )
+    # Oracle: incremental maintenance leaves the rows a fresh index has.
+    assert [r[0] for r in results if not r[5]] == []
     by_name = {r[0]: r for r in results}
     # Leaf change: one invocation per video.
     assert by_name["rules"][1] == N_VIDEOS

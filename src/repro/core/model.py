@@ -37,6 +37,7 @@ class CobraModel:
         self._shots: dict[int, ShotRecord] = {}
         self._objects: dict[int, VideoObject] = {}
         self._events: dict[int, Event] = {}
+        self._layers = (self._videos, self._shots, self._objects, self._events)
         self._next_id = {Layer.RAW: 1, Layer.FEATURE: 1, Layer.OBJECT: 1, Layer.EVENT: 1}
 
     # ------------------------------------------------------------------ #
@@ -136,8 +137,8 @@ class CobraModel:
         """Take in entities that already carry their ids, keeping them.
 
         The one way an entity with an id enters a model (a staged pass's
-        merge, a snapshot load).  All rows are checked before any is
-        taken in: per layer the ids must increase from the layer's
+        base and merge, a snapshot load).  All rows are checked before
+        any is taken in: per layer the ids must increase from the layer's
         counter on (``ValueError`` for a repeated or reused id), and
         every ``video_id`` / ``shot_id`` / ``object_id`` a row names
         must exist here or in the batch (``KeyError``, as the ``add_*``
@@ -167,8 +168,7 @@ class CobraModel:
             for parent in named:
                 if parent is not None and parent not in rows and parent not in new:
                     raise KeyError(f"unknown {kind} id {parent}")
-        layers = (self._videos, self._shots, self._objects, self._events)
-        for i, (layer, rows) in enumerate(zip(self._next_id, layers)):
+        for i, (layer, rows) in enumerate(zip(self._next_id, self._layers)):
             rows.update(zip(ids[i], batches[i]))
             taken = ids[i][-1] + 1 if ids[i] else 0
             self._next_id[layer] = max(
@@ -185,9 +185,10 @@ class CobraModel:
         """(videos, shots, objects, events) registered since *marks*, in
         id order — O(new entities).  ``None`` when entities were also
         removed since (ids handed out != rows gained): not an append."""
-        layers = (self._videos, self._shots, self._objects, self._events)
         added = []
-        for rows, next_id, first, count in zip(layers, self._next_id.values(), marks, marks[4:]):
+        for rows, next_id, first, count in zip(
+            self._layers, self._next_id.values(), marks, marks[4:]
+        ):
             new = len(rows) - count
             if new != next_id - first:
                 return None
@@ -314,18 +315,19 @@ class CobraModel:
             del self._shots[shot_id]
         return len(doomed)
 
-    def remove_video(self, video_id: int) -> None:
-        """Remove a video and all meta-data derived from it."""
-        if video_id not in self._videos:
-            raise KeyError(f"unknown video id {video_id}")
-        self.clear_shots_of_video(video_id)
-        del self._videos[video_id]
+    def ids(self) -> tuple:
+        """Per layer the ids held, as live set-like views, in
+        :meth:`high_water`'s order."""
+        return tuple(rows.keys() for rows in self._layers)
+
+    def discard(self, *ids) -> None:
+        """Delete rows by id, per layer in :meth:`high_water`'s order;
+        the ids stay burned.  The caller names children with their
+        parents (a staged pass's merge removes what its scratch dropped)."""
+        for rows, layer_ids in zip(self._layers, ids):
+            for entity_id in layer_ids:
+                del rows[entity_id]
 
     def counts(self) -> dict[str, int]:
         """Entity counts per layer (used by reports and tests)."""
-        return {
-            Layer.RAW.value: len(self._videos),
-            Layer.FEATURE.value: len(self._shots),
-            Layer.OBJECT.value: len(self._objects),
-            Layer.EVENT.value: len(self._events),
-        }
+        return {layer.value: len(rows) for layer, rows in zip(Layer, self._layers)}

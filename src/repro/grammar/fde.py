@@ -42,17 +42,21 @@ it ends, and no cached token value references a frame (a ``shot`` entry
 is ``(shot, shot_id)``; ``tennis`` reads a shot's frames from the
 pass's axiom token).
 
-Every indexing pass is staged against a private scratch model whose
-counters start at the live model's next ids, so worker and stream
-threads never contend on the shared meta-index; one merge writes every
-stage into the live model under the commit lock (:meth:`FeatureDetectorEngine
-.commit_staged` for a clip, :meth:`FeatureDetectorEngine.commit_chunk`
-for a chunk).  An id below the stage's first ids names a live row and
-stays; every id the scratch minted moves by one shift per layer, and the
-live counters advance by every id the pass handed out, burned ones
-included — the ids of a pass run at commit time.  One cache rule: a
-commit keeps its pass's outputs unless another commit landed after
-staging (the cached token values would then name scratch ids).
+Every pass is staged: its detectors write only a private scratch model
+whose counters start at the live model's next ids, so worker and stream
+threads never contend on the shared meta-index.  The scratch first
+adopts the pass's *base*, the live rows it works on, with their ids: a
+continuing stream's video row, or a revalidated video's row with its
+shots, objects and events.  One commit (:meth:`FeatureDetectorEngine
+.commit`) lands every pass under the commit lock through one merge: an
+id the scratch minted moves by one shift per layer, a base row the
+scratch still holds stays, and a base row it dropped leaves the live
+model; the live counters advance by every id the pass handed out,
+burned ones included — the ids of a pass run at commit time.  A failed
+``fail_fast`` pass is re-raised with its scratch dropped: no live row
+changes and no id burns.  One cache rule: a commit keeps its pass's
+outputs unless another commit landed after staging (the cached token
+values would then name scratch ids).
 :meth:`FeatureDetectorEngine.index_video` is a stage committed at once.
 """
 
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.model import CobraModel
@@ -128,49 +133,49 @@ class _VideoState:
 class StagedVideo:
     """One indexing pass, run against a private scratch model.
 
-    Produced by :meth:`FeatureDetectorEngine.stage_video` (a clip) or
-    :meth:`FeatureDetectorEngine.stage_chunk` (a stream chunk) on any
-    thread; consumed by :meth:`FeatureDetectorEngine.commit_staged` or
-    :meth:`FeatureDetectorEngine.commit_chunk` under the commit lock.
-    Nothing here has touched the engine's shared state: ids the pass
-    minted are scratch-local (from the live next ids at staging), health
-    accounting waits in :attr:`results`, and the quarantine checks the
-    pass made are kept in :attr:`decisions` so the committer can detect
-    that another commit changed them.  A clip's stage holds no frame
-    (the video is held by its :attr:`source`); a chunk's source is the
-    chunk, held until its commit.
+    Produced by :meth:`FeatureDetectorEngine.stage_video` (a clip),
+    :meth:`FeatureDetectorEngine.stage_chunk` (a stream chunk) or a
+    revalidation on any thread; consumed by
+    :meth:`FeatureDetectorEngine.commit` under the commit lock.  Nothing
+    here has touched the engine's shared state: ids the pass minted are
+    scratch-local (from the live next ids at staging), health accounting
+    waits in :attr:`results`, and the quarantine checks the pass made are
+    kept in :attr:`decisions` so the committer can detect that another
+    commit changed them.  A clip's stage holds no frame (the video is
+    held by its source); a chunk's stage holds the chunk until its
+    commit.
 
     Attributes:
         model: the scratch :class:`~repro.core.model.CobraModel` holding
-            the pass's entities (and a continuing stream's live video row).
+            the pass's base rows (live ids) and the rows it minted.
         first_ids: the scratch model's per-layer next ids before the
             pass (:meth:`~repro.core.model.CobraModel.high_water` order).
         context: the pass's indexing context: the video's ``name``,
             ``source``, scratch ``video_id`` and ``health`` report.
         state: the per-video FDE state the commit remembers: source,
             per-detector token outputs (values may embed scratch-local
-            identifiers — see :meth:`commit_staged`) and registry
-            versions.
+            identifiers — see :meth:`FeatureDetectorEngine.commit`) and
+            registry versions; ``None`` for a chunk (a stream is
+            remembered once it ends).
         results: deferred ``record_video_result`` calls as
             ``(detector, failed)`` pairs, in canonical order.
         decisions: quarantine state observed per preflighted detector;
             the committer revalidates these against the live runner.
         failure: the first non-OK outcome under ``fail_fast``, else
             ``None``.
+        dropped: per layer the ids of base rows the pass removed.
+        restage: stages the same pass again, against the live model.
     """
 
     model: CobraModel
     first_ids: tuple[int, ...]
     context: IndexingContext
-    state: _VideoState
+    state: _VideoState | None
     results: list[tuple[str, bool]]
     decisions: dict[str, bool]
     failure: DetectorOutcome | None
-
-    @property
-    def source(self) -> Callable[[], object]:
-        """Re-reads the raw object; the committed video keeps it."""
-        return self.context.source
+    dropped: tuple[list[int], ...]
+    restage: Callable[[], StagedVideo]
 
 
 def _shifter(first: int, by: int) -> Callable[[int], int]:
@@ -308,25 +313,23 @@ class FeatureDetectorEngine:
         name: str,
         deadline_at: float | None,
         skipped: dict[str, str],
-        decisions: dict[str, bool] | None,
+        decisions: dict[str, bool],
     ) -> DetectorOutcome | None:
         """Decide whether *name* runs at all, without invoking it.
 
         Checks the skip map, then quarantine, then the deadline, and
         returns the terminal outcome when the detector must not run, or
         ``None`` when it is runnable.  Quarantine checks are recorded in
-        *decisions* (when given) so a staged pass can later prove its
-        checks still match the live runner.
+        *decisions* so the commit can prove they still match the live
+        runner.
         """
         runner = self.runner
         if name in skipped:
             return DetectorOutcome(
                 name=name, status=DetectorStatus.SKIPPED, skipped_because=skipped[name]
             )
-        quarantined = runner.is_quarantined(name)
-        if decisions is not None:
-            decisions[name] = quarantined
-        if quarantined:
+        decisions[name] = runner.is_quarantined(name)
+        if decisions[name]:
             return DetectorOutcome(name=name, status=DetectorStatus.QUARANTINED)
         if deadline_at is not None and runner.clock() >= deadline_at:
             return DetectorOutcome(
@@ -340,16 +343,17 @@ class FeatureDetectorEngine:
         source: Callable[[], object] | None,
         model: CobraModel,
         video_id: int,
-        record_result,
+        results: list[tuple[str, bool]],
+        decisions: dict[str, bool],
         *,
         token=None,
         names=None,
         cached: _VideoState | None = None,
-        decisions: dict[str, bool] | None = None,
         prune_empty: bool = False,
     ) -> tuple[IndexingContext, _VideoState, DetectorOutcome | None]:
         """The one pass body: *names* (default: every detector) over the
-        object *name*, in execution order, under one deadline budget.
+        object *name*, in execution order, under one deadline budget,
+        against the scratch *model* of :meth:`_stage`.
 
         Builds the pass's context.  Its axiom token is *token* when the
         caller holds the object already; otherwise the first detector
@@ -359,8 +363,9 @@ class FeatureDetectorEngine:
         unique producer, so cached values cannot collide with tokens the
         pass (re)produces.
 
-        Every detector goes through the runner; ``record_result`` gets
-        one call per detector that ran.  A failed or quarantined
+        Every detector goes through the runner; *results* gets one
+        ``(detector, failed)`` pair per detector that ran, *decisions*
+        every quarantine check.  A failed or quarantined
         detector skips its DAG subtree.  With *prune_empty*, an OK
         detector whose outputs are all empty drops its subtree from the
         pass (no outcome rows): nothing new reached it.  Returns the
@@ -396,7 +401,7 @@ class FeatureDetectorEngine:
             outcome = self._preflight(detector, deadline_at, skipped, decisions)
             if outcome is None:
                 outcome = self.runner.run(detector, context, deadline_at=deadline_at)
-                record_result(detector, outcome.status is not DetectorStatus.OK)
+                results.append((detector, outcome.status is not DetectorStatus.OK))
             health.outcomes[detector] = outcome
             if outcome.status is DetectorStatus.OK:
                 outputs = {
@@ -425,15 +430,6 @@ class FeatureDetectorEngine:
                 f"video {name!r} already indexed; use revalidate() for updates"
             )
 
-    def _raise_outcome(self, outcome: DetectorOutcome):
-        """Re-raise the failure behind *outcome* (``fail_fast`` path)."""
-        if outcome.error is not None:
-            raise outcome.error
-        raise DeadlineExceededError(
-            f"deadline budget exhausted at detector {outcome.name!r}",
-            detector=outcome.name,
-        )
-
     def index_video(self, clip, *, source: Callable[[], object] | None = None) -> IndexingContext:
         """Run the full pipeline over *clip* and cache all outputs.
 
@@ -444,50 +440,41 @@ class FeatureDetectorEngine:
         clip, and :meth:`revalidate` calls it.  Omitted, the clip is its
         own source (and stays referenced for as long as the engine).
 
-        ``commit_staged(stage_video(...))``: nothing lands between the
-        two, so the cached outputs are kept for :meth:`revalidate`.
-        Under ``fail_fast`` a failing detector rolls the whole video
-        back (no trace in the meta-index) and re-raises; under
+        ``commit(stage_video(...))``: nothing lands between the two, so
+        the cached outputs are kept for :meth:`revalidate`.  Under
+        ``fail_fast`` a failing detector leaves no trace in the
+        meta-index (no row, no burned id) and re-raises; under
         ``skip_subtree``/``quarantine`` the video is committed with the
         failing subtree's meta-data missing and its raw-layer record
         flagged degraded.  The pass's health report is available as
         ``context.health``, :attr:`last_health` and :meth:`health_of`.
         """
-        return self.commit_staged(self.stage_video(clip, source=source))
+        return self.commit(self.stage_video(clip, source=source), self.runner.record_video_result)
 
     # ------------------------------------------------------------------ #
-    # Staged indexing (per-video parallelism)
+    # Staged passes and their one commit
     # ------------------------------------------------------------------ #
 
-    def _stage(self, name, token, source, video, *, fps=None, n_frames=0, prune_empty=False):
-        """The one scratch setup (counters at the live next ids), then
-        the pass.  *video* is a continuing stream's live row, adopted
-        with its id; ``None`` adds the video from *name*, *fps* and
-        *n_frames*."""
+    def _stage(self, restage, name, source, base, *, fps=None, n_frames=0, **pass_args):
+        """The one scratch setup, then the pass (:meth:`_parse` with
+        *pass_args*).  The scratch's counters start at the live next ids
+        and it adopts *base*, the live rows the pass works on per layer
+        (videos, shots, objects, events), with their ids; a base with no
+        video adds one from *name*, *fps* and *n_frames*.  *restage*
+        stages the same pass again."""
         first_ids = self.model.high_water()[:4]
         model = CobraModel()
-        model.adopt(videos=() if video is None else (video,), next_ids=first_ids)
-        if video is None:
-            video = model.add_video(name, fps=fps, n_frames=n_frames)
+        model.adopt(*base, next_ids=first_ids)
+        held = [list(ids) for ids in model.ids()]
+        video = base[0][0] if base else model.add_video(name, fps=fps, n_frames=n_frames)
         results: list[tuple[str, bool]] = []
         decisions: dict[str, bool] = {}
         context, state, failure = self._parse(
-            name,
-            source,
-            model,
-            video.video_id,
-            lambda detector, failed: results.append((detector, failed)),
-            token=token,
-            decisions=decisions,
-            prune_empty=prune_empty,
+            name, source, model, video.video_id, results, decisions, **pass_args
         )
-        return StagedVideo(model, first_ids, context, state, results, decisions, failure)
-
-    def _decisions_moved(self, staged: StagedVideo) -> bool:
-        """Did a commit since *staged* change a quarantine it checked?"""
-        return any(
-            self.runner.is_quarantined(detector) != quarantined
-            for detector, quarantined in staged.decisions.items()
+        dropped = tuple([i for i in ids if i not in now] for ids, now in zip(held, model.ids()))
+        return StagedVideo(
+            model, first_ids, context, state, results, decisions, failure, dropped, restage
         )
 
     def stage_video(self, clip, *, source: Callable[[], object] | None = None) -> StagedVideo:
@@ -502,105 +489,120 @@ class FeatureDetectorEngine:
         observed answers are recorded (:attr:`StagedVideo.decisions`)
         and re-validated at commit; health accounting is deferred into
         :attr:`StagedVideo.results`.  Commit stages in plan order via
-        :meth:`commit_staged` to reproduce a sequential run exactly.
+        :meth:`commit` to reproduce a sequential run exactly.
         """
         self._check_registry()
         self._check_new(clip.name)
         source = source if source is not None else lambda: clip
-        return self._stage(clip.name, clip, source, None, fps=clip.fps, n_frames=len(clip))
+        return self._stage(
+            lambda: self.stage_video(source(), source=source),
+            clip.name,
+            source,
+            (),
+            token=clip,
+            fps=clip.fps,
+            n_frames=len(clip),
+        )
 
     def stage_chunk(self, chunk, fps: float, video_id: int | None) -> StagedVideo:
         """The incremental parse, staged as :meth:`stage_video` stages a
         clip, and as safe outside the commit lock.
 
         *chunk* is the axiom token (its ``name`` is the stream's);
-        *video_id* is the stream's live raw-layer id, ``None`` before its
-        first chunk commits (the scratch then adds the video at *fps*).
-        The deadline budget applies per chunk.  A non-final chunk runs
-        nothing below a detector whose outputs are all empty (a chunk
-        that closes no shot runs ``segment`` alone); a final chunk runs
-        the whole DAG, as a clip does.  Land it with :meth:`commit_chunk`.
+        *video_id* is the stream's live raw-layer id — the pass's base —
+        ``None`` before its first chunk commits (the scratch then adds
+        the video at *fps*).  The deadline budget applies per chunk.  A
+        non-final chunk runs nothing below a detector whose outputs are
+        all empty (a chunk that closes no shot runs ``segment`` alone); a
+        final chunk runs the whole DAG, as a clip does.  Land it with
+        :meth:`commit`; its state is not kept (:meth:`register_stream`
+        remembers a finished stream).
         """
-        video = None if video_id is None else self.model.video(video_id)
+        base = () if video_id is None else ((self.model.video(video_id),),)
+        staged = self._stage(
+            partial(self.stage_chunk, chunk, fps, video_id),
+            chunk.name,
+            lambda: chunk,
+            base,
+            token=chunk,
+            fps=fps,
+            prune_empty=not chunk.final,
+        )
+        staged.state = None
+        return staged
+
+    def _stage_revalidation(self, video_name: str, affected: set[str]) -> StagedVideo:
+        """Stage *affected* over an indexed video, every other detector
+        served from its cache.  The base is the video's live row with
+        its shots, objects and events (one scan of the live model)."""
+        state, live = self._states[video_name], self.model
+        shots = [s for s in live.shots if s.video_id == state.video_id]
+        shot_ids = {s.shot_id for s in shots}
+        base = (
+            (live.video(state.video_id),),
+            shots,
+            [o for o in live.objects if o.shot_id in shot_ids],
+            [e for e in live.events if e.shot_id in shot_ids],
+        )
         return self._stage(
-            chunk.name, chunk, lambda: chunk, video, fps=fps, prune_empty=not chunk.final
+            partial(self._stage_revalidation, video_name, affected),
+            video_name,
+            state.source,
+            base,
+            names=affected,
+            cached=state,
         )
 
-    def commit_chunk(self, staged: StagedVideo, record_result) -> IndexingContext:
-        """Land a staged chunk in the live model (under the commit lock).
+    def commit(self, staged: StagedVideo, record_result) -> IndexingContext:
+        """Land a staged pass — clip, chunk or revalidation — in the live
+        model (committer thread, under the commit lock).
 
-        A chunk whose quarantine checks moved since staging is staged
-        again first, as :meth:`commit_staged` re-indexes a video.  Under
-        ``fail_fast`` a failure is re-raised and the scratch dropped: no
-        row lands and no id is burned.  Otherwise the stage merges and
-        its deferred results go to *record_result*.  Returns the chunk's
-        context on the live model and video id (``health`` is its report).
+        If another commit since staging changed a quarantine decision
+        the pass checked (:attr:`StagedVideo.decisions`), the pass is
+        staged again first (:attr:`StagedVideo.restage`), which at this
+        point is exactly what a sequential run would do.  Under
+        ``fail_fast`` a failure is re-raised with the scratch dropped: no
+        live row changes, no id burns and the cache stays.  Otherwise
+        the deferred results go to *record_result*
+        (``runner.record_video_result``, or a stream's per-video fold),
+        the scratch merges (:meth:`_merge_model`), the context is
+        re-pointed at the live model and video id, and the video's
+        degraded flag is set from the pass's report — cleared only by a
+        whole-video pass, never by a chunk.
+
+        A clip or revalidation is remembered by its state.  The one
+        cache rule: its detector outputs are kept unless another commit
+        landed after staging — then a layer shifted, the token values
+        embed scratch-local identifiers, and the cache is reset so the
+        next :meth:`revalidate` re-runs every detector rather than
+        serving poisoned values.  Returns the pass's context; its token
+        values keep the scratch ids unless nothing shifted.
         """
-        if self._decisions_moved(staged):
-            video = staged.model.video(staged.context.video_id)
-            live = video.video_id < staged.first_ids[0]
-            staged = self.stage_chunk(staged.source(), video.fps, video.video_id if live else None)
-        if staged.failure is not None:
-            self._raise_outcome(staged.failure)
+        if any(self.runner.is_quarantined(d) != q for d, q in staged.decisions.items()):
+            staged = staged.restage()
+        context, state, failure = staged.context, staged.state, staged.failure
+        if context.video_id >= staged.first_ids[0]:
+            self._check_new(context.name)
+        self.last_health = health = context.health
+        if failure is not None:
+            if failure.error is not None:
+                raise failure.error
+            raise DeadlineExceededError(
+                f"deadline budget exhausted at detector {failure.name!r}",
+                detector=failure.name,
+            )
         for detector, failed in staged.results:
             record_result(detector, failed)
         shift = self._merge_model(staged)
-        context = staged.context
+        context.model = self.model
         context.video_id = _shifter(staged.first_ids[0], shift[0])(context.video_id)
-        context.model = self.model
-        return context
-
-    def commit_staged(self, staged: StagedVideo) -> IndexingContext:
-        """Adopt a staged pass into the engine (committer thread only).
-
-        Moves the scratch entities into the shared model with their ids
-        shifted (:meth:`_merge_model`): the ids a sequential
-        :meth:`index_video` call at this point would assign, burned
-        ones included.  Then applies the deferred health accounting in
-        canonical order.
-
-        If another video's commit changed the quarantine state a staged
-        pass relied on (:attr:`StagedVideo.decisions` no longer match
-        the live runner), the stage is discarded and the video is
-        re-read through :attr:`StagedVideo.source` and re-indexed in
-        place, which at this plan position is exactly what a sequential
-        run would have produced.
-
-        The video is remembered by its source.  The one cache rule: its
-        detector outputs are kept unless another commit landed after
-        staging — then a layer shifted, the token values embed
-        scratch-local identifiers, and the cache is reset so the first
-        :meth:`revalidate` re-runs every detector rather than serving
-        poisoned values.
-
-        Under ``fail_fast`` a staged failure is re-raised here, after
-        merging and removing the video, so it burns the same identifier
-        ranges a sequential failing pass would and later videos keep
-        byte-identical ids.
-
-        Returns the pass's context, re-pointed at the shared model and
-        the committed video id; its token values keep the scratch ids
-        unless nothing shifted.
-        """
-        context = staged.context
-        self._check_new(context.name)
-        if self._decisions_moved(staged):
-            return self.index_video(staged.source(), source=staged.source)
-        for detector, failed in staged.results:
-            self.runner.record_video_result(detector, failed=failed)
-        self.last_health = context.health
-        shift = self._merge_model(staged)
-        video_id = context.video_id + shift[0]
-        if staged.failure is not None:
-            self.model.remove_video(video_id)
-            self._raise_outcome(staged.failure)
-        if context.health.degraded:
-            self.model.mark_degraded(video_id)
-        context.model = self.model
-        context.video_id = staged.state.video_id = video_id
-        if any(shift):
-            staged.state.outputs, staged.state.versions = {}, {}
-        self._states[context.name] = staged.state
+        if health.degraded or state is not None:
+            self.model.mark_degraded(context.video_id, degraded=health.degraded)
+        if state is not None:
+            state.video_id = context.video_id
+            if any(shift):
+                state.outputs, state.versions = {}, {}
+            self._states[context.name] = state
         return context
 
     def register_stream(
@@ -617,30 +619,37 @@ class FeatureDetectorEngine:
         self._states[name] = _VideoState(source, video_id, outputs={}, versions={}, health=health)
 
     def _merge_model(self, staged: StagedVideo) -> tuple[int, ...]:
-        """Adopt *staged*'s scratch entities into the shared model: the
-        one write of every indexing pass into the live model.
+        """Adopt *staged*'s scratch into the shared model: the one write
+        of every pass into the live model, O(rows of the pass).
 
         The one id rule: an id below the stage's first id of its layer
-        names a live row (a continuing stream's video, not handed back)
-        and stays; an id the scratch minted moves by its layer's shift —
-        the live next id minus the scratch model's first — and so does
-        every parent id a row names.  The live counters advance by the
-        ids the pass handed out, not by the rows it kept.  Returns the
-        per-layer shifts.
+        names a live row, the pass's base; one the scratch still holds
+        stays as it is and one it dropped (:attr:`StagedVideo.dropped`)
+        is removed from the live model.  An id the scratch minted moves
+        by its layer's shift — the live next id minus the scratch
+        model's first — and so does every parent id a row names.  The
+        live counters advance by the ids the pass handed out, not by the
+        rows it kept.  Returns the per-layer shifts.
         """
         scratch, first = staged.model, staged.first_ids
         shift = tuple(live - at for live, at in zip(self.model.high_water()[:4], first))
         video_at, shot_at, object_at, event_at = map(_shifter, first, shift)
-        minted = [v for v in scratch.videos if v.video_id >= first[0]]
+        self.model.discard(*staged.dropped)
         self.model.adopt(
-            videos=[replace(v, video_id=video_at(v.video_id)) for v in minted],
+            videos=[
+                replace(v, video_id=video_at(v.video_id))
+                for v in scratch.videos
+                if v.video_id >= first[0]
+            ],
             shots=[
                 replace(s, shot_id=shot_at(s.shot_id), video_id=video_at(s.video_id))
                 for s in scratch.shots
+                if s.shot_id >= first[1]
             ],
             objects=[
                 replace(o, object_id=object_at(o.object_id), shot_id=shot_at(o.shot_id))
                 for o in scratch.objects
+                if o.object_id >= first[2]
             ],
             events=[
                 replace(
@@ -650,6 +659,7 @@ class FeatureDetectorEngine:
                     object_id=None if e.object_id is None else object_at(e.object_id),
                 )
                 for e in scratch.events
+                if e.event_id >= first[3]
             ],
             next_ids=tuple(end + by for end, by in zip(scratch.high_water()[:4], shift)),
         )
@@ -691,13 +701,14 @@ class FeatureDetectorEngine:
         re-run detector requires the axiom, once per pass, and the pass
         drops it on return: a ``rules`` or ``shape`` bump reads nothing.
 
-        The pass is *crash-consistent*: re-runs are staged and committed
-        to the cached state only when the pass completes.  Under
-        ``fail_fast`` a failing detector leaves the cached outputs and
-        versions exactly as they were; under the skip policies the pass
-        commits, the failing subtree stays stale (so a later
-        revalidation retries it) and the video's degraded flag tracks
-        whether every detector now has meta-data.
+        The pass is staged and committed like any other (:meth:`commit`):
+        its detectors rewrite the video's rows in a scratch model, and
+        the commit lands them.  Under ``fail_fast`` a failing detector
+        changes no live row and leaves the cached outputs and versions
+        exactly as they were; under the skip policies the pass commits,
+        the failing subtree stays stale (so a later revalidation retries
+        it) and the video's degraded flag tracks whether every detector
+        now has meta-data.
         """
         self._check_registry()
         if video_name not in self._states:
@@ -706,22 +717,8 @@ class FeatureDetectorEngine:
         affected = self.descendants_of(self.stale_detectors(video_name))
         if not affected:
             return RevalidationReport(reused={name: 1 for name in state.versions})
-        context, fresh, failure = self._parse(
-            video_name,
-            state.source,
-            self.model,
-            state.video_id,
-            self.runner.record_video_result,
-            names=affected,
-            cached=state,
-        )
-        health = context.health
-        self.last_health = health
-        if failure is not None:
-            # Crash consistency: the cached outputs/versions are untouched.
-            self._raise_outcome(failure)
-        self._states[video_name] = fresh
-        self.model.mark_degraded(state.video_id, degraded=health.degraded)
+        staged = self._stage_revalidation(video_name, affected)
+        health = self.commit(staged, self.runner.record_video_result).health
         return RevalidationReport(
             executed={name: 1 for name in health.ok},
             reused={name: 1 for name in self._order if name not in affected},

@@ -220,7 +220,8 @@ class LibraryIndexer:
         this merge mutates shared state and must run on (or be
         serialized with) the committer thread.
         """
-        return self._register_video(plan, self.fde.commit_staged(staged))
+        fde = self.fde
+        return self._register_video(plan, fde.commit(staged, fde.runner.record_video_result))
 
     def index_all(
         self,

@@ -7,7 +7,7 @@ Each accepted chunk lands with the commit protocol::
     journal chunk_begin          (intent)
     FDE stage                    (detectors, against a scratch model; no lock)
     --- under the commit lock ---
-    FDE merge into meta-index    (in memory only; the one adopt-with-shift)
+    FDE commit into meta-index   (in memory only; every FDE pass's one commit)
     delta-log append             (the chunk's new rows + stream_state)
     journal chunk_commit         (promise: base ⊕ log holds the chunk)
     generation += 1              (readers see the new shots)
@@ -28,7 +28,7 @@ duplicated shots, proved per crash point by the E20 kill matrix.
 
 The FDE stages each chunk outside the lock, as it stages a batch video
 (:meth:`~repro.grammar.fde.FeatureDetectorEngine.stage_chunk`), and
-merges it as it merges one (``commit_chunk``), ``segment`` included:
+lands it through the commit every pass shares, ``segment`` included:
 its one body is the incremental step, pushing the chunk into a fork of
 the stream's segmenter, which the session owns and adopts once
 ``segment`` succeeded.  A stream ingested without interference
@@ -256,7 +256,7 @@ class StreamSession:
         )
         staged = fde.stage_chunk(segment, accepted.fps, self.video_id)
         with self._lock():
-            new_shots = self._adopt(fde.commit_chunk(staged, self._defer_result), segment)
+            new_shots = self._adopt(fde.commit(staged, self._defer_result), segment)
             self.shots_total += new_shots
             total = self.next_frame
             watermark = self.segmenter.watermark
@@ -306,15 +306,12 @@ class StreamSession:
         ``segment`` run advanced; returns the number of new shots.  A
         chunk ``segment`` did not parse leaves segmentation the way a
         shed chunk does: a gap past its frames.  Links the video once a
-        first chunk landed."""
+        first chunk landed (the commit already flagged it degraded)."""
         indexer = self.indexer
         self.video_id = context.video_id
-        health = context.health
-        self.health.absorb(health)
-        if health.degraded:
-            indexer.model.mark_degraded(self.video_id)
+        self.health.absorb(context.health)
         new_shots = 0
-        if "segment" in health.ok:
+        if "segment" in context.health.ok:
             self.segmenter, self._restart = segment.advanced, None
             new_shots = len(context.tokens["shot"])
         else:

@@ -1,5 +1,7 @@
 """Feature Detector Engine tests: scheduling, caching, revalidation."""
 
+from types import SimpleNamespace
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,48 @@ class TestRevalidation:
         fde.revalidate("v")
         report = fde.revalidate("v")
         assert report.total_executed == 0
+
+
+class TestEveryPassIsStaged:
+    def test_no_detector_is_handed_the_live_model(self):
+        """Every kind of pass — clip, first chunk, continuing chunk and
+        revalidation — runs its detectors against a scratch model."""
+        grammar = parse_feature_grammar(DIAMOND)
+        registry = DetectorRegistry()
+        seen: list[bool] = []
+
+        def recording(outputs):
+            def run(context: IndexingContext) -> None:
+                seen.append(context.model is engine.model)
+                for token in outputs:
+                    context.tokens[token] = token
+
+            return run
+
+        for name, token in zip("abcd", "xyzw"):
+            registry.register(name, recording([token]))
+        engine = FeatureDetectorEngine(grammar, registry)
+        passes = {}
+
+        def run_pass(kind, action):
+            seen.clear()
+            result = action()
+            passes[kind] = list(seen)
+            return result
+
+        def chunk(final, video_id):
+            staged = engine.stage_chunk(SimpleNamespace(name="s", final=final), 25.0, video_id)
+            return engine.commit(staged, engine.runner.record_video_result)
+
+        run_pass("clip", lambda: engine.index_video(tiny_clip("v")))
+        first = run_pass("first chunk", lambda: chunk(False, None))
+        run_pass("continuing chunk", lambda: chunk(True, first.video_id))
+        engine.registry.bump_version("a")
+        run_pass("revalidation", lambda: engine.revalidate("v"))
+        assert passes == {
+            kind: [False] * 4
+            for kind in ("clip", "first chunk", "continuing chunk", "revalidation")
+        }
 
 
 class TestRegistry:

@@ -7,6 +7,7 @@ Every test is deterministic: the runner gets a fake clock whose
 import numpy as np
 import pytest
 
+from repro.dataset import build_australian_open
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.grammar.detectors import DetectorRegistry, IndexingContext
 from repro.grammar.fde import FeatureDetectorEngine
@@ -25,6 +26,8 @@ from repro.grammar.runtime import (
     classify_error,
 )
 from repro.grammar.tennis import build_tennis_fde
+from repro.library.persistence import model_to_catalog
+from repro.storage.persist import tables_document
 from repro.video.frames import VideoClip
 from repro.video.generator import BroadcastGenerator
 
@@ -464,6 +467,65 @@ class TestRevalidationConsistency:
         second = engine.revalidate("v")
         assert set(second.executed) == {"b", "d"}
         assert not engine.model.video(1).degraded
+
+
+    def test_fail_fast_revalidate_changes_no_row(self):
+        """A ``tennis`` bump whose ``rules`` re-run raises leaves every
+        table and the cache as they were: the pass wrote only its scratch
+        model (a direct write dropped the video's events and rewrote its
+        objects before ``rules`` raised)."""
+        clip = build_australian_open(seed=7, video_shots=4).video_plans[0].materialise()[0]
+        fde = build_tennis_fde(policy=RunPolicy(isolation=IsolationPolicy.FAIL_FAST))
+        fde.index_video(clip)
+        tables = tables_document(model_to_catalog(fde.model))
+        assert fde.model.counts()["event"] > 0
+        state = fde._states[clip.name]
+        cache = ({k: dict(v) for k, v in state.outputs.items()}, dict(state.versions))
+
+        fde.registry.bump_version("tennis")
+        FaultInjector(
+            FaultPlan([FaultSpec(detector="rules", times=None, error=PermanentDetectorError)]),
+            fde.registry,
+        ).install()
+        with pytest.raises(PermanentDetectorError):
+            fde.revalidate(clip.name)
+        assert tables_document(model_to_catalog(fde.model)) == tables
+        state = fde._states[clip.name]
+        assert (state.outputs, state.versions) == cache
+
+
+class TestFailFastBurnsNothing:
+    def test_a_failed_clip_leaves_the_next_clip_its_ids(self):
+        """After a clip fails under ``fail_fast``, the next clip gets the
+        ids it would get had the failed one never been tried."""
+
+        def shots(context: IndexingContext) -> None:
+            model = context.model
+            for start in (0, 1):
+                model.add_shot(context.video_id, start, start + 1, "tennis")
+            context.tokens["x"] = "x"
+
+        def fails_on_bad(context: IndexingContext) -> None:
+            if context.name == "bad":
+                raise RuntimeError("bad clip")
+            context.tokens["y"] = "y"
+
+        def index(names):
+            engine, _ = diamond_engine(impls={"a": shots, "b": fails_on_bad})
+            for name in names:
+                if name == "bad":
+                    with pytest.raises(RuntimeError, match="bad clip"):
+                        engine.index_video(tiny_clip(name))
+                else:
+                    engine.index_video(tiny_clip(name))
+            return engine.model
+
+        tried, untried = index(["v1", "bad", "v2"]), index(["v1", "v2"])
+        assert tried.high_water() == untried.high_water()
+        assert tables_document(model_to_catalog(tried)) == tables_document(
+            model_to_catalog(untried)
+        )
+        assert [v.video_id for v in tried.videos] == [1, 2]
 
 
 class TestTennisGrammarIsolation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.entities import Event, ShotRecord, Video, VideoObject
 from repro.core.model import CobraModel
 from repro.library.persistence import (
     catalog_to_model,
@@ -73,14 +74,16 @@ class TestCatalogMapping:
 
 @pytest.fixture
 def gapped():
-    """Three videos with the middle one removed: every layer has a gap."""
+    """Videos 1 and 3 of three, each with a shot, object and event of
+    its id: every layer has a gap at 2."""
     model = CobraModel()
-    for name in ("v1", "v2", "v3"):
-        video = model.add_video(name, fps=25.0, n_frames=100)
-        shot = model.add_shot(video.video_id, 0, 100, "tennis", {"entropy": 1.5})
-        obj = model.add_object(shot.shot_id, "player", [(1.0, 2.0), None])
-        model.add_event(shot.shot_id, "rally", 10, 20, object_id=obj.object_id)
-    model.remove_video(2)
+    for i in (1, 3):
+        model.adopt(
+            videos=[Video(i, f"v{i}", fps=25.0, n_frames=100)],
+            shots=[ShotRecord(i, i, 0, 100, "tennis", {"entropy": 1.5})],
+            objects=[VideoObject(i, i, "player", ((1.0, 2.0), None))],
+            events=[Event(i, i, "rally", 10, 20, object_id=i)],
+        )
     return model
 
 

@@ -49,14 +49,14 @@ def outcomes(health) -> dict:
 
 def record_chunk_health(indexer) -> list:
     """Every committed chunk's health report, in commit order."""
-    reports, commit = [], indexer.fde.commit_chunk
+    reports, commit = [], indexer.fde.commit
 
     def recorded(staged, record_result):
         context = commit(staged, record_result)
         reports.append(context.health)
         return context
 
-    indexer.fde.commit_chunk = recorded
+    indexer.fde.commit = recorded
     return reports
 
 
